@@ -88,7 +88,6 @@ def _config_echo(args) -> dict:
     cfg = {
         "format": args.format,
         "internal_tolerances": {
-            "player_kkt_tol": players.KKT_TOL,
             "player_dual_tol": players.DUAL_TOL,
             "player_active_tol": players.ACT_TOL,
             "feas_margin": FEAS_MARGIN,

@@ -47,6 +47,9 @@ class CovarianceBlocks:
     _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("q1", "q2", "q3"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise CovarianceError(f"{name} has non-finite entries")
         q1 = _sym_frozen(self.q1, "q1")
         q3 = _sym_frozen(self.q3, "q3")
         q2 = np.ascontiguousarray(np.asarray(self.q2, dtype=float))

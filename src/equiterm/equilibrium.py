@@ -12,8 +12,6 @@ against brute-force oracles.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,20 +101,12 @@ class DiagnosticsReport:
     notes: tuple[str, ...] = ()
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("EQUITERM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class Market:
     """Assembled player problems with warm starts and solution caching.
 
     Solutions are memoized per price vector, so line searches and repeated
-    diagnostics at the same point cost nothing.  Player solves at one price
-    vector are independent and may run on a small thread pool
-    (EQUITERM_THREADS); results do not depend on the worker count.
+    diagnostics at the same point cost nothing.  Each player warm-starts
+    from its own previous solution.
     """
 
     def __init__(self, scenario: Scenario):
@@ -125,7 +115,6 @@ class Market:
         self.names = tuple(p.name for p in self.problems)
         self._warm: list = [None] * len(self.problems)
         self._cache: dict[bytes, tuple[PlayerSolution, ...]] = {}
-        self._workers = _worker_count()
 
     @property
     def n_prices(self) -> int:
@@ -137,12 +126,7 @@ class Market:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if self._workers > 1 and len(self.problems) > 1:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                sols = tuple(pool.map(lambda k: self._solve_one(k, prices),
-                                      range(len(self.problems))))
-        else:
-            sols = tuple(self._solve_one(k, prices) for k in range(len(self.problems)))
+        sols = tuple(self._solve_one(k, prices) for k in range(len(self.problems)))
         if len(self._cache) > 512:
             self._cache.clear()
         self._cache[key] = sols
@@ -215,31 +199,32 @@ def excess_volume(scenario: Scenario, expected_prices, market: Market | None = N
     return z
 
 
-def _plant_bound_states(scenario, problem, solution, tol=1e-7):
-    """Per (delivery, plant): is production pinned at its upper/lower bound."""
+# (delivery shift, side) that a tight production row pins, side 0 upper and
+# 1 lower: ramp_up(j) reads w[j+1] - w[j] <= ramp_up, so it pins j+1 up and
+# j down; ramp_down(j) reads w[j+1] - w[j] >= ramp_down, the reverse
+_PINS = {
+    "cap_upper": ((0, 0),),
+    "cap_lower": ((0, 1),),
+    "ramp_up": ((1, 0), (0, 1)),
+    "ramp_down": ((0, 0), (1, 1)),
+}
+
+
+def _plant_bound_states(problem, solution):
+    """Per delivery and plant: is production pinned at its upper/lower bound.
+
+    Read from the solution's active set; returns two boolean arrays of shape
+    (deliveries, plants), upper and lower.
+    """
     im = problem.index_map
-    grid = scenario.grid
-    producer = next(p for p in scenario.producers if p.name == problem.name)
-    grouped = producer.plants_by_fuel(scenario.fuel_names)
-    nj = grid.n_deliveries
-    upper = {}
-    lower = {}
-    for fuel, plants in grouped.items():
-        for r, plant in enumerate(plants):
-            w = np.array([solution.primal[im.w_index(j, fuel, r)] for j in range(nj)])
-            s = tol * max(1.0, plant.capacity)
-            for j in range(nj):
-                up = w[j] >= plant.capacity - s
-                lo = w[j] <= s
-                if j > 0:
-                    up = up or (w[j] - w[j - 1] >= plant.ramp_up - s)
-                    lo = lo or (w[j] - w[j - 1] <= plant.ramp_down + s)
-                if j < nj - 1:
-                    up = up or (w[j + 1] - w[j] <= plant.ramp_down + s)
-                    lo = lo or (w[j + 1] - w[j] >= plant.ramp_up - s)
-                upper[(j, fuel, r, problem.name)] = bool(up)
-                lower[(j, fuel, r, problem.name)] = bool(lo)
-    return upper, lower
+    pinned = np.zeros((2, im.n_w), dtype=bool)
+    for i in solution.active_set:
+        label = problem.ineq_labels[i]
+        for shift, side in _PINS.get(label[0], ()):
+            _, j, fuel, r = label
+            pinned[side, im.w_index(j + shift, fuel, r) - im.n_traded] = True
+    shape = (im.grid.n_deliveries, im.plants_per_delivery)
+    return pinned[0].reshape(shape), pinned[1].reshape(shape)
 
 
 def detect_saturation(scenario: Scenario, prices=None, solutions=None,
@@ -256,18 +241,16 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
             raise ValueError("need prices or solutions")
         solutions = market.solutions(np.asarray(prices, dtype=float))
     nj = scenario.grid.n_deliveries
-    all_upper = [True] * nj
-    all_lower = [True] * nj
+    all_upper = np.ones(nj, dtype=bool)
+    all_lower = np.ones(nj, dtype=bool)
     any_plant = False
     for problem, sol in zip(market.problems, solutions):
         if problem.kind != "producer":
             continue
         any_plant = True
-        upper, lower = _plant_bound_states(scenario, problem, sol)
-        for (j, *_), up in upper.items():
-            all_upper[j] = all_upper[j] and up
-        for (j, *_), lo in lower.items():
-            all_lower[j] = all_lower[j] and lo
+        upper, lower = _plant_bound_states(problem, sol)
+        all_upper &= upper.all(axis=1)
+        all_lower &= lower.all(axis=1)
     totals = delivery_totals_matrix(scenario.grid)
     z = np.zeros(scenario.n_contracts)
     for sol in solutions:
@@ -322,7 +305,8 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
     alpha = 1.0 / max(slope, 1e-12)
 
     box_lo, box_hi = market.price_box()
-    span = float(np.max(box_hi - box_lo))
+    # the box is symmetric; its full width 2 * half_width can overflow
+    half_width = float(np.max(box_hi))
 
     z, sols = market.excess(prices)
     resid = float(np.max(np.abs(z)))
@@ -353,9 +337,9 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
         if options.method in ("hybrid", "newton"):
             step = _newton_step(market, sols, z)
             if step is not None:
-                scale = float(np.max(np.abs(step)))
-                if scale > span:  # singular selection direction: cap the ray
-                    step = step * (span / scale)
+                scale = 0.5 * float(np.max(np.abs(step)))
+                if scale > half_width:  # singular selection direction: cap the ray
+                    step = step * (half_width / scale)
                 t = 1.0
                 for _ in range(9):
                     cand, z_c, sols_c, r_c, m_c = try_step(prices + t * step)
@@ -517,16 +501,12 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         except JacobianUnavailableError as exc:
             notes.append(f"producer sensitivity unavailable: {exc}")
 
-    nj = scenario.grid.n_deliveries
-    strict = [False] * nj
+    strict = np.zeros(scenario.grid.n_deliveries, dtype=bool)
     for problem, sol in zip(market.problems, sols):
         if problem.kind != "producer":
             continue
-        upper, lower = _plant_bound_states(scenario, problem, sol)
-        for key in upper:
-            j = key[0]
-            if not upper[key] and not lower[key]:
-                strict[j] = True
+        upper, lower = _plant_bound_states(problem, sol)
+        strict |= (~upper & ~lower).any(axis=1)
 
     sat = detect_saturation(scenario, solutions=sols, market=market)
     return DiagnosticsReport(
@@ -537,7 +517,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         rank_condition=rank,
         rank_required=required,
         rank_ok=rank_ok,
-        strictly_feasible_plant_per_period=tuple(strict),
+        strictly_feasible_plant_per_period=tuple(strict.tolist()),
         saturation=sat,
         notes=tuple(notes),
     )

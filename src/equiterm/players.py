@@ -3,18 +3,16 @@
 ``solve_qp`` maximizes a player's concave mean-variance objective at given
 expected power prices.  The traded block (V, F, O) of the optimum is
 unique; the production block W can sit on a flat face, so a second stage
-picks the minimum-norm W on that face to make results deterministic.
+picks the minimum-norm W on that face to make results deterministic.  W
+carries no cost and no curvature, so the first stage's multipliers stay
+valid there (a convex QP has the same multipliers at every optimum).
 
 ``response_jacobian`` differentiates the optimal power trades with respect
 to expected prices while holding the strictly active constraints fixed:
-one affine piece of the piecewise-affine response map.  For a consumer
-with no active trading box the closed form
-
-    dV/dpi = -(1/l) Q1^{-1} + (1/l) Q1^{-1} A1' (A1 Q1^{-1} A1')^{-1} A1 Q1^{-1}
-
-applies; producers go through the reduced KKT system of the equality-plus-
-active-set selection instead of an explicit constrained pseudoinverse (the
-same object, simpler numerics).
+one affine piece of the piecewise-affine response map.  Every player goes
+through the reduced KKT system of the equality-plus-active-set selection
+rather than an explicit constrained pseudoinverse (the same object,
+simpler numerics).
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import numpy as np
 from .assembly import PlayerProblem
 from .errors import InfeasibleError, JacobianUnavailableError
 from .qp import solve_qp_active_set
+from .validate import _interior_margin
 
 __all__ = [
     "PlayerSolution",
@@ -38,7 +37,6 @@ __all__ = [
     "finite_difference_volumes",
 ]
 
-KKT_TOL = 1e-9
 DUAL_TOL = 1e-8
 ACT_TOL = 1e-8
 
@@ -88,40 +86,32 @@ class ResponseJacobian:
 
 
 def _feasible_start(problem: PlayerProblem) -> np.ndarray:
-    if problem.kind == "producer":
-        if float(np.max(np.abs(problem.eq_rhs), initial=0.0)) == 0.0:
-            return np.zeros(problem.n_vars)  # shutting down is always feasible
-        return _phase_one(problem)
-    # consumer: spread each delivery's demand evenly over its trading times
-    grid = problem.index_map.grid
-    x = np.empty(problem.n_vars)
-    pos = 0
-    for j, m in enumerate(grid.sizes):
-        x[pos : pos + m] = problem.eq_rhs[j] / m
-        pos += m
-    vt = problem.ineq_rhs[0] if problem.ineq_rhs.size else np.inf
-    if float(np.max(np.abs(x), initial=0.0)) <= vt:
-        return x
-    return _phase_one(problem)
-
-
-def _phase_one(problem: PlayerProblem) -> np.ndarray:
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=np.zeros(problem.n_vars),
-        A_ub=problem.ineq_matrix,
-        b_ub=problem.ineq_rhs,
-        A_eq=problem.eq_matrix,
-        b_eq=problem.eq_rhs,
-        bounds=[(None, None)] * problem.n_vars,
-        method="highs",
-    )
-    if not res.success:
+    if problem.kind == "consumer":
+        # spread each delivery's demand evenly over its trading times; the
+        # box |V| <= v_trade holds for some split iff it holds for this one
+        sizes = np.array(problem.index_map.grid.sizes)
+        share = problem.eq_rhs / sizes
+        vt = problem.ineq_rhs[0]
+        over = np.flatnonzero(np.abs(share) > vt)
+        if over.size:
+            j = int(over[0])
+            raise InfeasibleError(
+                f"consumer {problem.name!r} has an empty feasible set: delivery {j} "
+                f"needs {problem.eq_rhs[j]:g} over {sizes[j]} trading times with "
+                f"v_trade {vt:g}"
+            )
+        return np.repeat(share, sizes)
+    if not np.any(problem.eq_rhs):
+        return np.zeros(problem.n_vars)  # shutting down is always feasible
+    margin, x, status = _interior_margin(problem.eq_matrix, problem.eq_rhs,
+                                         problem.ineq_matrix, problem.ineq_rhs)
+    if margin is None or margin < 0.0:
+        cause = status if margin is None else f"margin {margin:.3e}"
         raise InfeasibleError(
-            f"{problem.kind} {problem.name!r} has an empty feasible set: {res.message}"
+            f"{problem.kind} {problem.name!r} has an empty feasible set: "
+            f"phase-I LP reports {cause}"
         )
-    return np.asarray(res.x, dtype=float)
+    return x
 
 
 def _w_rows(problem: PlayerProblem):
@@ -147,24 +137,6 @@ def _min_norm_production(problem: PlayerProblem, x: np.ndarray) -> np.ndarray:
     out = x.copy()
     out[w_cols] = res.x
     return out
-
-
-def _refresh_duals(problem: PlayerProblem, g: np.ndarray, x: np.ndarray):
-    """Recover valid multipliers at x by dropping negative ones iteratively."""
-    grad = problem.quadratic @ x + g
-    slack = problem.ineq_rhs - problem.ineq_matrix @ x
-    tight = [i for i in range(slack.size) if slack[i] <= ACT_TOL * max(1.0, abs(problem.ineq_rhs[i]))]
-    m_eq = problem.eq_matrix.shape[0]
-    while True:
-        C = np.vstack([problem.eq_matrix, problem.ineq_matrix[tight]])
-        y, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-        eta_t = y[m_eq:]
-        if eta_t.size == 0 or float(eta_t.min()) >= -DUAL_TOL:
-            eta = np.zeros(problem.ineq_rhs.size)
-            for k, i in enumerate(tight):
-                eta[i] = max(eta_t[k], 0.0)
-            return y[:m_eq], eta
-        del tight[int(np.argmin(eta_t))]
 
 
 def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> PlayerSolution:
@@ -193,9 +165,6 @@ def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> Player
     if problem.kind == "producer":
         x = _min_norm_production(problem, x)
     report = _residuals(problem, g, x, mu, eta)
-    if report.max_violation > 10 * KKT_TOL:
-        mu, eta = _refresh_duals(problem, g, x)
-        report = _residuals(problem, g, x, mu, eta)
     slack = problem.ineq_rhs - problem.ineq_matrix @ x
     active = tuple(
         int(i) for i in range(slack.size)
@@ -259,15 +228,6 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
     n_p = problem.n_prices
     strict, weak = _strict_active(problem, solution, dual_tol)
     on_boundary = bool(weak)
-
-    if problem.kind == "consumer" and not strict:
-        Q = problem.quadratic  # = risk_aversion * q1
-        A1 = problem.eq_matrix
-        Qi = np.linalg.inv(Q)
-        S = A1 @ Qi @ A1.T
-        M = -Qi + Qi @ A1.T @ np.linalg.solve(S, A1 @ Qi)
-        return ResponseJacobian(M, tuple(strict), on_boundary)
-
     n = problem.n_vars
     C = np.vstack([problem.eq_matrix, problem.ineq_matrix[strict]])
     m = C.shape[0]

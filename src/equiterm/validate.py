@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .assembly import assemble_all
 from .errors import CovarianceError, EquitermError
@@ -58,7 +57,13 @@ class ValidationReport:
 
 
 def _interior_margin(A, a, B, b):
-    """max t s.t. Av = a, Bv + t <= b, t <= cap; returns (margin, status)."""
+    """max t s.t. Av = a, Bv + t <= b, t <= cap.
+
+    Returns (margin, v, status); margin and v are None unless status is "ok".
+    """
+    # imported here: scipy.optimize would otherwise dominate `import equiterm`
+    from scipy.optimize import linprog
+
     n = A.shape[1]
     c = np.zeros(n + 1)
     c[-1] = -1.0
@@ -74,58 +79,35 @@ def _interior_margin(A, a, B, b):
         method="highs",
     )
     if res.status == 2:
-        return None, "infeasible"
+        return None, None, "infeasible"
     if not res.success:
-        return None, res.message
-    return float(res.x[-1]), "ok"
+        return None, None, res.message
+    return float(res.x[-1]), np.asarray(res.x[:-1], dtype=float), "ok"
 
 
 def _joint_clearing_margin(scenario, problems):
     """Phase-I over all players at once with the clearing rows coupled in."""
-    sizes = [p.n_vars for p in problems]
-    offsets = np.cumsum([0] + sizes)
-    total = offsets[-1]
+    offsets = np.cumsum([0] + [p.n_vars for p in problems])
+
+    def block_diagonal(mats):
+        out = np.zeros((sum(m.shape[0] for m in mats), offsets[-1]))
+        row = 0
+        for k, m in enumerate(mats):
+            out[row : row + m.shape[0], offsets[k] : offsets[k + 1]] = m
+            row += m.shape[0]
+        return out
+
     n_nodes = scenario.n_contracts
-
-    eq_rows, eq_rhs = [], []
-    for k, p in enumerate(problems):
-        for r in range(p.eq_matrix.shape[0]):
-            row = np.zeros(total + 1)
-            row[offsets[k] : offsets[k] + p.n_vars] = p.eq_matrix[r]
-            eq_rows.append(row)
-            eq_rhs.append(p.eq_rhs[r])
-    for node in range(n_nodes):
-        row = np.zeros(total + 1)
-        for k, p in enumerate(problems):
-            row[offsets[k] + node] = 1.0  # V block leads every player vector
-        eq_rows.append(row)
-        eq_rhs.append(0.0)
-
-    ub_rows, ub_rhs = [], []
-    for k, p in enumerate(problems):
-        for r in range(p.ineq_matrix.shape[0]):
-            row = np.zeros(total + 1)
-            row[offsets[k] : offsets[k] + p.n_vars] = p.ineq_matrix[r]
-            row[-1] = 1.0
-            ub_rows.append(row)
-            ub_rhs.append(p.ineq_rhs[r])
-
-    c = np.zeros(total + 1)
-    c[-1] = -1.0
-    res = linprog(
-        c,
-        A_ub=np.array(ub_rows),
-        b_ub=np.array(ub_rhs),
-        A_eq=np.array(eq_rows),
-        b_eq=np.array(eq_rhs),
-        bounds=[(None, None)] * total + [(None, MARGIN_CAP)],
-        method="highs",
-    )
-    if res.status == 2:
-        return None, "infeasible"
-    if not res.success:
-        return None, res.message
-    return float(res.x[-1]), "ok"
+    clearing = np.zeros((n_nodes, offsets[-1]))
+    for k in range(len(problems)):
+        # the V block leads every player vector
+        clearing[:, offsets[k] : offsets[k] + n_nodes] = np.eye(n_nodes)
+    A = np.vstack([block_diagonal([p.eq_matrix for p in problems]), clearing])
+    a = np.concatenate([p.eq_rhs for p in problems] + [np.zeros(n_nodes)])
+    B = block_diagonal([p.ineq_matrix for p in problems])
+    b = np.concatenate([p.ineq_rhs for p in problems])
+    margin, _, status = _interior_margin(A, a, B, b)
+    return margin, status
 
 
 def _marginal_costs(scenario):
@@ -168,7 +150,7 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
     if blocks is not None:
         problems = assemble_all(scenario)
         for p in problems:
-            margin, status = _interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs)
+            margin, _, status = _interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs)
             if margin is None:
                 checks.append(CheckResult(
                     f"strict_interior:{p.name}", False,

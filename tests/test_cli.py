@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import equiterm as eq
 from equiterm.cli import main
-from tests.corpus import demand_exceeds_capacity, desk_n1, two_stage_scenario
+from tests.corpus import demand_exceeds_capacity, desk_n1, make_corpus, two_stage_scenario
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +181,40 @@ def test_text_format(scenario_file, capsys):
                         "--format", "text"], capsys)
     assert code == 0
     assert "validation.passed = true" in out
+
+
+def _mutated_two_fuels(tmp_path, mutate):
+    doc = eq.scenario_to_dict(dict(make_corpus())["two_fuels"])
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_non_finite_covariance_exits_2(tmp_path, capsys):
+    def nan_q1(doc):
+        doc["exogenous"]["covariance"]["q1"][0][0] = float("nan")
+
+    path = _mutated_two_fuels(tmp_path, nan_q1)
+    code, _, err = run(["solve", "--scenario", str(path)], capsys)
+    assert code == 2
+    assert "invalid scenario" in err and "q1" in err
+
+
+def test_price_box_near_float_max_solves_without_warnings(tmp_path, capsys):
+    def huge_box(doc):
+        doc["bounds"]["pi_max"] = 1e308
+
+    path = _mutated_two_fuels(tmp_path, huge_box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["solve", "--scenario", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["converged"] is True
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported where the phase-I LP runs; a module-level import
+    # would add its load time to every CLI call
+    code = "import equiterm, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import equiterm as eq
-from equiterm.equilibrium import Market, merit_order_prices
+from equiterm.equilibrium import Market, _plant_bound_states, merit_order_prices
 from tests.corpus import build_scenario, desk_n1
 
 
@@ -183,11 +183,71 @@ def test_two_stage_residual_small(two_stage):
     assert res.clearing_residual <= 1e-8
 
 
-def test_worker_count_does_not_change_results(medium, monkeypatch):
-    res1 = eq.solve_equilibrium(medium)
-    monkeypatch.setenv("EQUITERM_THREADS", "3")
-    res3 = eq.solve_equilibrium(medium)
-    assert res3.converged
-    np.testing.assert_array_equal(res1.prices, res3.prices)
-    for a, b in zip(res1.player_solutions, res3.player_solutions):
-        np.testing.assert_array_equal(a.primal, b.primal)
+def _ramp_scenario():
+    return build_scenario(
+        seed=3, sizes=(1, 1, 1), fuels={"gas": 0.5},
+        producers=[(1.0, [("gas", 10.0, 1.0, -1.0, 2.0)])],
+        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.3)
+
+
+def _primal_bound_states(scenario, problem, solution, tol=1e-7):
+    """Reference: walk each plant's production path against its bounds."""
+    im = problem.index_map
+    producer = next(p for p in scenario.producers if p.name == problem.name)
+    nj = scenario.grid.n_deliveries
+    upper = np.zeros((nj, im.plants_per_delivery), dtype=bool)
+    lower = np.zeros_like(upper)
+    for fuel, plants in producer.plants_by_fuel(scenario.fuel_names).items():
+        for r, plant in enumerate(plants):
+            k = im.w_index(0, fuel, r) - im.n_traded
+            w = [solution.primal[im.w_index(j, fuel, r)] for j in range(nj)]
+            s = tol * max(1.0, plant.capacity)
+            for j in range(nj):
+                up = w[j] >= plant.capacity - s
+                lo = w[j] <= s
+                if j > 0:
+                    up = up or w[j] - w[j - 1] >= plant.ramp_up - s
+                    lo = lo or w[j] - w[j - 1] <= plant.ramp_down + s
+                if j < nj - 1:
+                    up = up or w[j + 1] - w[j] <= plant.ramp_down + s
+                    lo = lo or w[j + 1] - w[j] >= plant.ramp_up - s
+                upper[j, k], lower[j, k] = up, lo
+    return upper, lower
+
+
+@pytest.mark.parametrize("which", ["medium", "ramp"])
+def test_bound_states_from_active_set_match_primal_walk(medium, which):
+    sc = medium if which == "medium" else _ramp_scenario()
+    market = Market(sc)
+    base = merit_order_prices(sc)
+    rng = np.random.default_rng(23)
+    pinned = 0
+    for _ in range(40):
+        prices = base + 0.5 * np.abs(base).max() * rng.standard_normal(base.size)
+        for problem, sol in zip(market.problems, market.solutions(prices)):
+            if problem.kind != "producer":
+                continue
+            got = _plant_bound_states(problem, sol)
+            ref = _primal_bound_states(sc, problem, sol)
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+            pinned += int(got[0].sum() + got[1].sum())
+    assert pinned > 0
+
+
+def test_ramp_pinned_deliveries_read_as_saturated():
+    # price spike at the middle delivery: ramp_up(0) and ramp_down(1) bind
+    # while production stays strictly inside (0, capacity)
+    sc = _ramp_scenario()
+    market = Market(sc)
+    prices = np.array([0.0, 50.0, 0.0]) * sc.grid.node_discounts()
+    producer = market.problems[0]
+    sol = market.solutions(prices)[0]
+    tight = {producer.ineq_labels[i][:2] for i in sol.active_set}
+    assert tight == {("ramp_up", 0), ("ramp_down", 1)}
+    rep = eq.detect_saturation(sc, prices=prices, market=market)
+    assert rep.statuses == ("all-lower", "all-upper", "all-lower")
+    for status, total, ok in zip(rep.statuses, rep.clearing_sums, rep.sign_consistent):
+        assert ok == (total < 0 if status == "all-upper" else total > 0)
+    diag = eq.check_uniqueness(sc, prices=prices, n_samples=1, market=market)
+    assert diag.strictly_feasible_plant_per_period == (False, False, False)

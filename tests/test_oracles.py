@@ -3,7 +3,7 @@ import pytest
 
 import equiterm as eq
 from equiterm.equilibrium import Market
-from equiterm.errors import EquitermError
+from equiterm.errors import EquitermError, InfeasibleError
 from equiterm.oracles import producer_solution_with_fixed_totals, two_stage_check
 from tests.corpus import (
     build_scenario,
@@ -114,6 +114,14 @@ def test_restricted_totals_reproduce_equilibrium_strategy(two_stage):
     restricted = producer_solution_with_fixed_totals(prob, res.prices, totals)
     np.testing.assert_allclose(restricted.primal, res.player_solutions[0].primal,
                                atol=1e-9)
+
+
+def test_restricted_totals_beyond_capacity_raise(two_stage):
+    prob = Market(two_stage).problems[0]
+    capacity = sum(pl.capacity for pl in two_stage.producers[0].plants)
+    with pytest.raises(InfeasibleError, match="empty feasible set"):
+        producer_solution_with_fixed_totals(prob, np.zeros(prob.n_prices),
+                                            np.array([-2.0 * capacity]))
 
 
 # ---- brute-force oracle -------------------------------------------------------

@@ -59,7 +59,7 @@ def test_infeasible_consumer_raises():
     squeezed = eq.Scenario(sc.grid, sc.producers, sc.consumers, sc.fuels, sc.exogenous,
                            eq.Bounds(1.0, 500.0, 1000.0))  # 2 * 1.0 < demand 5
     prob = eq.assemble_consumer(squeezed.consumers[0], squeezed)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="delivery 0"):
         eq.solve_qp(prob, np.zeros(2))
 
 
