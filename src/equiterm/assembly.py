@@ -13,7 +13,7 @@ candidate expected power prices, discounted likewise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class PlayerProblem:
     ``quadratic`` is the risk-aversion-scaled covariance (zero on the W
     block), ``linear`` the expected discounted price vector with zeroed
     power slots.  Row labels name every constraint for tests and reports.
+    ``cov_inverse`` is the inverse of the unscaled covariance of the traded
+    block, one array shared by every player of a scenario (None when its
+    Cholesky factorization fails, which leaves only the full QP).
     """
 
     kind: str
@@ -45,12 +48,17 @@ class PlayerProblem:
     eq_labels: tuple[tuple, ...]
     ineq_labels: tuple[tuple, ...]
     risk_aversion: float
+    cov_inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # built from this instance's own matrices on first use (players.py), so a
+    # dataclasses.replace copy starts empty instead of inheriting a stale one
+    _condensed: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for nm in ("quadratic", "linear", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, nm), dtype=float))
             arr.flags.writeable = False
             object.__setattr__(self, nm, arr)
+        object.__setattr__(self, "_condensed", [])
 
     @property
     def n_vars(self) -> int:
@@ -168,9 +176,10 @@ def assemble_producer(producer: Producer, scenario: Scenario) -> PlayerProblem:
             add([(k, 1.0)], ft, ("o_upper", j, i))
             add([(k, -1.0)], ft, ("o_lower", j, i))
 
+    blocks = scenario.covariance_blocks()
     quadratic = np.zeros((n, n))
     nt = im.n_traded
-    quadratic[:nt, :nt] = producer.risk_aversion * scenario.covariance_blocks().stacked()
+    quadratic[:nt, :nt] = producer.risk_aversion * blocks.stacked()
 
     linear = np.zeros(n)
     disc = grid.node_discounts()
@@ -192,6 +201,7 @@ def assemble_producer(producer: Producer, scenario: Scenario) -> PlayerProblem:
         eq_labels=tuple(eq_labels),
         ineq_labels=tuple(labels),
         risk_aversion=producer.risk_aversion,
+        cov_inverse=blocks.stacked_inverse(),
     )
 
 
@@ -220,7 +230,8 @@ def assemble_consumer(consumer: Consumer, scenario: Scenario) -> PlayerProblem:
             rhs.append(vt)
             labels.append(("v_lower", j, i))
 
-    quadratic = consumer.risk_aversion * scenario.covariance_blocks().q1
+    blocks = scenario.covariance_blocks()
+    quadratic = consumer.risk_aversion * blocks.q1
 
     return PlayerProblem(
         kind="consumer",
@@ -235,6 +246,7 @@ def assemble_consumer(consumer: Consumer, scenario: Scenario) -> PlayerProblem:
         eq_labels=eq_labels,
         ineq_labels=tuple(labels),
         risk_aversion=consumer.risk_aversion,
+        cov_inverse=blocks.q1_inverse(),
     )
 
 

@@ -45,6 +45,7 @@ class CovarianceBlocks:
     q3: np.ndarray
     ridge: float = 0.0
     _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("q1", "q2", "q3"):
@@ -66,6 +67,7 @@ class CovarianceBlocks:
         stacked = np.block([[q1, q2], [q2.T, q3]])
         stacked.flags.writeable = False
         object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_inverses", {})
 
     @property
     def n_contracts(self) -> int:
@@ -78,6 +80,28 @@ class CovarianceBlocks:
     def stacked(self) -> np.ndarray:
         """Full covariance of the (power, fuel, emission) vector."""
         return self._stacked
+
+    def stacked_inverse(self) -> np.ndarray | None:
+        """Inverse of ``stacked()``; see ``_inverse``."""
+        return self._inverse("stacked", self._stacked)
+
+    def q1_inverse(self) -> np.ndarray | None:
+        """Inverse of the power block ``q1``; see ``_inverse``."""
+        return self._inverse("q1", self.q1)
+
+    def _inverse(self, key: str, mat: np.ndarray) -> np.ndarray | None:
+        """Inverse through the Cholesky factor, computed once and shared by
+        every player of the scenario; None when the factorization fails."""
+        if key not in self._inverses:
+            try:
+                l_inv = np.linalg.inv(np.linalg.cholesky(mat))
+            except np.linalg.LinAlgError:
+                inv = None
+            else:
+                inv = l_inv.T @ l_inv
+                inv.flags.writeable = False
+            self._inverses[key] = inv
+        return self._inverses[key]
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self._stacked)[0])

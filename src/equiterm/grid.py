@@ -29,6 +29,9 @@ class TradingGrid:
     deliveries: tuple[float, ...]
     trading_times: tuple[tuple[float, ...], ...]
     interest_rate: float = 0.0
+    # derived once: every index computation reads them
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n_contracts: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "deliveries", tuple(float(t) for t in self.deliveries))
@@ -50,20 +53,13 @@ class TradingGrid:
                 raise GridError(f"last trading time {ts[-1]} must equal delivery time {T}")
         if not math.isfinite(self.interest_rate):
             raise GridError("interest rate must be finite")
+        # number of trading times per delivery, and their total
+        object.__setattr__(self, "sizes", tuple(len(ts) for ts in self.trading_times))
+        object.__setattr__(self, "n_contracts", sum(self.sizes))
 
     @property
     def n_deliveries(self) -> int:
         return len(self.deliveries)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """Number of trading times per delivery."""
-        return tuple(len(ts) for ts in self.trading_times)
-
-    @property
-    def n_contracts(self) -> int:
-        """Total number of power forward contracts across the grid."""
-        return sum(self.sizes)
 
     def discount(self, j: int) -> float:
         """e^{-r T_j} factor applied to everything settling at delivery j."""

@@ -1,18 +1,48 @@
 """Per-player best responses, optimality residuals and price sensitivities.
 
 ``solve_qp`` maximizes a player's concave mean-variance objective at given
-expected power prices.  The traded block (V, F, O) of the optimum is
-unique; the production block W can sit on a flat face, so a second stage
-picks the minimum-norm W on that face to make results deterministic.  W
-carries no cost and no curvature, so the first stage's multipliers stay
-valid there (a convex QP has the same multipliers at every optimum).
+expected power prices.  Prices enter only the linear term, and every
+player's curvature is lambda * Sigma with one Sigma per scenario, so the
+traded block t = (V, F, O) is eliminated in closed form (condensed).  With
+A = [A_t A_w] the equality rows and S = A_t Sigma^-1 A_t' / lambda, the
+equality multipliers are affine in production W,
+
+    mu(W) = -S^-1 (a + A_t Sigma^-1 g_t / lambda) + S^-1 A_w W,
+    t     = -Sigma^-1 (g_t + A_t' mu) / lambda.
+
+A consumer has no W, so its response is an affine map of prices.  A
+producer is left with a QP over W alone, with Hessian A_w' S^-1 A_w, linear
+term A_w' mu(0) and only the ramp and capacity rows, solved by the same
+active-set engine as the full problem.  Sigma^-1 is factored once per
+scenario and shared by reference (``PlayerProblem.cov_inverse``); S is
+factored once per problem instance, from that instance's own rows.
+
+The condensation drops the trading boxes.  The full active-set QP (also
+the test oracle) runs instead, from the player's usual start, when a
+Cholesky factor of Sigma or S fails (S is singular when equality rows
+repeat, as in the pinned-totals oracle), or when the recovered point is
+not finite or violates any row of the full problem, equalities included,
+beyond the engine's start-point tolerances: whenever a trading box binds.
+
+An accepted point's duals are valid for the full problem: t meets its
+stationarity rows by construction, the W-QP's stationarity
+A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
+are slack, so their multipliers are zero.  Residuals are still recomputed
+on the full problem for every solution.
+
+The traded block of the optimum is unique; W can sit on a flat face, so a
+second stage picks the minimum-norm W on that face to make results
+deterministic.  W carries no cost and no curvature, so the first stage's
+multipliers stay valid there (a convex QP has the same multipliers at
+every optimum).
 
 ``response_jacobian`` differentiates the optimal power trades with respect
 to expected prices while holding the strictly active constraints fixed:
-one affine piece of the piecewise-affine response map.  Every player goes
-through the reduced KKT system of the equality-plus-active-set selection
-rather than an explicit constrained pseudoinverse (the same object,
-simpler numerics).
+one affine piece of the piecewise-affine response map.  When every
+strictly active row is a ramp or capacity row it solves the W-QP's reduced
+KKT system in (dW, deta) and maps the result back through mu and t;
+otherwise it solves the full KKT system of the equality-plus-strict
+selection.
 """
 
 from __future__ import annotations
@@ -23,7 +53,7 @@ import numpy as np
 
 from .assembly import PlayerProblem
 from .errors import InfeasibleError, JacobianUnavailableError
-from .qp import solve_qp_active_set
+from .qp import solve_qp_active_set, start_violation
 from .validate import _interior_margin
 
 __all__ = [
@@ -39,6 +69,9 @@ __all__ = [
 
 DUAL_TOL = 1e-8
 ACT_TOL = 1e-8
+# smallest Cholesky pivot of S, relative to the largest, that still counts
+# as full rank; an exactly repeated equality row leaves a pivot near 1e-8
+S_PIVOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -146,30 +179,34 @@ def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> Player
     (its primal stays feasible since constraints do not move with prices)
     or a bare working set of inequality rows.
     """
+    prices, g = _query(problem, expected_prices)
+    cond = _condensation(problem)
+    point = _solve_condensed(problem, cond, g, warm_start) if cond is not None else None
+    if point is None:
+        point = _solve_full(problem, g, warm_start)
+    return _solution(problem, prices, g, *point)
+
+
+def _full_solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> PlayerSolution:
+    """``solve_qp`` through the full QP only: the oracle of the condensed path."""
+    prices, g = _query(problem, expected_prices)
+    return _solution(problem, prices, g, *_solve_full(problem, g, warm_start))
+
+
+def _query(problem: PlayerProblem, expected_prices):
     prices = np.asarray(expected_prices, dtype=float)
     if not np.all(np.isfinite(prices)):
         raise ValueError("expected prices must be finite")
-    g = problem.merged_linear(prices)
-    if isinstance(warm_start, PlayerSolution):
-        x0 = warm_start.primal.copy()
-        seed = warm_start.active_set
-    else:
-        x0 = _feasible_start(problem)
-        seed = tuple(warm_start) if warm_start else ()
-    res = solve_qp_active_set(
-        problem.quadratic, g, problem.eq_matrix, problem.eq_rhs,
-        problem.ineq_matrix, problem.ineq_rhs, x0,
-        working_set=seed,
-    )
-    x, mu, eta = res.x, res.eq_duals, res.ineq_duals
+    return prices, problem.merged_linear(prices)
+
+
+def _solution(problem: PlayerProblem, prices, g, x, mu, eta) -> PlayerSolution:
+    """Min-norm production, full-problem residuals and the active set."""
     if problem.kind == "producer":
         x = _min_norm_production(problem, x)
     report = _residuals(problem, g, x, mu, eta)
     slack = problem.ineq_rhs - problem.ineq_matrix @ x
-    active = tuple(
-        int(i) for i in range(slack.size)
-        if slack[i] <= ACT_TOL * max(1.0, abs(problem.ineq_rhs[i]))
-    )
+    active = np.flatnonzero(slack <= ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs)))
     prices_ro = prices.copy()
     prices_ro.flags.writeable = False
     return PlayerSolution(
@@ -177,11 +214,116 @@ def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> Player
         primal=x,
         eq_duals=mu,
         ineq_duals=eta,
-        active_set=active,
+        active_set=tuple(active.tolist()),
         objective=float(-(g @ x) - 0.5 * x @ (problem.quadratic @ x)),
         kkt_residual=report.max_violation,
         residuals=report,
     )
+
+
+def _start(problem: PlayerProblem, warm_start):
+    """The player's usual start: a previous solution, or a feasible point
+    with an optional bare working set."""
+    if isinstance(warm_start, PlayerSolution):
+        return warm_start.primal.copy(), warm_start.active_set
+    return _feasible_start(problem), tuple(warm_start) if warm_start else ()
+
+
+def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start=None):
+    """(x, mu, eta) of the full active-set QP from the player's usual start."""
+    x0, seed = _start(problem, warm_start)
+    res = solve_qp_active_set(
+        problem.quadratic, g, problem.eq_matrix, problem.eq_rhs,
+        problem.ineq_matrix, problem.ineq_rhs, x0,
+        working_set=seed,
+    )
+    return res.x, res.eq_duals, res.ineq_duals
+
+
+@dataclass(frozen=True)
+class _Condensed:
+    """The traded block t of one player eliminated in closed form.
+
+    With Sigma the unscaled covariance of t and A = [A_t A_w] the equality
+    rows, S = A_t Sigma^-1 A_t' / lambda.  Production W enters only through
+    the ramp and capacity rows (``w_rows`` of the full problem).
+    """
+
+    n_t: int
+    sigma_inv: np.ndarray          # shared Sigma^-1, not a copy
+    m: np.ndarray                  # A_t Sigma^-1
+    s_inv: np.ndarray              # S^-1
+    a_w: np.ndarray                # A_w
+    b_w: np.ndarray                # W block of the ramp and capacity rows
+    hessian: np.ndarray            # A_w' S^-1 A_w, Hessian of the W-QP
+    d_mu: np.ndarray               # S^-1 A_t Sigma^-1 E / lambda = -dmu0/dpi
+    w_rows: np.ndarray
+    w_pos: dict                    # full-problem row -> W-QP row
+
+
+def _condensation(problem: PlayerProblem) -> _Condensed | None:
+    cache = problem._condensed
+    if not cache:
+        cache.append(_condense(problem))
+    return cache[0]
+
+
+def _condense(problem: PlayerProblem) -> _Condensed | None:
+    """Factor S for this instance; None when a Cholesky factor fails."""
+    sigma_inv = problem.cov_inverse
+    if sigma_inv is None:
+        return None
+    n_t = problem.n_vars - problem.index_map.n_w
+    lam = problem.risk_aversion
+    a_t, a_w = problem.eq_matrix[:, :n_t], problem.eq_matrix[:, n_t:]
+    m = a_t @ sigma_inv
+    try:
+        chol = np.linalg.cholesky(m @ a_t.T / lam)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diag(chol)
+    if not pivots.size or not pivots.min() > S_PIVOT_TOL * pivots.max():
+        return None  # numerically rank-deficient A_t (repeated rows) or not finite
+    l_inv = np.linalg.inv(chol)
+    s_inv = l_inv.T @ l_inv
+    w_rows = np.array(_w_rows(problem), dtype=int)
+    return _Condensed(
+        n_t=n_t,
+        sigma_inv=sigma_inv,
+        m=m,
+        s_inv=s_inv,
+        a_w=a_w,
+        b_w=problem.ineq_matrix[np.ix_(w_rows, np.arange(n_t, problem.n_vars))],
+        hessian=a_w.T @ s_inv @ a_w,
+        d_mu=s_inv @ m[:, : problem.n_prices] / lam,
+        w_rows=w_rows,
+        w_pos={int(r): k for k, r in enumerate(w_rows)},
+    )
+
+
+def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, warm_start):
+    """(x, mu, eta) through the W-QP, or None when the point fails the full rows."""
+    n_t, lam = cond.n_t, problem.risk_aversion
+    g_t = g[:n_t]
+    mu = -cond.s_inv @ (problem.eq_rhs + cond.m @ g_t / lam)
+    eta = np.zeros(problem.ineq_rhs.size)
+    w = np.zeros(problem.n_vars - n_t)  # empty for a consumer: V is affine in g
+    if w.size:
+        x0, seed = _start(problem, warm_start)
+        res = solve_qp_active_set(
+            cond.hessian, cond.a_w.T @ mu, np.zeros((0, w.size)), np.zeros(0),
+            cond.b_w, problem.ineq_rhs[cond.w_rows], x0[n_t:],
+            working_set=[cond.w_pos[i] for i in seed if i in cond.w_pos],
+        )
+        w = res.x
+        mu = mu + cond.s_inv @ (cond.a_w @ w)
+        eta[cond.w_rows] = res.ineq_duals
+    x = np.concatenate([-(cond.sigma_inv @ g_t + cond.m.T @ mu) / lam, w])
+    if not np.all(np.isfinite(x)) or start_violation(
+        problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs, x
+    ):
+        return None
+    return x, mu, eta
 
 
 def _residuals(problem, g, x, mu, eta) -> ResidualReport:
@@ -225,9 +367,45 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
         if expected_prices is None:
             raise ValueError("need a solution or expected prices")
         solution = solve_qp(problem, expected_prices)
-    n_p = problem.n_prices
     strict, weak = _strict_active(problem, solution, dual_tol)
-    on_boundary = bool(weak)
+    cond = _condensation(problem)
+    matrix = None
+    if cond is not None and all(i in cond.w_pos for i in strict):
+        matrix = _condensed_jacobian(problem, cond, strict)
+    if matrix is None:
+        matrix = _kkt_jacobian(problem, strict)
+    return ResponseJacobian(matrix, tuple(strict), bool(weak))
+
+
+def _condensed_jacobian(problem: PlayerProblem, cond: _Condensed, strict) -> np.ndarray | None:
+    """dV/dpi from the reduced KKT system of the W-QP in (dW, deta).
+
+    The strict rows are W rows, so they fix B_s dW = 0 and the W-QP's
+    stationarity moves only through its linear term A_w' mu0(pi).  None
+    when the reduced system is inconsistent.
+    """
+    n_p, lam = problem.n_prices, problem.risk_aversion
+    d_mu = -cond.d_mu
+    n_w = cond.a_w.shape[1]
+    if n_w:
+        b_s = cond.b_w[[cond.w_pos[i] for i in strict]]
+        k = n_w + b_s.shape[0]
+        K = np.zeros((k, k))
+        K[:n_w, :n_w] = cond.hessian
+        K[:n_w, n_w:] = b_s.T
+        K[n_w:, :n_w] = b_s
+        rhs = np.zeros((k, n_p))
+        rhs[:n_w] = cond.a_w.T @ cond.d_mu
+        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        if float(np.max(np.abs(K @ sol - rhs))) > 1e-7:
+            return None
+        d_mu = d_mu + cond.s_inv @ (cond.a_w @ sol[:n_w])
+    return -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
+
+
+def _kkt_jacobian(problem: PlayerProblem, strict) -> np.ndarray:
+    """dV/dpi from the full KKT system of the equality-plus-strict rows."""
+    n_p = problem.n_prices
     n = problem.n_vars
     C = np.vstack([problem.eq_matrix, problem.ineq_matrix[strict]])
     m = C.shape[0]
@@ -244,7 +422,7 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
             f"sensitivity system inconsistent (residual {resid:.2e}) at a "
             "degenerate active set"
         )
-    return ResponseJacobian(sol[:n_p, :], tuple(strict), on_boundary)
+    return sol[:n_p, :]
 
 
 def finite_difference_volumes(problem: PlayerProblem, expected_prices, direction,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
-__all__ = ["QPResult", "solve_qp_active_set"]
+__all__ = ["QPResult", "solve_qp_active_set", "start_violation"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,16 @@ def _null_space_basis(C: np.ndarray, n: int) -> np.ndarray:
     tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
     return vt[rank:].T
+
+
+def start_violation(A, a, B, b, x, feas_tol: float = 1e-8) -> str | None:
+    """Name the constraint block ("equality" or "inequality") that ``x``
+    violates beyond the start-point tolerances, or None if it is feasible."""
+    if a.size and float(np.max(np.abs(A @ x - a))) > feas_tol * max(1.0, float(np.max(np.abs(a)))):
+        return "equality"
+    if b.size and float(np.min(b - B @ x + feas_tol * np.maximum(1.0, np.abs(b)))) < 0.0:
+        return "inequality"
+    return None
 
 
 def solve_qp_active_set(
@@ -73,11 +83,10 @@ def solve_qp_active_set(
     row_scale = np.maximum(1.0, np.abs(b))
     act_tol = feas_tol * row_scale
 
-    if m_eq and float(np.max(np.abs(A @ x - a))) > feas_tol * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-        raise InfeasibleError("starting point violates the equality constraints")
-    slack = b - B @ x if m_in else np.zeros(0)
-    if m_in and float(np.min(slack + act_tol)) < 0.0:
-        raise InfeasibleError("starting point violates the inequality constraints")
+    violated = start_violation(A, a, B, b, x, feas_tol)
+    if violated:
+        raise InfeasibleError(f"starting point violates the {violated} constraints")
+    slack = b - B @ x
 
     work = list(dict.fromkeys(
         i for i in working_set if 0 <= i < m_in and slack[i] <= act_tol[i]

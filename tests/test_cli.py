@@ -213,6 +213,22 @@ def test_price_box_near_float_max_solves_without_warnings(tmp_path, capsys):
     assert json.loads(out)["result"]["converged"] is True
 
 
+@pytest.mark.parametrize("side", ["producers", "consumers"])
+@pytest.mark.parametrize("lam", [1e-300, 1e-12, 1e12, 1e300])
+def test_extreme_risk_aversion_ends_with_a_report(tmp_path, capsys, side, lam):
+    # only the outcome class is pinned: some of these stall (exit 3) today
+    def set_lambda(doc):
+        for player in doc[side]:
+            player["risk_aversion"] = lam
+
+    path = _mutated_two_fuels(tmp_path, set_lambda)
+    report = tmp_path / "report.json"
+    code, _, err = run(["solve", "--scenario", str(path), "--output", str(report)], capsys)
+    assert code in (0, 3)
+    assert "result" in json.loads(report.read_text(encoding="utf-8"))
+    assert "solver failure" not in err and "Traceback" not in err
+
+
 def test_import_does_not_load_scipy():
     # scipy is imported where the phase-I LP runs; a module-level import
     # would add its load time to every CLI call

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import equiterm as eq
+from equiterm import players
 from equiterm.errors import InfeasibleError
+from equiterm.grid import delivery_totals_matrix
+from equiterm.oracles import producer_solution_with_fixed_totals
 from equiterm.players import ACT_TOL
-from tests.corpus import build_scenario, desk_identity
+from tests.corpus import build_scenario, desk_identity, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +267,117 @@ def test_selection_fingerprint_tracks_active_set(rich_producer):
     low = eq.response_jacobian(rich_producer, expected_prices=np.full(3, 2.0))
     high = eq.response_jacobian(rich_producer, expected_prices=np.full(3, 60.0))
     assert low.selection_id != high.selection_id
+
+
+# ---- condensed path against the full QP -------------------------------------
+
+def _ladder_12():
+    # the 12-contract rung of the benchmark ladder: 6 deliveries x 2 times
+    return build_scenario(
+        seed=12, sizes=(2,) * 6, fuels={"coal": 0.9, "gas": 0.5},
+        producers=[(1.0, [("coal", 9.0, 4.0, -4.0, 1.0)]),
+                   (1.2, [("gas", 8.0, 8.0, -8.0, 2.0)]),
+                   (1.5, [("gas", 6.0, 6.0, -6.0, 2.2)])],
+        consumers=[(1.0, 0.6, 0.0), (1.2, 0.4, 0.0)], demand_frac=0.4)
+
+
+AGREEMENT_MARKETS = {**dict(make_corpus()), "ladder_12": _ladder_12()}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_MARKETS))
+def test_condensed_path_agrees_with_full_qp(name):
+    sc = AGREEMENT_MARKETS[name]
+    market = eq.Market(sc)
+    res = eq.solve_equilibrium(sc, market=market)
+    rng = np.random.default_rng(31)
+    spread = 0.05 * max(1.0, float(np.max(np.abs(res.prices))))
+    points = [res.prices] + [res.prices + spread * rng.standard_normal(res.prices.size)
+                             for _ in range(10)]
+    for prices in points:
+        for prob in market.problems:
+            cond = players._condensation(prob)
+            assert cond is not None
+            # the condensed point itself is accepted, so solve_qp serves it
+            assert players._solve_condensed(prob, cond, prob.merged_linear(prices), None) is not None
+            fast = eq.solve_qp(prob, prices)
+            full = players._full_solve_qp(prob, prices)
+            scale = max(1.0, float(np.max(np.abs(full.primal))))
+            np.testing.assert_allclose(fast.primal, full.primal, rtol=0, atol=1e-9 * scale)
+            assert fast.active_set == full.active_set
+            assert fast.kkt_residual <= 1e-8
+            jac = eq.response_jacobian(prob, fast)
+            ref = eq.response_jacobian(prob, full)
+            strict, _ = players._strict_active(prob, full, players.DUAL_TOL)
+            kkt = players._kkt_jacobian(prob, strict)
+            assert jac.selection_id == ref.selection_id
+            np.testing.assert_allclose(jac.matrix, kkt, rtol=0, atol=1e-9)
+
+
+def test_binding_trading_box_falls_back_to_full_qp():
+    # validation would reject a v_trade this small; the QP does not care
+    sc = build_scenario(seed=5, sizes=(2, 2), fuels={"gas": 0.5},
+                        producers=[(1.0, [("gas", 10.0, 10.0, -10.0, 2.0)])],
+                        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.4, bound_factor=0.1)
+    prob = eq.assemble_producer(sc.producers[0], sc)
+    prices = np.full(4, 50.0)
+    cond = players._condensation(prob)
+    assert cond is not None
+    assert players._solve_condensed(prob, cond, prob.merged_linear(prices), None) is None
+    sol = eq.solve_qp(prob, prices)
+    boxes = {"v_upper", "v_lower", "f_upper", "f_lower", "o_upper", "o_lower"}
+    assert any(prob.ineq_labels[i][0] in boxes for i in sol.active_set)
+    full = players._full_solve_qp(prob, prices)
+    assert sol.primal.tobytes() == full.primal.tobytes()
+    assert sol.active_set == full.active_set
+    assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("which", ["producer", "consumer"])
+def test_non_finite_condensed_point_falls_back(rich_scenario, monkeypatch, which):
+    prob = next(p for p in eq.assemble_all(rich_scenario) if p.kind == which)
+    cond = players._condensation(prob)
+    poisoned = replace(cond, sigma_inv=np.full_like(cond.sigma_inv, np.nan))
+    monkeypatch.setattr(players, "_condensation", lambda problem: poisoned)
+    prices = np.full(3, 12.0)
+    sol = eq.solve_qp(prob, prices)
+    assert np.all(np.isfinite(sol.primal))
+    assert np.all(np.isfinite(sol.eq_duals)) and np.all(np.isfinite(sol.ineq_duals))
+    full = players._full_solve_qp(prob, prices)
+    assert sol.primal.tobytes() == full.primal.tobytes()
+
+
+@pytest.mark.parametrize("name", ["two_fuels", "tight_ramps", "three_producers"])
+def test_pinned_totals_are_served_by_the_full_qp(monkeypatch, name):
+    sc = AGREEMENT_MARKETS[name]
+    prices = eq.merit_order_prices(sc)
+    producers = [eq.assemble_producer(p, sc) for p in sc.producers]
+    assert all(players._condensation(prob) is not None for prob in producers)
+    built = []
+    condense = players._condense
+
+    def recording(problem):
+        built.append(condense(problem))
+        return built[-1]
+
+    monkeypatch.setattr(players, "_condense", recording)
+    for prob in producers:
+        volumes = eq.solve_qp(prob, prices).volumes
+        sol = producer_solution_with_fixed_totals(
+            prob, prices, delivery_totals_matrix(sc.grid) @ volumes)
+        assert sol.kkt_residual <= 1e-8
+    # each restricted copy repeats the volume rows, so S is singular (its
+    # Cholesky factor fails or leaves a pivot near roundoff): it is condensed
+    # afresh, inheriting nothing from the original, and refused
+    assert built == [None] * len(producers)
+
+
+def test_players_share_one_covariance_inverse(rich_scenario):
+    market = eq.Market(rich_scenario)
+    producers = [p for p in market.problems if p.kind == "producer"]
+    consumers = [p for p in market.problems if p.kind == "consumer"]
+    blocks = rich_scenario.covariance_blocks()
+    assert all(p.cov_inverse is blocks.stacked_inverse() for p in producers)
+    assert all(p.cov_inverse is blocks.q1_inverse() for p in consumers)
+    for p in market.problems:
+        eq.solve_qp(p, np.full(3, 12.0))
+        assert players._condensation(p).sigma_inv is p.cov_inverse
