@@ -17,6 +17,20 @@ active-set engine as the full problem.  Sigma^-1 is factored once per
 scenario and shared by reference (``PlayerProblem.cov_inverse``); S is
 factored once per problem instance, from that instance's own rows.
 
+The W-QP is a multiparametric QP in the prices: on a critical region,
+where a fixed set of strict rows (positive multiplier) is active, its
+solution is affine, W(pi) = W0 + W1 pi and eta_R(pi) = eta0 + eta1 pi, from
+one reduced KKT system in (W, eta_R) with a constant and a per-price
+right-hand side.  A warm-started solve first evaluates the region of its
+warm start's strict rows by a matvec and keeps that point when it
+certifies: eta_R >= 0, the point is finite and it passes the full problem's
+start-point check, equalities included.  Otherwise, or when the region
+cannot serve (W not unique, a singular reduced system, a strict row that
+is not a W row), the engine solves the W-QP from the warm start.  Only W
+is mapped; mu and t are recovered from it as above.  Each problem instance
+keeps one region, keyed by its strict rows, so memory stays bounded on a
+long sweep.
+
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
 Cholesky factor of Sigma or S fails (S is singular when equality rows
@@ -28,26 +42,29 @@ An accepted point's duals are valid for the full problem: t meets its
 stationarity rows by construction, the W-QP's stationarity
 A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
 are slack, so their multipliers are zero.  Residuals are still recomputed
-on the full problem for every solution.
+on the full problem, and the active set is read from its slacks, for
+every solution.
 
 The traded block of the optimum is unique; W can sit on a flat face, so a
 second stage picks the minimum-norm W on that face to make results
 deterministic.  W carries no cost and no curvature, so the first stage's
 multipliers stay valid there (a convex QP has the same multipliers at
-every optimum).
+every optimum).  When A_w has full column rank, W is fixed by the traded
+block and that face is a single point: the second stage would return its
+start unchanged, so it is skipped (decided once per instance).
 
 ``response_jacobian`` differentiates the optimal power trades with respect
 to expected prices while holding the strictly active constraints fixed:
 one affine piece of the piecewise-affine response map.  When every
-strictly active row is a ramp or capacity row it solves the W-QP's reduced
-KKT system in (dW, deta) and maps the result back through mu and t;
-otherwise it solves the full KKT system of the equality-plus-strict
-selection.
+strictly active row is a ramp or capacity row it reads the matrix from the
+region of those rows (the per-price columns of its reduced KKT system,
+mapped back through mu and t); otherwise it solves the full KKT system of
+the equality-plus-strict selection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,28 +164,27 @@ def _feasible_start(problem: PlayerProblem) -> np.ndarray:
     return x
 
 
-def _w_rows(problem: PlayerProblem):
+def _w_block(problem: PlayerProblem):
+    """Rows of the ramp and capacity constraints, A_w and the W block of those rows."""
     kinds = ("ramp_up", "ramp_down", "cap_upper", "cap_lower")
-    return [k for k, lab in enumerate(problem.ineq_labels) if lab[0] in kinds]
+    rows = np.array([k for k, lab in enumerate(problem.ineq_labels) if lab[0] in kinds], dtype=int)
+    n_t = problem.index_map.n_traded
+    return rows, problem.eq_matrix[:, n_t:], problem.ineq_matrix[rows, n_t:]
 
 
-def _min_norm_production(problem: PlayerProblem, x: np.ndarray) -> np.ndarray:
+def _min_norm_production(problem: PlayerProblem, x: np.ndarray, w_rows, a_w, b_w) -> np.ndarray:
     """Second stage: minimum-norm W on the optimal face, (V, F, O) fixed."""
-    im = problem.index_map
-    if im.n_w == 0:
+    n_w = a_w.shape[1]
+    if n_w == 0:
         return x
-    w_cols = np.arange(im.n_traded, im.total)
-    other = np.arange(im.n_traded)
-    A_sub = problem.eq_matrix[:, w_cols]
-    a_sub = problem.eq_rhs - problem.eq_matrix[:, other] @ x[other]
-    rows = _w_rows(problem)
-    B_sub = problem.ineq_matrix[np.ix_(rows, w_cols)]
-    b_sub = problem.ineq_rhs[rows]
+    n_t = problem.n_vars - n_w
     res = solve_qp_active_set(
-        np.eye(im.n_w), np.zeros(im.n_w), A_sub, a_sub, B_sub, b_sub, x[w_cols]
+        np.eye(n_w), np.zeros(n_w), a_w,
+        problem.eq_rhs - problem.eq_matrix[:, :n_t] @ x[:n_t],
+        b_w, problem.ineq_rhs[w_rows], x[n_t:],
     )
     out = x.copy()
-    out[w_cols] = res.x
+    out[n_t:] = res.x
     return out
 
 
@@ -201,9 +217,14 @@ def _query(problem: PlayerProblem, expected_prices):
 
 
 def _solution(problem: PlayerProblem, prices, g, x, mu, eta) -> PlayerSolution:
-    """Min-norm production, full-problem residuals and the active set."""
+    """Min-norm production unless W is unique, full-problem residuals and
+    the active set."""
     if problem.kind == "producer":
-        x = _min_norm_production(problem, x)
+        cond = _condensation(problem)
+        if cond is None:
+            x = _min_norm_production(problem, x, *_w_block(problem))
+        elif not cond.w_unique:
+            x = _min_norm_production(problem, x, cond.w_rows, cond.a_w, cond.b_w)
     report = _residuals(problem, g, x, mu, eta)
     slack = problem.ineq_rhs - problem.ineq_matrix @ x
     active = np.flatnonzero(slack <= ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs)))
@@ -259,6 +280,25 @@ class _Condensed:
     d_mu: np.ndarray               # S^-1 A_t Sigma^-1 E / lambda = -dmu0/dpi
     w_rows: np.ndarray
     w_pos: dict                    # full-problem row -> W-QP row
+    w_unique: bool                 # A_w has full column rank
+    # the one critical region kept for this instance (see _region)
+    region: list = field(init=False, default_factory=list, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _Region:
+    """One critical region of the W-QP: its strict rows held active.
+
+    ``coef`` maps [1, pi] to (W, eta of the strict rows), or is None when
+    the region cannot serve a solve (W not unique or the reduced KKT matrix
+    singular).  ``jacobian`` is dV/dpi on the region, None when the reduced
+    system is inconsistent.
+    """
+
+    strict: tuple[int, ...]        # full-problem rows, the selection_id
+    pos: np.ndarray                # their W-QP rows
+    coef: np.ndarray | None
+    jacobian: np.ndarray | None
 
 
 def _condensation(problem: PlayerProblem) -> _Condensed | None:
@@ -275,7 +315,7 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
         return None
     n_t = problem.n_vars - problem.index_map.n_w
     lam = problem.risk_aversion
-    a_t, a_w = problem.eq_matrix[:, :n_t], problem.eq_matrix[:, n_t:]
+    a_t = problem.eq_matrix[:, :n_t]
     m = a_t @ sigma_inv
     try:
         chol = np.linalg.cholesky(m @ a_t.T / lam)
@@ -286,39 +326,108 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
         return None  # numerically rank-deficient A_t (repeated rows) or not finite
     l_inv = np.linalg.inv(chol)
     s_inv = l_inv.T @ l_inv
-    w_rows = np.array(_w_rows(problem), dtype=int)
+    w_rows, a_w, b_w = _w_block(problem)
+    n_w = a_w.shape[1]
     return _Condensed(
         n_t=n_t,
         sigma_inv=sigma_inv,
         m=m,
         s_inv=s_inv,
         a_w=a_w,
-        b_w=problem.ineq_matrix[np.ix_(w_rows, np.arange(n_t, problem.n_vars))],
+        b_w=b_w,
         hessian=a_w.T @ s_inv @ a_w,
         d_mu=s_inv @ m[:, : problem.n_prices] / lam,
         w_rows=w_rows,
         w_pos={int(r): k for k, r in enumerate(w_rows)},
+        # the rank test of the engine's null-space basis: with full column
+        # rank the min-norm QP has no free direction and returns its start
+        w_unique=n_w == 0 or int(np.linalg.matrix_rank(a_w)) == n_w,
     )
+
+
+def _region(problem: PlayerProblem, cond: _Condensed, strict: tuple[int, ...]) -> _Region:
+    """The region of the W rows ``strict``, from the instance's slot or built
+    into it, replacing the one held there.
+
+    The reduced KKT system [H B_s'; B_s 0] (W, eta_s) = (-A_w' mu0(pi), b_s)
+    is solved for its constant column and one column per price.
+    """
+    slot = cond.region
+    if slot and slot[0].strict == strict:
+        return slot[0]
+    n_p, lam = problem.n_prices, problem.risk_aversion
+    n_w = cond.a_w.shape[1]
+    pos = np.array([cond.w_pos[i] for i in strict], dtype=int)
+    coef, consistent, d_mu = None, True, -cond.d_mu
+    if n_w:
+        b_s = cond.b_w[pos]
+        k = n_w + pos.size
+        K = np.zeros((k, k))
+        K[:n_w, :n_w] = cond.hessian
+        K[:n_w, n_w:] = b_s.T
+        K[n_w:, :n_w] = b_s
+        mu_zero = -cond.s_inv @ (problem.eq_rhs + cond.m @ problem.linear[: cond.n_t] / lam)
+        rhs = np.zeros((k, 1 + n_p))
+        rhs[:n_w, 0] = -cond.a_w.T @ mu_zero
+        rhs[n_w:, 0] = problem.ineq_rhs[cond.w_rows[pos]]
+        rhs[:n_w, 1:] = cond.a_w.T @ cond.d_mu
+        sol, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=None)
+        coef = sol if cond.w_unique and rank == k else None
+        consistent = float(np.max(np.abs(K @ sol[:, 1:] - rhs[:, 1:]))) <= 1e-7
+        d_mu = d_mu + cond.s_inv @ (cond.a_w @ sol[:n_w, 1:])
+    jacobian = None
+    if consistent:
+        jacobian = -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
+        jacobian.flags.writeable = False  # shared by every caller of the region
+    slot[:] = [_Region(strict, pos, coef, jacobian)]
+    return slot[0]
 
 
 def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, warm_start):
     """(x, mu, eta) through the W-QP, or None when the point fails the full rows."""
-    n_t, lam = cond.n_t, problem.risk_aversion
-    g_t = g[:n_t]
-    mu = -cond.s_inv @ (problem.eq_rhs + cond.m @ g_t / lam)
+    g_t = g[: cond.n_t]
+    mu0 = -cond.s_inv @ (problem.eq_rhs + cond.m @ g_t / problem.risk_aversion)
+    if not cond.a_w.shape[1]:
+        return _recover(problem, cond, g_t, mu0, np.zeros(0), np.zeros(0))  # V is affine in g
+    point = _serve(problem, cond, g, mu0, warm_start)
+    if point is not None:
+        return point
+    x0, seed = _start(problem, warm_start)
+    res = solve_qp_active_set(
+        cond.hessian, cond.a_w.T @ mu0, np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
+        cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:],
+        working_set=[cond.w_pos[i] for i in seed if i in cond.w_pos],
+    )
+    return _recover(problem, cond, g_t, mu0, res.x, res.ineq_duals)
+
+
+def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_start):
+    """(x, mu, eta) on the region of the warm start's strict rows, or None
+    when that region cannot serve or its point does not certify."""
+    if not isinstance(warm_start, PlayerSolution):
+        return None
+    strict, _ = _strict_active(problem, warm_start, DUAL_TOL)
+    if not all(i in cond.w_pos for i in strict):
+        return None
+    region = _region(problem, cond, strict)
+    if region.coef is None:
+        return None
+    z = region.coef @ np.concatenate(([1.0], g[: problem.n_prices]))
+    n_w = cond.a_w.shape[1]
+    if not (np.all(np.isfinite(z)) and np.all(z[n_w:] >= 0.0)):
+        return None
+    eta_w = np.zeros(cond.w_rows.size)
+    eta_w[region.pos] = z[n_w:]
+    return _recover(problem, cond, g[: cond.n_t], mu0, z[:n_w], eta_w)
+
+
+def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w):
+    """(x, mu, eta) from W and the W-QP's duals, or None when the point is not
+    finite or violates a full-problem row beyond the start tolerances."""
+    mu = mu0 + cond.s_inv @ (cond.a_w @ w) if w.size else mu0
     eta = np.zeros(problem.ineq_rhs.size)
-    w = np.zeros(problem.n_vars - n_t)  # empty for a consumer: V is affine in g
-    if w.size:
-        x0, seed = _start(problem, warm_start)
-        res = solve_qp_active_set(
-            cond.hessian, cond.a_w.T @ mu, np.zeros((0, w.size)), np.zeros(0),
-            cond.b_w, problem.ineq_rhs[cond.w_rows], x0[n_t:],
-            working_set=[cond.w_pos[i] for i in seed if i in cond.w_pos],
-        )
-        w = res.x
-        mu = mu + cond.s_inv @ (cond.a_w @ w)
-        eta[cond.w_rows] = res.ineq_duals
-    x = np.concatenate([-(cond.sigma_inv @ g_t + cond.m.T @ mu) / lam, w])
+    eta[cond.w_rows] = eta_w
+    x = np.concatenate([-(cond.sigma_inv @ g_t + cond.m.T @ mu) / problem.risk_aversion, w])
     if not np.all(np.isfinite(x)) or start_violation(
         problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs, x
     ):
@@ -351,13 +460,10 @@ def best_response_volumes(problem: PlayerProblem, expected_prices, warm_start=No
 
 
 def _strict_active(problem, solution, dual_tol):
-    strict, weak = [], []
-    for i in solution.active_set:
-        if solution.ineq_duals[i] > dual_tol:
-            strict.append(i)
-        else:
-            weak.append(i)
-    return strict, weak
+    """Active rows with a multiplier above ``dual_tol`` (strict) and the rest."""
+    active = np.array(solution.active_set, dtype=int)
+    strong = solution.ineq_duals[active] > dual_tol
+    return tuple(active[strong].tolist()), tuple(active[~strong].tolist())
 
 
 def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = None,
@@ -371,43 +477,17 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
     cond = _condensation(problem)
     matrix = None
     if cond is not None and all(i in cond.w_pos for i in strict):
-        matrix = _condensed_jacobian(problem, cond, strict)
+        matrix = _region(problem, cond, strict).jacobian
     if matrix is None:
         matrix = _kkt_jacobian(problem, strict)
-    return ResponseJacobian(matrix, tuple(strict), bool(weak))
-
-
-def _condensed_jacobian(problem: PlayerProblem, cond: _Condensed, strict) -> np.ndarray | None:
-    """dV/dpi from the reduced KKT system of the W-QP in (dW, deta).
-
-    The strict rows are W rows, so they fix B_s dW = 0 and the W-QP's
-    stationarity moves only through its linear term A_w' mu0(pi).  None
-    when the reduced system is inconsistent.
-    """
-    n_p, lam = problem.n_prices, problem.risk_aversion
-    d_mu = -cond.d_mu
-    n_w = cond.a_w.shape[1]
-    if n_w:
-        b_s = cond.b_w[[cond.w_pos[i] for i in strict]]
-        k = n_w + b_s.shape[0]
-        K = np.zeros((k, k))
-        K[:n_w, :n_w] = cond.hessian
-        K[:n_w, n_w:] = b_s.T
-        K[n_w:, :n_w] = b_s
-        rhs = np.zeros((k, n_p))
-        rhs[:n_w] = cond.a_w.T @ cond.d_mu
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        if float(np.max(np.abs(K @ sol - rhs))) > 1e-7:
-            return None
-        d_mu = d_mu + cond.s_inv @ (cond.a_w @ sol[:n_w])
-    return -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
+    return ResponseJacobian(matrix, strict, bool(weak))
 
 
 def _kkt_jacobian(problem: PlayerProblem, strict) -> np.ndarray:
     """dV/dpi from the full KKT system of the equality-plus-strict rows."""
     n_p = problem.n_prices
     n = problem.n_vars
-    C = np.vstack([problem.eq_matrix, problem.ineq_matrix[strict]])
+    C = np.vstack([problem.eq_matrix, problem.ineq_matrix[list(strict)]])
     m = C.shape[0]
     K = np.zeros((n + m, n + m))
     K[:n, :n] = problem.quadratic

@@ -284,8 +284,37 @@ def _ladder_12():
 AGREEMENT_MARKETS = {**dict(make_corpus()), "ladder_12": _ladder_12()}
 
 
+def _assert_agrees_with_full_qp(prob, prices, fast):
+    full = players._full_solve_qp(prob, prices)
+    scale = max(1.0, float(np.max(np.abs(full.primal))))
+    np.testing.assert_allclose(fast.primal, full.primal, rtol=0, atol=1e-9 * scale)
+    assert fast.active_set == full.active_set
+    assert fast.kkt_residual <= 1e-8
+    jac = eq.response_jacobian(prob, fast)
+    ref = eq.response_jacobian(prob, full)
+    strict, _ = players._strict_active(prob, full, players.DUAL_TOL)
+    assert strict == tuple(i for i in full.active_set if full.ineq_duals[i] > players.DUAL_TOL)
+    kkt = players._kkt_jacobian(prob, strict)
+    assert jac.selection_id == ref.selection_id
+    np.testing.assert_allclose(jac.matrix, kkt, rtol=0, atol=1e-9)
+
+
+def _recorder(monkeypatch, name):
+    """Replace players.<name> by a wrapper that records (first argument, result)."""
+    calls = []
+    inner = getattr(players, name)
+
+    def recording(first, *args, **kwargs):
+        out = inner(first, *args, **kwargs)
+        calls.append((first, out))
+        return out
+
+    monkeypatch.setattr(players, name, recording)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(AGREEMENT_MARKETS))
-def test_condensed_path_agrees_with_full_qp(name):
+def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     sc = AGREEMENT_MARKETS[name]
     market = eq.Market(sc)
     res = eq.solve_equilibrium(sc, market=market)
@@ -299,18 +328,89 @@ def test_condensed_path_agrees_with_full_qp(name):
             assert cond is not None
             # the condensed point itself is accepted, so solve_qp serves it
             assert players._solve_condensed(prob, cond, prob.merged_linear(prices), None) is not None
-            fast = eq.solve_qp(prob, prices)
-            full = players._full_solve_qp(prob, prices)
-            scale = max(1.0, float(np.max(np.abs(full.primal))))
-            np.testing.assert_allclose(fast.primal, full.primal, rtol=0, atol=1e-9 * scale)
-            assert fast.active_set == full.active_set
-            assert fast.kkt_residual <= 1e-8
-            jac = eq.response_jacobian(prob, fast)
-            ref = eq.response_jacobian(prob, full)
-            strict, _ = players._strict_active(prob, full, players.DUAL_TOL)
-            kkt = players._kkt_jacobian(prob, strict)
-            assert jac.selection_id == ref.selection_id
-            np.testing.assert_allclose(jac.matrix, kkt, rtol=0, atol=1e-9)
+            _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
+    # warm pass: each point from the previous point's solution, so the
+    # region of that solution's strict rows serves it when it certifies
+    served = _recorder(monkeypatch, "_serve")
+    for prob in market.problems:
+        warm = eq.solve_qp(prob, points[0])
+        for prices in points[1:]:
+            warm = eq.solve_qp(prob, prices, warm_start=warm)
+            _assert_agrees_with_full_qp(prob, prices, warm)
+    # every market with a unique-W producer is served by a region somewhere
+    unique = any(players._condensation(p).w_unique for p in market.problems
+                 if p.kind == "producer")
+    assert any(out is not None for _, out in served) == unique
+
+
+def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, monkeypatch):
+    low = eq.solve_qp(rich_producer, np.full(3, 2.0))
+    strict, _ = players._strict_active(rich_producer, low, players.DUAL_TOL)
+    cond = players._condensation(rich_producer)
+    assert strict and all(i in cond.w_pos for i in strict)
+    served = _recorder(monkeypatch, "_serve")
+    engine = _recorder(monkeypatch, "solve_qp_active_set")
+    prices = np.full(3, 60.0)
+    sol = eq.solve_qp(rich_producer, prices, warm_start=low)
+    # the idle selection does not hold at high prices: its region is tried,
+    # fails to certify, and the engine solves the W-QP from the warm start
+    assert [out for _, out in served] == [None]
+    assert engine
+    _assert_agrees_with_full_qp(rich_producer, prices, sol)
+    assert sol.active_set != low.active_set
+
+
+def test_non_unique_production_keeps_the_min_norm_stage(monkeypatch):
+    market = eq.Market(AGREEMENT_MARKETS["twin_plants"])
+    prob = next(p for p in market.problems if p.name == "producer1")
+    cond = players._condensation(prob)
+    assert not cond.w_unique
+    served = _recorder(monkeypatch, "_serve")
+    stages = _recorder(monkeypatch, "_min_norm_production")
+    res = eq.solve_equilibrium(market.scenario, market=market)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        prices = res.prices * (1.0 + 0.05 * rng.standard_normal(res.prices.size))
+        sol = market.solutions(prices)[market.problems.index(prob)]
+        again = players._min_norm_production(prob, sol.primal, cond.w_rows, cond.a_w, cond.b_w)
+        scale = max(1.0, float(np.max(np.abs(sol.primal))))
+        np.testing.assert_allclose(again, sol.primal, rtol=0, atol=1e-9 * scale)
+    assert not any(p is prob and out is not None for p, out in served)
+    assert sum(p is prob for p, _ in stages) >= 20
+
+
+@pytest.mark.parametrize("name", ["three_by_three", "ladder_12"])
+def test_each_problem_holds_at_most_one_region(name):
+    market = eq.Market(AGREEMENT_MARKETS[name])
+    res = eq.solve_equilibrium(market.scenario, market=market)
+    rng = np.random.default_rng(50)
+    spread = 0.3 * max(1.0, float(np.max(np.abs(res.prices))))
+    selections = set()
+    for _ in range(50):
+        sols = market.solutions(res.prices + spread * rng.standard_normal(res.prices.size))
+        market.aggregate_jacobian(sols)
+        for prob, sol in zip(market.problems, sols):
+            selections.add((prob.name, players._strict_active(prob, sol, players.DUAL_TOL)[0]))
+    assert len(selections) > len(market.problems)  # the slot was replaced
+    assert all(len(players._condensation(p).region) <= 1 for p in market.problems)
+
+
+@pytest.mark.parametrize("name", sorted(dict(make_corpus())))
+def test_min_norm_stage_is_the_identity_for_unique_production(name):
+    sc = AGREEMENT_MARKETS[name]
+    market = eq.Market(sc)
+    res = eq.solve_equilibrium(sc, market=market)
+    rng = np.random.default_rng(17)
+    points = [res.prices] + [res.prices * (1.0 + 0.05 * rng.standard_normal(res.prices.size))
+                             for _ in range(5)]
+    for prob in market.problems:
+        cond = players._condensation(prob)
+        if prob.kind != "producer" or not cond.w_unique:
+            continue
+        for prices in points:
+            x = eq.solve_qp(prob, prices).primal
+            out = players._min_norm_production(prob, x, cond.w_rows, cond.a_w, cond.b_w)
+            assert out.tobytes() == x.tobytes()
 
 
 def test_binding_trading_box_falls_back_to_full_qp():
