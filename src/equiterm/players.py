@@ -70,8 +70,7 @@ import numpy as np
 
 from .assembly import PlayerProblem
 from .errors import InfeasibleError, JacobianUnavailableError
-from .qp import solve_qp_active_set, start_violation
-from .validate import _interior_margin
+from .qp import interior_margin, solve_qp_active_set, start_violation
 
 __all__ = [
     "PlayerSolution",
@@ -153,9 +152,11 @@ def _feasible_start(problem: PlayerProblem) -> np.ndarray:
         return np.repeat(share, sizes)
     if not np.any(problem.eq_rhs):
         return np.zeros(problem.n_vars)  # shutting down is always feasible
-    margin, x, status = _interior_margin(problem.eq_matrix, problem.eq_rhs,
-                                         problem.ineq_matrix, problem.ineq_rhs)
-    if margin is None or margin < 0.0:
+    A, a, B, b = problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs
+    margin, x, status = interior_margin(A, a, B, b)
+    # judged by the engine's own start tolerances: a margin of -1e-15 on a
+    # set with empty interior (pinned totals) is still a feasible start
+    if margin is None or start_violation(A, a, B, b, x):
         cause = status if margin is None else f"margin {margin:.3e}"
         raise InfeasibleError(
             f"{problem.kind} {problem.name!r} has an empty feasible set: "

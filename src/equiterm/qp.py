@@ -10,6 +10,7 @@ carries no risk term).  A flat direction with negative slope is followed
 to the nearest blocking constraint; the trading boxes keep every such ray
 finite.  Exact working sets are the point of the method: downstream
 sensitivity analysis differentiates the solution map piece by piece.
+The phase-I LP of validation (``interior_margin``) is the case G = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
-__all__ = ["QPResult", "solve_qp_active_set", "start_violation"]
+__all__ = ["QPResult", "solve_qp_active_set", "start_violation", "interior_margin", "MARGIN_CAP"]
+
+MARGIN_CAP = 1.0  # phase-I slack variable cap keeps the LP bounded
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,38 @@ def start_violation(A, a, B, b, x, feas_tol: float = 1e-8) -> str | None:
     if b.size and float(np.min(b - B @ x + feas_tol * np.maximum(1.0, np.abs(b)))) < 0.0:
         return "inequality"
     return None
+
+
+def interior_margin(A, a, B, b):
+    """Phase-I LP, max t s.t. Av = a, Bv + t <= b, t <= ``MARGIN_CAP``, as the
+    QP in (v, t) with G = 0 (formulation in validate.py).
+
+    Starts at v0 = lstsq(A, a) and t one below min(b - Bv0, cap), feasible
+    whenever Av = a is consistent.  Returns (margin, v, status); margin and
+    v are None unless status is "ok": "infeasible" for inconsistent
+    equalities, else a failure naming its cause.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n, m_eq, m_in = B.shape[1], A.shape[0], B.shape[0]
+    v0 = np.linalg.lstsq(A, a, rcond=None)[0] if m_eq else np.zeros(n)
+    t0 = min(float(np.min(b - B @ v0, initial=MARGIN_CAP)), MARGIN_CAP) - 1.0
+    e_t = np.eye(1, n + 1, n)
+    try:
+        res = solve_qp_active_set(
+            np.zeros((n + 1, n + 1)), -e_t[0],
+            np.hstack([A, np.zeros((m_eq, 1))]), a,
+            np.vstack([np.hstack([B, np.ones((m_in, 1))]), e_t]),
+            np.append(b, MARGIN_CAP),
+            np.append(v0, t0),
+        )
+    except InfeasibleError:
+        return None, None, "infeasible"
+    except NumericalError as exc:
+        return None, None, f"a numerical failure ({exc})"
+    # the cap row binding at the optimum means the LP value is the cap itself
+    margin = MARGIN_CAP if m_in in res.working_set else float(res.x[-1])
+    return margin, res.x[:-1], "ok"
 
 
 def solve_qp_active_set(
@@ -96,6 +131,7 @@ def solve_qp_active_set(
         max_iter = 50 * (n + m_in) + 200
     grad_scale = max(1.0, float(np.max(np.abs(g))) if g.size else 1.0)
     lin_tol = 1e-9 * grad_scale
+    curved = bool(np.any(G))
 
     for it in range(max_iter):
         C = np.vstack([A, B[work]]) if (m_eq or work) else np.zeros((0, n))
@@ -109,8 +145,11 @@ def solve_qp_active_set(
         target = 1.0
         stationary = True
         if Z.shape[1]:
-            H = Z.T @ G @ Z
-            w, U = np.linalg.eigh(0.5 * (H + H.T))
+            if curved:
+                H = Z.T @ G @ Z
+                w, U = np.linalg.eigh(0.5 * (H + H.T))
+            else:  # an LP: eigh of the zero reduced Hessian is (0, I) exactly
+                w, U = np.zeros(Z.shape[1]), np.eye(Z.shape[1])
             cut = max(float(w[-1]), 1.0) * 1e-12
             pos = w > cut
             c_rot = U.T @ (Z.T @ grad)

@@ -7,6 +7,14 @@ feasibility of market clearing at interior points, positive definiteness
 of the covariance, and heuristic adequacy of the trading and price boxes
 (the boxes must be loose enough never to bind at an equilibrium).
 Failures are reported, never raised.
+
+The phase-I LP, max t s.t. Av = a, Bv + t <= b, t <= MARGIN_CAP, runs on the
+player QPs' active-set engine (``qp.interior_margin``) as the QP in (v, t)
+with G = 0, linear term -e_t, equality rows [A 0] and inequality rows [B 1]
+plus the cap row.  With the cap row in the final working set the LP value
+is the cap, reported as exactly MARGIN_CAP; otherwise the margin is the
+engine's t.  Inconsistent equalities fail a check as "infeasible", an
+engine failure (iteration limit, unbounded ray) with its cause.
 """
 
 from __future__ import annotations
@@ -17,12 +25,12 @@ import numpy as np
 
 from .assembly import assemble_all
 from .errors import CovarianceError, EquitermError
+from .qp import interior_margin
 from .scenario import Scenario
 
 __all__ = ["CheckResult", "ValidationReport", "validate_scenario", "FEAS_MARGIN"]
 
 FEAS_MARGIN = 1e-6
-MARGIN_CAP = 1.0  # phase-I slack variable cap keeps the LP bounded
 
 
 @dataclass(frozen=True)
@@ -56,35 +64,6 @@ class ValidationReport:
         }
 
 
-def _interior_margin(A, a, B, b):
-    """max t s.t. Av = a, Bv + t <= b, t <= cap.
-
-    Returns (margin, v, status); margin and v are None unless status is "ok".
-    """
-    # imported here: scipy.optimize would otherwise dominate `import equiterm`
-    from scipy.optimize import linprog
-
-    n = A.shape[1]
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_eq = np.hstack([A, np.zeros((A.shape[0], 1))]) if A.shape[0] else None
-    A_ub = np.hstack([B, np.ones((B.shape[0], 1))])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b,
-        A_eq=A_eq,
-        b_eq=a if A.shape[0] else None,
-        bounds=[(None, None)] * n + [(None, MARGIN_CAP)],
-        method="highs",
-    )
-    if res.status == 2:
-        return None, None, "infeasible"
-    if not res.success:
-        return None, None, res.message
-    return float(res.x[-1]), np.asarray(res.x[:-1], dtype=float), "ok"
-
-
 def _joint_clearing_margin(scenario, problems):
     """Phase-I over all players at once with the clearing rows coupled in."""
     offsets = np.cumsum([0] + [p.n_vars for p in problems])
@@ -106,8 +85,16 @@ def _joint_clearing_margin(scenario, problems):
     a = np.concatenate([p.eq_rhs for p in problems] + [np.zeros(n_nodes)])
     B = block_diagonal([p.ineq_matrix for p in problems])
     b = np.concatenate([p.ineq_rhs for p in problems])
-    margin, _, status = _interior_margin(A, a, B, b)
-    return margin, status
+    return interior_margin(A, a, B, b)
+
+
+def _margin_check(name, label, margin, status, feas_margin, empty) -> CheckResult:
+    """The check of one phase-I LP; ``empty`` explains an infeasible one."""
+    if margin is None:
+        cause = empty if status == "infeasible" else "strict feasibility is not certified"
+        return CheckResult(name, False, f"phase-I LP reports {status}: {cause}")
+    return CheckResult(name, margin >= feas_margin,
+                       f"{label} {margin:.3e} (need >= {feas_margin:.0e})", {"margin": margin})
 
 
 def _marginal_costs(scenario):
@@ -146,38 +133,19 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
             "no producers: demand cannot clear and price uniqueness fails",
         ))
 
-    problems = None
     if blocks is not None:
         problems = assemble_all(scenario)
         for p in problems:
-            margin, _, status = _interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs)
-            if margin is None:
-                checks.append(CheckResult(
-                    f"strict_interior:{p.name}", False,
-                    f"phase-I LP reports {status}: the player's feasible set has "
-                    "no interior point",
-                ))
-            else:
-                checks.append(CheckResult(
-                    f"strict_interior:{p.name}",
-                    margin >= feas_margin,
-                    f"strict-interior margin {margin:.3e} (need >= {feas_margin:.0e})",
-                    {"margin": margin},
-                ))
-        margin, status = _joint_clearing_margin(scenario, problems)
-        if margin is None:
-            checks.append(CheckResult(
-                "joint_clearing", False,
-                f"phase-I LP reports {status}: no strictly interior point clears "
-                "the market (feasibility assumption fails)",
+            margin, _, status = interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs)
+            checks.append(_margin_check(
+                f"strict_interior:{p.name}", "strict-interior margin", margin, status,
+                feas_margin, "the player's feasible set has no interior point",
             ))
-        else:
-            checks.append(CheckResult(
-                "joint_clearing",
-                margin >= feas_margin,
-                f"joint clearing margin {margin:.3e} (need >= {feas_margin:.0e})",
-                {"margin": margin},
-            ))
+        margin, _, status = _joint_clearing_margin(scenario, problems)
+        checks.append(_margin_check(
+            "joint_clearing", "joint clearing margin", margin, status, feas_margin,
+            "no strictly interior point clears the market (feasibility assumption fails)",
+        ))
 
     # crisp capacity-vs-demand message (subsumed by the joint LP)
     bad = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import equiterm as eq
+from equiterm import qp
 from equiterm.cli import main
 from tests.corpus import demand_exceeds_capacity, desk_n1, make_corpus, two_stage_scenario
 
@@ -229,8 +230,36 @@ def test_extreme_risk_aversion_ends_with_a_report(tmp_path, capsys, side, lam):
     assert "solver failure" not in err and "Traceback" not in err
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported where the phase-I LP runs; a module-level import
-    # would add its load time to every CLI call
+def test_import_does_not_load_scipy(tmp_path):
+    # the phase-I LP runs on the package's own active-set engine; scipy would
+    # add its load time to every CLI call
     code = "import equiterm, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+    # nor do the subcommands that certify, solve and diagnose load it
+    path = tmp_path / "two_fuels.json"
+    path.write_text(json.dumps(eq.scenario_to_dict(dict(make_corpus())["two_fuels"])),
+                    encoding="utf-8")
+    code = (
+        "import os, sys\n"
+        "from equiterm.cli import main\n"
+        "for cmd in ('validate', 'solve', 'diagnose'):\n"
+        "    code = main([cmd, '--scenario', sys.argv[1], '--output', os.devnull])\n"
+        "    assert code == 0, (cmd, code)\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code, str(path)], check=True)
+
+
+def test_phase_one_engine_failure_exits_2_without_traceback(scenario_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise eq.NumericalError("active-set iteration limit 7 exceeded")
+
+    monkeypatch.setattr(qp, "solve_qp_active_set", broken)
+    code, out, err = run(["validate", "--scenario", str(scenario_file)], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["validation"]["passed"] is False
+    joint = next(c for c in doc["validation"]["checks"] if c["name"] == "joint_clearing")
+    assert "iteration limit" in joint["message"]
