@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kkt-tol", type=float, default=1e-8,
                            help="per-player optimality tolerance")
             p.add_argument("--max-iter", type=int, default=200)
-            p.add_argument("--method", choices=("tatonnement", "newton", "hybrid"),
-                           default="hybrid")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if step:
@@ -93,7 +91,7 @@ def _config_echo(args) -> dict:
             "feas_margin": FEAS_MARGIN,
         },
     }
-    for key in ("tol", "kkt_tol", "max_iter", "method", "seed", "step"):
+    for key in ("tol", "kkt_tol", "max_iter", "seed", "step"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -150,8 +148,7 @@ def _saturation_doc(sat) -> dict:
 
 
 def _solve(scenario, args):
-    opts = SolveOptions(tol=args.tol, kkt_tol=args.kkt_tol, max_iter=args.max_iter,
-                        method=args.method)
+    opts = SolveOptions(tol=args.tol, kkt_tol=args.kkt_tol, max_iter=args.max_iter)
     return solve_equilibrium(scenario, opts)
 
 
@@ -173,7 +170,6 @@ def _cmd_solve(scenario, args, report):
         "converged": result.converged,
         "message": result.message,
         "iterations": result.iterations,
-        "method": result.method,
         "clearing_residual": result.clearing_residual,
         "max_kkt_residual": result.max_kkt_residual,
         "price_bound_ok": result.price_bound_ok,

@@ -1,18 +1,21 @@
 """Market clearing: find expected prices at which net forward volume is zero.
 
-The aggregate excess-volume map (sum of every player's optimal power
-trades) is continuous, piecewise affine, and strictly decreasing away from
-the saturation region where every plant is pinned at a production bound.
-The solver exploits that: a damped price-adjustment iteration provides
-global progress, a semismooth Newton step on the current affine selection
-finishes the job finitely.  No algorithm is prescribed upstream of this
-library; the hybrid here is cross-validated against the pure iteration and
-against brute-force oracles.
+Prices enter every player's QP only through -pi'V.  So the players' optimal
+values add up to the welfare potential Phi(pi) = sum_k objective_k(pi),
+convex and piecewise quadratic, with gradient -Z, where Z is the aggregate
+excess-volume map (the sum of every player's optimal power trades), and
+Hessian -J on each affine selection of Z.  The equilibrium is the minimizer
+of Phi over the price box (Samuelson, AER 1952; Pang & Qi, JOTA 1995).  The
+solver descends Phi: the truncated Newton step of the current selection
+finishes finitely, and a projected gradient step along Z crosses the
+plateaus where every plant is pinned and the clearing residual is flat.
+Tests check the prices against the joint welfare QP and brute-force oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,22 +38,23 @@ __all__ = [
     "merit_order_prices",
 ]
 
+# relative roundoff of Phi = sum of objectives: a smaller decrease is no decrease
+PHI_ROUNDOFF = 64 * np.finfo(float).eps
+ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
+
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and method selection for the equilibrium search."""
+    """Tolerances, iteration budget and start of the equilibrium search."""
 
     tol: float = 1e-8
     kkt_tol: float = 1e-8
     max_iter: int = 200
-    method: str = "hybrid"  # hybrid | newton | tatonnement
     initial_prices: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tol <= 0 or self.kkt_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.method not in ("hybrid", "newton", "tatonnement"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,6 @@ class EquilibriumResult:
     player_names: tuple[str, ...]
     clearing_residual: float
     iterations: int
-    method: str
     trace: tuple[tuple[float, ...], ...]  # (residual per iteration)
     converged: bool
     message: str
@@ -169,20 +172,13 @@ def merit_order_prices(scenario: Scenario) -> np.ndarray:
     residual is locally flat.
     """
     grid = scenario.grid
+    caps = [plant.capacity for producer in scenario.producers for plant in producer.plants]
     out = np.zeros(grid.n_contracts)
     pos = 0
-    for j, m in enumerate(grid.sizes):
-        e_bar = float(np.mean(scenario.exogenous.emission_forwards[j]))
-        stack = []
-        for producer in scenario.producers:
-            for plant in producer.plants:
-                g_bar = float(np.mean(scenario.exogenous.forwards_for(plant.fuel)[j]))
-                mc = plant.efficiency * g_bar + scenario.fuels.intensity(plant.fuel) * e_bar
-                stack.append((mc, plant.capacity))
-        stack.sort()
+    for j, (m, costs) in enumerate(zip(grid.sizes, scenario.marginal_costs())):
         level = 0.0
         cum = 0.0
-        for mc, cap in stack:
+        for mc, cap in sorted(zip(costs.tolist(), caps)):
             level = mc
             cum += cap
             if cum >= scenario.exogenous.demand[j]:
@@ -274,14 +270,27 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
                             tuple(consistent))
 
 
+class _Iterate(NamedTuple):
+    prices: np.ndarray
+    z: np.ndarray
+    sols: tuple[PlayerSolution, ...]
+    resid: float   # max |Z|
+    phi: float     # welfare potential
+    noise: float   # its roundoff
+
+
 def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
                       market: Market | None = None, **overrides) -> EquilibriumResult:
-    """Drive the excess-volume map to zero; returns the best iterate found.
+    """Minimize the welfare potential Phi over the price box; returns the last iterate.
 
-    Hybrid strategy: try the Newton step of the active affine selection
-    with a backtracking residual line search; fall back to a damped
-    price-adjustment step whenever the Newton step is unavailable or does
-    not decrease the residual.
+    Each iteration tries the truncated Newton step of the current affine
+    selection, backtracking until Phi meets the Armijo condition.  When that
+    step is unavailable, predicts no decrease above the roundoff of Phi, or
+    backtracks below it, one projected gradient step pi + aZ is taken,
+    backtracked the same way.  Its length a starts at 1/curvature of the
+    selection and doubles after each accepted gradient step.  A trial lands
+    when it decreases Phi by more than its roundoff or clears within
+    ``tol``; an iteration where nothing lands stalls the solve.
     """
     if options is None:
         options = SolveOptions(**overrides)
@@ -297,104 +306,80 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
     else:
         prices = merit_order_prices(scenario)
 
-    # damped-step scale from the flattest response the consumers can show
-    q1 = scenario.covariance_blocks().q1
-    lam_min = float(np.linalg.eigvalsh(q1)[0])
-    inv_tol_sum = sum(1.0 / p.risk_aversion for p in market.problems)
-    slope = inv_tol_sum / max(lam_min, 1e-12)
-    alpha = 1.0 / max(slope, 1e-12)
-
     box_lo, box_hi = market.price_box()
     # the box is symmetric; its full width 2 * half_width can overflow
     half_width = float(np.max(box_hi))
 
-    z, sols = market.excess(prices)
-    resid = float(np.max(np.abs(z)))
-    merit = float(np.linalg.norm(z))
-    best = (resid, prices.copy(), sols)
-    trace = [resid]
+    def evaluate(p) -> _Iterate:
+        z, sols = market.excess(p)
+        objectives = [s.objective for s in sols]
+        return _Iterate(p, z, sols, float(np.max(np.abs(z))), sum(objectives),
+                        PHI_ROUNDOFF * sum(abs(v) for v in objectives))
+
+    def search(start: _Iterate, direction, t):
+        """First trial along ``direction``, from length ``t`` down, that
+        lands, with its length; None when Phi cannot drop measurably."""
+        while True:
+            trial = evaluate(np.clip(start.prices + t * direction, box_lo, box_hi))
+            linear = float(start.z @ (trial.prices - start.prices))  # first-order drop
+            drop = start.phi - trial.phi
+            if trial.resid <= options.tol or (drop > start.noise and drop >= ARMIJO * linear):
+                return trial, t
+            if linear <= start.noise:  # convexity: drop <= linear for every shorter step
+                return None, t
+            t *= _secant_shrink(linear, drop)
+
+    cur = evaluate(prices)
+    trace = [cur.resid]
     message = "iteration limit reached"
     converged = False
     iterations = 0
-
-    def try_step(cand):
-        cand = np.clip(cand, box_lo, box_hi)
-        z_c, sols_c = market.excess(cand)
-        return cand, z_c, sols_c, float(np.max(np.abs(z_c))), float(np.linalg.norm(z_c))
+    grad_len = None
 
     for it in range(1, options.max_iter + 1):
         iterations = it
-        max_kkt = max(s.kkt_residual for s in sols)
-        if resid <= options.tol and max_kkt <= options.kkt_tol:
+        if cur.resid <= options.tol and max(s.kkt_residual for s in cur.sols) <= options.kkt_tol:
             converged = True
             message = "converged"
             break
 
-        # line searches accept on the euclidean merit: the monotone
-        # structure guarantees descent of |Z|_2 along both directions,
-        # while the max-norm can sit on a plateau of a pinned delivery
-        stepped = False
-        if options.method in ("hybrid", "newton"):
-            step = _newton_step(market, sols, z)
-            if step is not None:
-                scale = 0.5 * float(np.max(np.abs(step)))
-                if scale > half_width:  # singular selection direction: cap the ray
-                    step = step * (half_width / scale)
-                t = 1.0
-                for _ in range(9):
-                    cand, z_c, sols_c, r_c, m_c = try_step(prices + t * step)
-                    if m_c < merit * (1.0 - 1e-9) or r_c <= options.tol:
-                        prices, z, sols, resid, merit = cand, z_c, sols_c, r_c, m_c
-                        stepped = True
-                        break
-                    t *= 0.5
-        if not stepped and options.method in ("hybrid", "tatonnement"):
-            a = alpha
-            for _ in range(40):
-                cand, z_c, sols_c, r_c, m_c = try_step(prices + a * z)
-                if m_c < merit * (1.0 - 1e-12) or r_c <= options.tol:
-                    prices, z, sols, resid, merit = cand, z_c, sols_c, r_c, m_c
-                    alpha = min(a * 1.6, 1e6 * alpha)
-                    stepped = True
-                    break
-                a *= 0.5
-        if not stepped and options.method in ("hybrid", "tatonnement"):
-            # every plant pinned: the merit is locally flat; march along the
-            # adjustment direction until it drops
-            a = alpha
-            for _ in range(60):
-                a *= 2.0
-                cand, z_c, sols_c, r_c, m_c = try_step(prices + a * z)
-                if float(np.max(np.abs(cand - prices))) == 0.0:
-                    break
-                if m_c < merit * (1.0 - 1e-12):
-                    prices, z, sols, resid, merit = cand, z_c, sols_c, r_c, m_c
-                    stepped = True
-                    break
-        trace.append(resid)
-        if resid < best[0]:
-            best = (resid, prices.copy(), sols)
-        if not stepped:
-            message = "stalled: no step decreased the clearing residual"
+        step, curvature = _newton_step(market, cur.sols, cur.z)
+        landed = None
+        if step is not None:
+            scale = 0.5 * float(np.max(np.abs(step)))
+            if scale > half_width:  # singular selection direction: cap the ray
+                step = step * (half_width / scale)
+            if float(cur.z @ step) > cur.noise:
+                landed, _ = search(cur, step, 1.0)
+        z_max = float(np.max(np.abs(cur.z)))
+        if landed is None and z_max > 0.0:
+            cap = half_width / z_max  # takes a price from the centre to the box edge
+            if grad_len is None:
+                # a flat selection has no curvature: move prices by their own size
+                size = float(np.max(np.abs(cur.prices))) or half_width
+                grad_len = 1.0 / curvature if curvature else size / z_max
+            landed, grad_len = search(cur, cur.z, min(grad_len, cap))
+            grad_len *= 2.0
+        if landed is None:
+            trace.append(cur.resid)
+            message = "stalled: no step decreased the welfare potential measurably"
             break
+        cur = landed
+        trace.append(cur.resid)
 
-    if not converged:
-        resid, prices, sols = best
-    max_kkt = max(s.kkt_residual for s in sols)
-    saturation = detect_saturation(scenario, solutions=sols, market=market)
+    max_kkt = max(s.kkt_residual for s in cur.sols)
+    saturation = detect_saturation(scenario, solutions=cur.sols, market=market)
     if saturation.saturated and not converged:
         message += " (price iterate inside the saturation region)"
-    lo, hi = market.price_box()
-    bound_ok = bool(np.all(prices > lo) and np.all(prices < hi))
-    prices_ro = prices.copy()
+    bound_ok = bool(np.all(cur.prices > box_lo) and np.all(cur.prices < box_hi))
+    prices_ro = cur.prices.copy()
     prices_ro.flags.writeable = False
     return EquilibriumResult(
         prices=prices_ro,
-        player_solutions=sols,
+        player_solutions=cur.sols,
         player_names=market.names,
-        clearing_residual=resid,
+        clearing_residual=cur.resid,
         iterations=iterations,
-        method=options.method,
         trace=tuple(trace),
         converged=converged,
         message=message,
@@ -404,35 +389,41 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
     )
 
 
+def _secant_shrink(linear, drop):
+    """Backtracking factor: the minimizer of the quadratic through Phi, its
+    slope and the rejected trial, clamped to [0.1, 0.5]."""
+    bend = linear - drop
+    if bend <= 0.0:
+        return 0.5
+    return min(0.5, max(0.1, 0.5 * linear / bend))
+
+
 def _newton_step(market: Market, sols, z):
     """Newton step of the active affine selection, restricted to its
-    responsive subspace.
+    responsive subspace, and the selection's curvature.
 
-    At a selection boundary or deep in a pinned region the aggregate
-    sensitivity is (numerically) singular; a plain solve or a tiny Tikhonov
-    shift then produces astronomical steps along the flat directions.  The
-    truncated eigendecomposition zeroes those components instead; progress
-    along flat directions is the damped adjustment step's job.
+    The curvature is the largest |eigenvalue| of the symmetrized aggregate
+    sensitivity, None when no sensitivity is available.  At a selection
+    boundary or deep in a pinned region the sensitivity is (numerically)
+    singular; a plain solve or a tiny Tikhonov shift then produces
+    astronomical steps along the flat directions.  The truncated
+    eigendecomposition zeroes those components instead; progress along flat
+    directions is the gradient step's job.
     """
     try:
         J = market.aggregate_jacobian(sols)
     except JacobianUnavailableError:
-        return None
-    S = 0.5 * (J + J.T)
-    w, U = np.linalg.eigh(S)
+        return None, None
+    w, U = np.linalg.eigh(0.5 * (J + J.T))
     w_max = float(np.max(np.abs(w)))
     if w_max <= 1e-11:  # no player responds to prices here at all
-        return None
-    cut = 1e-9 * w_max
-    keep = np.abs(w) > cut
-    if not np.any(keep):
-        return None
+        return None, None
+    keep = np.abs(w) > 1e-9 * w_max
     coeff = U.T @ (-z)
-    coeff = np.where(keep, coeff / np.where(keep, w, 1.0), 0.0)
-    step = U @ coeff
+    step = U @ np.where(keep, coeff / np.where(keep, w, 1.0), 0.0)
     if not np.all(np.isfinite(step)):
-        return None
-    return step
+        return None, w_max
+    return step, w_max
 
 
 def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None = None,

@@ -1,6 +1,6 @@
 """Independent reference solutions used to cross-check the general solver.
 
-Three routes that never touch the Newton/price-adjustment machinery:
+Three routes that never touch the equilibrium solver:
 
 * a closed-form relation between the two expected prices of a one-delivery,
   two-trading-time market (risk premium = total cost covariance with the

@@ -308,6 +308,19 @@ class Scenario:
     def total_capacity(self, j: int) -> float:
         return sum(pl.capacity for p in self.producers for pl in p.plants)
 
+    def marginal_costs(self) -> np.ndarray:
+        """(deliveries, plants) expected marginal cost, plants in producer
+        order: efficiency times the mean fuel forward plus intensity times
+        the mean emission forward of the delivery."""
+        plants = [pl for p in self.producers for pl in p.plants]
+        out = np.zeros((self.grid.n_deliveries, len(plants)))
+        for j in range(self.grid.n_deliveries):
+            e_bar = float(np.mean(self.exogenous.emission_forwards[j]))
+            for k, plant in enumerate(plants):
+                g_bar = float(np.mean(self.exogenous.forwards_for(plant.fuel)[j]))
+                out[j, k] = plant.efficiency * g_bar + self.fuels.intensity(plant.fuel) * e_bar
+        return out
+
 
 # ---------------------------------------------------------------------------
 # JSON schema

@@ -64,8 +64,8 @@ class ValidationReport:
         }
 
 
-def _joint_clearing_margin(scenario, problems):
-    """Phase-I over all players at once with the clearing rows coupled in."""
+def _joint_blocks(scenario, problems):
+    """(A, a, B, b) of all players stacked, the clearing rows last in A."""
     offsets = np.cumsum([0] + [p.n_vars for p in problems])
 
     def block_diagonal(mats):
@@ -85,7 +85,7 @@ def _joint_clearing_margin(scenario, problems):
     a = np.concatenate([p.eq_rhs for p in problems] + [np.zeros(n_nodes)])
     B = block_diagonal([p.ineq_matrix for p in problems])
     b = np.concatenate([p.ineq_rhs for p in problems])
-    return interior_margin(A, a, B, b)
+    return A, a, B, b
 
 
 def _margin_check(name, label, margin, status, feas_margin, empty) -> CheckResult:
@@ -95,18 +95,6 @@ def _margin_check(name, label, margin, status, feas_margin, empty) -> CheckResul
         return CheckResult(name, False, f"phase-I LP reports {status}: {cause}")
     return CheckResult(name, margin >= feas_margin,
                        f"{label} {margin:.3e} (need >= {feas_margin:.0e})", {"margin": margin})
-
-
-def _marginal_costs(scenario):
-    out = []
-    for j in range(scenario.grid.n_deliveries):
-        e_bar = float(np.mean(scenario.exogenous.emission_forwards[j]))
-        for producer in scenario.producers:
-            for plant in producer.plants:
-                g_bar = float(np.mean(scenario.exogenous.forwards_for(plant.fuel)[j]))
-                out.append(plant.efficiency * g_bar
-                           + scenario.fuels.intensity(plant.fuel) * e_bar)
-    return out
 
 
 def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> ValidationReport:
@@ -141,7 +129,8 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
                 f"strict_interior:{p.name}", "strict-interior margin", margin, status,
                 feas_margin, "the player's feasible set has no interior point",
             ))
-        margin, _, status = _joint_clearing_margin(scenario, problems)
+        # phase-I over all players at once with the clearing rows coupled in
+        margin, _, status = interior_margin(*_joint_blocks(scenario, problems))
         checks.append(_margin_check(
             "joint_clearing", "joint clearing margin", margin, status, feas_margin,
             "no strictly interior point clears the market (feasibility assumption fails)",
@@ -197,8 +186,7 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
         "(twice the worst fuel burn or horizon emissions)",
         {"floor": f_floor},
     ))
-    mcs = _marginal_costs(scenario)
-    mc_max = max(mcs, default=0.0)
+    mc_max = max(scenario.marginal_costs().ravel().tolist(), default=0.0)
     if blocks is not None and (scenario.producers or scenario.consumers):
         inv_tol = sum(1.0 / p.risk_aversion for p in scenario.producers)
         inv_tol += sum(1.0 / c.risk_aversion for c in scenario.consumers)

@@ -173,6 +173,17 @@ def two_stage_scenario(seed=0, lam_p=(1.3,), lam_c=(0.7,), demand=4.0, caps=(10.
                        eq.Bounds(200.0, 800.0, 2000.0))
 
 
+def ladder(n_contracts):
+    """The benchmark ladder rung: N/2 deliveries x 2 trading times, coal and
+    gas, 3 producers, 2 consumers."""
+    return build_scenario(
+        seed=n_contracts, sizes=(2,) * (n_contracts // 2), fuels={"coal": 0.9, "gas": 0.5},
+        producers=[(1.0, [("coal", 9.0, 4.0, -4.0, 1.0)]),
+                   (1.2, [("gas", 8.0, 8.0, -8.0, 2.0)]),
+                   (1.5, [("gas", 6.0, 6.0, -6.0, 2.2)])],
+        consumers=[(1.0, 0.6, 0.0), (1.2, 0.4, 0.0)], demand_frac=0.4)
+
+
 # ---------------------------------------------------------------------------
 # acceptance corpora
 

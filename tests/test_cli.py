@@ -98,6 +98,7 @@ def test_solve_reports_residuals(scenario_file, capsys):
     assert doc["config"]["tol"] == 1e-8
     assert doc["config"]["kkt_tol"] == 1e-8
     assert "internal_tolerances" in doc["config"]
+    assert "method" not in doc["config"] and "method" not in res
     assert res["saturation"]["statuses"] == ["interior"]
 
 
@@ -113,6 +114,9 @@ def test_usage_error_exits_1(capsys):
     assert main(["solve"]) == 1          # missing --scenario
     capsys.readouterr()
     assert main(["frobnicate", "--scenario", "x"]) == 1
+    capsys.readouterr()
+    # the solver has one step rule: the former --method option is gone
+    assert main(["solve", "--scenario", "x", "--method", "hybrid"]) == 1
 
 
 def test_missing_file_exits_2(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 import equiterm as eq
 from equiterm.equilibrium import Market, _plant_bound_states, merit_order_prices
-from tests.corpus import build_scenario, desk_n1
+from tests.corpus import build_scenario, desk_n1, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +43,42 @@ def test_prices_inside_the_box(solved_n1):
     assert np.abs(raw).max() < sc.bounds.pi_max
 
 
-def test_methods_agree(medium):
-    hybrid = eq.solve_equilibrium(medium, method="hybrid")
-    tat = eq.solve_equilibrium(medium, eq.SolveOptions(method="tatonnement", max_iter=3000))
-    assert hybrid.converged and tat.converged
-    np.testing.assert_allclose(hybrid.prices, tat.prices, atol=5e-7)
+def test_box_corner_starts_reach_the_default_prices():
+    # every plant pinned at a corner: the clearing residual is flat there,
+    # the welfare potential is not, so the gradient step must carry the solve
+    failures = []
+    starts = 0
+    for name, sc in make_corpus():
+        default = eq.solve_equilibrium(sc)
+        corner = 0.9 * sc.bounds.pi_max * sc.grid.node_discounts()
+        for sign in (1.0, -1.0):
+            starts += 1
+            res = eq.solve_equilibrium(sc, initial_prices=sign * corner)
+            gap = float(np.max(np.abs(res.prices - default.prices)))
+            if not (res.converged and gap <= 1e-9):
+                failures.append(f"{name} from {sign:+.0f}: {res.message}, gap {gap:.1e}")
+    assert starts == 46
+    assert not failures, failures
+
+
+def _counted_solve(scenario, **options):
+    market = Market(scenario)
+    calls = []
+    solutions = market.solutions
+    market.solutions = lambda prices: calls.append(1) or solutions(prices)
+    return eq.solve_equilibrium(scenario, market=market, **options), len(calls)
+
+
+def test_stall_when_no_step_decreases_the_potential_measurably(medium):
+    # below the roundoff of the potential no step counts: an unreachable
+    # tolerance stalls at the equilibrium after one more market evaluation,
+    # with no backtracking through noise
+    default, default_evals = _counted_solve(medium)
+    res, evals = _counted_solve(medium, tol=1e-300)
+    assert default.converged and not res.converged
+    assert res.message.startswith("stalled")
+    assert evals <= default_evals + 2
+    np.testing.assert_allclose(res.prices, default.prices, rtol=0, atol=1e-12)
 
 
 def test_trace_reaches_tolerance(medium):
@@ -141,7 +172,7 @@ def test_volumes_away_from_trading_boxes(medium):
 
 def test_nonconvergence_reported_honestly():
     sc = desk_n1()
-    res = eq.solve_equilibrium(sc, eq.SolveOptions(max_iter=1, method="tatonnement"))
+    res = eq.solve_equilibrium(sc, eq.SolveOptions(max_iter=1))
     assert not res.converged
     assert "converged" not in res.message or "non" in res.message
 

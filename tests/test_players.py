@@ -9,7 +9,7 @@ from equiterm.errors import InfeasibleError
 from equiterm.grid import delivery_totals_matrix
 from equiterm.oracles import producer_solution_with_fixed_totals
 from equiterm.players import ACT_TOL
-from tests.corpus import build_scenario, desk_identity, make_corpus
+from tests.corpus import build_scenario, desk_identity, ladder, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -271,17 +271,7 @@ def test_selection_fingerprint_tracks_active_set(rich_producer):
 
 # ---- condensed path against the full QP -------------------------------------
 
-def _ladder_12():
-    # the 12-contract rung of the benchmark ladder: 6 deliveries x 2 times
-    return build_scenario(
-        seed=12, sizes=(2,) * 6, fuels={"coal": 0.9, "gas": 0.5},
-        producers=[(1.0, [("coal", 9.0, 4.0, -4.0, 1.0)]),
-                   (1.2, [("gas", 8.0, 8.0, -8.0, 2.0)]),
-                   (1.5, [("gas", 6.0, 6.0, -6.0, 2.2)])],
-        consumers=[(1.0, 0.6, 0.0), (1.2, 0.4, 0.0)], demand_frac=0.4)
-
-
-AGREEMENT_MARKETS = {**dict(make_corpus()), "ladder_12": _ladder_12()}
+AGREEMENT_MARKETS = {**dict(make_corpus()), "ladder_12": ladder(12)}
 
 
 def _assert_agrees_with_full_qp(prob, prices, fast):
