@@ -41,6 +41,7 @@ __all__ = [
 # relative roundoff of Phi = sum of objectives: a smaller decrease is no decrease
 PHI_ROUNDOFF = 64 * np.finfo(float).eps
 ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
+RADIUS_SCALE = 1e-2  # check_uniqueness draws at this fraction of max(1, |pi|)
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,19 @@ class DiagnosticsReport:
 
 
 class Market:
-    """Assembled player problems with warm starts and solution caching.
+    """Assembled player problems with warm starts and a memo of the last point.
 
-    Solutions are memoized per price vector, so line searches and repeated
-    diagnostics at the same point cost nothing.  Each player warm-starts
-    from its own previous solution.
+    Each player warm-starts from its own previous solution, so the memo is
+    the warm start of every player: asking again for the last price vector
+    (saturation detection, then the excess at the same point) solves
+    nothing.  Any other point is solved afresh.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.problems: tuple[PlayerProblem, ...] = assemble_all(scenario)
         self.names = tuple(p.name for p in self.problems)
-        self._warm: list = [None] * len(self.problems)
-        self._cache: dict[bytes, tuple[PlayerSolution, ...]] = {}
+        self._last: tuple[bytes, tuple[PlayerSolution, ...]] | None = None
 
     @property
     def n_prices(self) -> int:
@@ -125,20 +126,13 @@ class Market:
 
     def solutions(self, prices: np.ndarray) -> tuple[PlayerSolution, ...]:
         prices = np.asarray(prices, dtype=float)
-        key = prices.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        sols = tuple(self._solve_one(k, prices) for k in range(len(self.problems)))
-        if len(self._cache) > 512:
-            self._cache.clear()
-        self._cache[key] = sols
+        key, last = prices.tobytes(), self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        warm = (None,) * len(self.problems) if last is None else last[1]
+        sols = tuple(solve_qp(p, prices, warm_start=w) for p, w in zip(self.problems, warm))
+        self._last = (key, sols)
         return sols
-
-    def _solve_one(self, k: int, prices: np.ndarray) -> PlayerSolution:
-        sol = solve_qp(self.problems[k], prices, warm_start=self._warm[k])
-        self._warm[k] = sol
-        return sol
 
     def excess(self, prices: np.ndarray):
         sols = self.solutions(prices)
@@ -188,11 +182,9 @@ def merit_order_prices(scenario: Scenario) -> np.ndarray:
     return out
 
 
-def excess_volume(scenario: Scenario, expected_prices, market: Market | None = None) -> np.ndarray:
+def excess_volume(scenario: Scenario, expected_prices) -> np.ndarray:
     """Aggregate optimal power trades at the given discounted prices."""
-    market = market or Market(scenario)
-    z, _ = market.excess(np.asarray(expected_prices, dtype=float))
-    return z
+    return Market(scenario).excess(expected_prices)[0]
 
 
 # (delivery shift, side) that a tight production row pins, side 0 upper and
@@ -427,8 +419,8 @@ def _newton_step(market: Market, sols, z):
 
 
 def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None = None,
-                     prices=None, n_samples: int = 64, radius_scale: float = 1e-2,
-                     seed: int = 0, market: Market | None = None) -> DiagnosticsReport:
+                     prices=None, n_samples: int = 64, seed: int = 0,
+                     market: Market | None = None) -> DiagnosticsReport:
     """Run the uniqueness conditions at (or near) an equilibrium point.
 
     Samples pairwise monotonicity of the excess map around the point,
@@ -446,7 +438,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     sols = market.solutions(prices)
     n = market.n_prices
     rng = np.random.default_rng(seed)
-    radius = radius_scale * max(1.0, float(np.max(np.abs(prices))))
+    radius = RADIUS_SCALE * max(1.0, float(np.max(np.abs(prices))))
 
     samples = []
     notes = []
@@ -457,40 +449,34 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         y = prices + radius * rng.standard_normal(n)
         if float(np.max(np.abs(x - y))) < 1e-12:
             continue
-        if detect_saturation(scenario, prices=x, market=market).saturated:
+        zx, sx = market.excess(x)
+        if detect_saturation(scenario, solutions=sx, market=market).saturated:
             continue
-        if detect_saturation(scenario, prices=y, market=market).saturated:
+        zy, sy = market.excess(y)
+        if detect_saturation(scenario, solutions=sy, market=market).saturated:
             continue
-        zx, _ = market.excess(x)
-        zy, _ = market.excess(y)
         samples.append((x, y, float((zx - zy) @ (x - y))))
     if len(samples) < n_samples:
         notes.append(f"only {len(samples)} off-saturation pairs found in {attempts} draws")
     all_neg = all(ip < 0 for _, _, ip in samples) if samples else None
 
+    required = scenario.grid.n_deliveries
+    eig_max = rank = rank_ok = None
     try:
         J = market.aggregate_jacobian(sols)
-        eig_max = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
-        available = True
+        # the producers' selections are among those just computed, so this cannot fail
+        Jp = market.aggregate_jacobian(sols, producers_only=True)
     except JacobianUnavailableError as exc:
-        J, eig_max, available = None, None, False
         notes.append(f"aggregate sensitivity unavailable: {exc}")
-
-    required = scenario.grid.n_deliveries
-    rank = None
-    rank_ok = None
-    if available:
+    else:
+        eig_max = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
         a1 = delivery_totals_matrix(scenario.grid)
-        try:
-            Jp = market.aggregate_jacobian(sols, producers_only=True)
-            S = a1 @ Jp @ a1.T
-            sv = np.linalg.svd(S, compute_uv=False)
-            cut = max(S.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-            cut = max(cut, 1e-10 * (sv[0] if sv.size else 0.0), 1e-14)
-            rank = int(np.sum(sv > cut))
-            rank_ok = rank == required
-        except JacobianUnavailableError as exc:
-            notes.append(f"producer sensitivity unavailable: {exc}")
+        S = a1 @ Jp @ a1.T
+        sv = np.linalg.svd(S, compute_uv=False)
+        cut = max(S.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+        cut = max(cut, 1e-10 * (sv[0] if sv.size else 0.0), 1e-14)
+        rank = int(np.sum(sv > cut))
+        rank_ok = rank == required
 
     strict = np.zeros(scenario.grid.n_deliveries, dtype=bool)
     for problem, sol in zip(market.problems, sols):
@@ -504,7 +490,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         monotonicity_samples=tuple(samples),
         monotonicity_all_negative=all_neg,
         jacobian_eigen_max=eig_max,
-        jacobian_available=available,
+        jacobian_available=eig_max is not None,
         rank_condition=rank,
         rank_required=required,
         rank_ok=rank_ok,

@@ -41,9 +41,11 @@ beyond the engine's start-point tolerances: whenever a trading box binds.
 An accepted point's duals are valid for the full problem: t meets its
 stationarity rows by construction, the W-QP's stationarity
 A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
-are slack, so their multipliers are zero.  Residuals are still recomputed
-on the full problem, and the active set is read from its slacks, for
-every solution.
+are slack, so their multipliers are zero.  Each solution takes one pass
+over the full problem's rows, the equality gap Ax - a and the slack b - Bx,
+and reads from it the start-point check that accepts a condensed point, the
+residuals and the active set.  Only when the second stage below moves W are
+the rows evaluated again, at the moved point.
 
 The traded block of the optimum is unique; W can sit on a flat face, so a
 second stage picks the minimum-norm W on that face to make results
@@ -70,7 +72,7 @@ import numpy as np
 
 from .assembly import PlayerProblem
 from .errors import InfeasibleError, JacobianUnavailableError
-from .qp import interior_margin, solve_qp_active_set, start_violation
+from .qp import interior_margin, row_violation, solve_qp_active_set, start_violation
 
 __all__ = [
     "PlayerSolution",
@@ -85,6 +87,7 @@ __all__ = [
 
 DUAL_TOL = 1e-8
 ACT_TOL = 1e-8
+FD_STEP = 1e-6  # price step of finite_difference_volumes
 # smallest Cholesky pivot of S, relative to the largest, that still counts
 # as full rank; an exactly repeated equality row leaves a pivot near 1e-8
 S_PIVOT_TOL = 1e-6
@@ -116,8 +119,11 @@ class PlayerSolution:
     ineq_duals: np.ndarray
     active_set: tuple[int, ...]
     objective: float
-    kkt_residual: float
     residuals: ResidualReport
+
+    @property
+    def kkt_residual(self) -> float:
+        return self.residuals.max_violation
 
     @property
     def volumes(self) -> np.ndarray:
@@ -192,9 +198,9 @@ def _min_norm_production(problem: PlayerProblem, x: np.ndarray, w_rows, a_w, b_w
 def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> PlayerSolution:
     """Global maximizer of the player's objective at the given prices.
 
-    ``warm_start`` may be a previous PlayerSolution for the same problem
-    (its primal stays feasible since constraints do not move with prices)
-    or a bare working set of inequality rows.
+    ``warm_start`` is None or a previous PlayerSolution for the same
+    problem (its primal stays feasible since constraints do not move with
+    prices).
     """
     prices, g = _query(problem, expected_prices)
     cond = _condensation(problem)
@@ -204,10 +210,10 @@ def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> Player
     return _solution(problem, prices, g, *point)
 
 
-def _full_solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> PlayerSolution:
-    """``solve_qp`` through the full QP only: the oracle of the condensed path."""
+def _full_solve_qp(problem: PlayerProblem, expected_prices) -> PlayerSolution:
+    """Cold ``solve_qp`` through the full QP only: the oracle of the condensed path."""
     prices, g = _query(problem, expected_prices)
-    return _solution(problem, prices, g, *_solve_full(problem, g, warm_start))
+    return _solution(problem, prices, g, *_solve_full(problem, g, None))
 
 
 def _query(problem: PlayerProblem, expected_prices):
@@ -217,17 +223,17 @@ def _query(problem: PlayerProblem, expected_prices):
     return prices, problem.merged_linear(prices)
 
 
-def _solution(problem: PlayerProblem, prices, g, x, mu, eta) -> PlayerSolution:
-    """Min-norm production unless W is unique, full-problem residuals and
-    the active set."""
+def _solution(problem: PlayerProblem, prices, g, x, mu, eta, rows) -> PlayerSolution:
+    """Min-norm production unless W is unique, then the residuals and the
+    active set from the full problem's ``rows`` at x (None: not yet taken)."""
     if problem.kind == "producer":
         cond = _condensation(problem)
         if cond is None:
-            x = _min_norm_production(problem, x, *_w_block(problem))
+            x, rows = _min_norm_production(problem, x, *_w_block(problem)), None
         elif not cond.w_unique:
-            x = _min_norm_production(problem, x, cond.w_rows, cond.a_w, cond.b_w)
-    report = _residuals(problem, g, x, mu, eta)
-    slack = problem.ineq_rhs - problem.ineq_matrix @ x
+            x, rows = _min_norm_production(problem, x, cond.w_rows, cond.a_w, cond.b_w), None
+    gap, slack = _rows(problem, x) if rows is None else rows
+    report = _residuals(problem, g, x, mu, eta, gap, slack)
     active = np.flatnonzero(slack <= ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs)))
     prices_ro = prices.copy()
     prices_ro.flags.writeable = False
@@ -238,28 +244,27 @@ def _solution(problem: PlayerProblem, prices, g, x, mu, eta) -> PlayerSolution:
         ineq_duals=eta,
         active_set=tuple(active.tolist()),
         objective=float(-(g @ x) - 0.5 * x @ (problem.quadratic @ x)),
-        kkt_residual=report.max_violation,
         residuals=report,
     )
 
 
 def _start(problem: PlayerProblem, warm_start):
-    """The player's usual start: a previous solution, or a feasible point
-    with an optional bare working set."""
-    if isinstance(warm_start, PlayerSolution):
-        return warm_start.primal.copy(), warm_start.active_set
-    return _feasible_start(problem), tuple(warm_start) if warm_start else ()
+    """The player's usual start: a previous solution's primal and active
+    set, or a feasible point."""
+    if warm_start is None:
+        return _feasible_start(problem), ()
+    return warm_start.primal.copy(), warm_start.active_set
 
 
-def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start=None):
-    """(x, mu, eta) of the full active-set QP from the player's usual start."""
+def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start):
+    """(x, mu, eta, rows=None) of the full active-set QP from the player's usual start."""
     x0, seed = _start(problem, warm_start)
     res = solve_qp_active_set(
         problem.quadratic, g, problem.eq_matrix, problem.eq_rhs,
         problem.ineq_matrix, problem.ineq_rhs, x0,
         working_set=seed,
     )
-    return res.x, res.eq_duals, res.ineq_duals
+    return res.x, res.eq_duals, res.ineq_duals, None
 
 
 @dataclass(frozen=True)
@@ -385,7 +390,8 @@ def _region(problem: PlayerProblem, cond: _Condensed, strict: tuple[int, ...]) -
 
 
 def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, warm_start):
-    """(x, mu, eta) through the W-QP, or None when the point fails the full rows."""
+    """(x, mu, eta, rows) through the W-QP, or None when the point fails the
+    full rows."""
     g_t = g[: cond.n_t]
     mu0 = -cond.s_inv @ (problem.eq_rhs + cond.m @ g_t / problem.risk_aversion)
     if not cond.a_w.shape[1]:
@@ -403,11 +409,11 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
 
 
 def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_start):
-    """(x, mu, eta) on the region of the warm start's strict rows, or None
-    when that region cannot serve or its point does not certify."""
-    if not isinstance(warm_start, PlayerSolution):
+    """(x, mu, eta, rows) on the region of the warm start's strict rows, or
+    None when that region cannot serve or its point does not certify."""
+    if warm_start is None:
         return None
-    strict, _ = _strict_active(problem, warm_start, DUAL_TOL)
+    strict, _ = _strict_active(warm_start)
     if not all(i in cond.w_pos for i in strict):
         return None
     region = _region(problem, cond, strict)
@@ -423,27 +429,30 @@ def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_st
 
 
 def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w):
-    """(x, mu, eta) from W and the W-QP's duals, or None when the point is not
-    finite or violates a full-problem row beyond the start tolerances."""
+    """(x, mu, eta, rows) from W and the W-QP's duals, or None when the point
+    is not finite or violates a full-problem row beyond the start tolerances."""
     mu = mu0 + cond.s_inv @ (cond.a_w @ w) if w.size else mu0
     eta = np.zeros(problem.ineq_rhs.size)
     eta[cond.w_rows] = eta_w
     x = np.concatenate([-(cond.sigma_inv @ g_t + cond.m.T @ mu) / problem.risk_aversion, w])
-    if not np.all(np.isfinite(x)) or start_violation(
-        problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs, x
-    ):
+    if not np.all(np.isfinite(x)):
         return None
-    return x, mu, eta
+    rows = _rows(problem, x)
+    return None if row_violation(problem.eq_rhs, problem.ineq_rhs, *rows) else (x, mu, eta, rows)
 
 
-def _residuals(problem, g, x, mu, eta) -> ResidualReport:
+def _rows(problem: PlayerProblem, x):
+    """The full problem's equality gap Ax - a and slack b - Bx at x."""
+    return problem.eq_matrix @ x - problem.eq_rhs, problem.ineq_rhs - problem.ineq_matrix @ x
+
+
+def _residuals(problem, g, x, mu, eta, gap, slack) -> ResidualReport:
     grad = -g - problem.quadratic @ x
     stat = grad - problem.eq_matrix.T @ mu - problem.ineq_matrix.T @ eta
-    slack = problem.ineq_matrix @ x - problem.ineq_rhs
     return ResidualReport(
         stationarity=float(np.max(np.abs(stat), initial=0.0)),
-        primal_equality=float(np.max(np.abs(problem.eq_matrix @ x - problem.eq_rhs), initial=0.0)),
-        primal_inequality=float(np.max(slack, initial=0.0)),
+        primal_equality=float(np.max(np.abs(gap), initial=0.0)),
+        primal_inequality=float(max(0.0, -np.min(slack, initial=0.0))),
         dual_feasibility=float(max(0.0, -np.min(eta, initial=0.0))),
         complementarity=float(np.max(np.abs(eta * slack), initial=0.0)),
     )
@@ -452,29 +461,30 @@ def _residuals(problem, g, x, mu, eta) -> ResidualReport:
 def kkt_residual(problem: PlayerProblem, solution: PlayerSolution) -> ResidualReport:
     """Recompute the optimality residuals of a stored solution."""
     g = problem.merged_linear(solution.prices)
-    return _residuals(problem, g, solution.primal, solution.eq_duals, solution.ineq_duals)
+    x = solution.primal
+    return _residuals(problem, g, x, solution.eq_duals, solution.ineq_duals, *_rows(problem, x))
 
 
-def best_response_volumes(problem: PlayerProblem, expected_prices, warm_start=None) -> np.ndarray:
+def best_response_volumes(problem: PlayerProblem, expected_prices) -> np.ndarray:
     """Unique optimal power trade vector at the given expected prices."""
-    return solve_qp(problem, expected_prices, warm_start=warm_start).volumes
+    return solve_qp(problem, expected_prices).volumes
 
 
-def _strict_active(problem, solution, dual_tol):
-    """Active rows with a multiplier above ``dual_tol`` (strict) and the rest."""
+def _strict_active(solution):
+    """Active rows with a multiplier above ``DUAL_TOL`` (strict) and the rest."""
     active = np.array(solution.active_set, dtype=int)
-    strong = solution.ineq_duals[active] > dual_tol
+    strong = solution.ineq_duals[active] > DUAL_TOL
     return tuple(active[strong].tolist()), tuple(active[~strong].tolist())
 
 
 def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = None,
-                      expected_prices=None, dual_tol: float = DUAL_TOL) -> ResponseJacobian:
+                      expected_prices=None) -> ResponseJacobian:
     """dV/dpi for the affine selection active at the query point."""
     if solution is None:
         if expected_prices is None:
             raise ValueError("need a solution or expected prices")
         solution = solve_qp(problem, expected_prices)
-    strict, weak = _strict_active(problem, solution, dual_tol)
+    strict, weak = _strict_active(solution)
     cond = _condensation(problem)
     matrix = None
     if cond is not None and all(i in cond.w_pos for i in strict):
@@ -506,11 +516,10 @@ def _kkt_jacobian(problem: PlayerProblem, strict) -> np.ndarray:
     return sol[:n_p, :]
 
 
-def finite_difference_volumes(problem: PlayerProblem, expected_prices, direction,
-                              h: float = 1e-6) -> np.ndarray:
+def finite_difference_volumes(problem: PlayerProblem, expected_prices, direction) -> np.ndarray:
     """Central-difference directional derivative of the volume response."""
     prices = np.asarray(expected_prices, dtype=float)
     d = np.asarray(direction, dtype=float)
-    up = best_response_volumes(problem, prices + h * d)
-    dn = best_response_volumes(problem, prices - h * d)
-    return (up - dn) / (2.0 * h)
+    up = best_response_volumes(problem, prices + FD_STEP * d)
+    dn = best_response_volumes(problem, prices - FD_STEP * d)
+    return (up - dn) / (2.0 * FD_STEP)

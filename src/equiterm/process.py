@@ -305,24 +305,19 @@ class InvarianceReport:
         return self.max_abs_deviation <= 1e-12
 
 
-def verify_covariance_invariance(original: PathEnsemble, shifted: PathEnsemble,
-                                 scale_free: bool = True) -> InvarianceReport:
+def verify_covariance_invariance(original: PathEnsemble, shifted: PathEnsemble) -> InvarianceReport:
     """Compare full second-moment blocks of two ensembles on the same tree.
 
     Drift re-selection translates node values, so the covariance of
     (pi, g, gem) must agree between the two ensembles.  Deviation is
-    reported in relative units when ``scale_free`` and the blocks are not
-    tiny.
+    reported relative to the largest block entry when that exceeds 1.
     """
     if original.grid != shifted.grid or original.fuels != shifted.fuels:
         raise EnsembleError("ensembles live on different grids")
     if original.n_paths != shifted.n_paths or np.any(original.weights != shifted.weights):
         raise EnsembleError("ensembles carry different weights")
     ca, cb = raw_covariance(original), raw_covariance(shifted)
-    dev = float(np.max(np.abs(ca - cb)))
-    if scale_free:
-        scale = max(1.0, float(np.max(np.abs(ca))))
-        dev = dev / scale
+    dev = float(np.max(np.abs(ca - cb))) / max(1.0, float(np.max(np.abs(ca))))
     return InvarianceReport(dev, ca.shape[0])
 
 

@@ -21,9 +21,12 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
-__all__ = ["QPResult", "solve_qp_active_set", "start_violation", "interior_margin", "MARGIN_CAP"]
+__all__ = ["QPResult", "solve_qp_active_set", "start_violation", "row_violation",
+           "interior_margin", "MARGIN_CAP"]
 
 MARGIN_CAP = 1.0  # phase-I slack variable cap keeps the LP bounded
+FEAS_TOL = 1e-8   # start-point and working-set tolerance, relative to max(1, |rhs|)
+DUAL_TOL = 1e-11  # most negative multiplier kept, relative to the gradient scale
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,17 @@ def _null_space_basis(C: np.ndarray, n: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def start_violation(A, a, B, b, x, feas_tol: float = 1e-8) -> str | None:
+def start_violation(A, a, B, b, x) -> str | None:
     """Name the constraint block ("equality" or "inequality") that ``x``
     violates beyond the start-point tolerances, or None if it is feasible."""
-    if a.size and float(np.max(np.abs(A @ x - a))) > feas_tol * max(1.0, float(np.max(np.abs(a)))):
+    return row_violation(a, b, A @ x - a, b - B @ x)
+
+
+def row_violation(a, b, gap, slack) -> str | None:
+    """``start_violation`` from the equality gap Ax - a and the slack b - Bx."""
+    if a.size and float(np.max(np.abs(gap))) > FEAS_TOL * max(1.0, float(np.max(np.abs(a)))):
         return "equality"
-    if b.size and float(np.min(b - B @ x + feas_tol * np.maximum(1.0, np.abs(b)))) < 0.0:
+    if b.size and float(np.min(slack + FEAS_TOL * np.maximum(1.0, np.abs(b)))) < 0.0:
         return "inequality"
     return None
 
@@ -95,9 +103,6 @@ def solve_qp_active_set(
     b: np.ndarray,
     x0: np.ndarray,
     working_set=(),
-    feas_tol: float = 1e-8,
-    dual_tol: float = 1e-11,
-    max_iter: int | None = None,
 ) -> QPResult:
     """Minimize from the feasible point ``x0``.
 
@@ -116,9 +121,9 @@ def solve_qp_active_set(
     x = np.array(x0, dtype=float)
 
     row_scale = np.maximum(1.0, np.abs(b))
-    act_tol = feas_tol * row_scale
+    act_tol = FEAS_TOL * row_scale
 
-    violated = start_violation(A, a, B, b, x, feas_tol)
+    violated = start_violation(A, a, B, b, x)
     if violated:
         raise InfeasibleError(f"starting point violates the {violated} constraints")
     slack = b - B @ x
@@ -127,8 +132,7 @@ def solve_qp_active_set(
         i for i in working_set if 0 <= i < m_in and slack[i] <= act_tol[i]
     ))
 
-    if max_iter is None:
-        max_iter = 50 * (n + m_in) + 200
+    max_iter = 50 * (n + m_in) + 200
     grad_scale = max(1.0, float(np.max(np.abs(g))) if g.size else 1.0)
     lin_tol = 1e-9 * grad_scale
     curved = bool(np.any(G))
@@ -178,7 +182,7 @@ def solve_qp_active_set(
             else:
                 mu = np.zeros(0)
                 eta_w = np.zeros(0)
-            if eta_w.size == 0 or float(eta_w.min()) >= -dual_tol * grad_scale:
+            if eta_w.size == 0 or float(eta_w.min()) >= -DUAL_TOL * grad_scale:
                 eta = np.zeros(m_in)
                 if work:
                     eta[work] = np.where(eta_w > 0.0, eta_w, 0.0)

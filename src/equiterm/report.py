@@ -12,6 +12,8 @@ import numpy as np
 
 __all__ = ["to_jsonable", "render_json", "render_text", "file_sha256"]
 
+INDENT = 2  # spaces per nesting level of render_json
+
 
 def to_jsonable(obj):
     """Recursively convert containers, numpy and dataclass-ish values."""
@@ -40,9 +42,9 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, out, level):
+    pad = " " * (INDENT * level)
+    pad_in = " " * (INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -53,7 +55,7 @@ def _render(obj, out, indent, level):
             out.append(pad_in)
             out.append(_render_str(str(key)))
             out.append(": ")
-            _render(obj[key], out, indent, level + 1)
+            _render(obj[key], out, level + 1)
             out.append(",\n" if k < len(keys) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, list):
@@ -63,7 +65,7 @@ def _render(obj, out, indent, level):
         out.append("[\n")
         for k, v in enumerate(obj):
             out.append(pad_in)
-            _render(v, out, indent, level + 1)
+            _render(v, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):
@@ -88,14 +90,14 @@ def _render_str(s: str) -> str:
     return f'"{escaped}"'
 
 
-def render_json(obj, indent: int = 2) -> str:
+def render_json(obj) -> str:
     out: list[str] = []
-    _render(to_jsonable(obj), out, indent, 0)
+    _render(to_jsonable(obj), out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def render_text(obj, prefix: str = "") -> str:
+def render_text(obj) -> str:
     """Flat `path = value` lines, sorted, for human eyes."""
     lines: list[str] = []
 
@@ -117,7 +119,7 @@ def render_text(obj, prefix: str = "") -> str:
                 value = str(node)
             lines.append(f"{path} = {value}")
 
-    walk(to_jsonable(obj), prefix)
+    walk(to_jsonable(obj), "")
     return "\n".join(lines) + "\n"
 
 

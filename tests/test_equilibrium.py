@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import equiterm as eq
+from equiterm import equilibrium
 from equiterm.equilibrium import Market, _plant_bound_states, merit_order_prices
 from tests.corpus import build_scenario, desk_n1, make_corpus
 
@@ -282,3 +285,56 @@ def test_ramp_pinned_deliveries_read_as_saturated():
         assert ok == (total < 0 if status == "all-upper" else total > 0)
     diag = eq.check_uniqueness(sc, prices=prices, n_samples=1, market=market)
     assert diag.strictly_feasible_plant_per_period == (False, False, False)
+
+
+# ---- one evaluation per price point -------------------------------------------
+
+
+def _record_solves(monkeypatch):
+    """Player solves per price vector, through the binding the market calls."""
+    solves = Counter()
+    inner = equilibrium.solve_qp
+
+    def recording(problem, prices, **kwargs):
+        solves[np.asarray(prices).tobytes()] += 1
+        return inner(problem, prices, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_qp", recording)
+    return solves
+
+
+def test_market_memo_holds_the_last_point_only(monkeypatch):
+    sc = dict(make_corpus())["three_by_three"]
+    market = Market(sc)
+    centre = eq.solve_equilibrium(sc, market=market).prices
+    rng = np.random.default_rng(17)
+    radius = 0.05 * max(1.0, float(np.max(np.abs(centre))))
+    points = centre + radius * rng.standard_normal((1001, centre.size))
+    solves = _record_solves(monkeypatch)
+    for x in points:
+        if not eq.detect_saturation(sc, prices=x, market=market).saturated:
+            market.excess(x)
+    n_players = len(market.problems)
+    assert sorted(solves.values()) == [n_players] * 1001  # one round per point
+    # asked again, most recent first: only the last point is still held
+    held = 0
+    for x in points[::-1][:64]:
+        before = sum(solves.values())
+        market.solutions(x)
+        held += sum(solves.values()) == before
+    assert held == 1
+
+
+def test_check_uniqueness_evaluates_each_point_once(monkeypatch):
+    sc = dict(make_corpus())["three_by_three"]
+    centre = eq.solve_equilibrium(sc).prices
+    market = Market(sc)
+    evaluated = []
+    solutions = market.solutions
+    market.solutions = lambda prices: evaluated.append(prices.tobytes()) or solutions(prices)
+    solves = _record_solves(monkeypatch)
+    diag = eq.check_uniqueness(sc, prices=centre, n_samples=16, market=market)
+    assert len(diag.monotonicity_samples) == 16
+    assert len(evaluated) == len(set(evaluated)) > 32
+    assert set(solves) == set(evaluated)
+    assert set(solves.values()) == {len(market.problems)}

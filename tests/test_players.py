@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -274,15 +274,24 @@ def test_selection_fingerprint_tracks_active_set(rich_producer):
 AGREEMENT_MARKETS = {**dict(make_corpus()), "ladder_12": ladder(12)}
 
 
+def _assert_stored_residuals_bitwise(prob, sol):
+    """The residuals stored from the solve's one pass over the rows are the
+    recomputed ones bit for bit."""
+    again = astuple(eq.kkt_residual(prob, sol))
+    assert [v.hex() for v in again] == [v.hex() for v in astuple(sol.residuals)]
+
+
 def _assert_agrees_with_full_qp(prob, prices, fast):
     full = players._full_solve_qp(prob, prices)
     scale = max(1.0, float(np.max(np.abs(full.primal))))
     np.testing.assert_allclose(fast.primal, full.primal, rtol=0, atol=1e-9 * scale)
     assert fast.active_set == full.active_set
     assert fast.kkt_residual <= 1e-8
+    for sol in (fast, full):
+        _assert_stored_residuals_bitwise(prob, sol)
     jac = eq.response_jacobian(prob, fast)
     ref = eq.response_jacobian(prob, full)
-    strict, _ = players._strict_active(prob, full, players.DUAL_TOL)
+    strict, _ = players._strict_active(full)
     assert strict == tuple(i for i in full.active_set if full.ineq_duals[i] > players.DUAL_TOL)
     kkt = players._kkt_jacobian(prob, strict)
     assert jac.selection_id == ref.selection_id
@@ -335,7 +344,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
 
 def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, monkeypatch):
     low = eq.solve_qp(rich_producer, np.full(3, 2.0))
-    strict, _ = players._strict_active(rich_producer, low, players.DUAL_TOL)
+    strict, _ = players._strict_active(low)
     cond = players._condensation(rich_producer)
     assert strict and all(i in cond.w_pos for i in strict)
     served = _recorder(monkeypatch, "_serve")
@@ -369,6 +378,28 @@ def test_non_unique_production_keeps_the_min_norm_stage(monkeypatch):
     assert sum(p is prob for p, _ in stages) >= 20
 
 
+def test_residuals_are_taken_at_the_point_the_min_norm_stage_returns(monkeypatch):
+    # twin plants: where the second stage moves W, the rows taken to accept
+    # the condensed point are stale and must be taken again
+    market = eq.Market(AGREEMENT_MARKETS["twin_plants"])
+    centre = eq.solve_equilibrium(market.scenario, market=market).prices
+    moved = []
+    inner = players._min_norm_production
+
+    def recording(problem, x, *args):
+        out = inner(problem, x, *args)
+        moved.append(not np.array_equal(out, x))
+        return out
+
+    monkeypatch.setattr(players, "_min_norm_production", recording)
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        prices = centre + 0.3 * float(np.max(np.abs(centre))) * rng.standard_normal(centre.size)
+        for prob, sol in zip(market.problems, market.solutions(prices)):
+            _assert_stored_residuals_bitwise(prob, sol)
+    assert any(moved)
+
+
 @pytest.mark.parametrize("name", ["three_by_three", "ladder_12"])
 def test_each_problem_holds_at_most_one_region(name):
     market = eq.Market(AGREEMENT_MARKETS[name])
@@ -380,7 +411,7 @@ def test_each_problem_holds_at_most_one_region(name):
         sols = market.solutions(res.prices + spread * rng.standard_normal(res.prices.size))
         market.aggregate_jacobian(sols)
         for prob, sol in zip(market.problems, sols):
-            selections.add((prob.name, players._strict_active(prob, sol, players.DUAL_TOL)[0]))
+            selections.add((prob.name, players._strict_active(sol)[0]))
     assert len(selections) > len(market.problems)  # the slot was replaced
     assert all(len(players._condensation(p).region) <= 1 for p in market.problems)
 
