@@ -22,6 +22,7 @@ from .players import (
     kkt_residual,
     response_jacobian,
     solve_qp,
+    solve_qp_many,
 )
 from .process import (
     DoobParts,

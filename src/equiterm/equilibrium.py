@@ -22,7 +22,7 @@ import numpy as np
 from .assembly import PlayerProblem, assemble_all
 from .errors import JacobianUnavailableError
 from .grid import delivery_totals_matrix
-from .players import PlayerSolution, response_jacobian, solve_qp
+from .players import PlayerSolution, response_jacobian, solve_qp, solve_qp_many
 from .scenario import Scenario
 
 __all__ = [
@@ -111,7 +111,9 @@ class Market:
     Each player warm-starts from its own previous solution, so the memo is
     the warm start of every player: asking again for the last price vector
     (saturation detection, then the excess at the same point) solves
-    nothing.  Any other point is solved afresh.
+    nothing.  Any other point is solved afresh.  ``excess_many`` evaluates
+    a batch of points, each from the memo point, and leaves the memo as it
+    was.
     """
 
     def __init__(self, scenario: Scenario):
@@ -124,13 +126,16 @@ class Market:
     def n_prices(self) -> int:
         return self.scenario.n_contracts
 
+    def _warm(self):
+        return (None,) * len(self.problems) if self._last is None else self._last[1]
+
     def solutions(self, prices: np.ndarray) -> tuple[PlayerSolution, ...]:
         prices = np.asarray(prices, dtype=float)
         key, last = prices.tobytes(), self._last
         if last is not None and last[0] == key:
             return last[1]
-        warm = (None,) * len(self.problems) if last is None else last[1]
-        sols = tuple(solve_qp(p, prices, warm_start=w) for p, w in zip(self.problems, warm))
+        sols = tuple(solve_qp(p, prices, warm_start=w)
+                     for p, w in zip(self.problems, self._warm()))
         self._last = (key, sols)
         return sols
 
@@ -141,11 +146,25 @@ class Market:
             z += sol.volumes
         return z, sols
 
-    def aggregate_jacobian(self, sols, producers_only: bool = False):
+    def excess_many(self, prices: np.ndarray):
+        """Excess volumes at every column of ``prices`` (prices x points), as
+        the same matrix shape, and each column's player solutions.
+
+        Every column warm-starts from the memo point, and the memo is left
+        in place, so no column depends on another or on their order.
+        """
+        prices = np.asarray(prices, dtype=float)
+        per_player = [solve_qp_many(p, prices, warm_start=w)
+                      for p, w in zip(self.problems, self._warm())]
+        m = prices.shape[1]
+        z = np.zeros((m, self.n_prices))
+        for sols in per_player:
+            z += np.array([sol.volumes for sol in sols]).reshape(z.shape)
+        return z.T, tuple(tuple(sols[c] for sols in per_player) for c in range(m))
+
+    def aggregate_jacobian(self, sols):
         total = np.zeros((self.n_prices, self.n_prices))
         for problem, sol in zip(self.problems, sols):
-            if producers_only and problem.kind != "producer":
-                continue
             total += response_jacobian(problem, sol).matrix
         return total
 
@@ -442,20 +461,20 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
 
     samples = []
     notes = []
-    attempts = 0
-    while len(samples) < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        x = prices + radius * rng.standard_normal(n)
-        y = prices + radius * rng.standard_normal(n)
-        if float(np.max(np.abs(x - y))) < 1e-12:
-            continue
-        zx, sx = market.excess(x)
-        if detect_saturation(scenario, solutions=sx, market=market).saturated:
-            continue
-        zy, sy = market.excess(y)
-        if detect_saturation(scenario, solutions=sy, market=market).saturated:
-            continue
-        samples.append((x, y, float((zx - zy) @ (x - y))))
+    attempts, cap = 0, 20 * n_samples
+    while len(samples) < n_samples and attempts < cap:
+        # a (k, 2, n) draw is k successive (x, y) draws of the stream
+        k = min(n_samples - len(samples), cap - attempts)
+        pairs = prices + radius * rng.standard_normal((k, 2, n))
+        z, point_sols = market.excess_many(pairs.reshape(2 * k, n).T)
+        for i, (x, y) in enumerate(pairs):
+            attempts += 1
+            if float(np.max(np.abs(x - y))) < 1e-12:
+                continue
+            if any(detect_saturation(scenario, solutions=point_sols[2 * i + side],
+                                     market=market).saturated for side in (0, 1)):
+                continue
+            samples.append((x, y, float((z[:, 2 * i] - z[:, 2 * i + 1]) @ (x - y))))
     if len(samples) < n_samples:
         notes.append(f"only {len(samples)} off-saturation pairs found in {attempts} draws")
     all_neg = all(ip < 0 for _, _, ip in samples) if samples else None
@@ -463,9 +482,13 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     required = scenario.grid.n_deliveries
     eig_max = rank = rank_ok = None
     try:
-        J = market.aggregate_jacobian(sols)
-        # the producers' selections are among those just computed, so this cannot fail
-        Jp = market.aggregate_jacobian(sols, producers_only=True)
+        # one sensitivity per player, summed in player order into both totals
+        J, Jp = np.zeros((n, n)), np.zeros((n, n))
+        for problem, sol in zip(market.problems, sols):
+            matrix = response_jacobian(problem, sol).matrix
+            J += matrix
+            if problem.kind == "producer":
+                Jp += matrix
     except JacobianUnavailableError as exc:
         notes.append(f"aggregate sensitivity unavailable: {exc}")
     else:

@@ -22,14 +22,20 @@ where a fixed set of strict rows (positive multiplier) is active, its
 solution is affine, W(pi) = W0 + W1 pi and eta_R(pi) = eta0 + eta1 pi, from
 one reduced KKT system in (W, eta_R) with a constant and a per-price
 right-hand side.  A warm-started solve first evaluates the region of its
-warm start's strict rows by a matvec and keeps that point when it
-certifies: eta_R >= 0, the point is finite and it passes the full problem's
+warm start's strict rows and keeps that point when it certifies:
+eta_R >= 0, the point is finite and it passes the full problem's
 start-point check, equalities included.  Otherwise, or when the region
 cannot serve (W not unique, a singular reduced system, a strict row that
 is not a W row), the engine solves the W-QP from the warm start.  Only W
 is mapped; mu and t are recovered from it as above.  Each problem instance
 keeps one region, keyed by its strict rows, so memory stays bounded on a
 long sweep.
+
+``solve_qp_many`` solves one player at a block of price columns, all from
+one warm start, and ``solve_qp`` is its one-column case.  The region, the
+recovery of mu and t and the certificate are one matrix product each over
+all columns; a consumer's affine map likewise.  Only a column that fails
+its certificate is solved alone, by the engine and then by the full QP.
 
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
@@ -41,11 +47,13 @@ beyond the engine's start-point tolerances: whenever a trading box binds.
 An accepted point's duals are valid for the full problem: t meets its
 stationarity rows by construction, the W-QP's stationarity
 A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
-are slack, so their multipliers are zero.  Each solution takes one pass
-over the full problem's rows, the equality gap Ax - a and the slack b - Bx,
-and reads from it the start-point check that accepts a condensed point, the
-residuals and the active set.  Only when the second stage below moves W are
-the rows evaluated again, at the moved point.
+are slack, so their multipliers are zero.  One pass over the full
+problem's rows, the equality gap Ax - a and the slack b - Bx, gives the
+start-point check that accepts a condensed point and the active set.  Only
+when the second stage below moves W is the slack taken again, at the moved
+point.  The objective and the KKT residuals are computed when first read,
+by ``kkt_residual`` itself, so a stored residual is its recomputation bit
+for bit and a caller that never reads one never pays for it.
 
 The traded block of the optimum is unique; W can sit on a flat face, so a
 second stage picks the minimum-norm W on that face to make results
@@ -67,18 +75,21 @@ the equality-plus-strict selection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .assembly import PlayerProblem
-from .errors import InfeasibleError, JacobianUnavailableError
-from .qp import interior_margin, row_violation, solve_qp_active_set, start_violation
+from .errors import InfeasibleError, JacobianUnavailableError, ScenarioError
+from .qp import (interior_margin, row_tolerances, row_violations, solve_qp_active_set,
+                 start_violation)
 
 __all__ = [
     "PlayerSolution",
     "ResidualReport",
     "ResponseJacobian",
     "solve_qp",
+    "solve_qp_many",
     "kkt_residual",
     "best_response_volumes",
     "response_jacobian",
@@ -111,15 +122,27 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class PlayerSolution:
-    """Primal/dual optimum of one player at fixed expected prices."""
+    """Primal/dual optimum of one player at fixed expected prices.
+
+    The objective and the residuals are computed on first read, from
+    ``problem`` and the stored point, so a caller that never reads them
+    never pays for them.
+    """
 
     prices: np.ndarray
     primal: np.ndarray
     eq_duals: np.ndarray
     ineq_duals: np.ndarray
     active_set: tuple[int, ...]
-    objective: float
-    residuals: ResidualReport
+    problem: PlayerProblem = field(repr=False, compare=False)
+
+    @cached_property
+    def objective(self) -> float:
+        return self.problem.objective(self.primal, self.prices)
+
+    @cached_property
+    def residuals(self) -> ResidualReport:
+        return kkt_residual(self.problem, self)
 
     @property
     def kkt_residual(self) -> float:
@@ -200,52 +223,67 @@ def solve_qp(problem: PlayerProblem, expected_prices, warm_start=None) -> Player
 
     ``warm_start`` is None or a previous PlayerSolution for the same
     problem (its primal stays feasible since constraints do not move with
-    prices).
+    prices).  The one-column case of ``solve_qp_many``.
     """
-    prices, g = _query(problem, expected_prices)
+    prices = np.asarray(expected_prices, dtype=float)
+    return solve_qp_many(problem, prices.reshape(prices.shape + (1,)), warm_start)[0]
+
+
+def solve_qp_many(problem: PlayerProblem, price_columns,
+                  warm_start=None) -> tuple[PlayerSolution, ...]:
+    """``solve_qp`` at every column of ``price_columns`` (prices x points),
+    each column from the same ``warm_start``, so no column depends on
+    another or on their order.
+
+    The condensed arithmetic covers all columns at once; a column whose
+    point fails its certificate is solved alone, by the W-QP engine from
+    the warm start and then by the full QP.
+    """
+    prices, g = _query(problem, price_columns)
     cond = _condensation(problem)
-    point = _solve_condensed(problem, cond, g, warm_start) if cond is not None else None
-    if point is None:
-        point = _solve_full(problem, g, warm_start)
-    return _solution(problem, prices, g, *point)
+    points = ([None] * g.shape[1] if cond is None
+              else _solve_condensed(problem, cond, g, warm_start))
+    return tuple(
+        _solution(problem, prices[:, c], *(point or _solve_full(problem, g[:, c], warm_start)))
+        for c, point in enumerate(points)
+    )
 
 
 def _full_solve_qp(problem: PlayerProblem, expected_prices) -> PlayerSolution:
     """Cold ``solve_qp`` through the full QP only: the oracle of the condensed path."""
-    prices, g = _query(problem, expected_prices)
-    return _solution(problem, prices, g, *_solve_full(problem, g, None))
+    prices, g = _query(problem, np.reshape(expected_prices, (-1, 1)))
+    return _solution(problem, prices[:, 0], *_solve_full(problem, g[:, 0], None))
 
 
-def _query(problem: PlayerProblem, expected_prices):
-    prices = np.asarray(expected_prices, dtype=float)
-    if not np.all(np.isfinite(prices)):
-        raise ValueError("expected prices must be finite")
-    return prices, problem.merged_linear(prices)
+def _query(problem: PlayerProblem, price_columns):
+    """The price columns and the linear term of each column (variables x points)."""
+    prices = np.asarray(price_columns, dtype=float)
+    n_p = problem.n_prices
+    if prices.ndim != 2 or prices.shape[0] != n_p:
+        raise ScenarioError(f"expected {n_p} prices per point, got shape {prices.shape}")
+    finite = np.isfinite(prices).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"expected prices must be finite (column {np.argmin(finite)})")
+    g = np.repeat(problem.linear[:, None], prices.shape[1], axis=1)
+    g[:n_p] = prices
+    return prices, g
 
 
-def _solution(problem: PlayerProblem, prices, g, x, mu, eta, rows) -> PlayerSolution:
-    """Min-norm production unless W is unique, then the residuals and the
-    active set from the full problem's ``rows`` at x (None: not yet taken)."""
+def _solution(problem: PlayerProblem, prices, x, mu, eta, slack) -> PlayerSolution:
+    """Min-norm production unless W is unique, then the active set from the
+    full problem's ``slack`` at x (None: not yet taken)."""
     if problem.kind == "producer":
         cond = _condensation(problem)
         if cond is None:
-            x, rows = _min_norm_production(problem, x, *_w_block(problem)), None
+            x, slack = _min_norm_production(problem, x, *_w_block(problem)), None
         elif not cond.w_unique:
-            x, rows = _min_norm_production(problem, x, cond.w_rows, cond.a_w, cond.b_w), None
-    gap, slack = _rows(problem, x) if rows is None else rows
-    report = _residuals(problem, g, x, mu, eta, gap, slack)
+            x, slack = _min_norm_production(problem, x, cond.w_rows, cond.a_w, cond.b_w), None
+    if slack is None:
+        slack = _rows(problem, x)[1]
     active = np.flatnonzero(slack <= ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs)))
     prices_ro = prices.copy()
     prices_ro.flags.writeable = False
-    return PlayerSolution(
-        prices=prices_ro,
-        primal=x,
-        eq_duals=mu,
-        ineq_duals=eta,
-        active_set=tuple(active.tolist()),
-        objective=float(-(g @ x) - 0.5 * x @ (problem.quadratic @ x)),
-        residuals=report,
-    )
+    return PlayerSolution(prices_ro, x, mu, eta, tuple(active.tolist()), problem)
 
 
 def _start(problem: PlayerProblem, warm_start):
@@ -257,7 +295,7 @@ def _start(problem: PlayerProblem, warm_start):
 
 
 def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start):
-    """(x, mu, eta, rows=None) of the full active-set QP from the player's usual start."""
+    """(x, mu, eta, slack=None) of the full active-set QP from the player's usual start."""
     x0, seed = _start(problem, warm_start)
     res = solve_qp_active_set(
         problem.quadratic, g, problem.eq_matrix, problem.eq_rhs,
@@ -287,6 +325,7 @@ class _Condensed:
     w_rows: np.ndarray
     w_pos: dict                    # full-problem row -> W-QP row
     w_unique: bool                 # A_w has full column rank
+    tols: tuple                    # qp.row_tolerances of the full problem
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
 
@@ -348,6 +387,7 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
         # the rank test of the engine's null-space basis: with full column
         # rank the min-norm QP has no free direction and returns its start
         w_unique=n_w == 0 or int(np.linalg.matrix_rank(a_w)) == n_w,
+        tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
     )
 
 
@@ -390,27 +430,40 @@ def _region(problem: PlayerProblem, cond: _Condensed, strict: tuple[int, ...]) -
 
 
 def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, warm_start):
-    """(x, mu, eta, rows) through the W-QP, or None when the point fails the
-    full rows."""
+    """Per column of ``g``, (x, mu, eta, slack) through the W-QP, or None
+    where the point fails the full rows.
+
+    The region of the warm start serves every column it can certify; each
+    other column is solved alone by the engine from the warm start.
+    """
+    m, n_w = g.shape[1], cond.a_w.shape[1]
     g_t = g[: cond.n_t]
-    mu0 = -cond.s_inv @ (problem.eq_rhs + cond.m @ g_t / problem.risk_aversion)
-    if not cond.a_w.shape[1]:
-        return _recover(problem, cond, g_t, mu0, np.zeros(0), np.zeros(0))  # V is affine in g
-    point = _serve(problem, cond, g, mu0, warm_start)
-    if point is not None:
-        return point
+    mu0 = -cond.s_inv @ (problem.eq_rhs[:, None] + cond.m @ g_t / problem.risk_aversion)
+    if not n_w:
+        empty = np.zeros((0, m))
+        return _recover(problem, cond, g_t, mu0, empty, empty)  # V is affine in g
+    served = _serve(problem, cond, g, mu0, warm_start) or [None] * m
+    return [point if point is not None
+            else _solve_w_qp(problem, cond, g_t[:, c : c + 1], mu0[:, c : c + 1], warm_start)
+            for c, point in enumerate(served)]
+
+
+def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, g_t, mu0, warm_start):
+    """(x, mu, eta, slack) of one point through the engine's W-QP from the
+    player's usual start, or None when the point fails the full rows."""
     x0, seed = _start(problem, warm_start)
     res = solve_qp_active_set(
-        cond.hessian, cond.a_w.T @ mu0, np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
+        cond.hessian, cond.a_w.T @ mu0[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:],
         working_set=[cond.w_pos[i] for i in seed if i in cond.w_pos],
     )
-    return _recover(problem, cond, g_t, mu0, res.x, res.ineq_duals)
+    return _recover(problem, cond, g_t, mu0, res.x[:, None], res.ineq_duals[:, None])[0]
 
 
 def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_start):
-    """(x, mu, eta, rows) on the region of the warm start's strict rows, or
-    None when that region cannot serve or its point does not certify."""
+    """Per column of ``g``, (x, mu, eta, slack) on the region of the warm
+    start's strict rows, or None where its point does not certify; None
+    when that region cannot serve at all."""
     if warm_start is None:
         return None
     strict, _ = _strict_active(warm_start)
@@ -419,31 +472,44 @@ def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_st
     region = _region(problem, cond, strict)
     if region.coef is None:
         return None
-    z = region.coef @ np.concatenate(([1.0], g[: problem.n_prices]))
-    n_w = cond.a_w.shape[1]
-    if not (np.all(np.isfinite(z)) and np.all(z[n_w:] >= 0.0)):
-        return None
-    eta_w = np.zeros(cond.w_rows.size)
+    m, n_w = g.shape[1], cond.a_w.shape[1]
+    z = region.coef @ np.concatenate((np.ones((1, m)), g[: problem.n_prices]))
+    keep = np.isfinite(z).all(axis=0) & (z[n_w:] >= 0.0).all(axis=0)
+    if not keep.any():
+        return [None] * m
+    if not keep.all():
+        z = np.where(keep, z, 0.0)  # refused; keeps the products below finite
+    eta_w = np.zeros((cond.w_rows.size, m))
     eta_w[region.pos] = z[n_w:]
-    return _recover(problem, cond, g[: cond.n_t], mu0, z[:n_w], eta_w)
+    return _recover(problem, cond, g[: cond.n_t], mu0, z[:n_w], eta_w, keep)
 
 
-def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w):
-    """(x, mu, eta, rows) from W and the W-QP's duals, or None when the point
-    is not finite or violates a full-problem row beyond the start tolerances."""
-    mu = mu0 + cond.s_inv @ (cond.a_w @ w) if w.size else mu0
-    eta = np.zeros(problem.ineq_rhs.size)
+def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w, keep=True):
+    """Per column, (x, mu, eta, slack) from W and the W-QP's duals, or None
+    where ``keep`` is False, the point is not finite or it violates a
+    full-problem row beyond the start tolerances.  ``g_t``, ``mu0``, ``w``
+    and ``eta_w`` hold one column per point."""
+    mu = mu0 + cond.s_inv @ (cond.a_w @ w) if w.shape[0] else mu0
+    x = np.concatenate((-(cond.sigma_inv @ g_t + cond.m.T @ mu) / problem.risk_aversion, w))
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        x = np.where(finite, x, 0.0)  # refused; keeps the row products finite
+    gap, slack = _rows(problem, x)
+    eq_bad, ineq_bad = row_violations(cond.tols, gap, slack)
+    keep = keep & finite & ~(eq_bad | ineq_bad)
+    eta = np.zeros((problem.ineq_rhs.size, x.shape[1]))
     eta[cond.w_rows] = eta_w
-    x = np.concatenate([-(cond.sigma_inv @ g_t + cond.m.T @ mu) / problem.risk_aversion, w])
-    if not np.all(np.isfinite(x)):
-        return None
-    rows = _rows(problem, x)
-    return None if row_violation(problem.eq_rhs, problem.ineq_rhs, *rows) else (x, mu, eta, rows)
+    xs, mus, etas = x.T.copy(), mu.T.copy(), eta.T.copy()  # one contiguous row per point
+    return [(xs[c], mus[c], etas[c], slack[:, c]) if keep[c] else None for c in range(x.shape[1])]
 
 
 def _rows(problem: PlayerProblem, x):
-    """The full problem's equality gap Ax - a and slack b - Bx at x."""
-    return problem.eq_matrix @ x - problem.eq_rhs, problem.ineq_rhs - problem.ineq_matrix @ x
+    """The full problem's equality gap Ax - a and slack b - Bx at x, one
+    column per point when x has columns."""
+    a, b = problem.eq_rhs, problem.ineq_rhs
+    if x.ndim == 2:
+        a, b = a[:, None], b[:, None]
+    return problem.eq_matrix @ x - a, b - problem.ineq_matrix @ x
 
 
 def _residuals(problem, g, x, mu, eta, gap, slack) -> ResidualReport:

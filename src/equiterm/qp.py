@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
-__all__ = ["QPResult", "solve_qp_active_set", "start_violation", "row_violation",
-           "interior_margin", "MARGIN_CAP"]
+__all__ = ["QPResult", "solve_qp_active_set", "start_violation", "row_tolerances",
+           "row_violations", "interior_margin", "MARGIN_CAP"]
 
 MARGIN_CAP = 1.0  # phase-I slack variable cap keeps the LP bounded
 FEAS_TOL = 1e-8   # start-point and working-set tolerance, relative to max(1, |rhs|)
@@ -50,16 +50,24 @@ def _null_space_basis(C: np.ndarray, n: int) -> np.ndarray:
 def start_violation(A, a, B, b, x) -> str | None:
     """Name the constraint block ("equality" or "inequality") that ``x``
     violates beyond the start-point tolerances, or None if it is feasible."""
-    return row_violation(a, b, A @ x - a, b - B @ x)
+    eq_bad, ineq_bad = row_violations(row_tolerances(a, b), A @ x - a, b - B @ x)
+    return "equality" if eq_bad else "inequality" if ineq_bad else None
 
 
-def row_violation(a, b, gap, slack) -> str | None:
-    """``start_violation`` from the equality gap Ax - a and the slack b - Bx."""
-    if a.size and float(np.max(np.abs(gap))) > FEAS_TOL * max(1.0, float(np.max(np.abs(a)))):
-        return "equality"
-    if b.size and float(np.min(slack + FEAS_TOL * np.maximum(1.0, np.abs(b)))) < 0.0:
-        return "inequality"
-    return None
+def row_tolerances(a, b):
+    """The start-point tolerances of Ax = a, Bx <= b: the largest |Ax - a|
+    and, per row, the largest Bx - b allowed."""
+    return (FEAS_TOL * max(1.0, float(np.max(np.abs(a), initial=0.0))),
+            FEAS_TOL * np.maximum(1.0, np.abs(b)))
+
+
+def row_violations(tols, gap, slack):
+    """Whether the equality block and the inequality block are violated
+    beyond ``tols`` (``row_tolerances``), from the gap Ax - a and the slack
+    b - Bx; one flag per column when they hold one column per point."""
+    eq_tol, ineq_tol = tols
+    return (np.abs(gap).max(axis=0, initial=0.0) > eq_tol,
+            (slack.T + ineq_tol).min(axis=-1, initial=np.inf) < 0.0)
 
 
 def interior_margin(A, a, B, b):

@@ -111,16 +111,22 @@ def test_criterion_04_monotonicity(solved_corpus):
     for name, (sc, market, res, _) in solved_corpus.items():
         n = market.n_prices
         radius = 0.05 * max(1.0, float(np.max(np.abs(res.prices))))
-        points = []
+        market.solutions(res.prices)  # every batch warm-starts from the equilibrium
+        points, zs = [], []
         guard = 0
         while len(points) < pairs_per_scenario + 1 and guard < 20 * pairs_per_scenario:
-            guard += 1
-            x = res.prices + radius * rng.standard_normal(n)
-            if eq.detect_saturation(sc, prices=x, market=market).saturated:
-                continue
-            points.append(x)
+            # a (k, n) draw is k successive draws of the shared stream; k never
+            # exceeds the points still needed, so the next market's draws are kept
+            k = min(pairs_per_scenario + 1 - len(points), 20 * pairs_per_scenario - guard)
+            xs = res.prices + radius * rng.standard_normal((k, n))
+            z, sols = market.excess_many(xs.T)
+            for c, x in enumerate(xs):
+                guard += 1
+                if eq.detect_saturation(sc, solutions=sols[c], market=market).saturated:
+                    continue
+                points.append(x)
+                zs.append(z[:, c])
         assert len(points) == pairs_per_scenario + 1, f"{name}: too many saturated draws"
-        zs = [market.excess(x)[0] for x in points]
         for k in range(pairs_per_scenario):
             dx = points[k] - points[k + 1]
             if float(np.max(np.abs(dx))) < 1e-12:

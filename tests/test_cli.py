@@ -110,6 +110,19 @@ def test_solve_is_byte_deterministic(scenario_file, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_diagnose_is_byte_deterministic(tmp_path, capsys, fmt):
+    # three producers: the sampled pairs go through the batched excess map
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(eq.scenario_to_dict(dict(make_corpus())["three_by_three"])),
+                    encoding="utf-8")
+    outs = [tmp_path / f"{k}.{fmt}" for k in range(2)]
+    for out in outs:
+        assert main(["diagnose", "--scenario", str(path), "--seed", "7", "--format", fmt,
+                     "--output", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["solve"]) == 1          # missing --scenario
     capsys.readouterr()

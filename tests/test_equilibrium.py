@@ -1,10 +1,11 @@
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import equiterm as eq
-from equiterm import equilibrium
+from equiterm import equilibrium, players
 from equiterm.equilibrium import Market, _plant_bound_states, merit_order_prices
 from tests.corpus import build_scenario, desk_n1, make_corpus
 
@@ -330,11 +331,159 @@ def test_check_uniqueness_evaluates_each_point_once(monkeypatch):
     centre = eq.solve_equilibrium(sc).prices
     market = Market(sc)
     evaluated = []
-    solutions = market.solutions
-    market.solutions = lambda prices: evaluated.append(prices.tobytes()) or solutions(prices)
-    solves = _record_solves(monkeypatch)
+    excess_many = market.excess_many
+    market.excess_many = lambda prices: (
+        evaluated.extend(col.tobytes() for col in prices.T) or excess_many(prices))
+    solves = Counter()
+    inner = equilibrium.solve_qp_many
+
+    def recording(problem, prices, **kwargs):
+        solves.update(col.tobytes() for col in prices.T)
+        return inner(problem, prices, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_qp_many", recording)
     diag = eq.check_uniqueness(sc, prices=centre, n_samples=16, market=market)
     assert len(diag.monotonicity_samples) == 16
-    assert len(evaluated) == len(set(evaluated)) > 32
+    assert len(evaluated) == len(set(evaluated)) >= 32
     assert set(solves) == set(evaluated)
     assert set(solves.values()) == {len(market.problems)}
+
+
+
+def test_check_uniqueness_takes_one_jacobian_per_player(monkeypatch):
+    sc = dict(make_corpus())["three_by_three"]
+    market = Market(sc)
+    centre = eq.solve_equilibrium(sc, market=market).prices
+    sols = market.solutions(centre)
+    J = market.aggregate_jacobian(sols)
+    taken = []
+    inner = equilibrium.response_jacobian
+    monkeypatch.setattr(equilibrium, "response_jacobian",
+                        lambda problem, sol: taken.append(problem) or inner(problem, sol))
+    diag = eq.check_uniqueness(sc, prices=centre, n_samples=4, market=market)
+    assert sorted(map(id, taken)) == sorted(map(id, market.problems))
+    assert diag.jacobian_eigen_max == float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+
+# ---- the batched excess map ------------------------------------------------------
+
+
+def _centred_batch(name, spread, m, seed=11):
+    """A market whose memo is its equilibrium and m points around it."""
+    sc = dict(make_corpus())[name]
+    market = Market(sc)
+    centre = eq.solve_equilibrium(sc, market=market).prices
+    market.solutions(centre)
+    rng = np.random.default_rng(seed)
+    radius = spread * max(1.0, float(np.max(np.abs(centre))))
+    return market, centre[:, None] + radius * rng.standard_normal((centre.size, m))
+
+
+def _engine_runs(monkeypatch):
+    """Counts of the engine's W-QP solves and of the full-QP solves."""
+    runs = Counter()
+    for name in ("_solve_w_qp", "_solve_full"):
+        inner = getattr(players, name)
+
+        def recording(*args, _inner=inner, _name=name):
+            runs[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(players, name, recording)
+    return runs
+
+
+def _assert_column_matches_single_solve(prob, warm, prices, sol):
+    """A batched column is the single-point solve from the same warm start."""
+    single = players.solve_qp(prob, prices, warm_start=warm)
+    scale = max(1.0, float(np.max(np.abs(single.primal))))
+    np.testing.assert_allclose(sol.primal, single.primal, rtol=0, atol=1e-12 * scale)
+    assert sol.active_set == single.active_set
+    assert sol.prices.tobytes() == prices.tobytes()
+    stored = [v.hex() for v in astuple(sol.residuals)]
+    assert [v.hex() for v in astuple(eq.kkt_residual(prob, sol))] == stored
+
+
+def _assert_batch_matches_single_solves(market, prices):
+    """Each column of the batch is the single-point solve from the memo point."""
+    warm = market.solutions(market._last[1][0].prices)
+    z, sols = market.excess_many(prices)
+    assert z.shape == prices.shape and len(sols) == prices.shape[1]
+    for c in range(prices.shape[1]):
+        total = np.zeros(market.n_prices)
+        for prob, w, sol in zip(market.problems, warm, sols[c]):
+            _assert_column_matches_single_solve(prob, w, prices[:, c], sol)
+            total += sol.volumes
+        assert z[:, c].tobytes() == total.tobytes()
+
+
+def test_batch_columns_served_by_the_region(monkeypatch):
+    market, prices = _centred_batch("three_by_three", 0.01, 40)
+    runs = _engine_runs(monkeypatch)
+    market.excess_many(prices)
+    assert not runs  # no column reached an engine
+    _assert_batch_matches_single_solves(market, prices)
+
+
+def test_far_batch_columns_fall_back_to_the_engine(monkeypatch):
+    market, prices = _centred_batch("three_by_three", 0.5, 40)
+    runs = _engine_runs(monkeypatch)
+    market.excess_many(prices)
+    producers = sum(p.kind == "producer" for p in market.problems)
+    assert 0 < runs["_solve_w_qp"] < producers * prices.shape[1]
+    _assert_batch_matches_single_solves(market, prices)
+
+
+def test_batch_with_non_unique_production():
+    market, prices = _centred_batch("twin_plants", 0.05, 12)
+    assert any(not players._condensation(p).w_unique for p in market.problems
+               if p.kind == "producer")
+    _assert_batch_matches_single_solves(market, prices)
+
+
+def test_batch_with_a_binding_trading_box(monkeypatch):
+    # validation would reject a v_trade this small; the QP does not care
+    sc = build_scenario(seed=5, sizes=(2, 2), fuels={"gas": 0.5},
+                        producers=[(1.0, [("gas", 10.0, 10.0, -10.0, 2.0)])],
+                        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.4, bound_factor=0.1)
+    prob = eq.assemble_producer(sc.producers[0], sc)
+    warm = eq.solve_qp(prob, np.full(4, 50.0))
+    prices = 50.0 + np.random.default_rng(2).standard_normal((4, 6))
+    runs = _engine_runs(monkeypatch)
+    sols = eq.solve_qp_many(prob, prices, warm_start=warm)
+    assert runs["_solve_full"] == prices.shape[1]
+    for c, sol in enumerate(sols):
+        _assert_column_matches_single_solve(prob, warm, prices[:, c], sol)
+
+
+def test_batch_columns_do_not_depend_on_their_order():
+    market, prices = _centred_batch("four_deliveries", 0.1, 24)
+    z, sols = market.excess_many(prices)
+    perm = np.random.default_rng(5).permutation(prices.shape[1])
+    z_perm, sols_perm = market.excess_many(prices[:, perm])
+    scale = max(1.0, float(np.max(np.abs(z))))
+    np.testing.assert_allclose(z_perm, z[:, perm], rtol=0, atol=1e-12 * scale)
+    for c, k in enumerate(perm):
+        assert [s.active_set for s in sols_perm[c]] == [s.active_set for s in sols[k]]
+
+
+def test_batch_leaves_the_memo_in_place(monkeypatch):
+    market, prices = _centred_batch("three_by_three", 0.05, 8)
+    memo = market._last
+    market.excess_many(prices)
+    assert market._last is memo
+    solves = _record_solves(monkeypatch)
+    market.solutions(memo[1][0].prices)
+    assert not solves
+
+
+def test_empty_batch():
+    market, prices = _centred_batch("n1_single", 0.05, 0)
+    z, sols = market.excess_many(prices)
+    assert z.shape == (market.n_prices, 0) and sols == ()
+
+
+def test_non_finite_batch_column_is_named():
+    market, prices = _centred_batch("three_by_three", 0.05, 5)
+    prices[1, 3] = np.nan
+    with pytest.raises(ValueError, match="column 3"):
+        market.excess_many(prices)

@@ -326,7 +326,8 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
             cond = players._condensation(prob)
             assert cond is not None
             # the condensed point itself is accepted, so solve_qp serves it
-            assert players._solve_condensed(prob, cond, prob.merged_linear(prices), None) is not None
+            g = prob.merged_linear(prices)[:, None]
+            assert players._solve_condensed(prob, cond, g, None)[0] is not None
             _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
     # warm pass: each point from the previous point's solution, so the
     # region of that solution's strict rows serves it when it certifies
@@ -339,7 +340,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     # every market with a unique-W producer is served by a region somewhere
     unique = any(players._condensation(p).w_unique for p in market.problems
                  if p.kind == "producer")
-    assert any(out is not None for _, out in served) == unique
+    assert any(out is not None and out[0] is not None for _, out in served) == unique
 
 
 def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, monkeypatch):
@@ -353,7 +354,7 @@ def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, mo
     sol = eq.solve_qp(rich_producer, prices, warm_start=low)
     # the idle selection does not hold at high prices: its region is tried,
     # fails to certify, and the engine solves the W-QP from the warm start
-    assert [out for _, out in served] == [None]
+    assert [out for _, out in served] == [[None]]
     assert engine
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
     assert sol.active_set != low.active_set
@@ -443,7 +444,7 @@ def test_binding_trading_box_falls_back_to_full_qp():
     prices = np.full(4, 50.0)
     cond = players._condensation(prob)
     assert cond is not None
-    assert players._solve_condensed(prob, cond, prob.merged_linear(prices), None) is None
+    assert players._solve_condensed(prob, cond, prob.merged_linear(prices)[:, None], None) == [None]
     sol = eq.solve_qp(prob, prices)
     boxes = {"v_upper", "v_lower", "f_upper", "f_lower", "o_upper", "o_lower"}
     assert any(prob.ineq_labels[i][0] in boxes for i in sol.active_set)
