@@ -9,6 +9,7 @@ and seed give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import players
@@ -36,7 +37,10 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged, so every
+    call of ``main`` reads its arguments with it."""
     parser = argparse.ArgumentParser(
         prog="equiterm",
         description="Competitive-equilibrium term structure of power forward prices",

@@ -24,18 +24,23 @@ one reduced KKT system in (W, eta_R) with a constant and a per-price
 right-hand side.  A warm-started solve first evaluates the region of its
 warm start's strict rows and keeps that point when it certifies:
 eta_R >= 0, the point is finite and it passes the full problem's
-start-point check, equalities included.  Otherwise, or when the region
-cannot serve (W not unique, a singular reduced system, a strict row that
-is not a W row), the engine solves the W-QP from the warm start.  Only W
-is mapped; mu and t are recovered from it as above.  Each problem instance
-keeps one region, keyed by its strict rows, so memory stays bounded on a
-long sweep.
+start-point check, equalities included.  Otherwise the engine solves the
+W-QP from the warm start, seeded with the strict rows whose region
+multiplier stays positive at the new prices; a cold solve seeds the same
+way from the region of the W rows tied at its feasible start.  The engine
+accepts any rows active at its start, so the seed changes the path, not
+the answer.  When no region can serve (W not unique, a singular reduced
+system, a strict row that is not a W row), the seed is the warm start's
+active W rows, or none cold.  Only W is mapped; mu and t are recovered
+from it as above.  Each problem instance keeps one region, keyed by its
+rows, so memory stays bounded on a long sweep.
 
 ``solve_qp_many`` solves one player at a block of price columns, all from
 one warm start, and ``solve_qp`` is its one-column case.  The region, the
-recovery of mu and t and the certificate are one matrix product each over
-all columns; a consumer's affine map likewise.  Only a column that fails
-its certificate is solved alone, by the engine and then by the full QP.
+recovery of mu and t, the certificate and the active sets are one matrix
+operation each over all columns; a consumer's affine map likewise.  Only a
+column that fails its certificate is solved alone, by the engine and then
+by the full QP.
 
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
@@ -244,7 +249,7 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
     points = ([None] * g.shape[1] if cond is None
               else _solve_condensed(problem, cond, g, warm_start))
     return tuple(
-        _solution(problem, prices[:, c], *(point or _solve_full(problem, g[:, c], warm_start)))
+        _solution(problem, prices[c], *(point or _solve_full(problem, g[:, c], warm_start)))
         for c, point in enumerate(points)
     )
 
@@ -252,11 +257,12 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
 def _full_solve_qp(problem: PlayerProblem, expected_prices) -> PlayerSolution:
     """Cold ``solve_qp`` through the full QP only: the oracle of the condensed path."""
     prices, g = _query(problem, np.reshape(expected_prices, (-1, 1)))
-    return _solution(problem, prices[:, 0], *_solve_full(problem, g[:, 0], None))
+    return _solution(problem, prices[0], *_solve_full(problem, g[:, 0], None))
 
 
 def _query(problem: PlayerProblem, price_columns):
-    """The price columns and the linear term of each column (variables x points)."""
+    """A read-only copy of the price columns with one row per point, and the
+    linear term of each column (variables x points)."""
     prices = np.asarray(price_columns, dtype=float)
     n_p = problem.n_prices
     if prices.ndim != 2 or prices.shape[0] != n_p:
@@ -266,24 +272,33 @@ def _query(problem: PlayerProblem, price_columns):
         raise ValueError(f"expected prices must be finite (column {np.argmin(finite)})")
     g = np.repeat(problem.linear[:, None], prices.shape[1], axis=1)
     g[:n_p] = prices
-    return prices, g
+    rows = prices.T.copy()
+    rows.flags.writeable = False
+    return rows, g
 
 
-def _solution(problem: PlayerProblem, prices, x, mu, eta, slack) -> PlayerSolution:
-    """Min-norm production unless W is unique, then the active set from the
-    full problem's ``slack`` at x (None: not yet taken)."""
-    if problem.kind == "producer":
-        cond = _condensation(problem)
-        if cond is None:
-            x, slack = _min_norm_production(problem, x, *_w_block(problem)), None
-        elif not cond.w_unique:
-            x, slack = _min_norm_production(problem, x, cond.w_rows, cond.a_w, cond.b_w), None
-    if slack is None:
-        slack = _rows(problem, x)[1]
-    active = np.flatnonzero(slack <= ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs)))
-    prices_ro = prices.copy()
-    prices_ro.flags.writeable = False
-    return PlayerSolution(prices_ro, x, mu, eta, tuple(active.tolist()), problem)
+def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolution:
+    """Min-norm production unless W is unique, then the active set at x
+    (``active``, or None: not yet taken)."""
+    cond = _condensation(problem)
+    if problem.kind == "producer" and (cond is None or not cond.w_unique):
+        block = _w_block(problem) if cond is None else (cond.w_rows, cond.a_w, cond.b_w)
+        x, active = _min_norm_production(problem, x, *block), None
+    if active is None:
+        active = _active_sets(problem, cond, _rows(problem, x)[1][:, None])[0]
+    return PlayerSolution(prices, x, mu, eta, active, problem)
+
+
+def _active_sets(problem: PlayerProblem, cond, slack):
+    """The active set of each column of ``slack`` (rows x points), read from
+    one comparison with the instance's tolerances."""
+    tol = cond.act_tol if cond is not None else _active_tolerances(problem)
+    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= tol[:, None]).T]
+
+
+def _active_tolerances(problem: PlayerProblem):
+    """The largest slack of each row that still counts as active."""
+    return ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs))
 
 
 def _start(problem: PlayerProblem, warm_start):
@@ -295,7 +310,7 @@ def _start(problem: PlayerProblem, warm_start):
 
 
 def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start):
-    """(x, mu, eta, slack=None) of the full active-set QP from the player's usual start."""
+    """(x, mu, eta, active=None) of the full active-set QP from the player's usual start."""
     x0, seed = _start(problem, warm_start)
     res = solve_qp_active_set(
         problem.quadratic, g, problem.eq_matrix, problem.eq_rhs,
@@ -326,21 +341,23 @@ class _Condensed:
     w_pos: dict                    # full-problem row -> W-QP row
     w_unique: bool                 # A_w has full column rank
     tols: tuple                    # qp.row_tolerances of the full problem
+    act_tol: np.ndarray            # _active_tolerances of the full problem
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class _Region:
-    """One critical region of the W-QP: its strict rows held active.
+    """One critical region of the W-QP: its rows held active, a solution's
+    strict rows or the rows tied at a cold start.
 
-    ``coef`` maps [1, pi] to (W, eta of the strict rows), or is None when
+    ``coef`` maps [1, pi] to (W, eta of those rows), or is None when
     the region cannot serve a solve (W not unique or the reduced KKT matrix
     singular).  ``jacobian`` is dV/dpi on the region, None when the reduced
     system is inconsistent.
     """
 
-    strict: tuple[int, ...]        # full-problem rows, the selection_id
+    rows: tuple[int, ...]          # full-problem rows (a strict set is a selection_id)
     pos: np.ndarray                # their W-QP rows
     coef: np.ndarray | None
     jacobian: np.ndarray | None
@@ -388,22 +405,23 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
         # rank the min-norm QP has no free direction and returns its start
         w_unique=n_w == 0 or int(np.linalg.matrix_rank(a_w)) == n_w,
         tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
+        act_tol=_active_tolerances(problem),
     )
 
 
-def _region(problem: PlayerProblem, cond: _Condensed, strict: tuple[int, ...]) -> _Region:
-    """The region of the W rows ``strict``, from the instance's slot or built
+def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> _Region:
+    """The region of the W rows ``rows``, from the instance's slot or built
     into it, replacing the one held there.
 
     The reduced KKT system [H B_s'; B_s 0] (W, eta_s) = (-A_w' mu0(pi), b_s)
     is solved for its constant column and one column per price.
     """
     slot = cond.region
-    if slot and slot[0].strict == strict:
+    if slot and slot[0].rows == rows:
         return slot[0]
     n_p, lam = problem.n_prices, problem.risk_aversion
     n_w = cond.a_w.shape[1]
-    pos = np.array([cond.w_pos[i] for i in strict], dtype=int)
+    pos = np.array([cond.w_pos[i] for i in rows], dtype=int)
     coef, consistent, d_mu = None, True, -cond.d_mu
     if n_w:
         b_s = cond.b_w[pos]
@@ -425,16 +443,17 @@ def _region(problem: PlayerProblem, cond: _Condensed, strict: tuple[int, ...]) -
     if consistent:
         jacobian = -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
         jacobian.flags.writeable = False  # shared by every caller of the region
-    slot[:] = [_Region(strict, pos, coef, jacobian)]
+    slot[:] = [_Region(rows, pos, coef, jacobian)]
     return slot[0]
 
 
 def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, warm_start):
-    """Per column of ``g``, (x, mu, eta, slack) through the W-QP, or None
+    """Per column of ``g``, (x, mu, eta, active) through the W-QP, or None
     where the point fails the full rows.
 
     The region of the warm start serves every column it can certify; each
-    other column is solved alone by the engine from the warm start.
+    other column is solved alone by the engine from the player's usual
+    start, seeded with the rows the region predicts stay active there.
     """
     m, n_w = g.shape[1], cond.a_w.shape[1]
     g_t = g[: cond.n_t]
@@ -442,38 +461,51 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
     if not n_w:
         empty = np.zeros((0, m))
         return _recover(problem, cond, g_t, mu0, empty, empty)  # V is affine in g
-    served = _serve(problem, cond, g, mu0, warm_start) or [None] * m
+    x0, active = _start(problem, warm_start)
+    region, z = _predict(problem, cond, g, x0, warm_start)
+    served = [None] * m
+    if region is not None and warm_start is not None:
+        served = _serve(problem, cond, g, mu0, region, z)
+    fallback = [cond.w_pos[i] for i in active if i in cond.w_pos]
     return [point if point is not None
-            else _solve_w_qp(problem, cond, g_t[:, c : c + 1], mu0[:, c : c + 1], warm_start)
+            else _solve_w_qp(problem, cond, g_t[:, c : c + 1], mu0[:, c : c + 1], x0,
+                             fallback if region is None else region.pos[z[n_w:, c] > 0.0].tolist())
             for c, point in enumerate(served)]
 
 
-def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, g_t, mu0, warm_start):
-    """(x, mu, eta, slack) of one point through the engine's W-QP from the
-    player's usual start, or None when the point fails the full rows."""
-    x0, seed = _start(problem, warm_start)
+def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, g_t, mu0, x0, seed):
+    """(x, mu, eta, active) of one point through the engine's W-QP from the
+    full-problem point ``x0`` with the W-QP rows ``seed`` as its working set,
+    or None when the point fails the full rows."""
     res = solve_qp_active_set(
         cond.hessian, cond.a_w.T @ mu0[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
-        cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:],
-        working_set=[cond.w_pos[i] for i in seed if i in cond.w_pos],
+        cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
     return _recover(problem, cond, g_t, mu0, res.x[:, None], res.ineq_duals[:, None])[0]
 
 
-def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_start):
-    """Per column of ``g``, (x, mu, eta, slack) on the region of the warm
-    start's strict rows, or None where its point does not certify; None
-    when that region cannot serve at all."""
+def _predict(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, x0, warm_start):
+    """The region that predicts the W-QP at every column of ``g`` and its
+    (W, eta of its rows) there, one column per point; (None, None) when no
+    region can.  A warm start's region holds its strict rows, a cold one
+    the W rows tied at the feasible start ``x0``."""
     if warm_start is None:
-        return None
-    strict, _ = _strict_active(warm_start)
-    if not all(i in cond.w_pos for i in strict):
-        return None
-    region = _region(problem, cond, strict)
+        slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ x0[cond.n_t:]
+        rows = tuple(cond.w_rows[slack <= cond.tols[1][cond.w_rows]].tolist())
+    else:
+        rows, _ = _strict_active(warm_start)
+        if not all(i in cond.w_pos for i in rows):
+            return None, None
+    region = _region(problem, cond, rows)
     if region.coef is None:
-        return None
+        return None, None
+    return region, region.coef @ np.concatenate((np.ones((1, g.shape[1])), g[: problem.n_prices]))
+
+
+def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, region: _Region, z):
+    """Per column of ``g``, (x, mu, eta, active) at the point ``z`` of the
+    warm start's region, or None where it does not certify."""
     m, n_w = g.shape[1], cond.a_w.shape[1]
-    z = region.coef @ np.concatenate((np.ones((1, m)), g[: problem.n_prices]))
     keep = np.isfinite(z).all(axis=0) & (z[n_w:] >= 0.0).all(axis=0)
     if not keep.any():
         return [None] * m
@@ -485,7 +517,7 @@ def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, warm_st
 
 
 def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w, keep=True):
-    """Per column, (x, mu, eta, slack) from W and the W-QP's duals, or None
+    """Per column, (x, mu, eta, active) from W and the W-QP's duals, or None
     where ``keep`` is False, the point is not finite or it violates a
     full-problem row beyond the start tolerances.  ``g_t``, ``mu0``, ``w``
     and ``eta_w`` hold one column per point."""
@@ -500,7 +532,8 @@ def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w, keep=
     eta = np.zeros((problem.ineq_rhs.size, x.shape[1]))
     eta[cond.w_rows] = eta_w
     xs, mus, etas = x.T.copy(), mu.T.copy(), eta.T.copy()  # one contiguous row per point
-    return [(xs[c], mus[c], etas[c], slack[:, c]) if keep[c] else None for c in range(x.shape[1])]
+    active = _active_sets(problem, cond, slack)
+    return [(xs[c], mus[c], etas[c], active[c]) if keep[c] else None for c in range(x.shape[1])]
 
 
 def _rows(problem: PlayerProblem, x):

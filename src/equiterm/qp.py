@@ -6,10 +6,13 @@ with G symmetric positive semidefinite.  Each iteration solves the
 equality-constrained subproblem on the current working set through an
 eigendecomposition of the reduced Hessian, which separates positive-
 curvature directions from flat ones (the production block of a producer
-carries no risk term).  A flat direction with negative slope is followed
-to the nearest blocking constraint; the trading boxes keep every such ray
-finite.  Exact working sets are the point of the method: downstream
-sensitivity analysis differentiates the solution map piece by piece.
+carries no risk term).  Each working set is factored once: one SVD of its
+rows gives the null-space basis Z and the minimum-norm multipliers, and
+that SVD and the eigendecomposition of Z'GZ are kept until a row enters or
+leaves.  A flat direction with negative slope is followed to the nearest
+blocking constraint; the trading boxes keep every such ray finite.  Exact
+working sets are the point of the method: downstream sensitivity analysis
+differentiates the solution map piece by piece.
 The phase-I LP of validation (``interior_margin``) is the case G = 0.
 """
 
@@ -38,13 +41,16 @@ class QPResult:
     iterations: int
 
 
-def _null_space_basis(C: np.ndarray, n: int) -> np.ndarray:
+def _factor(C: np.ndarray, n: int):
+    """The null-space basis Z of the working-set rows C (rows x n) and the
+    minimum-norm solution y of C'y = r as a function of r, from one SVD
+    C = U diag(s) V' cut at the rank ``lstsq(rcond=None)`` uses."""
     if C.shape[0] == 0:
-        return np.eye(n)
+        return np.eye(n), lambda r: np.zeros(0)
     u, s, vt = np.linalg.svd(C, full_matrices=True)
-    tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
+    rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    u_r, s_r, vt_r = u[:, :rank], s[:rank], vt[:rank]
+    return vt[rank:].T, lambda r: u_r @ ((vt_r @ r) / s_r)
 
 
 def start_violation(A, a, B, b, x) -> str | None:
@@ -145,9 +151,16 @@ def solve_qp_active_set(
     lin_tol = 1e-9 * grad_scale
     curved = bool(np.any(G))
 
+    factored = None  # the working set that Z, multipliers, w and U belong to
     for it in range(max_iter):
-        C = np.vstack([A, B[work]]) if (m_eq or work) else np.zeros((0, n))
-        Z = _null_space_basis(C, n)
+        if work != factored:
+            Z, multipliers = _factor(np.vstack([A, B[work]]), n)
+            if curved and Z.shape[1]:
+                H = Z.T @ G @ Z
+                w, U = np.linalg.eigh(0.5 * (H + H.T))
+            else:  # an LP: eigh of the zero reduced Hessian is (0, I) exactly
+                w, U = np.zeros(Z.shape[1]), np.eye(Z.shape[1])
+            factored = work.copy()
         grad = G @ x + g
         # the reduced gradient cannot be resolved below roundoff at the data
         # scale, so stationarity is relative to the gradient magnitude
@@ -157,11 +170,6 @@ def solve_qp_active_set(
         target = 1.0
         stationary = True
         if Z.shape[1]:
-            if curved:
-                H = Z.T @ G @ Z
-                w, U = np.linalg.eigh(0.5 * (H + H.T))
-            else:  # an LP: eigh of the zero reduced Hessian is (0, I) exactly
-                w, U = np.zeros(Z.shape[1]), np.eye(Z.shape[1])
             cut = max(float(w[-1]), 1.0) * 1e-12
             pos = w > cut
             c_rot = U.T @ (Z.T @ grad)
@@ -183,13 +191,8 @@ def solve_qp_active_set(
 
         if stationary:
             # stationary on the working set: check multipliers
-            if m_eq or work:
-                y, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-                mu = y[:m_eq]
-                eta_w = y[m_eq:]
-            else:
-                mu = np.zeros(0)
-                eta_w = np.zeros(0)
+            y = multipliers(-grad)
+            mu, eta_w = y[:m_eq], y[m_eq:]
             if eta_w.size == 0 or float(eta_w.min()) >= -DUAL_TOL * grad_scale:
                 eta = np.zeros(m_in)
                 if work:

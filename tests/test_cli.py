@@ -8,7 +8,7 @@ import pytest
 
 import equiterm as eq
 from equiterm import qp
-from equiterm.cli import main
+from equiterm.cli import _build_parser, main
 from tests.corpus import demand_exceeds_capacity, desk_n1, make_corpus, two_stage_scenario
 
 
@@ -130,6 +130,25 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
     # the solver has one step rule: the former --method option is gone
     assert main(["solve", "--scenario", "x", "--method", "hybrid"]) == 1
+
+
+def test_repeated_calls_in_one_process_give_the_same_reports(scenario_file, tmp_path, capsys):
+    # main builds its parser once per process: later calls, other subcommands
+    # and usage errors in between must not change what a call reports
+    calls = {
+        "solve": ["solve", "--scenario", str(scenario_file)],
+        "validate": ["validate", "--scenario", str(scenario_file), "--format", "text"],
+        "usage": ["solve", "--scenario", str(scenario_file), "--tol"],
+    }
+    first = {}
+    for _ in range(3):
+        for name, argv in calls.items():
+            code, out, err = run(argv, capsys)
+            first.setdefault(name, (code, out, err))
+            assert (code, out, err) == first[name], name
+    assert [first[name][0] for name in calls] == [0, 0, 1]
+    assert first["solve"][1] and first["validate"][1] and "--tol" in first["usage"][2]
+    assert _build_parser() is _build_parser()
 
 
 def test_missing_file_exits_2(capsys):

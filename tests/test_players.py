@@ -2,6 +2,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import equiterm as eq
 from equiterm import players
@@ -493,6 +495,26 @@ def test_pinned_totals_are_served_by_the_full_qp(monkeypatch, name):
     assert built == [None] * len(producers)
 
 
+def test_batched_active_sets_match_the_column_loop(rich_producer):
+    prob = rich_producer
+    sols = eq.solve_qp_many(prob, np.linspace(2.0, 60.0, 7)[None, :].repeat(3, axis=0))
+    slack = prob.ineq_rhs[:, None] - prob.ineq_matrix @ np.array([s.primal for s in sols]).T
+    tol = ACT_TOL * np.maximum(1.0, np.abs(prob.ineq_rhs))
+
+    def loop():
+        return [tuple(np.flatnonzero(slack[:, c] <= tol).tolist()) for c in range(slack.shape[1])]
+
+    assert [s.active_set for s in sols] == loop()
+    assert len({s.active_set for s in sols}) > 1
+    slack[:, 0] = tol  # on the tolerance counts as active
+    slack[:, 1] = np.nextafter(tol, np.inf)
+    cond = players._condensation(prob)
+    for tols in (cond, None):  # the instance's vector, or taken afresh
+        assert players._active_sets(prob, tols, slack) == loop()
+        assert players._active_sets(prob, tols, slack[:, :0]) == []
+    assert loop()[0] == tuple(range(prob.ineq_rhs.size)) and loop()[1] == ()
+
+
 def test_players_share_one_covariance_inverse(rich_scenario):
     market = eq.Market(rich_scenario)
     producers = [p for p in market.problems if p.kind == "producer"]
@@ -503,3 +525,111 @@ def test_players_share_one_covariance_inverse(rich_scenario):
     for p in market.problems:
         eq.solve_qp(p, np.full(3, 12.0))
         assert players._condensation(p).sigma_inv is p.cov_inverse
+
+
+# ---- the seeded W-QP -------------------------------------------------------
+
+def _rerun_from_fallback_seed(mp, problems, start):
+    """Make every W-QP of ``problems`` run a second time from the seed used
+    where no region can serve, the W rows of the warm start's active set
+    (none from a cold start), and check both give the same W.
+
+    ``start[0]`` is the warm start of the solve under way.  Returns a list
+    that records, per W-QP, whether the two seeds differed.
+    """
+    hessians = {id(players._condensation(p).hessian): p for p in problems
+                if players._condensation(p) is not None}
+    engine = players.solve_qp_active_set
+    differs = []
+
+    def both_seeds(G, g, A, a, B, b, x0, working_set=()):
+        res = engine(G, g, A, a, B, b, x0, working_set=working_set)
+        prob = hessians.get(id(G))
+        if prob is not None:
+            cond = players._condensation(prob)
+            warm = start[0]
+            fallback = [] if warm is None else [cond.w_pos[i] for i in warm.active_set
+                                                 if i in cond.w_pos]
+            ref = engine(G, g, A, a, B, b, x0, working_set=fallback)
+            scale = max(1.0, float(np.max(np.abs(ref.x))))
+            np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-9 * scale)
+            differs.append(sorted(working_set) != fallback)
+        return res
+
+    mp.setattr(players, "solve_qp_active_set", both_seeds)
+    return differs
+
+
+def _solve_cold_and_warm(problems, warms, points, start):
+    for prices in points:
+        for prob, warm in zip(problems, warms):
+            for start[0] in (None, warm):
+                sol = eq.solve_qp(prob, prices, warm_start=start[0])
+                _assert_agrees_with_full_qp(prob, prices, sol)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_MARKETS))
+def test_seeded_w_qp_agrees_with_the_fallback_seed_and_the_full_qp(name, monkeypatch):
+    market = eq.Market(AGREEMENT_MARKETS[name])
+    centre = eq.solve_equilibrium(market.scenario, market=market).prices
+    warms = [eq.solve_qp(p, centre) for p in market.problems]
+    start = [None]
+    differs = _rerun_from_fallback_seed(monkeypatch, market.problems, start)
+    rng = np.random.default_rng(41)
+    spread = max(1.0, float(np.max(np.abs(centre))))
+    for radius in (0.05, 0.5):
+        points = centre + radius * spread * rng.standard_normal((3, centre.size))
+        _solve_cold_and_warm(market.problems, warms, points, start)
+    assert differs  # the engine ran
+
+
+def test_ladder_dispatch_work(monkeypatch):
+    # seeded from their regions, the engine's runs on the three benchmark
+    # ladders take 111 iterations; from the fallback seed alone (the warm
+    # start's active W rows, none cold) they take 425
+    iterations = []
+    engine = players.solve_qp_active_set
+
+    def counting(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(players, "solve_qp_active_set", counting)
+    for n in (12, 24, 48):
+        assert eq.solve_equilibrium(ladder(n)).converged
+    assert sum(iterations) <= 200
+
+
+@st.composite
+def small_markets(draw):
+    """A small market and two price points around its merit-order prices."""
+    sizes = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    plant = st.tuples(st.sampled_from(["coal", "gas"]), st.floats(2.0, 10.0),
+                      st.floats(0.5, 10.0), st.floats(1.0, 2.5))
+    producers = draw(st.lists(st.tuples(st.floats(0.5, 2.0), st.lists(plant, min_size=1, max_size=2)),
+                              min_size=1, max_size=2))
+    n_cons = draw(st.integers(1, 2))
+    sc = build_scenario(
+        seed=draw(st.integers(0, 99)), sizes=sizes, fuels={"coal": 0.9, "gas": 0.5},
+        producers=[(lam, [(f, cap, ramp, -ramp, eff) for f, cap, ramp, eff in plants])
+                   for lam, plants in producers],
+        consumers=[(draw(st.floats(0.5, 2.0)), 1.0 / n_cons, 0.0) for _ in range(n_cons)],
+        demand_frac=draw(st.floats(0.2, 0.7)))
+    centre = eq.merit_order_prices(sc)
+    shifts = st.lists(st.floats(-0.5, 0.5), min_size=centre.size, max_size=centre.size)
+    return sc, [centre * (1.0 + np.array(draw(shifts))) for _ in range(2)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_markets())
+def test_seeded_w_qp_agrees_on_generated_markets(market):
+    sc, (first, second) = market
+    problems = [eq.assemble_producer(p, sc) for p in sc.producers]
+    start = [None]
+    with pytest.MonkeyPatch.context() as mp:
+        differs = _rerun_from_fallback_seed(mp, problems, start)
+        warms = [eq.solve_qp(p, first) for p in problems]
+        _solve_cold_and_warm(problems, warms, [second], start)
+    assert differs
