@@ -13,7 +13,7 @@ from equiterm import players, qp
 from tests.corpus import ladder
 
 
-def _rows(seed, m, n, repeat=None):
+def _random_rows(seed, m, n, repeat=None):
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((m, n))
     if repeat is not None:
@@ -26,7 +26,7 @@ def _rows(seed, m, n, repeat=None):
 def test_multipliers_from_the_factor_match_lstsq(m, n, repeat):
     # a repeated row (an equality row stated twice) makes C rank-deficient:
     # both must return the same minimum-norm split of its multiplier
-    C, r = _rows(10 * m + n, m, n, repeat)
+    C, r = _random_rows(10 * m + n, m, n, repeat)
     Z, multipliers = qp._factor(C, n)
     y = multipliers(r)
     ref = np.linalg.lstsq(C.T, r, rcond=None)[0]
