@@ -491,6 +491,7 @@ def _predict(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, x0, warm_s
     the W rows tied at the feasible start ``x0``."""
     if warm_start is None:
         slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ x0[cond.n_t:]
+        # tied by the engine's own test, so it keeps every seeded row
         rows = tuple(cond.w_rows[slack <= cond.tols[1][cond.w_rows]].tolist())
     else:
         rows, _ = _strict_active(warm_start)
