@@ -13,7 +13,8 @@ leaves.  A flat direction with negative slope is followed to the nearest
 blocking constraint; the trading boxes keep every such ray finite.  Exact
 working sets are the point of the method: downstream sensitivity analysis
 differentiates the solution map piece by piece.
-The phase-I LP of validation (``interior_margin``) is the case G = 0.
+The phase-I LP of validation (``interior_margin``) is the case G = 0, run
+only when its start does not already certify the margin cap.
 """
 
 from __future__ import annotations
@@ -76,29 +77,32 @@ def row_violations(tols, gap, slack):
             (slack.T + ineq_tol).min(axis=-1, initial=np.inf) < 0.0)
 
 
-def interior_margin(A, a, B, b):
+def interior_margin(A, a, B, b, v0=None):
     """Phase-I LP, max t s.t. Av = a, Bv + t <= b, t <= ``MARGIN_CAP``, as the
     QP in (v, t) with G = 0 (formulation in validate.py).
 
-    Starts at v0 = lstsq(A, a) and t one below min(b - Bv0, cap), feasible
-    whenever Av = a is consistent.  Returns (margin, v, status); margin and
-    v are None unless status is "ok": "infeasible" for inconsistent
+    Starts at ``v0`` (default lstsq(A, a); validation passes each producer's
+    dispatch start, ``validate._dispatch_start``) and t one below
+    min(b - Bv0, cap), feasible whenever Av = a is consistent and v0
+    satisfies it.  When the start (v0, cap) itself passes the engine's start
+    check, every row keeps a slack of at least the cap, so (v0, cap) is
+    optimal and the engine is not run.  Returns (margin, v, status); margin
+    and v are None unless status is "ok": "infeasible" for inconsistent
     equalities, else a failure naming its cause.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m_eq, m_in = B.shape[1], A.shape[0], B.shape[0]
-    v0 = np.linalg.lstsq(A, a, rcond=None)[0] if m_eq else np.zeros(n)
-    t0 = min(float(np.min(b - B @ v0, initial=MARGIN_CAP)), MARGIN_CAP) - 1.0
+    if v0 is None:
+        v0 = np.linalg.lstsq(A, a, rcond=None)[0] if m_eq else np.zeros(n)
     e_t = np.eye(1, n + 1, n)
+    lp = (np.hstack([A, np.zeros((m_eq, 1))]), a,
+          np.vstack([np.hstack([B, np.ones((m_in, 1))]), e_t]), np.append(b, MARGIN_CAP))
+    if start_violation(*lp, np.append(v0, MARGIN_CAP)) is None:
+        return MARGIN_CAP, v0, "ok"
+    t0 = min(float(np.min(b - B @ v0, initial=MARGIN_CAP)), MARGIN_CAP) - 1.0
     try:
-        res = solve_qp_active_set(
-            np.zeros((n + 1, n + 1)), -e_t[0],
-            np.hstack([A, np.zeros((m_eq, 1))]), a,
-            np.vstack([np.hstack([B, np.ones((m_in, 1))]), e_t]),
-            np.append(b, MARGIN_CAP),
-            np.append(v0, t0),
-        )
+        res = solve_qp_active_set(np.zeros((n + 1, n + 1)), -e_t[0], *lp, np.append(v0, t0))
     except InfeasibleError:
         return None, None, "infeasible"
     except NumericalError as exc:

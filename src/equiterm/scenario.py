@@ -239,9 +239,12 @@ class Scenario:
     fuels: FuelTable
     exogenous: ExogenousModel
     bounds: Bounds
-    _cov_cache: list = field(default_factory=list, repr=False, compare=False)
+    # resolved on first use; a dataclasses.replace copy starts empty instead
+    # of sharing the original's (possibly stale) covariance
+    _cov_cache: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_cov_cache", [])
         object.__setattr__(self, "producers", self._named(self.producers, "producer"))
         object.__setattr__(self, "consumers", self._named(self.consumers, "consumer"))
         if not self.consumers:

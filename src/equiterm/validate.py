@@ -8,12 +8,20 @@ of the covariance, and heuristic adequacy of the trading and price boxes
 (the boxes must be loose enough never to bind at an equilibrium).
 Failures are reported, never raised.
 
-The phase-I LP, max t s.t. Av = a, Bv + t <= b, t <= MARGIN_CAP, runs on the
-player QPs' active-set engine (``qp.interior_margin``) as the QP in (v, t)
-with G = 0, linear term -e_t, equality rows [A 0] and inequality rows [B 1]
-plus the cap row.  With the cap row in the final working set the LP value
-is the cap, reported as exactly MARGIN_CAP; otherwise the margin is the
-engine's t.  Inconsistent equalities fail a check as "infeasible", an
+The phase-I LP, max t s.t. Av = a, Bv + t <= b, t <= MARGIN_CAP, is solved by
+``qp.interior_margin``.  A start v0 with Av0 = a and a slack of at least the
+cap on every row makes (v0, MARGIN_CAP) optimal, so the margin is certified
+as exactly MARGIN_CAP without running anything.  Consumers and the joint LP
+start at the min-norm solution of their equalities.  A producer's equalities
+have a zero right-hand side, so theirs is v = 0, where every ``cap_lower``
+row ties; a producer starts instead from its dispatch (``_dispatch_start``):
+every plant at half its capacity, so W is constant and each ramp row keeps
+its full ramp, and the min-norm traded block that balances it.  A start
+short of the cap runs the LP on the player QPs' active-set engine as the QP
+in (v, t) with G = 0, linear term -e_t, equality rows [A 0] and inequality
+rows [B 1] plus the cap row.  With the cap row in the final working set the
+LP value is the cap, reported as exactly MARGIN_CAP; otherwise the margin is
+the engine's t.  Inconsistent equalities fail a check as "infeasible", an
 engine failure (iteration limit, unbounded ray) with its cause.
 """
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from .assembly import assemble_all
 from .errors import CovarianceError, EquitermError
-from .qp import interior_margin
+from .qp import interior_margin, start_violation
 from .scenario import Scenario
 
 __all__ = ["CheckResult", "ValidationReport", "validate_scenario", "FEAS_MARGIN"]
@@ -88,6 +96,21 @@ def _joint_blocks(scenario, problems):
     return A, a, B, b
 
 
+def _dispatch_start(problem, producer, fuels):
+    """A box-interior start for a producer's phase-I LP, or None when it
+    violates a row: every plant at half its capacity in every delivery (so
+    each ramp row keeps its full ramp) and the min-norm traded block of
+    A_t t = a - A_w W."""
+    grouped = producer.plants_by_fuel(fuels)
+    caps = [0.5 * pl.capacity for fuel in fuels for pl in grouped[fuel]]
+    n_t = problem.index_map.n_traded
+    A, a, B, b = problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs
+    w = np.tile(caps, problem.index_map.grid.n_deliveries)
+    t = np.linalg.lstsq(A[:, :n_t], a - A[:, n_t:] @ w, rcond=None)[0]
+    v = np.concatenate([t, w])
+    return None if start_violation(A, a, B, b, v) else v
+
+
 def _margin_check(name, label, margin, status, feas_margin, empty) -> CheckResult:
     """The check of one phase-I LP; ``empty`` explains an infeasible one."""
     if margin is None:
@@ -123,8 +146,11 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
 
     if blocks is not None:
         problems = assemble_all(scenario)
-        for p in problems:
-            margin, _, status = interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs)
+        for k, p in enumerate(problems):
+            start = (_dispatch_start(p, scenario.producers[k], scenario.fuel_names)
+                     if p.kind == "producer" else None)
+            margin, _, status = interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix,
+                                                p.ineq_rhs, start)
             checks.append(_margin_check(
                 f"strict_interior:{p.name}", "strict-interior margin", margin, status,
                 feas_margin, "the player's feasible set has no interior point",
@@ -167,17 +193,16 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
         {"floor": v_floor},
     ))
     f_need = 0.0
+    for fuel in scenario.fuel_names:
+        f_need = max(f_need, sum(
+            pl.efficiency * pl.capacity
+            for p in scenario.producers for pl in p.plants if pl.fuel == fuel
+        ))
+    burn = sum(scenario.fuels.intensity(pl.fuel) * pl.capacity
+               for p in scenario.producers for pl in p.plants)
     o_need = 0.0
-    for j in range(scenario.grid.n_deliveries):
-        for fuel in scenario.fuel_names:
-            f_need = max(f_need, sum(
-                pl.efficiency * pl.capacity
-                for p in scenario.producers for pl in p.plants if pl.fuel == fuel
-            ))
-        o_need += sum(
-            scenario.fuels.intensity(pl.fuel) * pl.capacity
-            for p in scenario.producers for pl in p.plants
-        )
+    for _ in range(scenario.grid.n_deliveries):
+        o_need += burn  # added per delivery, not multiplied, so the floor keeps its bits
     f_floor = 2.0 * max(f_need, o_need)
     checks.append(CheckResult(
         "bound_adequacy:f_trade",

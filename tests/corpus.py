@@ -1,5 +1,7 @@
 """Deterministic scenario builders shared by the unit and acceptance tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 import equiterm as eq
@@ -142,6 +144,21 @@ def zero_trade_bound():
     sc = desk_n1()
     return eq.Scenario(sc.grid, sc.producers, sc.consumers, sc.fuels, sc.exogenous,
                        eq.Bounds(0.0, 500.0, 1000.0))
+
+
+def in_small_units(sc, unit=1e-3):
+    """``sc`` with every quantity (capacities, ramps, demand, trading boxes)
+    counted in thousandfold units.  No row then has a slack of MARGIN_CAP at
+    any phase-I start, so validation runs every LP on the engine."""
+    producers = tuple(
+        replace(p, plants=tuple(replace(pl, capacity=unit * pl.capacity, ramp_up=unit * pl.ramp_up,
+                                        ramp_down=unit * pl.ramp_down) for pl in p.plants))
+        for p in sc.producers
+    )
+    demand = tuple(unit * d for d in sc.exogenous.demand)
+    return replace(sc, producers=producers, exogenous=replace(sc.exogenous, demand=demand),
+                   bounds=replace(sc.bounds, v_trade=unit * sc.bounds.v_trade,
+                                  f_trade=unit * sc.bounds.f_trade))
 
 
 def two_stage_scenario(seed=0, lam_p=(1.3,), lam_c=(0.7,), demand=4.0, caps=(10.0,),

@@ -9,7 +9,8 @@ import pytest
 import equiterm as eq
 from equiterm import qp
 from equiterm.cli import _build_parser, main
-from tests.corpus import demand_exceeds_capacity, desk_n1, make_corpus, two_stage_scenario
+from tests.corpus import (demand_exceeds_capacity, desk_n1, in_small_units, make_corpus,
+                          two_stage_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -287,12 +288,15 @@ def test_import_does_not_load_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", code, str(path)], check=True)
 
 
-def test_phase_one_engine_failure_exits_2_without_traceback(scenario_file, capsys, monkeypatch):
+def test_phase_one_engine_failure_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise eq.NumericalError("active-set iteration limit 7 exceeded")
 
+    # in small units no phase-I start reaches the cap, so every LP runs the engine
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(eq.scenario_to_dict(in_small_units(desk_n1()))), encoding="utf-8")
     monkeypatch.setattr(qp, "solve_qp_active_set", broken)
-    code, out, err = run(["validate", "--scenario", str(scenario_file)], capsys)
+    code, out, err = run(["validate", "--scenario", str(path)], capsys)
     assert code == 2
     assert "Traceback" not in err
     doc = json.loads(out)

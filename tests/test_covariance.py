@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import equiterm as eq
 from equiterm.covariance import estimate_covariance
 from equiterm.errors import CovarianceError
 from equiterm.process import PathEnsemble, raw_covariance
+from tests.corpus import make_corpus
 
 
 GRID = eq.TradingGrid((1.0,), ((1.0,),))
@@ -99,3 +102,14 @@ def test_ridge_applied_to_tiny_eigenvalues():
     blocks = estimate_covariance(ens)
     assert blocks.ridge > 0.0
     assert blocks.min_eigenvalue() >= 1e-10 * 0.99
+
+
+def test_replaced_scenario_resolves_its_own_covariance():
+    sc = dict(make_corpus())["two_fuels"]
+    first = sc.covariance_blocks()  # fills the original's cache
+    c = sc.exogenous.covariance
+    scaled = eq.CovarianceBlocks(4.0 * c.q1, 4.0 * c.q2, 4.0 * c.q3)
+    moved = replace(sc, exogenous=replace(sc.exogenous, covariance=scaled))
+    assert moved.covariance_blocks() is scaled
+    np.testing.assert_array_equal(moved.covariance_blocks().q1, 4.0 * first.q1)
+    assert sc.covariance_blocks() is first

@@ -4,6 +4,8 @@ The engine's LP (``qp.interior_margin``) must give the same status as
 scipy's HiGHS on every LP that validation and the players build, and on
 generated LPs with repeated rows, integer data and inconsistent equalities:
 the same margin within 1e-9 * max(1, |margin|), at a point that attains it.
+That covers both of its paths: a start that already reaches the cap is
+certified without the engine, any other start runs the LP.
 scipy is needed only here; the library never imports it.
 """
 
@@ -18,13 +20,16 @@ import equiterm as eq
 from equiterm import players, qp, validate
 from equiterm.errors import InfeasibleError, NumericalError
 from equiterm.grid import delivery_totals_matrix
-from tests.corpus import demand_exceeds_capacity, make_corpus, zero_trade_bound
+from tests.corpus import (demand_exceeds_capacity, in_small_units, ladder, make_corpus,
+                          zero_trade_bound)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 CORPUS = dict(make_corpus())
+SMALL_UNITS = in_small_units(CORPUS["two_fuels"])
 MARKETS = {**CORPUS, "demand_exceeds_capacity": demand_exceeds_capacity(),
            "zero_trade_bound": zero_trade_bound()}
+LADDER = {f"ladder_{n}": ladder(n) for n in (12, 24, 48)}
 
 
 def highs_margin(A, a, B, b):
@@ -45,9 +50,9 @@ def highs_margin(A, a, B, b):
     return (float(res.x[-1]), "ok") if res.status == 0 else (None, "infeasible")
 
 
-def assert_agrees_with_highs(A, a, B, b):
+def assert_agrees_with_highs(A, a, B, b, v0=None):
     A, a, B, b = (np.asarray(x, dtype=float) for x in (A, a, B, b))
-    margin, v, status = qp.interior_margin(A, a, B, b)
+    margin, v, status = qp.interior_margin(A, a, B, b, v0)
     ref, ref_status = highs_margin(A, a, B, b)
     assert status == ref_status
     if ref is None:
@@ -64,13 +69,13 @@ def assert_agrees_with_highs(A, a, B, b):
 
 
 def validation_lps(scenario):
-    """(name, A, a, B, b) of every LP ``validate_scenario`` solves, in order."""
+    """(name, A, a, B, b, start) of every LP ``validate_scenario`` solves, in order."""
     names = [f"strict_interior:{p.name}" for p in eq.assemble_all(scenario)] + ["joint_clearing"]
     seen = []
 
-    def recording(A, a, B, b):
-        seen.append((A, a, B, b))
-        return qp.interior_margin(A, a, B, b)
+    def recording(A, a, B, b, v0=None):
+        seen.append((A, a, B, b, v0))
+        return qp.interior_margin(A, a, B, b, v0)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(validate, "interior_margin", recording)
@@ -83,8 +88,8 @@ def validation_lps(scenario):
 def test_validation_lps_agree_with_highs(name):
     report, lps = validation_lps(MARKETS[name])
     checks = {c.name: c for c in report.checks}
-    for check_name, A, a, B, b in lps:
-        margin = assert_agrees_with_highs(A, a, B, b)
+    for check_name, A, a, B, b, v0 in lps:
+        margin = assert_agrees_with_highs(A, a, B, b, v0)
         check = checks[check_name]
         assert check.data.get("margin") == margin
         if check.passed:
@@ -147,21 +152,66 @@ def test_inconsistent_equalities_are_infeasible():
     assert (margin, v, status) == (None, None, "infeasible")
 
 
+def engine_calls(monkeypatch):
+    """A list that grows by one on every ``qp.solve_qp_active_set`` call."""
+    calls = []
+    solve = qp.solve_qp_active_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "solve_qp_active_set", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + list(LADDER))
+def test_validation_certifies_every_margin_without_the_engine(monkeypatch, name):
+    calls = engine_calls(monkeypatch)
+    report = validate.validate_scenario({**CORPUS, **LADDER}[name])
+    assert report.passed
+    assert not calls
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + list(LADDER))
+def test_dispatch_start_is_feasible(name):
+    sc = {**CORPUS, **LADDER}[name]
+    for producer in sc.producers:
+        prob = eq.assemble_producer(producer, sc)
+        v = validate._dispatch_start(prob, producer, sc.fuel_names)
+        assert v is not None
+        lp = (prob.eq_matrix, prob.eq_rhs, prob.ineq_matrix, prob.ineq_rhs)
+        assert qp.start_violation(*lp, v) is None
+
+
+def test_start_short_of_the_cap_runs_the_lp(monkeypatch):
+    # in thousandfold units no start keeps a slack of MARGIN_CAP on every row
+    calls = engine_calls(monkeypatch)
+    report, lps = validation_lps(SMALL_UNITS)
+    assert len(calls) == len(lps)
+    checks = {c.name: c for c in report.checks}
+    for check_name, A, a, B, b, v0 in lps:
+        margin = assert_agrees_with_highs(A, a, B, b, v0)
+        assert 0.0 < margin < qp.MARGIN_CAP
+        assert checks[check_name].passed and checks[check_name].data["margin"] == margin
+
+
 @pytest.mark.parametrize("failure", ["active-set iteration limit 7 exceeded",
                                      "descent ray is unbounded; feasible set not compact"])
 def test_engine_failure_fails_the_checks_without_raising(monkeypatch, failure):
     def broken(*args, **kwargs):
         raise NumericalError(failure)
 
+    # every LP of the market in small units reaches the engine
     monkeypatch.setattr(qp, "solve_qp_active_set", broken)
-    report = validate.validate_scenario(CORPUS["two_fuels"])
+    report = validate.validate_scenario(SMALL_UNITS)
     assert not report.passed
     lp_checks = [c for c in report.checks
                  if c.name.startswith("strict_interior:") or c.name == "joint_clearing"]
     assert lp_checks and all(not c.passed for c in lp_checks)
     assert all(failure in c.message for c in lp_checks)
     # the producer start uses the same LP and names the same cause
-    prob = next(p for p in eq.assemble_all(CORPUS["two_fuels"]) if p.kind == "producer")
+    prob = next(p for p in eq.assemble_all(SMALL_UNITS) if p.kind == "producer")
     restricted = replace(prob, eq_rhs=np.full(prob.eq_rhs.size, 1.0))
     with pytest.raises(InfeasibleError, match=failure):
         players._feasible_start(restricted)
