@@ -159,22 +159,19 @@ def assemble_producer(producer: Producer, scenario: Scenario) -> PlayerProblem:
                 add([(w, 1.0)], plant.capacity, ("cap_upper", j, fuel, r))
                 add([(w, -1.0)], 0.0, ("cap_lower", j, fuel, r))
     vt, ft = scenario.bounds.v_trade, scenario.bounds.f_trade
-    for j in range(nj):
-        for i in range(grid.sizes[j]):
-            k = im.v_index(j, i)
-            add([(k, 1.0)], vt, ("v_upper", j, i))
-            add([(k, -1.0)], vt, ("v_lower", j, i))
-    for j in range(nj):
-        for i in range(grid.sizes[j]):
-            for fuel in fuels:
-                k = im.f_index(j, i, fuel)
-                add([(k, 1.0)], ft, ("f_upper", j, i, fuel))
-                add([(k, -1.0)], ft, ("f_lower", j, i, fuel))
-    for j in range(nj):
-        for i in range(grid.sizes[j]):
-            k = im.o_index(j, i)
-            add([(k, 1.0)], ft, ("o_upper", j, i))
-            add([(k, -1.0)], ft, ("o_lower", j, i))
+    for j, i in grid.node_labels():
+        k = im.v_index(j, i)
+        add([(k, 1.0)], vt, ("v_upper", j, i))
+        add([(k, -1.0)], vt, ("v_lower", j, i))
+    for j, i in grid.node_labels():
+        for fuel in fuels:
+            k = im.f_index(j, i, fuel)
+            add([(k, 1.0)], ft, ("f_upper", j, i, fuel))
+            add([(k, -1.0)], ft, ("f_lower", j, i, fuel))
+    for j, i in grid.node_labels():
+        k = im.o_index(j, i)
+        add([(k, 1.0)], ft, ("o_upper", j, i))
+        add([(k, -1.0)], ft, ("o_lower", j, i))
 
     blocks = scenario.covariance_blocks()
     quadratic = np.zeros((n, n))
@@ -216,19 +213,18 @@ def assemble_consumer(consumer: Consumer, scenario: Scenario) -> PlayerProblem:
 
     vt = scenario.bounds.v_trade
     rows, rhs, labels = [], [], []
-    for j in range(grid.n_deliveries):
-        for i in range(grid.sizes[j]):
-            k = im.v_index(j, i)
-            up = np.zeros(n)
-            up[k] = 1.0
-            rows.append(up)
-            rhs.append(vt)
-            labels.append(("v_upper", j, i))
-            lo = np.zeros(n)
-            lo[k] = -1.0
-            rows.append(lo)
-            rhs.append(vt)
-            labels.append(("v_lower", j, i))
+    for j, i in grid.node_labels():
+        k = im.v_index(j, i)
+        up = np.zeros(n)
+        up[k] = 1.0
+        rows.append(up)
+        rhs.append(vt)
+        labels.append(("v_upper", j, i))
+        lo = np.zeros(n)
+        lo[k] = -1.0
+        rows.append(lo)
+        rhs.append(vt)
+        labels.append(("v_lower", j, i))
 
     blocks = scenario.covariance_blocks()
     quadratic = consumer.risk_aversion * blocks.q1

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .oracles import GridSpec, brute_force_equilibrium, mean_max_equilibrium, two_stage_check
 from .process import doob_decompose
+from .qp import FEAS_TOL
 from .report import file_sha256, render_json, render_text
 from .scenario import load_scenario
 from .validate import FEAS_MARGIN, validate_scenario
@@ -91,7 +92,7 @@ def _config_echo(args) -> dict:
         "format": args.format,
         "internal_tolerances": {
             "player_dual_tol": players.DUAL_TOL,
-            "player_active_tol": players.ACT_TOL,
+            "player_active_tol": FEAS_TOL,
             "feas_margin": FEAS_MARGIN,
         },
     }
@@ -112,20 +113,15 @@ def _envelope(args) -> dict:
 
 
 def _price_table(scenario, prices) -> list:
-    rows = []
-    raw = prices / scenario.grid.node_discounts()
-    pos = 0
-    for j, m in enumerate(scenario.grid.sizes):
-        for i in range(m):
-            rows.append({
-                "delivery": j,
-                "delivery_time": scenario.grid.deliveries[j],
-                "trading_time": scenario.grid.trading_times[j][i],
-                "price": float(raw[pos + i]),
-                "price_discounted": float(prices[pos + i]),
-            })
-        pos += m
-    return rows
+    grid = scenario.grid
+    raw = prices / grid.node_discounts()
+    return [{
+        "delivery": j,
+        "delivery_time": grid.deliveries[j],
+        "trading_time": grid.trading_times[j][i],
+        "price": float(raw[k]),
+        "price_discounted": float(prices[k]),
+    } for k, (j, i) in enumerate(grid.node_labels())]
 
 
 def _solution_rows(result) -> list:

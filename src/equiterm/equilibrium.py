@@ -187,8 +187,7 @@ def merit_order_prices(scenario: Scenario) -> np.ndarray:
     grid = scenario.grid
     caps = [plant.capacity for producer in scenario.producers for plant in producer.plants]
     out = np.zeros(grid.n_contracts)
-    pos = 0
-    for j, (m, costs) in enumerate(zip(grid.sizes, scenario.marginal_costs())):
+    for j, (block, costs) in enumerate(zip(grid.slices, scenario.marginal_costs())):
         level = 0.0
         cum = 0.0
         for mc, cap in sorted(zip(costs.tolist(), caps)):
@@ -196,8 +195,7 @@ def merit_order_prices(scenario: Scenario) -> np.ndarray:
             cum += cap
             if cum >= scenario.exogenous.demand[j]:
                 break
-        out[pos : pos + m] = grid.discount(j) * level
-        pos += m
+        out[block] = grid.discount(j) * level
     return out
 
 

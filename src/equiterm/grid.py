@@ -2,11 +2,14 @@
 
 Every vector in the library (prices, volumes, covariance rows) is laid out in
 one canonical order: delivery-major, then trading time, then fuel, then plant.
-The IndexMap is the single source of truth for that layout.
+Two owners hold that layout: ``TradingGrid.slices`` gives each delivery's
+contiguous block of contracts, and the IndexMap places the V, F, O and W
+blocks of a player's variables around it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +35,7 @@ class TradingGrid:
     # derived once: every index computation reads them
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     n_contracts: int = field(init=False, repr=False, compare=False)
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "deliveries", tuple(float(t) for t in self.deliveries))
@@ -53,9 +57,13 @@ class TradingGrid:
                 raise GridError(f"last trading time {ts[-1]} must equal delivery time {T}")
         if not math.isfinite(self.interest_rate):
             raise GridError("interest rate must be finite")
-        # number of trading times per delivery, and their total
-        object.__setattr__(self, "sizes", tuple(len(ts) for ts in self.trading_times))
-        object.__setattr__(self, "n_contracts", sum(self.sizes))
+        # number of trading times per delivery, their total, and the
+        # contiguous block of contracts of each delivery
+        sizes = tuple(len(ts) for ts in self.trading_times)
+        starts = tuple(itertools.accumulate(sizes, initial=0))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "n_contracts", starts[-1])
+        object.__setattr__(self, "slices", tuple(map(slice, starts, starts[1:])))
 
     @property
     def n_deliveries(self) -> int:
@@ -68,10 +76,8 @@ class TradingGrid:
     def node_discounts(self) -> np.ndarray:
         """Flat (N,) vector of per-contract discount factors."""
         out = np.empty(self.n_contracts)
-        pos = 0
-        for j, m in enumerate(self.sizes):
-            out[pos : pos + m] = self.discount(j)
-            pos += m
+        for j, block in enumerate(self.slices):
+            out[block] = self.discount(j)
         return out
 
     def node_labels(self) -> tuple[tuple[int, int], ...]:
@@ -92,18 +98,12 @@ class IndexMap:
     grid: TradingGrid
     fuels: tuple[str, ...]
     plant_counts: tuple[int, ...]
-    _node_base: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.plant_counts) != len(self.fuels):
             raise GridError("plant_counts must align with fuels")
         if tuple(sorted(self.fuels)) != tuple(self.fuels):
             raise GridError("fuels must be given in sorted order")
-        base, pos = [], 0
-        for m in self.grid.sizes:
-            base.append(pos)
-            pos += m
-        object.__setattr__(self, "_node_base", tuple(base))
 
     # ---- block sizes ------------------------------------------------
     @property
@@ -147,7 +147,7 @@ class IndexMap:
     def node(self, j: int, i: int) -> int:
         if not 0 <= i < self.grid.sizes[j]:
             raise GridError(f"trading index {i} out of range for delivery {j}")
-        return self._node_base[j] + i
+        return self.grid.slices[j].start + i
 
     def v_index(self, j: int, i: int) -> int:
         return self.node(j, i)
@@ -228,8 +228,6 @@ def canonical_index(grid: TradingGrid, fuels=(), plant_counts=None) -> IndexMap:
 def delivery_totals_matrix(grid: TradingGrid) -> np.ndarray:
     """(|J|, N) block-diagonal matrix of ones summing trades per delivery."""
     out = np.zeros((grid.n_deliveries, grid.n_contracts))
-    pos = 0
-    for j, m in enumerate(grid.sizes):
-        out[j, pos : pos + m] = 1.0
-        pos += m
+    for j, block in enumerate(grid.slices):
+        out[j, block] = 1.0
     return out

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import PlayerProblem, assemble_producer
+from .assembly import PlayerProblem
 from .equilibrium import EquilibriumResult, Market
 from .errors import EquitermError, ScenarioError
+from .grid import delivery_totals_matrix
 from .players import PlayerSolution, solve_qp
 from .scenario import Scenario
 
@@ -105,20 +106,14 @@ def two_stage_check(scenario: Scenario, result: EquilibriumResult) -> TwoStageCh
     grid = scenario.grid
     if grid.n_deliveries != 1 or grid.sizes != (2,):
         raise ScenarioError("two-stage check needs one delivery with two trading times")
-    blocks = scenario.covariance_blocks()
-    n_fuels = len(scenario.fuel_names)
-    nl = 2 * n_fuels  # width of the fuel block for N = 2
-
+    # covariance of the discounted t2 power price with the discounted cost
+    row = scenario.covariance_blocks().q2[1]
     cost_covs = []
-    for k, producer in enumerate(scenario.producers):
-        sol = result.player_solutions[k]
-        im = assemble_producer(producer, scenario).index_map
-        primal = sol.primal
-        f_block = primal[im.n_v : im.n_v + im.n_f]
-        o_block = primal[im.n_v + im.n_f : im.n_traded]
-        # covariance of the discounted t2 power price with the discounted cost
-        row = blocks.q2[1]
-        cost_covs.append(float(row[:nl] @ f_block + row[nl:] @ o_block))
+    for sol in result.player_solutions[: len(scenario.producers)]:
+        im = sol.problem.index_map
+        f_block = sol.primal[im.n_v : im.n_v + im.n_f]
+        o_block = sol.primal[im.n_v + im.n_f : im.n_traded]
+        cost_covs.append(float(row[: im.n_f] @ f_block + row[im.n_f :] @ o_block))
 
     lambdas = tuple(p.risk_aversion for p in scenario.producers) + tuple(
         c.risk_aversion for c in scenario.consumers
@@ -147,10 +142,7 @@ def producer_solution_with_fixed_totals(problem: PlayerProblem, expected_prices,
     if totals.shape != (grid.n_deliveries,):
         raise ScenarioError("one volume total per delivery required")
     extra = np.zeros((grid.n_deliveries, problem.n_vars))
-    pos = 0
-    for j, m in enumerate(grid.sizes):
-        extra[j, pos : pos + m] = 1.0
-        pos += m
+    extra[:, : grid.n_contracts] = delivery_totals_matrix(grid)
     restricted = replace(
         problem,
         eq_matrix=np.vstack([problem.eq_matrix, extra]),
@@ -245,7 +237,6 @@ def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
 
     out = []
     prices = np.zeros(grid.n_contracts)
-    pos = 0
     pi_max = scenario.bounds.pi_max
     for j in range(grid.n_deliveries):
         e_bar = scenario.exogenous.emission_forwards[j][0]
@@ -307,15 +298,9 @@ def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
             notes.append(f"delivery {j}: bisection crossing {crossing} differs "
                          f"from the stack price {detail.price}")
         out.append(detail)
-        prices[pos : pos + grid.sizes[j]] = grid.discount(j) * detail.price
-        pos += grid.sizes[j]
+        prices[grid.slices[j]] = grid.discount(j) * detail.price
 
-    spread = 0.0
-    pos = 0
-    for j, m in enumerate(grid.sizes):
-        block = prices[pos : pos + m]
-        spread = max(spread, float(block.max() - block.min()))
-        pos += m
+    spread = max(float(prices[b].max() - prices[b].min()) for b in grid.slices)
     return MeanMaxResult(prices, tuple(out), spread, True, "ok", tuple(notes))
 
 
@@ -323,18 +308,16 @@ def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
 # brute-force grid oracle
 
 
+POINTS_PER_LEVEL = 33  # points per price axis on each level of the 3-contract scan
+
+
 @dataclass(frozen=True)
 class GridSpec:
     step: float = 1e-4
-    points_per_level: int = 33
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.points_per_level < 5:
-            raise ValueError("need at least 5 points per level")
 
 
 @dataclass(frozen=True)
@@ -344,11 +327,6 @@ class BruteForceResult:
     step: float
     evaluations: int
     levels: int
-
-
-class _Counter:
-    def __init__(self):
-        self.n = 0
 
 
 def _bisect_root(f, lo, hi, tol):
@@ -387,17 +365,11 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
     if n > 3:
         raise EquitermError(f"brute force limited to 3 contracts, got {n}")
     lo, hi = market.price_box()
-    if spec.lo is not None:
-        lo = np.asarray(spec.lo, dtype=float)
-    if spec.hi is not None:
-        hi = np.asarray(spec.hi, dtype=float)
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-
-    count = _Counter()
+    count = 0
 
     def z_at(p):
-        count.n += 1
+        nonlocal count
+        count += 1
         z, _ = market.excess(np.asarray(p, dtype=float))
         return z
 
@@ -405,7 +377,7 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
         root = _bisect_root(lambda p: float(z_at([p])[0]), lo[0], hi[0], 0.5 * spec.step)
         price = np.array([root])
         resid = float(np.max(np.abs(z_at(price))))
-        return BruteForceResult(price, resid, spec.step, count.n, 1)
+        return BruteForceResult(price, resid, spec.step, count, 1)
 
     if n == 2:
         inner_tol = 0.01 * spec.step
@@ -420,11 +392,11 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
         p1 = _bisect_root(reduced, lo[0], hi[0], 0.5 * spec.step)
         price = np.array([p1, second_root(p1)])
         resid = float(np.max(np.abs(z_at(price))))
-        return BruteForceResult(price, resid, spec.step, count.n, 2)
+        return BruteForceResult(price, resid, spec.step, count, 2)
 
     # n == 3: multi-resolution scan of the full box
     box_lo, box_hi = lo.copy(), hi.copy()
-    pts = spec.points_per_level
+    pts = POINTS_PER_LEVEL
     best_price = 0.5 * (lo + hi)
     best_resid = np.inf
     levels = 0
@@ -443,4 +415,4 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
         half = np.maximum(1.5 * spacing, 0.5 * spec.step * (pts - 1))
         lo = np.maximum(box_lo, best_price - half)
         hi = np.minimum(box_hi, best_price + half)
-    return BruteForceResult(best_price, best_resid, spec.step, count.n, levels)
+    return BruteForceResult(best_price, best_resid, spec.step, count, levels)

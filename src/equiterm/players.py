@@ -102,7 +102,6 @@ __all__ = [
 ]
 
 DUAL_TOL = 1e-8
-ACT_TOL = 1e-8
 FD_STEP = 1e-6  # price step of finite_difference_volumes
 # smallest Cholesky pivot of S, relative to the largest, that still counts
 # as full rank; an exactly repeated equality row leaves a pivot near 1e-8
@@ -292,13 +291,8 @@ def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolut
 def _active_sets(problem: PlayerProblem, cond, slack):
     """The active set of each column of ``slack`` (rows x points), read from
     one comparison with the instance's tolerances."""
-    tol = cond.act_tol if cond is not None else _active_tolerances(problem)
-    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= tol[:, None]).T]
-
-
-def _active_tolerances(problem: PlayerProblem):
-    """The largest slack of each row that still counts as active."""
-    return ACT_TOL * np.maximum(1.0, np.abs(problem.ineq_rhs))
+    tols = cond.tols if cond is not None else row_tolerances(problem.eq_rhs, problem.ineq_rhs)
+    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= tols[1][:, None]).T]
 
 
 def _start(problem: PlayerProblem, warm_start):
@@ -341,7 +335,6 @@ class _Condensed:
     w_pos: dict                    # full-problem row -> W-QP row
     w_unique: bool                 # A_w has full column rank
     tols: tuple                    # qp.row_tolerances of the full problem
-    act_tol: np.ndarray            # _active_tolerances of the full problem
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
 
@@ -405,7 +398,6 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
         # rank the min-norm QP has no free direction and returns its start
         w_unique=n_w == 0 or int(np.linalg.matrix_rank(a_w)) == n_w,
         tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
-        act_tol=_active_tolerances(problem),
     )
 
 

@@ -125,9 +125,20 @@ class PathEnsemble:
             means[~ok] = plain[~ok] / cnt[~ok]
         return means[labels]
 
-    def node_positions(self, j: int) -> list[int]:
-        base = sum(self.grid.sizes[:j])
-        return list(range(base, base + self.grid.sizes[j]))
+    def steps(self):
+        """(delivery j, step k, previous node, node, information classes at
+        t_{k-1}) for every step t_{k-1} -> t_k of every delivery, in
+        canonical order; nodes are flat contract positions."""
+        for j, block in enumerate(self.grid.slices):
+            times = self.grid.trading_times[j]
+            for k in range(1, len(times)):
+                node = block.start + k
+                yield j, k, node - 1, node, self.information_classes(times[k - 1])
+
+
+def _class_spread(col: np.ndarray, labels: np.ndarray) -> float:
+    """Largest spread of ``col`` among the paths of one information class."""
+    return max(float(np.ptp(col[labels == grp])) for grp in range(int(labels.max()) + 1))
 
 
 @dataclass(frozen=True)
@@ -153,29 +164,15 @@ class DoobParts:
     def martingale_residual(self, ensemble: PathEnsemble) -> float:
         """Worst deviation of E[M(t_k) | info at t_{k-1}] from M(t_{k-1})."""
         worst = 0.0
-        for j in range(self.grid.n_deliveries):
-            idx = ensemble.node_positions(j)
-            times = self.grid.trading_times[j]
-            for k in range(1, len(idx)):
-                labels = ensemble.information_classes(times[k - 1])
-                cond = ensemble.conditional_expectation(self.martingale[:, idx[k]], labels)
-                worst = max(worst, float(np.max(np.abs(cond - self.martingale[:, idx[k - 1]]))))
+        for _, _, prev, node, labels in ensemble.steps():
+            cond = ensemble.conditional_expectation(self.martingale[:, node], labels)
+            worst = max(worst, float(np.max(np.abs(cond - self.martingale[:, prev]))))
         return worst
 
     def predictability_residual(self, ensemble: PathEnsemble) -> float:
         """Worst spread of the drift across paths sharing the prior node."""
-        worst = 0.0
-        for j in range(self.grid.n_deliveries):
-            idx = ensemble.node_positions(j)
-            times = self.grid.trading_times[j]
-            for k in range(1, len(idx)):
-                labels = ensemble.information_classes(times[k - 1])
-                col = self.predictable[:, idx[k]]
-                for grp in range(int(labels.max()) + 1):
-                    vals = col[labels == grp]
-                    if vals.size:
-                        worst = max(worst, float(vals.max() - vals.min()))
-        return worst
+        return max((_class_spread(self.predictable[:, node], labels)
+                    for _, _, _, node, labels in ensemble.steps()), default=0.0)
 
 
 def doob_decompose(ensemble: PathEnsemble, normalize: bool = False) -> DoobParts:
@@ -186,23 +183,19 @@ def doob_decompose(ensemble: PathEnsemble, normalize: bool = False) -> DoobParts
     martingale accumulates the surprise pi(t_k) - E[pi(t_k) | t_{k-1}].
     With ``normalize`` the first-node level moves from M to A.
     """
-    n, n_nodes = ensemble.n_paths, ensemble.grid.n_contracts
-    M = np.zeros((n, n_nodes))
-    A = np.zeros((n, n_nodes))
-    for j in range(ensemble.grid.n_deliveries):
-        idx = ensemble.node_positions(j)
-        times = ensemble.grid.trading_times[j]
-        M[:, idx[0]] = ensemble.pi[:, idx[0]]
-        for k in range(1, len(idx)):
-            labels = ensemble.information_classes(times[k - 1])
-            cond = ensemble.conditional_expectation(ensemble.pi[:, idx[k]], labels)
-            A[:, idx[k]] = A[:, idx[k - 1]] + (cond - ensemble.pi[:, idx[k - 1]])
-            M[:, idx[k]] = M[:, idx[k - 1]] + (ensemble.pi[:, idx[k]] - cond)
-        if normalize:
-            root = ensemble.pi[:, idx[0]].copy()
-            for pos in idx:
-                M[:, pos] -= root
-                A[:, pos] += root
+    grid, pi = ensemble.grid, ensemble.pi
+    M = np.zeros((ensemble.n_paths, grid.n_contracts))
+    A = np.zeros_like(M)
+    firsts = [block.start for block in grid.slices]
+    M[:, firsts] = pi[:, firsts]
+    for _, _, prev, node, labels in ensemble.steps():
+        cond = ensemble.conditional_expectation(pi[:, node], labels)
+        A[:, node] = A[:, prev] + (cond - pi[:, prev])
+        M[:, node] = M[:, prev] + (pi[:, node] - cond)
+    if normalize:
+        root = np.repeat(pi[:, firsts], grid.sizes, axis=1)
+        M -= root
+        A += root
     return DoobParts(ensemble.grid, _freeze(M), _freeze(A), normalized=normalize)
 
 
@@ -219,24 +212,18 @@ def _drift_as_paths(ensemble: PathEnsemble, drift) -> np.ndarray:
 
 
 def _check_drift_admissible(ensemble: PathEnsemble, drift: np.ndarray, normalize: bool):
-    for j in range(ensemble.grid.n_deliveries):
-        idx = ensemble.node_positions(j)
-        times = ensemble.grid.trading_times[j]
-        if not normalize and np.any(drift[:, idx[0]] != 0.0):
+    firsts = [block.start for block in ensemble.grid.slices]
+    if not normalize and np.any(drift[:, firsts] != 0.0):
+        raise EnsembleError(
+            "drift at the first trading time must be zero (use normalize=True "
+            "to re-anchor the level instead)"
+        )
+    for j, k, _, node, labels in ensemble.steps():
+        if _class_spread(drift[:, node], labels) > 0.0:
             raise EnsembleError(
-                "drift at the first trading time must be zero (use normalize=True "
-                "to re-anchor the level instead)"
+                f"drift is not predictable: differs across siblings at "
+                f"delivery {j}, trading step {k}"
             )
-        for k in range(1, len(idx)):
-            labels = ensemble.information_classes(times[k - 1])
-            col = drift[:, idx[k]]
-            for grp in range(int(labels.max()) + 1):
-                vals = col[labels == grp]
-                if vals.size and vals.max() != vals.min():
-                    raise EnsembleError(
-                        f"drift is not predictable: differs across siblings at "
-                        f"delivery {j}, trading step {k}"
-                    )
 
 
 def shift_measure(ensemble: PathEnsemble, drift, normalize: bool = False) -> PathEnsemble:
@@ -274,13 +261,10 @@ def drift_matching_prices(ensemble: PathEnsemble, discounted_prices: np.ndarray,
     raw = prices / ensemble.grid.node_discounts()
     if normalize:
         return raw
-    drift = raw.copy()
-    for j in range(ensemble.grid.n_deliveries):
-        idx = ensemble.node_positions(j)
-        level = float(ensemble.weights @ ensemble.pi[:, idx[0]])
-        drift[idx[0]] = 0.0
-        for pos in idx[1:]:
-            drift[pos] = raw[pos] - level
+    drift = np.empty_like(raw)
+    for block in ensemble.grid.slices:
+        drift[block] = raw[block] - float(ensemble.weights @ ensemble.pi[:, block.start])
+        drift[block.start] = 0.0
     return drift
 
 
@@ -330,27 +314,23 @@ def ensemble_from_records(grid: TradingGrid, fuels, records) -> PathEnsemble:
     """
     fuels = tuple(sorted(fuels))
     n_nodes = grid.n_contracts
-    n_fuels = len(fuels)
     weights, pis, gs, gems = [], [], [], []
     for rec in records:
         weights.append(float(rec["weight"]))
         pi_flat = np.empty(n_nodes)
         gem_flat = np.empty(n_nodes)
-        g_flat = np.empty(n_nodes * n_fuels)
-        pos = 0
-        for j, m in enumerate(grid.sizes):
+        g_flat = np.empty((n_nodes, len(fuels)))
+        for j, (block, m) in enumerate(zip(grid.slices, grid.sizes)):
             pi_j = rec["pi"][j]
             gem_j = rec["g_em"][j]
             if len(pi_j) != m or len(gem_j) != m:
                 raise EnsembleError(f"path record has wrong width at delivery {j}")
-            for i in range(m):
-                pi_flat[pos + i] = pi_j[i]
-                gem_flat[pos + i] = gem_j[i]
-                for l, fuel in enumerate(fuels):
-                    g_flat[(pos + i) * n_fuels + l] = rec["g"][fuel][j][i]
-            pos += m
+            pi_flat[block] = pi_j
+            gem_flat[block] = gem_j
+            for l, fuel in enumerate(fuels):
+                g_flat[block, l] = rec["g"][fuel][j][:m]
         pis.append(pi_flat)
-        gs.append(g_flat)
+        gs.append(g_flat.reshape(-1))
         gems.append(gem_flat)
     return PathEnsemble(grid, fuels, np.array(weights), np.array(pis), np.array(gs),
                         np.array(gems))

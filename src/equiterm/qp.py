@@ -138,8 +138,7 @@ def solve_qp_active_set(
     n, m_eq, m_in = G.shape[0], A.shape[0], B.shape[0]
     x = np.array(x0, dtype=float)
 
-    row_scale = np.maximum(1.0, np.abs(b))
-    act_tol = FEAS_TOL * row_scale
+    act_tol = row_tolerances(a, b)[1]
 
     violated = start_violation(A, a, B, b, x)
     if violated:

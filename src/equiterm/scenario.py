@@ -210,22 +210,16 @@ class ExogenousModel:
 
     def flat_fuel_forwards(self, grid: TradingGrid, fuels) -> np.ndarray:
         """Canonical (N*|L|,) vector of undiscounted fuel quotes."""
-        n_fuels = len(fuels)
-        out = np.empty(grid.n_contracts * n_fuels)
-        pos = 0
-        for j, m in enumerate(grid.sizes):
-            for i in range(m):
-                for l, fuel in enumerate(fuels):
-                    out[(pos + i) * n_fuels + l] = self.forwards_for(fuel)[j][i]
-            pos += m
-        return out
+        out = np.empty((grid.n_contracts, len(fuels)))
+        for l, fuel in enumerate(fuels):
+            for block, row in zip(grid.slices, self.forwards_for(fuel)):
+                out[block, l] = row
+        return out.reshape(-1)
 
     def flat_emission_forwards(self, grid: TradingGrid) -> np.ndarray:
         out = np.empty(grid.n_contracts)
-        pos = 0
-        for j, m in enumerate(grid.sizes):
-            out[pos : pos + m] = self.emission_forwards[j]
-            pos += m
+        for block, row in zip(grid.slices, self.emission_forwards):
+            out[block] = row
         return out
 
 
@@ -415,23 +409,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         }
     else:
         ens = exo.ensemble
+        blocks = scenario.grid.slices
         paths = []
-        n_fuels = len(ens.fuels)
         for p in range(ens.n_paths):
-            pos = 0
-            pi_rows, gem_rows = [], []
-            g_rows: dict[str, list] = {f: [] for f in ens.fuels}
-            for j, m in enumerate(scenario.grid.sizes):
-                pi_rows.append(list(ens.pi[p, pos : pos + m]))
-                gem_rows.append(list(ens.gem[p, pos : pos + m]))
-                for l, f in enumerate(ens.fuels):
-                    g_rows[f].append(
-                        [ens.g[p, (pos + i) * n_fuels + l] for i in range(m)]
-                    )
-                pos += m
-            paths.append(
-                {"weight": float(ens.weights[p]), "pi": pi_rows, "g": g_rows, "g_em": gem_rows}
-            )
+            g = ens.g[p].reshape(scenario.grid.n_contracts, len(ens.fuels))
+            paths.append({
+                "weight": float(ens.weights[p]),
+                "pi": [list(ens.pi[p, b]) for b in blocks],
+                "g": {f: [list(g[b, l]) for b in blocks] for l, f in enumerate(ens.fuels)},
+                "g_em": [list(ens.gem[p, b]) for b in blocks],
+            })
         exo_doc["ensemble"] = {"paths": paths}
     return {
         "schema": SCHEMA,

@@ -111,16 +111,16 @@ def _dispatch_start(problem, producer, fuels):
     return None if start_violation(A, a, B, b, v) else v
 
 
-def _margin_check(name, label, margin, status, feas_margin, empty) -> CheckResult:
+def _margin_check(name, label, margin, status, empty) -> CheckResult:
     """The check of one phase-I LP; ``empty`` explains an infeasible one."""
     if margin is None:
         cause = empty if status == "infeasible" else "strict feasibility is not certified"
         return CheckResult(name, False, f"phase-I LP reports {status}: {cause}")
-    return CheckResult(name, margin >= feas_margin,
-                       f"{label} {margin:.3e} (need >= {feas_margin:.0e})", {"margin": margin})
+    return CheckResult(name, margin >= FEAS_MARGIN,
+                       f"{label} {margin:.3e} (need >= {FEAS_MARGIN:.0e})", {"margin": margin})
 
 
-def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> ValidationReport:
+def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Run all preconditions; returns a structured report, never raises."""
     checks: list[CheckResult] = []
 
@@ -153,12 +153,12 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
                                                 p.ineq_rhs, start)
             checks.append(_margin_check(
                 f"strict_interior:{p.name}", "strict-interior margin", margin, status,
-                feas_margin, "the player's feasible set has no interior point",
+                "the player's feasible set has no interior point",
             ))
         # phase-I over all players at once with the clearing rows coupled in
         margin, _, status = interior_margin(*_joint_blocks(scenario, problems))
         checks.append(_margin_check(
-            "joint_clearing", "joint clearing margin", margin, status, feas_margin,
+            "joint_clearing", "joint clearing margin", margin, status,
             "no strictly interior point clears the market (feasibility assumption fails)",
         ))
 
@@ -236,4 +236,4 @@ def validate_scenario(scenario: Scenario, feas_margin: float = FEAS_MARGIN) -> V
                 "to zero each delivery",
             ))
 
-    return ValidationReport(tuple(checks), feas_margin)
+    return ValidationReport(tuple(checks), FEAS_MARGIN)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,8 +272,11 @@ def test_extreme_risk_aversion_ends_with_a_report(tmp_path, capsys, side, lam):
 def test_import_does_not_load_scipy(tmp_path):
     # the phase-I LP runs on the package's own active-set engine; scipy would
     # add its load time to every CLI call
+    # the child imports the equiterm under test, installed or not
+    path_dirs = [str(Path(eq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
     code = "import equiterm, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
     # nor do the subcommands that certify, solve and diagnose load it
     path = tmp_path / "two_fuels.json"
     path.write_text(json.dumps(eq.scenario_to_dict(dict(make_corpus())["two_fuels"])),
@@ -285,7 +290,7 @@ def test_import_does_not_load_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
     )
-    subprocess.run([sys.executable, "-c", code, str(path)], check=True)
+    subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env)
 
 
 def test_phase_one_engine_failure_exits_2_without_traceback(tmp_path, capsys, monkeypatch):

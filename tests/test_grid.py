@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import equiterm as eq
 from equiterm.errors import GridError
+from tests.corpus import build_scenario
 
 
 def test_single_delivery_two_times_layout():
@@ -69,3 +72,65 @@ def test_delivery_totals_matrix():
     grid = eq.TradingGrid((1.0, 2.0), ((0.5, 1.0), (2.0,)))
     a1 = eq.delivery_totals_matrix(grid)
     np.testing.assert_array_equal(a1, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _uneven_market():
+    """Sizes (2, 1, 3), r != 0, coal and gas."""
+    return build_scenario(
+        seed=7, sizes=(2, 1, 3), fuels={"coal": 0.9, "gas": 0.5}, r=0.05,
+        producers=[(1.0, [("coal", 9.0, 9.0, -9.0, 1.0), ("gas", 6.0, 6.0, -6.0, 2.0)])],
+        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.4)
+
+
+def test_slices_own_the_contract_layout():
+    sc = _uneven_market()
+    grid = sc.grid
+    im = eq.canonical_index(grid, sc.fuel_names)
+    assert grid.sizes == (2, 1, 3) and grid.interest_rate != 0.0
+    assert [list(range(grid.n_contracts))[b] for b in grid.slices] == [[0, 1], [2], [3, 4, 5]]
+    labels = grid.node_labels()
+    totals = eq.delivery_totals_matrix(grid)
+    disc = grid.node_discounts()
+    for j, block in enumerate(grid.slices):
+        nodes = list(range(grid.n_contracts))[block]
+        assert nodes == [im.v_index(j, i) for i in range(grid.sizes[j])]
+        assert [labels[k] for k in nodes] == [(j, i) for i in range(grid.sizes[j])]
+        np.testing.assert_array_equal(np.flatnonzero(totals[j]), nodes)
+        assert np.all(disc[block] == grid.discount(j))
+    assert totals.sum() == grid.n_contracts
+
+    exo = sc.exogenous
+    by_index = np.empty(im.n_f)
+    for j, i in labels:
+        for fuel in sc.fuel_names:
+            by_index[im.f_index(j, i, fuel) - im.n_v] = exo.forwards_for(fuel)[j][i]
+    np.testing.assert_array_equal(exo.flat_fuel_forwards(grid, sc.fuel_names), by_index)
+
+
+def test_two_fuel_ensemble_roundtrips_through_the_document():
+    sc = _uneven_market()
+    grid = sc.grid
+    im = eq.canonical_index(grid, sc.fuel_names)
+    rng = np.random.default_rng(5)
+
+    def nested():
+        return [rng.standard_normal(m).tolist() for m in grid.sizes]
+
+    records = [{"weight": 0.25, "pi": nested(), "g": {"coal": nested(), "gas": nested()},
+                "g_em": nested()} for _ in range(4)]
+    doc = eq.scenario_to_dict(sc)
+    doc["exogenous"].pop("covariance")
+    doc["exogenous"]["ensemble"] = {"paths": records}
+    loaded = eq.scenario_from_dict(json.loads(json.dumps(doc)))
+    ens = loaded.exogenous.ensemble
+    for p, rec in enumerate(records):
+        for j, i in grid.node_labels():
+            assert ens.pi[p, im.v_index(j, i)] == rec["pi"][j][i]
+            assert ens.gem[p, im.v_index(j, i)] == rec["g_em"][j][i]
+            for fuel in sc.fuel_names:
+                assert ens.g[p, im.f_index(j, i, fuel) - im.n_v] == rec["g"][fuel][j][i]
+
+    again = eq.scenario_from_dict(json.loads(json.dumps(eq.scenario_to_dict(loaded))))
+    back = again.exogenous.ensemble
+    for name in ("pi", "g", "gem"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ens, name))

@@ -10,7 +10,7 @@ from equiterm import players
 from equiterm.errors import InfeasibleError
 from equiterm.grid import delivery_totals_matrix
 from equiterm.oracles import producer_solution_with_fixed_totals
-from equiterm.players import ACT_TOL
+from equiterm.qp import FEAS_TOL
 from tests.corpus import build_scenario, desk_identity, ladder, make_corpus
 
 
@@ -127,7 +127,7 @@ def test_duals_respect_sign_and_complementarity(rich_producer):
     assert sol.ineq_duals.min() >= -1e-12
     slack = rich_producer.ineq_matrix @ sol.primal - rich_producer.ineq_rhs
     assert np.max(np.abs(sol.ineq_duals * slack)) <= 1e-8
-    assert slack.max() <= ACT_TOL
+    assert slack.max() <= FEAS_TOL
 
 
 # ---- optimality properties --------------------------------------------------
@@ -499,7 +499,7 @@ def test_batched_active_sets_match_the_column_loop(rich_producer):
     prob = rich_producer
     sols = eq.solve_qp_many(prob, np.linspace(2.0, 60.0, 7)[None, :].repeat(3, axis=0))
     slack = prob.ineq_rhs[:, None] - prob.ineq_matrix @ np.array([s.primal for s in sols]).T
-    tol = ACT_TOL * np.maximum(1.0, np.abs(prob.ineq_rhs))
+    tol = FEAS_TOL * np.maximum(1.0, np.abs(prob.ineq_rhs))
 
     def loop():
         return [tuple(np.flatnonzero(slack[:, c] <= tol).tolist()) for c in range(slack.shape[1])]
