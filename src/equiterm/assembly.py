@@ -49,16 +49,17 @@ class PlayerProblem:
     ineq_labels: tuple[tuple, ...]
     risk_aversion: float
     cov_inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # built from this instance's own matrices on first use (players.py), so a
-    # dataclasses.replace copy starts empty instead of inheriting a stale one
-    _condensed: list = field(init=False, repr=False, compare=False)
+    # the condensation and the cold start, built from this instance's own
+    # matrices on first use (players.py), so a dataclasses.replace copy
+    # starts empty instead of inheriting stale ones
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for nm in ("quadratic", "linear", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, nm), dtype=float))
             arr.flags.writeable = False
             object.__setattr__(self, nm, arr)
-        object.__setattr__(self, "_condensed", [])
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n_vars(self) -> int:
@@ -247,7 +248,13 @@ def assemble_consumer(consumer: Consumer, scenario: Scenario) -> PlayerProblem:
 
 
 def assemble_all(scenario: Scenario) -> tuple[PlayerProblem, ...]:
-    """Every player's problem, producers first, in scenario order."""
-    problems = [assemble_producer(p, scenario) for p in scenario.producers]
-    problems += [assemble_consumer(c, scenario) for c in scenario.consumers]
-    return tuple(problems)
+    """Every player's problem, producers first, in scenario order.
+
+    Assembled once per scenario: every caller gets the same tuple, so each
+    problem's condensation and cold start are shared too.
+    """
+    if "problems" not in scenario._derived:
+        problems = [assemble_producer(p, scenario) for p in scenario.producers]
+        problems += [assemble_consumer(c, scenario) for c in scenario.consumers]
+        scenario._derived["problems"] = tuple(problems)
+    return scenario._derived["problems"]

@@ -15,7 +15,10 @@ producer is left with a QP over W alone, with Hessian A_w' S^-1 A_w, linear
 term A_w' mu(0) and only the ramp and capacity rows, solved by the same
 active-set engine as the full problem.  Sigma^-1 is factored once per
 scenario and shared by reference (``PlayerProblem.cov_inverse``); S is
-factored once per problem instance, from that instance's own rows.
+factored once per problem instance, from that instance's own rows, and
+a scenario assembles its problems once (``assemble_all``), so that is
+also once per scenario.  The cold start is likewise found once per
+instance and kept read-only.
 
 The W-QP is a multiparametric QP in the prices: on a critical region,
 where a fixed set of strict rows (positive multiplier) is active, its
@@ -297,10 +300,16 @@ def _active_sets(problem: PlayerProblem, cond, slack):
 
 def _start(problem: PlayerProblem, warm_start):
     """The player's usual start: a previous solution's primal and active
-    set, or a feasible point."""
-    if warm_start is None:
-        return _feasible_start(problem), ()
-    return warm_start.primal.copy(), warm_start.active_set
+    set, or the instance's feasible point, found once and kept read-only
+    (an empty feasible set raises each time)."""
+    if warm_start is not None:
+        return warm_start.primal.copy(), warm_start.active_set
+    cache = problem._derived
+    if "start" not in cache:
+        x = _feasible_start(problem)
+        x.flags.writeable = False
+        cache["start"] = x
+    return cache["start"], ()
 
 
 def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start):
@@ -357,10 +366,10 @@ class _Region:
 
 
 def _condensation(problem: PlayerProblem) -> _Condensed | None:
-    cache = problem._condensed
-    if not cache:
-        cache.append(_condense(problem))
-    return cache[0]
+    cache = problem._derived
+    if "condensed" not in cache:
+        cache["condensed"] = _condense(problem)
+    return cache["condensed"]
 
 
 def _condense(problem: PlayerProblem) -> _Condensed | None:

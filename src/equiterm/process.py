@@ -137,8 +137,14 @@ class PathEnsemble:
 
 
 def _class_spread(col: np.ndarray, labels: np.ndarray) -> float:
-    """Largest spread of ``col`` among the paths of one information class."""
-    return max(float(np.ptp(col[labels == grp])) for grp in range(int(labels.max()) + 1))
+    """Largest spread of ``col`` among the paths of one information class,
+    from one pass over the paths."""
+    n_groups = int(labels.max()) + 1
+    hi = np.full(n_groups, -np.inf)
+    lo = np.full(n_groups, np.inf)
+    np.maximum.at(hi, labels, col)
+    np.minimum.at(lo, labels, col)
+    return float(np.max(hi - lo))
 
 
 @dataclass(frozen=True)
@@ -328,7 +334,11 @@ def ensemble_from_records(grid: TradingGrid, fuels, records) -> PathEnsemble:
             pi_flat[block] = pi_j
             gem_flat[block] = gem_j
             for l, fuel in enumerate(fuels):
-                g_flat[block, l] = rec["g"][fuel][j][:m]
+                g_j = rec["g"][fuel][j]
+                if len(g_j) != m:
+                    raise EnsembleError(
+                        f"path record has wrong width at delivery {j} for fuel {fuel!r}")
+                g_flat[block, l] = g_j
         pis.append(pi_flat)
         gs.append(g_flat.reshape(-1))
         gems.append(gem_flat)

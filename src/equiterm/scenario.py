@@ -233,12 +233,14 @@ class Scenario:
     fuels: FuelTable
     exogenous: ExogenousModel
     bounds: Bounds
-    # resolved on first use; a dataclasses.replace copy starts empty instead
-    # of sharing the original's (possibly stale) covariance
-    _cov_cache: list = field(init=False, repr=False, compare=False)
+    # what depends on the scenario alone, computed on first use: the
+    # covariance and the assembled player problems (assembly.assemble_all);
+    # a dataclasses.replace copy starts empty instead of sharing the
+    # original's (possibly stale) entries
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cov_cache", [])
+        object.__setattr__(self, "_derived", {})
         object.__setattr__(self, "producers", self._named(self.producers, "producer"))
         object.__setattr__(self, "consumers", self._named(self.consumers, "consumer"))
         if not self.consumers:
@@ -295,12 +297,11 @@ class Scenario:
 
     def covariance_blocks(self) -> CovarianceBlocks:
         """Resolve the second-moment source, estimating from paths if needed."""
-        if not self._cov_cache:
-            if self.exogenous.covariance is not None:
-                self._cov_cache.append(self.exogenous.covariance)
-            else:
-                self._cov_cache.append(estimate_covariance(self.exogenous.ensemble))
-        return self._cov_cache[0]
+        if "cov" not in self._derived:
+            exo = self.exogenous
+            self._derived["cov"] = (exo.covariance if exo.covariance is not None
+                                    else estimate_covariance(exo.ensemble))
+        return self._derived["cov"]
 
     def total_capacity(self, j: int) -> float:
         return sum(pl.capacity for p in self.producers for pl in p.plants)

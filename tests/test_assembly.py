@@ -1,7 +1,13 @@
+import json
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import equiterm as eq
+from equiterm import assembly, cli, equilibrium, players, validate
+from equiterm.errors import InfeasibleError
 from tests.corpus import build_scenario, desk_identity
 
 
@@ -159,3 +165,115 @@ def test_box_rows_roundtrip(identity, producer_problem):
         assert p.ineq_matrix[r, im.o_index(j, i)] == 1.0 and p.ineq_rhs[r] == ft
         r = p.ineq_row(("f_lower", j, i, "gas"))
         assert p.ineq_matrix[r, im.f_index(j, i, "gas")] == -1.0 and p.ineq_rhs[r] == ft
+
+
+# ---------------------------------------------------------------------------
+# one derivation per scenario, shared by validation, solves and diagnostics
+
+TWO_FUELS_DOC = eq.scenario_to_dict(build_scenario(
+    seed=15, sizes=(2, 2), fuels={"coal": 0.9, "gas": 0.5},
+    producers=[(1.0, (("gas", 7.0, 7.0, -7.0, 2.0),)), (1.4, (("coal", 9.0, 9.0, -9.0, 1.1),))],
+    consumers=[(0.7, 1.0, 0.0)], demand_frac=0.45))
+
+
+def _fresh():
+    """A scenario object no other test holds, so its derived data starts empty."""
+    return eq.scenario_from_dict(TWO_FUELS_DOC)
+
+
+def test_every_consumer_shares_the_scenarios_problems(monkeypatch):
+    sc = _fresh()
+    market = equilibrium.Market(sc)
+    assert eq.assemble_all(sc) is market.problems
+
+    seen = []
+
+    def recording(scenario):
+        seen.append(assembly.assemble_all(scenario))
+        return seen[-1]
+
+    monkeypatch.setattr(validate, "assemble_all", recording)
+    assert eq.validate_scenario(sc).passed
+    assert seen and all(problems is market.problems for problems in seen)
+
+    markets = []
+
+    class RecordingMarket(equilibrium.Market):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            markets.append(self)
+
+    monkeypatch.setattr(equilibrium, "Market", RecordingMarket)
+    result = eq.solve_equilibrium(sc)
+    eq.check_uniqueness(sc, result, n_samples=4)
+    assert len(markets) == 2
+    assert all(m.problems is market.problems for m in markets)
+    assert all(sol.problem is p for sol, p in zip(result.player_solutions, market.problems))
+
+
+def test_a_replaced_scenario_assembles_its_own_problems():
+    sc = _fresh()
+    before = eq.assemble_all(sc)
+    wider = replace(sc, bounds=eq.Bounds(2.0 * sc.bounds.v_trade, sc.bounds.f_trade,
+                                         sc.bounds.pi_max))
+    after = eq.assemble_all(wider)
+    assert after is not before and not set(map(id, after)) & set(map(id, before))
+    for old, new in zip(before, after):
+        row = new.ineq_row(("v_upper", 0, 0))
+        assert old.ineq_rhs[row] == sc.bounds.v_trade
+        assert new.ineq_rhs[row] == wider.bounds.v_trade
+    assert eq.assemble_all(sc) is before
+
+
+def test_cold_start_is_found_once_and_read_only():
+    sc = _fresh()
+    for problem in eq.assemble_all(sc):
+        x0, seed = players._start(problem, None)
+        assert seed == () and players._start(problem, None)[0] is x0
+        assert not x0.flags.writeable
+        with pytest.raises(ValueError):
+            x0[0] = 1.0
+
+
+def test_an_empty_feasible_set_is_not_cached(monkeypatch):
+    consumer = eq.assemble_all(_fresh())[-1]
+    pinched = replace(consumer, ineq_rhs=np.full(consumer.ineq_rhs.size, 1e-9))
+    calls = []
+    original = players._feasible_start
+
+    def counting(problem):
+        calls.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(players, "_feasible_start", counting)
+    for n in (1, 2):
+        with pytest.raises(InfeasibleError, match="empty feasible set"):
+            players._start(pinched, None)
+        assert len(calls) == n
+    assert "start" not in pinched._derived
+
+
+def test_reusing_a_scenario_gives_the_fresh_prices():
+    fresh = eq.solve_equilibrium(_fresh()).prices.tobytes()
+    sc = _fresh()
+    assert eq.solve_equilibrium(sc).prices.tobytes() == fresh
+    assert eq.solve_equilibrium(sc).prices.tobytes() == fresh
+    sc = _fresh()
+    eq.check_uniqueness(sc, prices=eq.merit_order_prices(sc), n_samples=8)
+    assert eq.solve_equilibrium(sc).prices.tobytes() == fresh
+
+
+def test_diagnose_assembles_each_producer_once(monkeypatch, tmp_path):
+    path = tmp_path / "two_fuels.json"
+    path.write_text(json.dumps(TWO_FUELS_DOC), encoding="utf-8")
+    counts = Counter()
+    original = assembly.assemble_producer
+
+    def counting(producer, scenario):
+        counts[producer.name] += 1
+        return original(producer, scenario)
+
+    monkeypatch.setattr(assembly, "assemble_producer", counting)
+    assert cli.main(["diagnose", "--scenario", str(path), "--output",
+                     str(tmp_path / "report.json")]) == 0
+    assert counts == {"producer1": 1, "producer2": 1}

@@ -11,6 +11,7 @@ import pytest
 import equiterm as eq
 from equiterm import qp
 from equiterm.cli import _build_parser, main
+from equiterm.errors import EnsembleError
 from tests.corpus import (demand_exceeds_capacity, desk_n1, in_small_units, make_corpus,
                           two_stage_scenario)
 
@@ -214,6 +215,20 @@ def test_doob_needs_ensemble(scenario_file, capsys):
     code, _, err = run(["doob", "--scenario", str(scenario_file)], capsys)
     assert code == 2
     assert "ensemble" in err
+
+
+@pytest.mark.parametrize("row", [[3.0, 3.1, 3.2], []], ids=["extra_quotes", "empty"])
+def test_fuel_row_of_the_wrong_width_is_refused(ensemble_file, tmp_path, capsys, row):
+    doc = json.loads(ensemble_file.read_text(encoding="utf-8"))
+    doc["exogenous"]["ensemble"]["paths"][0]["g"]["gas"][0] = row
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(eq.ScenarioError) as info:
+        eq.load_scenario(path)
+    assert isinstance(info.value.__cause__, EnsembleError)
+    code, out, err = run(["doob", "--scenario", str(path)], capsys)
+    assert code == 2 and not out
+    assert "wrong width at delivery 0 for fuel 'gas'" in err
 
 
 def test_text_format(scenario_file, capsys):

@@ -5,6 +5,7 @@ import equiterm as eq
 from equiterm.errors import EnsembleError
 from equiterm.process import (
     PathEnsemble,
+    _class_spread,
     doob_decompose,
     drift_matching_prices,
     ensemble_from_records,
@@ -235,3 +236,13 @@ def test_equilibrium_prices_are_a_fixed_point_of_the_drift():
     assert res2.converged
     assert res2.iterations <= 2
     np.testing.assert_allclose(res2.prices, res.prices, atol=1e-9)
+
+
+def test_class_spread_matches_the_per_class_masks():
+    rng = np.random.default_rng(21)
+    for n, n_groups in ((1, 1), (7, 3), (50, 50), (200, 9), (1000, 400)):
+        labels = rng.permutation(np.arange(n) % n_groups)
+        # rounded values, so classes hold ties and repeated extremes
+        col = np.round(rng.standard_normal(n), 1)
+        expected = max(float(np.ptp(col[labels == grp])) for grp in range(n_groups))
+        assert _class_spread(col, labels) == expected
