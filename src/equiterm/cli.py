@@ -2,15 +2,23 @@
 
 Subcommands: validate, solve, diagnose, two-stage, mean-max, oracle, doob.
 Exit codes: 0 success, 1 usage error, 2 validation/input failure,
-3 non-convergence.  Reports are deterministic: identical scenario, config
-and seed give identical bytes.
+3 non-convergence.  A JSON report is ``json.dumps`` with sorted keys,
+indent 2, raw non-ASCII, floats in their shortest round-trip form and the
+``NaN``/``Infinity`` tokens; ``--format text`` spells the same values as
+flat ``path = value`` lines.  Neither holds a timestamp, so the same
+scenario bytes, arguments and seed give the same report bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
+import json
 import sys
+from dataclasses import asdict
+
+import numpy as np
 
 from . import players
 from .equilibrium import SolveOptions, check_uniqueness, solve_equilibrium
@@ -26,7 +34,6 @@ from .errors import (
 from .oracles import GridSpec, brute_force_equilibrium, mean_max_equilibrium, two_stage_check
 from .process import doob_decompose
 from .qp import FEAS_TOL
-from .report import file_sha256, render_json, render_text
 from .scenario import load_scenario
 from .validate import FEAS_MARGIN, validate_scenario
 
@@ -78,6 +85,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_default(obj):
+    """Numpy scalars and arrays as Python numbers and lists; anything else
+    as its ``str``."""
+    return obj.tolist() if isinstance(obj, (np.generic, np.ndarray)) else str(obj)
+
+
+def render_json(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False,
+                      default=_json_default) + "\n"
+
+
+def render_text(report) -> str:
+    """Flat ``path = value`` lines in key order, each value spelled as its
+    token in the JSON report, strings unquoted."""
+    lines: list[str] = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for k, v in node.items():  # sorted: the JSON report's key order
+                walk(v, f"{path}.{k}" if path else k)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{path}[{i}]")
+        else:
+            lines.append(f"{path} = {node if isinstance(node, str) else json.dumps(node)}")
+
+    walk(json.loads(render_json(report)), "")
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, report: dict) -> None:
     text = render_json(report) if args.format == "json" else render_text(report)
     if args.output:
@@ -102,12 +139,17 @@ def _config_echo(args) -> dict:
     return cfg
 
 
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _envelope(args) -> dict:
     return {
         "report_schema": "equiterm/report/1",
         "command": args.command,
         "scenario_path": args.scenario,
-        "scenario_hash": file_sha256(args.scenario),
+        "scenario_hash": _file_sha256(args.scenario),
         "config": _config_echo(args),
     }
 
@@ -133,18 +175,10 @@ def _solution_rows(result) -> list:
             "kkt_residual": sol.kkt_residual,
             "stationarity": sol.residuals.stationarity,
             "complementarity": sol.residuals.complementarity,
-            "volumes": list(sol.volumes),
+            "volumes": sol.volumes,
             "active_inequalities": len(sol.active_set),
         })
     return rows
-
-
-def _saturation_doc(sat) -> dict:
-    return {
-        "statuses": list(sat.statuses),
-        "clearing_sums": list(sat.clearing_sums),
-        "sign_consistent": list(sat.sign_consistent),
-    }
 
 
 def _solve(scenario, args):
@@ -175,8 +209,8 @@ def _cmd_solve(scenario, args, report):
         "price_bound_ok": result.price_bound_ok,
         "prices": _price_table(scenario, result.prices),
         "players": _solution_rows(result),
-        "saturation": _saturation_doc(result.saturation),
-        "trace_residuals": list(result.trace),
+        "saturation": asdict(result.saturation),
+        "trace_residuals": result.trace,
     }
     _emit(args, report)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -202,9 +236,9 @@ def _cmd_diagnose(scenario, args, report):
         "rank_condition": diag.rank_condition,
         "rank_required": diag.rank_required,
         "rank_ok": diag.rank_ok,
-        "strictly_feasible_plant_per_period": list(diag.strictly_feasible_plant_per_period),
-        "saturation": _saturation_doc(diag.saturation),
-        "notes": list(diag.notes),
+        "strictly_feasible_plant_per_period": diag.strictly_feasible_plant_per_period,
+        "saturation": asdict(diag.saturation),
+        "notes": diag.notes,
         "seed": args.seed,
     }
     _emit(args, report)
@@ -224,8 +258,8 @@ def _cmd_two_stage(scenario, args, report):
         "prices": _price_table(scenario, result.prices),
         "closed_form": {
             "expected_t2_price": check.params.expected_t2_price,
-            "lambdas": list(check.params.lambdas),
-            "cost_covariances": list(check.params.cost_covariances),
+            "lambdas": check.params.lambdas,
+            "cost_covariances": check.params.cost_covariances,
             "retail": check.params.retail,
             "predicted_t1_price": check.predicted_t1,
             "solver_t1_price": check.solver_t1,
@@ -242,20 +276,10 @@ def _cmd_mean_max(scenario, args, report):
     report["result"] = {
         "converged": mm.converged,
         "message": mm.message,
-        "notes": list(mm.notes),
+        "notes": mm.notes,
         "intra_delivery_spread": mm.intra_delivery_spread,
-        "prices_discounted": list(mm.prices),
-        "deliveries": [
-            {
-                "delivery": d.delivery,
-                "price": d.price,
-                "volume": d.volume,
-                "kind": d.kind,
-                "price_interval": list(d.price_interval),
-                "volume_interval": list(d.volume_interval),
-            }
-            for d in mm.deliveries
-        ],
+        "prices_discounted": mm.prices,
+        "deliveries": [asdict(d) for d in mm.deliveries],
     }
     _emit(args, report)
     return EXIT_OK if mm.converged else EXIT_NO_CONVERGENCE
@@ -267,7 +291,7 @@ def _cmd_oracle(scenario, args, report):
         return EXIT_VALIDATION
     bf = brute_force_equilibrium(scenario, GridSpec(step=args.step))
     report["result"] = {
-        "prices_discounted": list(bf.prices),
+        "prices_discounted": bf.prices,
         "clearing_residual": bf.residual,
         "step": bf.step,
         "evaluations": bf.evaluations,
@@ -289,9 +313,9 @@ def _cmd_doob(scenario, args, report):
         "reconstruction_error": parts.max_reconstruction_error(ens),
         "martingale_residual": parts.martingale_residual(ens),
         "predictability_residual": parts.predictability_residual(ens),
-        "martingale": [list(row) for row in parts.martingale],
-        "predictable": [list(row) for row in parts.predictable],
-        "weights": list(ens.weights),
+        "martingale": parts.martingale,
+        "predictable": parts.predictable,
+        "weights": ens.weights,
     }
     _emit(args, report)
     return EXIT_OK

@@ -11,9 +11,8 @@ from .process import PathEnsemble, raw_covariance
 
 __all__ = ["CovarianceBlocks", "estimate_covariance"]
 
-# ridge policy: lift eigenvalues to at least RIDGE_FLOOR, give up past RIDGE_CAP
+# ridge policy: lift eigenvalues to at least RIDGE_FLOOR
 RIDGE_FLOOR = 1e-10
-RIDGE_CAP = 1e-6
 # relative spectral gap below which the matrix counts as exactly dependent
 SINGULAR_REL = 1e-12
 
@@ -116,8 +115,8 @@ def estimate_covariance(ensemble: PathEnsemble) -> CovarianceBlocks:
     The raw estimate is symmetrized and, when its smallest eigenvalue sits
     below the floor, lifted by a small ridge.  Exact linear dependence in
     the paths (the estimate is numerically singular relative to its scale)
-    or a required ridge beyond the cap are rejected: such data violates the
-    no-linear-dependence assumption and no regularization can fix it.
+    is rejected: such data violates the no-linear-dependence assumption and
+    no regularization can fix it.
     """
     if ensemble.n_paths < 2:
         raise CovarianceError("need at least two paths to estimate a covariance")
@@ -131,10 +130,6 @@ def estimate_covariance(ensemble: PathEnsemble) -> CovarianceBlocks:
             "assumption fails"
         )
     ridge = max(0.0, RIDGE_FLOOR - lam_min)
-    if ridge > RIDGE_CAP:
-        raise CovarianceError(
-            f"covariance needs ridge {ridge:.3e} beyond the cap {RIDGE_CAP:.0e}"
-        )
     if ridge > 0.0:
         full = full + ridge * np.eye(full.shape[0])
     n = ensemble.grid.n_contracts

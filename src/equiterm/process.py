@@ -54,9 +54,10 @@ class PathEnsemble:
     pi: np.ndarray
     g: np.ndarray
     gem: np.ndarray
-    _class_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _class_cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_class_cache", {})
         object.__setattr__(self, "fuels", tuple(self.fuels))
         if tuple(sorted(self.fuels)) != self.fuels:
             raise EnsembleError("fuels must be sorted")

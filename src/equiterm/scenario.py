@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import CovarianceBlocks, estimate_covariance
-from .errors import ScenarioError
+from .errors import EquitermError, ScenarioError
 from .grid import TradingGrid
 from .process import PathEnsemble, ensemble_from_records
 
@@ -388,7 +388,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f_trade=doc["bounds"]["f_trade"],
             pi_max=doc["bounds"]["pi_max"],
         )
-    except ScenarioError:
+    except EquitermError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc

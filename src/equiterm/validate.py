@@ -27,7 +27,7 @@ engine failure (iteration limit, unbounded ray) with its cause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,14 +62,7 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "feas_margin": self.feas_margin,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "message": c.message, "data": dict(c.data)}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _joint_blocks(scenario, problems):

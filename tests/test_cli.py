@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import equiterm as eq
 from equiterm import qp
 from equiterm.cli import _build_parser, main
-from equiterm.errors import EnsembleError
+from equiterm.errors import CovarianceError, EnsembleError, GridError
 from tests.corpus import (demand_exceeds_capacity, desk_n1, in_small_units, make_corpus,
                           two_stage_scenario)
 
@@ -127,6 +128,74 @@ def test_diagnose_is_byte_deterministic(tmp_path, capsys, fmt):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_diagnose_is_byte_deterministic_across_processes(tmp_path):
+    # what the promise covers: the same scenario bytes, arguments, seed, build
+    # and BLAS thread count; string hashing differs between the two children
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(eq.scenario_to_dict(dict(make_corpus())["three_by_three"])),
+                    encoding="utf-8")
+    path_dirs = [str(Path(eq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs)),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    outs = [tmp_path / f"{k}.json" for k in range(2)]
+    for hash_seed, out in zip(("1", "2"), outs):
+        subprocess.run([sys.executable, "-m", "equiterm", "diagnose", "--scenario", str(path),
+                        "--seed", "7", "--output", str(out)],
+                       check=True, env={**env, "PYTHONHASHSEED": hash_seed})
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _leaves(node, path=""):
+    """(path, value) of every scalar of a parsed JSON report, in the
+    ``--format text`` spelling of paths."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def test_control_characters_in_names_give_valid_json(tmp_path, capsys):
+    sc = desk_n1()
+    producer = dataclasses.replace(sc.producers[0], name="p\u0001x")
+    path = tmp_path / "ctrl.json"
+    path.write_text(json.dumps(eq.scenario_to_dict(dataclasses.replace(sc, producers=(producer,)))),
+                    encoding="utf-8")
+    code, out, _ = run(["solve", "--scenario", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["players"][0]["name"] == "p\u0001x"
+
+
+def test_float_fields_stay_floats(tmp_path, capsys):
+    path = tmp_path / "two_fuels.json"
+    path.write_text(json.dumps(eq.scenario_to_dict(dict(make_corpus())["two_fuels"])),
+                    encoding="utf-8")
+    code, out, _ = run(["solve", "--scenario", str(path)], capsys)
+    assert code == 0
+    counts = {"max_iter", "iterations", "active_inequalities", "delivery"}
+    numbers = [(p, v) for p, v in _leaves(json.loads(out))
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    assert any(isinstance(v, float) and v.is_integer() for _, v in numbers)
+    wrong = [p for p, v in numbers if isinstance(v, int) != (p.rsplit(".", 1)[-1] in counts)]
+    assert not wrong
+
+
+def test_text_lines_spell_the_json_values(scenario_file, capsys):
+    reports = {}
+    for fmt in ("json", "text"):
+        code, reports[fmt], _ = run(["diagnose", "--scenario", str(scenario_file),
+                                     "--format", fmt], capsys)
+        assert code == 0
+    expected = [f"{p} = {v if isinstance(v, str) else json.dumps(v)}"
+                for p, v in _leaves(json.loads(reports["json"]))]
+    expected[expected.index("config.format = json")] = "config.format = text"
+    assert reports["text"].splitlines() == expected
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["solve"]) == 1          # missing --scenario
     capsys.readouterr()
@@ -217,18 +286,41 @@ def test_doob_needs_ensemble(scenario_file, capsys):
     assert "ensemble" in err
 
 
-@pytest.mark.parametrize("row", [[3.0, 3.1, 3.2], []], ids=["extra_quotes", "empty"])
-def test_fuel_row_of_the_wrong_width_is_refused(ensemble_file, tmp_path, capsys, row):
+def _gas_row(row):
+    def edit(doc):
+        doc["exogenous"]["ensemble"]["paths"][0]["g"]["gas"][0] = row
+    return edit
+
+
+def _early_last_trading_time(doc):
+    doc["grid"]["deliveries"][0]["trading_times"][-1] = 0.9
+
+
+def _nan_q1(doc):
+    doc["exogenous"].pop("ensemble")
+    doc["exogenous"]["covariance"] = {"q1": [[float("nan")]], "q2": [[0.0, 0.0]],
+                                      "q3": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (_gas_row([3.0, 3.1, 3.2]), EnsembleError, "wrong width at delivery 0 for fuel 'gas'"),
+    (_gas_row([]), EnsembleError, "wrong width at delivery 0 for fuel 'gas'"),
+    (_early_last_trading_time, GridError, "last trading time 0.9 must equal delivery time"),
+    (_nan_q1, CovarianceError, "q1 has non-finite entries"),
+], ids=["extra_quotes", "empty", "grid", "covariance"])
+def test_fuel_row_of_the_wrong_width_is_refused(ensemble_file, tmp_path, capsys,
+                                                edit, error, message):
+    """A library error raised while a scenario file is read reaches the
+    caller as itself, not wrapped in a ScenarioError, and the CLI exits 2."""
     doc = json.loads(ensemble_file.read_text(encoding="utf-8"))
-    doc["exogenous"]["ensemble"]["paths"][0]["g"]["gas"][0] = row
+    edit(doc)
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(eq.ScenarioError) as info:
+    with pytest.raises(error, match=message):
         eq.load_scenario(path)
-    assert isinstance(info.value.__cause__, EnsembleError)
     code, out, err = run(["doob", "--scenario", str(path)], capsys)
     assert code == 2 and not out
-    assert "wrong width at delivery 0 for fuel 'gas'" in err
+    assert message in err
 
 
 def test_text_format(scenario_file, capsys):

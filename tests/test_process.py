@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,14 @@ def test_branching_counts_information_sets():
     assert int(ens.information_classes(0.25).max()) + 1 == 1
     assert int(ens.information_classes(0.5).max()) + 1 == 2
     assert int(ens.information_classes(1.0).max()) + 1 == 4
+
+
+def test_replaced_ensemble_finds_its_own_information_classes():
+    pi = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+    ens = _ens(GRID3, pi)
+    assert int(ens.information_classes(0.5).max()) + 1 == 2
+    alike = dataclasses.replace(ens, pi=np.repeat(pi[:1], 4, axis=0))
+    assert int(alike.information_classes(0.5).max()) + 1 == 1
 
 
 def _branching_market_tree():
