@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("two-stage", help="closed-form cross-check on a 2-trading-time market"),
            solver=True)
     common(sub.add_parser("mean-max", help="expectation-only equilibrium per delivery"))
-    common(sub.add_parser("oracle", help="brute-force price grid scan (tiny markets)"),
+    common(sub.add_parser("oracle", help="brute-force nested bisection (N <= 3 contracts)"),
            step=True)
     common(sub.add_parser("doob", help="martingale/drift split of an ensemble scenario"))
     return parser

@@ -78,7 +78,7 @@ class EquilibriumResult:
     player_names: tuple[str, ...]
     clearing_residual: float
     iterations: int
-    trace: tuple[tuple[float, ...], ...]  # (residual per iteration)
+    trace: tuple[float, ...]             # residual per iteration
     converged: bool
     message: str
     max_kkt_residual: float

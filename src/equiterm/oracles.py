@@ -5,14 +5,14 @@ Three routes that never touch the equilibrium solver:
 * a closed-form relation between the two expected prices of a one-delivery,
   two-trading-time market (risk premium = total cost covariance with the
   delivery-time price divided by the market's aggregate risk tolerance),
-* the expectation-only (no variance penalty) equilibrium, solved per
-  delivery by bisection against the merit-order supply step function,
-* an exhaustive multi-resolution price-grid scan for tiny markets.
+* the expectation-only (no variance penalty) equilibrium, read per delivery
+  off the exact merit-order supply step function,
+* a nested bisection of the excess map for tiny markets (N <= 3), which
+  shares only the per-player best responses with the solver.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -176,33 +176,16 @@ class MeanMaxResult:
     notes: tuple[str, ...] = ()
 
 
-def _supply_at(levels, price):
-    """Capacity offered strictly below ``price`` on the merit stack."""
-    return sum(cap for mc, cap in levels if mc < price)
-
-
-def _bisect_crossing(levels, demand, lo, hi, tol=1e-12):
-    """Smallest price at which offered capacity reaches the demand."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _supply_at(levels, mid) >= demand:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, abs(hi)):
-            break
-    return hi
-
-
 def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
     """Clearing prices when every player maximizes expectation only.
 
     Supply per delivery is the merit-order step function of undiscounted
     marginal cost (fuel burn plus emission charge); demand is the inelastic
-    total.  The crossing is located by bisection, then classified exactly:
-    demand strictly inside a stack level pins the price at that level's
-    marginal cost but leaves the level's dispatch free (volume interval);
-    demand exactly at a stack edge leaves a whole price interval.
+    total.  The stack is walked once, level by level: demand strictly inside
+    a level pins the price at that level's marginal cost but leaves the
+    level's dispatch free (volume interval); demand at a stack edge (within
+    a relative 1e-9) leaves a whole price interval.  The levels partition
+    the producible range (0, total], so every admitted demand is classified.
     """
     grid = scenario.grid
     notes = []
@@ -261,12 +244,7 @@ def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
                 np.zeros(grid.n_contracts), tuple(out), 0.0, False,
                 f"delivery {j}: demand {D} outside the producible range (0, {total}]",
                 tuple(notes))
-        lo = min(mc for mc, _ in levels) - 1.0 - abs(levels[0][0])
-        hi = max(mc for mc, _ in levels) + 1.0 + abs(levels[-1][0])
-        crossing = _bisect_crossing(levels, D, lo, hi)
-        # classify against the exact stack
         cum = 0.0
-        detail = None
         for idx, (mc, cap) in enumerate(levels):
             tie = 1e-9 * max(1.0, abs(cum + cap), abs(D))
             if abs(D - (cum + cap)) <= tie:
@@ -291,12 +269,6 @@ def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
                 )
                 break
             cum += cap
-        if detail is None:  # numerical corner: snap to the bisection crossing
-            detail = DeliveryMeanMax(j, crossing, D, "volume-interval",
-                                     (crossing, crossing), (0.0, total))
-        if detail.kind == "volume-interval" and abs(crossing - detail.price) > 1e-6 * max(1.0, abs(detail.price)):
-            notes.append(f"delivery {j}: bisection crossing {crossing} differs "
-                         f"from the stack price {detail.price}")
         out.append(detail)
         prices[grid.slices[j]] = grid.discount(j) * detail.price
 
@@ -305,10 +277,7 @@ def mean_max_equilibrium(scenario: Scenario) -> MeanMaxResult:
 
 
 # ---------------------------------------------------------------------------
-# brute-force grid oracle
-
-
-POINTS_PER_LEVEL = 33  # points per price axis on each level of the 3-contract scan
+# brute-force oracle: nested bisection
 
 
 @dataclass(frozen=True)
@@ -325,8 +294,8 @@ class BruteForceResult:
     prices: np.ndarray
     residual: float
     step: float
-    evaluations: int
-    levels: int
+    evaluations: int                     # excess-map evaluations
+    levels: int                          # nested bisection levels, one per contract
 
 
 def _bisect_root(f, lo, hi, tol):
@@ -347,17 +316,18 @@ def _bisect_root(f, lo, hi, tol):
 
 def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = None,
                             market: Market | None = None) -> BruteForceResult:
-    """Exhaustive price search for tiny markets; shares only the per-player
-    best responses with the main solver.
+    """Nested bisection of the excess map for tiny markets; shares only the
+    per-player best responses with the main solver.
 
-    The excess map is strictly decreasing off the pinned region, so for one
-    contract the component is a monotone scalar and plain bisection brackets
-    the root; for two contracts the second component is first zeroed in the
-    second price (inner bisection) and the resulting reduced map, again
-    monotone by the sign structure of the response sensitivities, is
-    bisected in the first price.  Three contracts fall back to a
-    multi-resolution scan of the full box.  The winner lies within one grid
-    step of the true equilibrium.
+    Z = -grad Phi for the convex welfare potential Phi (see
+    ``equilibrium``).  Minimizing Phi over the later prices in their box
+    leaves a convex function of the earlier ones, so each reduced component
+    is non-increasing in its own price and plain bisection brackets its
+    root.  The last component is zeroed in the last price, the reduced
+    second-to-last component in its price, and so on outward, one level per
+    contract.  The outermost level stops at half a grid step, the inner
+    ones at a hundredth, and the answer lies within one grid step of the
+    true equilibrium.
     """
     spec = grid_spec or GridSpec()
     market = market or Market(scenario)
@@ -373,46 +343,18 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
         z, _ = market.excess(np.asarray(p, dtype=float))
         return z
 
-    if n == 1:
-        root = _bisect_root(lambda p: float(z_at([p])[0]), lo[0], hi[0], 0.5 * spec.step)
-        price = np.array([root])
-        resid = float(np.max(np.abs(z_at(price))))
-        return BruteForceResult(price, resid, spec.step, count, 1)
+    def completion(prefix):
+        """``prefix`` extended by the later prices that zero the later components."""
+        k = len(prefix)
+        if k == n:
+            return prefix
 
-    if n == 2:
-        inner_tol = 0.01 * spec.step
+        def reduced(p):
+            return float(z_at(completion(prefix + [p]))[k])
 
-        def second_root(p1):
-            return _bisect_root(lambda p2: float(z_at([p1, p2])[1]),
-                                lo[1], hi[1], inner_tol)
+        tol = 0.5 * spec.step if k == 0 else 0.01 * spec.step
+        return completion(prefix + [_bisect_root(reduced, lo[k], hi[k], tol)])
 
-        def reduced(p1):
-            return float(z_at([p1, second_root(p1)])[0])
-
-        p1 = _bisect_root(reduced, lo[0], hi[0], 0.5 * spec.step)
-        price = np.array([p1, second_root(p1)])
-        resid = float(np.max(np.abs(z_at(price))))
-        return BruteForceResult(price, resid, spec.step, count, 2)
-
-    # n == 3: multi-resolution scan of the full box
-    box_lo, box_hi = lo.copy(), hi.copy()
-    pts = POINTS_PER_LEVEL
-    best_price = 0.5 * (lo + hi)
-    best_resid = np.inf
-    levels = 0
-    while True:
-        levels += 1
-        spacing = (hi - lo) / (pts - 1)
-        axes = [np.linspace(lo[k], hi[k], pts) for k in range(n)]
-        for combo in itertools.product(*axes):
-            p = np.array(combo)
-            r = float(np.max(np.abs(z_at(p))))
-            if r < best_resid:
-                best_resid = r
-                best_price = p
-        if float(np.max(spacing)) <= spec.step * (1 + 1e-12):
-            break
-        half = np.maximum(1.5 * spacing, 0.5 * spec.step * (pts - 1))
-        lo = np.maximum(box_lo, best_price - half)
-        hi = np.minimum(box_hi, best_price + half)
-    return BruteForceResult(best_price, best_resid, spec.step, count, levels)
+    price = np.array(completion([]))
+    resid = float(np.max(np.abs(z_at(price))))
+    return BruteForceResult(price, resid, spec.step, count, n)

@@ -202,18 +202,16 @@ def _feasible_start(problem: PlayerProblem) -> np.ndarray:
 
 
 def _w_block(problem: PlayerProblem):
-    """Rows of the ramp and capacity constraints, A_w and the W block of those rows."""
-    kinds = ("ramp_up", "ramp_down", "cap_upper", "cap_lower")
-    rows = np.array([k for k, lab in enumerate(problem.ineq_labels) if lab[0] in kinds], dtype=int)
+    """Inequality rows that touch W (the ramp and capacity rows), A_w and the
+    W block of those rows."""
     n_t = problem.index_map.n_traded
+    rows = np.flatnonzero(problem.ineq_matrix[:, n_t:].any(axis=1))
     return rows, problem.eq_matrix[:, n_t:], problem.ineq_matrix[rows, n_t:]
 
 
 def _min_norm_production(problem: PlayerProblem, x: np.ndarray, w_rows, a_w, b_w) -> np.ndarray:
     """Second stage: minimum-norm W on the optimal face, (V, F, O) fixed."""
     n_w = a_w.shape[1]
-    if n_w == 0:
-        return x
     n_t = problem.n_vars - n_w
     res = solve_qp_active_set(
         np.eye(n_w), np.zeros(n_w), a_w,

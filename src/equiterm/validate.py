@@ -27,7 +27,7 @@ engine failure (iteration limit, unbounded ray) with its cause.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, **asdict(self)}
+        return {"passed": self.passed, "checks": [dict(vars(c)) for c in self.checks],
+                "feas_margin": self.feas_margin}
 
 
 def _joint_blocks(scenario, problems):

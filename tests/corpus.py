@@ -349,6 +349,24 @@ def two_stage_instances():
     ]
 
 
+def merit_stack(plants, demand):
+    """One delivery, one trading time, one gas producer with ``plants`` given
+    as (capacity, efficiency); each plant's marginal cost is 3 * efficiency
+    + 0.5 and the price box is pi_max = 50."""
+    grid = eq.TradingGrid((1.0,), ((1.0,),))
+    cov = spd_blocks(1, 1, 53)
+    exo = eq.ExogenousModel((demand,), {"gas": ((3.0,),)}, ((1.0,),), covariance=cov)
+    return eq.Scenario(
+        grid,
+        (eq.Producer(1.0, tuple(eq.PowerPlant("gas", cap, cap, -cap, eff)
+                                for cap, eff in plants)),),
+        (eq.Consumer(1.0, 1.0),),
+        eq.FuelTable({"gas": 0.5}),
+        exo,
+        eq.Bounds(100.0, 500.0, 50.0),
+    )
+
+
 def mean_max_instances():
     """Flat-forward instances for the expectation-only oracle."""
     generic = build_scenario(
@@ -363,18 +381,7 @@ def mean_max_instances():
         consumers=[(1.0, 1.0, 0.0)], demand_frac=0.5, flat_forwards=True,
         bound_factor=3.0)
     # demand exactly at the cheap plant's capacity: a whole price interval clears
-    grid = eq.TradingGrid((1.0,), ((1.0,),))
-    cov = spd_blocks(1, 1, 53)
-    exo = eq.ExogenousModel((4.0,), {"gas": ((3.0,),)}, ((1.0,),), covariance=cov)
-    price_tie = eq.Scenario(
-        grid,
-        (eq.Producer(1.0, (eq.PowerPlant("gas", 4.0, 4.0, -4.0, 1.0),
-                           eq.PowerPlant("gas", 6.0, 6.0, -6.0, 3.0))),),
-        (eq.Consumer(1.0, 1.0),),
-        eq.FuelTable({"gas": 0.5}),
-        exo,
-        eq.Bounds(100.0, 500.0, 50.0),
-    )
+    price_tie = merit_stack([(4.0, 1.0), (6.0, 3.0)], 4.0)
     # demand strictly inside one plant: price pinned, dispatch interval free
     volume_tie = build_scenario(
         seed=54, sizes=(1,), fuels={"gas": 0.5},

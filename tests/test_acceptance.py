@@ -78,7 +78,7 @@ def test_criterion_02_oracle_equivalence(solved_corpus):
         worst = max(worst, gap)
         assert gap <= GRID_STEP, f"{name}: solver {res.prices} vs grid {bf.prices}"
     _verdict(2, worst <= GRID_STEP,
-             f"{len(instances)} tiny markets within one grid step of the scan "
+             f"{len(instances)} tiny markets within one grid step of the brute-force oracle "
              f"(worst gap {worst:.2e} <= {GRID_STEP})")
 
 

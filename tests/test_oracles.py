@@ -8,6 +8,7 @@ from equiterm.oracles import producer_solution_with_fixed_totals, two_stage_chec
 from tests.corpus import (
     build_scenario,
     mean_max_instances,
+    merit_stack,
     oracle_instances,
     two_stage_scenario,
 )
@@ -134,6 +135,20 @@ def test_brute_force_brackets_the_solver_n1():
     assert np.abs(bf.prices - res.prices).max() <= 1e-4
 
 
+def test_brute_force_three_contracts_lands_within_a_grid_step():
+    sc = build_scenario(
+        seed=61, sizes=(2, 1), fuels={"gas": 0.5},
+        producers=[(1.0, [("gas", 10.0, 10.0, -10.0, 2.0)])],
+        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.45, bound_factor=2.0)
+    step = 1e-2
+    market = Market(sc)
+    res = eq.solve_equilibrium(sc, market=market)
+    assert res.converged
+    bf = eq.brute_force_equilibrium(sc, eq.GridSpec(step=step), market=market)
+    assert bf.levels == 3
+    assert np.abs(bf.prices - res.prices).max() <= step
+
+
 def test_brute_force_rejects_large_markets():
     sc = build_scenario(
         seed=99, sizes=(2, 2), fuels={"gas": 0.5},
@@ -198,6 +213,39 @@ def test_mean_max_volume_interval_case():
     d = mm.deliveries[0]
     assert d.kind == "volume-interval"
     assert d.volume_interval[0] < d.volume < d.volume_interval[1]
+
+
+# (plants as (capacity, efficiency), demand, kind, price, price_interval,
+# volume_interval); marginal costs 3.5, 6.5 and 9.5 for efficiencies 1, 2, 3
+STACK_WALKS = {
+    "second_level": ([(4.0, 1.0), (6.0, 3.0)], 7.0,
+                     "volume-interval", 9.5, (9.5, 9.5), (4.0, 10.0)),
+    "equal_costs_merge": ([(4.0, 1.0), (5.0, 3.0), (6.0, 1.0)], 7.0,
+                          "volume-interval", 3.5, (3.5, 3.5), (0.0, 10.0)),
+    "interior_edge": ([(4.0, 1.0), (6.0, 3.0), (5.0, 2.0)], 9.0,
+                      "price-interval", 8.0, (6.5, 9.5), (9.0, 9.0)),
+    "top_edge": ([(4.0, 1.0), (6.0, 3.0)], 10.0,
+                 "price-interval", 29.75, (9.5, 50.0), (10.0, 10.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_WALKS))
+def test_mean_max_walks_the_stack(case):
+    plants, demand, kind, price, price_interval, volume_interval = STACK_WALKS[case]
+    mm = eq.mean_max_equilibrium(merit_stack(plants, demand))
+    assert mm.converged
+    d = mm.deliveries[0]
+    assert (d.kind, d.volume) == (kind, demand)
+    assert d.price == pytest.approx(price)
+    assert d.price_interval == pytest.approx(price_interval)
+    assert d.volume_interval == pytest.approx(volume_interval)
+    assert mm.prices == pytest.approx([price])
+
+
+def test_mean_max_refuses_demand_beyond_the_fleet():
+    mm = eq.mean_max_equilibrium(merit_stack([(4.0, 1.0), (6.0, 3.0)], 10.5))
+    assert not mm.converged
+    assert "outside the producible range" in mm.message
 
 
 def test_mean_max_flat_spread():
