@@ -204,32 +204,66 @@ def excess_volume(scenario: Scenario, expected_prices) -> np.ndarray:
     return Market(scenario).excess(expected_prices)[0]
 
 
-# (delivery shift, side) that a tight production row pins, side 0 upper and
-# 1 lower: ramp_up(j) reads w[j+1] - w[j] <= ramp_up, so it pins j+1 up and
-# j down; ramp_down(j) reads w[j+1] - w[j] >= ramp_down, the reverse
-_PINS = {
-    "cap_upper": ((0, 0),),
-    "cap_lower": ((0, 1),),
-    "ramp_up": ((1, 0), (0, 1)),
-    "ramp_down": ((0, 0), (1, 1)),
-}
+def _pin_table(problem: PlayerProblem) -> np.ndarray:
+    """Which production entries each inequality row pins when it is tight,
+    at the upper bound, at the lower and at either: a read-only boolean
+    array (rows + 1, 3 * W), kept per problem; the last row pins nothing.
 
-
-def _plant_bound_states(problem, solution):
-    """Per delivery and plant: is production pinned at its upper/lower bound.
-
-    Read from the solution's active set; returns two boolean arrays of shape
-    (deliveries, plants), upper and lower.
+    A tight row holds each entry it touches at the bound its coefficient
+    pushes against: the upper where the coefficient is positive, the lower
+    where it is negative.  So cap_upper pins its entry up and cap_lower
+    down; ramp_up(j), w[j+1] - w[j] <= ramp_up, pins j+1 up and j down;
+    ramp_down(j), w[j+1] - w[j] >= ramp_down, the reverse.
     """
-    im = problem.index_map
-    pinned = np.zeros((2, im.n_w), dtype=bool)
-    for i in solution.active_set:
-        label = problem.ineq_labels[i]
-        for shift, side in _PINS.get(label[0], ()):
-            _, j, fuel, r = label
-            pinned[side, im.w_index(j + shift, fuel, r) - im.n_traded] = True
-    shape = (im.grid.n_deliveries, im.plants_per_delivery)
-    return pinned[0].reshape(shape), pinned[1].reshape(shape)
+    cache = problem._derived
+    if "pins" not in cache:
+        w = problem.ineq_matrix[:, problem.index_map.n_traded:]
+        table = np.vstack((np.hstack((w > 0.0, w < 0.0, w != 0.0)),
+                           np.zeros((1, 3 * w.shape[1]), dtype=bool)))
+        table.flags.writeable = False
+        cache["pins"] = table
+    return cache["pins"]
+
+
+def _plant_bound_states(problem, solutions):
+    """Per solution, delivery and plant: is production pinned at its upper
+    bound, at its lower and at either.
+
+    Read from the solutions' active sets in one pass over the pin table;
+    returns one boolean array of shape (solutions, 3, deliveries, plants).
+    """
+    table = _pin_table(problem)
+    rows, starts = [], []
+    for sol in solutions:
+        starts.append(len(rows))
+        rows += sol.active_set
+        rows.append(table.shape[0] - 1)  # keeps every segment nonempty
+    pinned = np.logical_or.reduceat(table[rows], starts, axis=0)
+    return pinned.reshape(len(solutions), 3, problem.index_map.grid.n_deliveries, -1)
+
+
+def _fleet_bounds(market: Market, columns):
+    """Per column (one solution per player) and delivery: is every plant of
+    the fleet pinned at its upper bound, at its lower and at either; one
+    boolean array (columns, 3, deliveries).  A market without plants has no
+    delivery at a bound and no plant inside its bounds."""
+    bound = np.ones((len(columns), 3, market.scenario.grid.n_deliveries), dtype=bool)
+    bound[:, :2] = any(p.kind == "producer" for p in market.problems)
+    for k, problem in enumerate(market.problems):
+        if problem.kind == "producer":
+            bound &= _plant_bound_states(problem, [sols[k] for sols in columns]).all(axis=-1)
+    return bound
+
+
+def _totals(scenario: Scenario) -> np.ndarray:
+    """``delivery_totals_matrix`` of the scenario's grid, built once per
+    scenario and kept read-only."""
+    cache = scenario._derived
+    if "totals" not in cache:
+        totals = delivery_totals_matrix(scenario.grid)
+        totals.flags.writeable = False
+        cache["totals"] = totals
+    return cache["totals"]
 
 
 def detect_saturation(scenario: Scenario, prices=None, solutions=None,
@@ -245,38 +279,28 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
         if prices is None:
             raise ValueError("need prices or solutions")
         solutions = market.solutions(np.asarray(prices, dtype=float))
-    nj = scenario.grid.n_deliveries
-    all_upper = np.ones(nj, dtype=bool)
-    all_lower = np.ones(nj, dtype=bool)
-    any_plant = False
-    for problem, sol in zip(market.problems, solutions):
-        if problem.kind != "producer":
-            continue
-        any_plant = True
-        upper, lower = _plant_bound_states(problem, sol)
-        all_upper &= upper.all(axis=1)
-        all_lower &= lower.all(axis=1)
-    totals = delivery_totals_matrix(scenario.grid)
+    return _saturation_report(scenario, solutions, _fleet_bounds(market, [solutions])[0])
+
+
+def _saturation_report(scenario: Scenario, solutions, bound) -> SaturationReport:
+    """The report of ``detect_saturation`` from the bound states
+    ``_fleet_bounds`` gives for ``solutions``."""
     z = np.zeros(scenario.n_contracts)
     for sol in solutions:
         z += sol.volumes
-    sums = totals @ z
+    sums = _totals(scenario) @ z
     statuses, consistent = [], []
-    for j in range(nj):
-        if not any_plant:
-            statuses.append("interior")
-            consistent.append(True)
-        elif all_upper[j]:
+    for upper, lower, total in zip(*bound[:2].tolist(), sums.tolist()):
+        if upper:
             statuses.append("all-upper")
-            consistent.append(bool(sums[j] < 0))
-        elif all_lower[j]:
+            consistent.append(total < 0)
+        elif lower:
             statuses.append("all-lower")
-            consistent.append(bool(sums[j] > 0))
+            consistent.append(total > 0)
         else:
             statuses.append("interior")
             consistent.append(True)
-    return SaturationReport(tuple(statuses), tuple(float(s) for s in sums),
-                            tuple(consistent))
+    return SaturationReport(tuple(statuses), tuple(sums.tolist()), tuple(consistent))
 
 
 class _Iterate(NamedTuple):
@@ -465,12 +489,12 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         k = min(n_samples - len(samples), cap - attempts)
         pairs = prices + radius * rng.standard_normal((k, 2, n))
         z, point_sols = market.excess_many(pairs.reshape(2 * k, n).T)
+        saturated = _fleet_bounds(market, point_sols)[:, :2].any(axis=(1, 2))
         for i, (x, y) in enumerate(pairs):
             attempts += 1
             if float(np.max(np.abs(x - y))) < 1e-12:
                 continue
-            if any(detect_saturation(scenario, solutions=point_sols[2 * i + side],
-                                     market=market).saturated for side in (0, 1)):
+            if saturated[2 * i] or saturated[2 * i + 1]:
                 continue
             samples.append((x, y, float((z[:, 2 * i] - z[:, 2 * i + 1]) @ (x - y))))
     if len(samples) < n_samples:
@@ -491,7 +515,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         notes.append(f"aggregate sensitivity unavailable: {exc}")
     else:
         eig_max = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
-        a1 = delivery_totals_matrix(scenario.grid)
+        a1 = _totals(scenario)
         S = a1 @ Jp @ a1.T
         sv = np.linalg.svd(S, compute_uv=False)
         cut = max(S.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
@@ -499,14 +523,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         rank = int(np.sum(sv > cut))
         rank_ok = rank == required
 
-    strict = np.zeros(scenario.grid.n_deliveries, dtype=bool)
-    for problem, sol in zip(market.problems, sols):
-        if problem.kind != "producer":
-            continue
-        upper, lower = _plant_bound_states(problem, sol)
-        strict |= (~upper & ~lower).any(axis=1)
-
-    sat = detect_saturation(scenario, solutions=sols, market=market)
+    bound = _fleet_bounds(market, [sols])[0]
     return DiagnosticsReport(
         monotonicity_samples=tuple(samples),
         monotonicity_all_negative=all_neg,
@@ -515,7 +532,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         rank_condition=rank,
         rank_required=required,
         rank_ok=rank_ok,
-        strictly_feasible_plant_per_period=tuple(strict.tolist()),
-        saturation=sat,
+        strictly_feasible_plant_per_period=tuple((~bound[2]).tolist()),
+        saturation=_saturation_report(scenario, sols, bound),
         notes=tuple(notes),
     )

@@ -24,26 +24,37 @@ The W-QP is a multiparametric QP in the prices: on a critical region,
 where a fixed set of strict rows (positive multiplier) is active, its
 solution is affine, W(pi) = W0 + W1 pi and eta_R(pi) = eta0 + eta1 pi, from
 one reduced KKT system in (W, eta_R) with a constant and a per-price
-right-hand side.  A warm-started solve first evaluates the region of its
-warm start's strict rows and keeps that point when it certifies:
-eta_R >= 0, the point is finite and it passes the full problem's
-start-point check, equalities included.  Otherwise the engine solves the
-W-QP from the warm start, seeded with the strict rows whose region
-multiplier stays positive at the new prices; a cold solve seeds the same
-way from the region of the W rows tied at its feasible start.  The engine
-accepts any rows active at its start, so the seed changes the path, not
-the answer.  When no region can serve (W not unique, a singular reduced
-system, a strict row that is not a W row), the seed is the warm start's
-active W rows, or none cold.  Only W is mapped; mu and t are recovered
-from it as above.  Each problem instance keeps one region, keyed by its
-rows, so memory stays bounded on a long sweep.
+right-hand side.  A solve walks these regions, starting from the warm
+start's strict rows, or from the W rows tied at the feasible start when it
+is cold.  It keeps a region's point when that certifies (finite,
+eta_R >= 0, and the full problem's start-point check passes, equalities
+included) and the W rows tied there are exactly R.  Otherwise it moves to
+R' = {rows of R with eta > 0} + {W rows the predicted W violates}: the
+primal-dual active-set step, a semismooth Newton step (Hintermueller, Ito
+& Kunisch, SIAM J. Optim. 13, 2002).  The walk ends after finitely many
+row sets, and the engine solves the W-QP instead, in three cases: R' was
+already tried, the region of R' cannot serve (W not unique or a singular
+reduced system), or the certified point has a tied W row outside R (a
+degenerate vertex).  The engine starts from the player's usual start,
+seeded with the first region's rows whose multiplier it predicts stays
+positive, or with the warm start's active W rows when no region could
+serve (a strict row that is not a W row).  The engine accepts any rows
+active at its start, so the seed changes the path, not the answer.  Only
+W is mapped; mu and t are recovered from it as above.  Each problem
+instance keeps one region, keyed by its rows, so memory stays bounded on a
+long sweep.
+
+At a degenerate vertex the tied W rows are linearly dependent and their
+multipliers are not unique; the engine and the full QP then keep the
+minimum-norm nonnegative ones (``_canonical_duals``), so every path picks
+the same strict rows, and so the same ``selection_id``.
 
 ``solve_qp_many`` solves one player at a block of price columns, all from
 one warm start, and ``solve_qp`` is its one-column case.  The region, the
 recovery of mu and t, the certificate and the active sets are one matrix
-operation each over all columns; a consumer's affine map likewise.  Only a
-column that fails its certificate is solved alone, by the engine and then
-by the full QP.
+operation each over all columns on one region; a consumer's affine map
+likewise.  Only a column whose walk ends is solved alone, by the engine
+and then by the full QP.
 
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
@@ -240,8 +251,8 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
     each column from the same ``warm_start``, so no column depends on
     another or on their order.
 
-    The condensed arithmetic covers all columns at once; a column whose
-    point fails its certificate is solved alone, by the W-QP engine from
+    The condensed arithmetic covers all columns on one region at once; a
+    column whose region walk ends is solved alone, by the W-QP engine from
     the warm start and then by the full QP.
     """
     prices, g = _query(problem, price_columns)
@@ -279,14 +290,43 @@ def _query(problem: PlayerProblem, price_columns):
 
 def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolution:
     """Min-norm production unless W is unique, then the active set at x
-    (``active``, or None: not yet taken)."""
+    (``active``, or None: not yet taken, and then the canonical multipliers
+    there, as the engine's W-QP path takes them in ``_solve_w_qp``)."""
     cond = _condensation(problem)
     if problem.kind == "producer" and (cond is None or not cond.w_unique):
         block = _w_block(problem) if cond is None else (cond.w_rows, cond.a_w, cond.b_w)
         x, active = _min_norm_production(problem, x, *block), None
     if active is None:
         active = _active_sets(problem, cond, _rows(problem, x)[1][:, None])[0]
+        eta = _canonical_duals(problem, cond, eta, active)
     return PlayerSolution(prices, x, mu, eta, active, problem)
+
+
+def _canonical_duals(problem: PlayerProblem, cond, eta, active):
+    """``eta`` with the multipliers of the W rows tied in ``active`` replaced
+    by the minimum-norm nonnegative ones with the same B_w' eta, where those
+    rows are linearly dependent (a degenerate vertex, whose multipliers are
+    not unique), so that every path picks the same selection.
+
+    That is the QP min 1/2 |e|^2 s.t. B_T' e = B_T' eta_T, e >= 0 on the
+    engine, from eta_T itself.  Any optimal W has the same multipliers, so
+    the choice does not depend on which one was found.
+    """
+    if cond is None:
+        w_rows, _, b_w = _w_block(problem)
+        w_pos = {int(r): k for k, r in enumerate(w_rows)}
+    else:
+        w_rows, b_w, w_pos = cond.w_rows, cond.b_w, cond.w_pos
+    tied = [w_pos[i] for i in active if i in w_pos]
+    if len(tied) < 2 or np.linalg.matrix_rank(b_w[tied]) == len(tied):
+        return eta
+    b_t, rows, k = b_w[tied], w_rows[tied], len(tied)
+    res = solve_qp_active_set(np.eye(k), np.zeros(k), b_t.T, b_t.T @ eta[rows],
+                              -np.eye(k), np.zeros(k), eta[rows])
+    out = eta.copy()
+    out[rows] = res.x
+    out[rows[list(res.working_set)]] = 0.0  # held at its bound
+    return out
 
 
 def _active_sets(problem: PlayerProblem, cond, slack):
@@ -348,8 +388,8 @@ class _Condensed:
 
 @dataclass(frozen=True)
 class _Region:
-    """One critical region of the W-QP: its rows held active, a solution's
-    strict rows or the rows tied at a cold start.
+    """One critical region of the W-QP: its rows held active (a step of a
+    region walk, or a solution's strict rows).
 
     ``coef`` maps [1, pi] to (W, eta of those rows), or is None when
     the region cannot serve a solve (W not unique or the reduced KKT matrix
@@ -410,7 +450,9 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
 
 def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> _Region:
     """The region of the W rows ``rows``, from the instance's slot or built
-    into it, replacing the one held there.
+    into it, replacing the one held there.  Each step of a region walk
+    reads one, and so does ``response_jacobian`` for a solution's strict
+    rows.
 
     The reduced KKT system [H B_s'; B_s 0] (W, eta_s) = (-A_w' mu0(pi), b_s)
     is solved for its constant column and one column per price.
@@ -450,9 +492,15 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
     """Per column of ``g``, (x, mu, eta, active) through the W-QP, or None
     where the point fails the full rows.
 
-    The region of the warm start serves every column it can certify; each
-    other column is solved alone by the engine from the player's usual
-    start, seeded with the rows the region predicts stay active there.
+    Each column walks the W-QP's critical regions from the first one
+    (``_first_rows``), and the columns on one region take their step
+    together (``_serve``): a column is served where it certifies with
+    exactly the region's W rows tied, else it moves to the rows ``_serve``
+    names.  Where the walk ends (no rows named, a row set it tried before,
+    or a region that cannot serve) the engine solves the column alone from
+    the player's usual start, seeded with the first region's rows that it
+    predicts stay active there, or with the warm start's active W rows when
+    no region could serve.
     """
     m, n_w = g.shape[1], cond.a_w.shape[1]
     g_t = g[: cond.n_t]
@@ -461,15 +509,34 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
         empty = np.zeros((0, m))
         return _recover(problem, cond, g_t, mu0, empty, empty)  # V is affine in g
     x0, active = _start(problem, warm_start)
-    region, z = _predict(problem, cond, g, x0, warm_start)
-    served = [None] * m
-    if region is not None and warm_start is not None:
-        served = _serve(problem, cond, g, mu0, region, z)
+    first = _first_rows(problem, cond, x0, warm_start)
+    points, engine, tried = [None] * m, [], {}  # tried: column -> row sets of its walk
+    walks = {} if first is None else {first: list(range(m))}
+    seed = None  # the first region's rows and prediction, at every column
+    while walks:
+        rows, cols = walks.popitem()
+        region = _region(problem, cond, rows)
+        if region.coef is None:
+            engine += cols
+            continue
+        pick = cols if len(cols) < m else slice(None)
+        z = region.coef @ np.concatenate((np.ones((1, len(cols))), g[: problem.n_prices, pick]))
+        seed = seed or (region.pos, z[n_w:])
+        served, moves = _serve(problem, cond, g[:, pick], mu0[:, pick], region, z)
+        for c, point, move in zip(cols, served, moves):
+            points[c] = point
+            if point is None:
+                trail = tried.setdefault(c, {first})
+                if move is None or move in trail:
+                    engine.append(c)
+                else:
+                    trail.add(move)
+                    walks.setdefault(move, []).append(c)
     fallback = [cond.w_pos[i] for i in active if i in cond.w_pos]
-    return [point if point is not None
-            else _solve_w_qp(problem, cond, g_t[:, c : c + 1], mu0[:, c : c + 1], x0,
-                             fallback if region is None else region.pos[z[n_w:, c] > 0.0].tolist())
-            for c, point in enumerate(served)]
+    for c in sorted(engine):
+        points[c] = _solve_w_qp(problem, cond, g_t[:, c : c + 1], mu0[:, c : c + 1], x0,
+                                fallback if seed is None else seed[0][seed[1][:, c] > 0.0].tolist())
+    return points
 
 
 def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, g_t, mu0, x0, seed):
@@ -480,40 +547,61 @@ def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, g_t, mu0, x0, seed):
         cond.hessian, cond.a_w.T @ mu0[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
-    return _recover(problem, cond, g_t, mu0, res.x[:, None], res.ineq_duals[:, None])[0]
+    point = _recover(problem, cond, g_t, mu0, res.x[:, None], res.ineq_duals[:, None])[0]
+    if point is None:
+        return None
+    x, mu, eta, active = point
+    return x, mu, _canonical_duals(problem, cond, eta, active), active
 
 
-def _predict(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, x0, warm_start):
-    """The region that predicts the W-QP at every column of ``g`` and its
-    (W, eta of its rows) there, one column per point; (None, None) when no
-    region can.  A warm start's region holds its strict rows, a cold one
-    the W rows tied at the feasible start ``x0``."""
+def _first_rows(problem: PlayerProblem, cond: _Condensed, x0, warm_start):
+    """The rows of the region a walk starts from: a warm start's strict rows,
+    or the W rows tied at the feasible start ``x0``; None when a strict row
+    is not a W row."""
     if warm_start is None:
         slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ x0[cond.n_t:]
         # tied by the engine's own test, so it keeps every seeded row
-        rows = tuple(cond.w_rows[slack <= cond.tols[1][cond.w_rows]].tolist())
-    else:
-        rows, _ = _strict_active(warm_start)
-        if not all(i in cond.w_pos for i in rows):
-            return None, None
-    region = _region(problem, cond, rows)
-    if region.coef is None:
-        return None, None
-    return region, region.coef @ np.concatenate((np.ones((1, g.shape[1])), g[: problem.n_prices]))
+        return tuple(cond.w_rows[slack <= cond.tols[1][cond.w_rows]].tolist())
+    rows, _ = _strict_active(warm_start)
+    return rows if all(i in cond.w_pos for i in rows) else None
 
 
 def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, region: _Region, z):
-    """Per column of ``g``, (x, mu, eta, active) at the point ``z`` of the
-    warm start's region, or None where it does not certify."""
+    """One step of the walk at the prediction ``z`` = (W, eta of its rows) of
+    ``region``, one column per column of ``g``.
+
+    Returns, per column, (x, mu, eta, active) where the point certifies
+    (finite, eta >= 0 and every full-problem row within the start
+    tolerances) and the W rows tied there are the region's rows, else None;
+    and the rows of the next region, those of ``region`` whose multiplier
+    is positive and the W rows the predicted W violates beyond tolerance,
+    or None where the walk ends (a point that is not finite, or one that
+    certifies with a tied W row outside the region: a degenerate vertex).
+    """
     m, n_w = g.shape[1], cond.a_w.shape[1]
-    keep = np.isfinite(z).all(axis=0) & (z[n_w:] >= 0.0).all(axis=0)
-    if not keep.any():
-        return [None] * m
+    finite = np.isfinite(z).all(axis=0)
+    keep = finite & (z[n_w:] >= 0.0).all(axis=0)
     if not keep.all():
-        z = np.where(keep, z, 0.0)  # refused; keeps the products below finite
+        z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
+    w, eta_r = z[:n_w], z[n_w:]
     eta_w = np.zeros((cond.w_rows.size, m))
-    eta_w[region.pos] = z[n_w:]
-    return _recover(problem, cond, g[: cond.n_t], mu0, z[:n_w], eta_w, keep)
+    eta_w[region.pos] = eta_r
+    points = (_recover(problem, cond, g[: cond.n_t], mu0, w, eta_w, keep) if keep.any()
+              else [None] * m)
+    served = [point if point is not None
+              and tuple(i for i in point[3] if i in cond.w_pos) == region.rows else None
+              for point in points]
+    moves = [None] * m
+    refused = [c for c, point in enumerate(points) if point is None and finite[c]]
+    if refused:
+        w_rows = cond.w_rows
+        over = (cond.b_w @ w[:, refused] - problem.ineq_rhs[w_rows, None]
+                > cond.tols[1][w_rows, None])
+        held = np.array(region.rows, dtype=int)
+        for k, c in enumerate(refused):
+            moves[c] = tuple(sorted({*held[eta_r[:, c] > 0.0].tolist(),
+                                     *w_rows[over[:, k]].tolist()}))
+    return served, moves
 
 
 def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w, keep=True):

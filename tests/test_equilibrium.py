@@ -262,7 +262,7 @@ def test_bound_states_from_active_set_match_primal_walk(medium, which):
         for problem, sol in zip(market.problems, market.solutions(prices)):
             if problem.kind != "producer":
                 continue
-            got = _plant_bound_states(problem, sol)
+            got = _plant_bound_states(problem, [sol])[0]
             ref = _primal_bound_states(sc, problem, sol)
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])

@@ -314,6 +314,17 @@ def _recorder(monkeypatch, name):
     return calls
 
 
+def _served(calls):
+    """Whether any recorded ``_serve`` step served a point."""
+    return any(p is not None for _, (points, _moves) in calls for p in points)
+
+
+def _bypass_walk(mp):
+    """Make every walk step serve nothing and name no next region, so every
+    W-QP column goes to the engine, seeded from the first region as before."""
+    mp.setattr(players, "_serve", lambda problem, cond, g, *rest: ([None] * g.shape[1],) * 2)
+
+
 @pytest.mark.parametrize("name", sorted(AGREEMENT_MARKETS))
 def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     sc = AGREEMENT_MARKETS[name]
@@ -323,6 +334,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     spread = 0.05 * max(1.0, float(np.max(np.abs(res.prices))))
     points = [res.prices] + [res.prices + spread * rng.standard_normal(res.prices.size)
                              for _ in range(10)]
+    served = _recorder(monkeypatch, "_serve")
     for prices in points:
         for prob in market.problems:
             cond = players._condensation(prob)
@@ -332,8 +344,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
             assert players._solve_condensed(prob, cond, g, None)[0] is not None
             _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
     # warm pass: each point from the previous point's solution, so the
-    # region of that solution's strict rows serves it when it certifies
-    served = _recorder(monkeypatch, "_serve")
+    # walk starts from the region of that solution's strict rows
     for prob in market.problems:
         warm = eq.solve_qp(prob, points[0])
         for prices in points[1:]:
@@ -342,7 +353,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     # every market with a unique-W producer is served by a region somewhere
     unique = any(players._condensation(p).w_unique for p in market.problems
                  if p.kind == "producer")
-    assert any(out is not None and out[0] is not None for _, out in served) == unique
+    assert _served(served) == unique
 
 
 def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, monkeypatch):
@@ -354,10 +365,11 @@ def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, mo
     engine = _recorder(monkeypatch, "solve_qp_active_set")
     prices = np.full(3, 60.0)
     sol = eq.solve_qp(rich_producer, prices, warm_start=low)
-    # the idle selection does not hold at high prices: its region is tried,
-    # fails to certify, and the engine solves the W-QP from the warm start
-    assert [out for _, out in served] == [[None]]
-    assert engine
+    # the idle selection does not hold at high prices: its region is tried
+    # and fails to certify; the walk ends on a set of rows whose reduced
+    # KKT matrix is singular, and the engine solves the W-QP from the warm start
+    assert [points for _, (points, _moves) in served] == [[None]] * len(served)
+    assert len(served) > 1 and engine
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
     assert sol.active_set != low.active_set
 
@@ -541,6 +553,7 @@ def _rerun_from_fallback_seed(mp, problems, start):
                 if players._condensation(p) is not None}
     engine = players.solve_qp_active_set
     differs = []
+    _bypass_walk(mp)
 
     def both_seeds(G, g, A, a, B, b, x0, working_set=()):
         res = engine(G, g, A, a, B, b, x0, working_set=working_set)
@@ -584,9 +597,8 @@ def test_seeded_w_qp_agrees_with_the_fallback_seed_and_the_full_qp(name, monkeyp
 
 
 def test_ladder_dispatch_work(monkeypatch):
-    # seeded from their regions, the engine's runs on the three benchmark
-    # ladders take 111 iterations; from the fallback seed alone (the warm
-    # start's active W rows, none cold) they take 425
+    # the region walk serves all but one W-QP of the three benchmark ladders;
+    # the engine runs once, for 4 iterations
     iterations = []
     engine = players.solve_qp_active_set
 
@@ -598,7 +610,7 @@ def test_ladder_dispatch_work(monkeypatch):
     monkeypatch.setattr(players, "solve_qp_active_set", counting)
     for n in (12, 24, 48):
         assert eq.solve_equilibrium(ladder(n)).converged
-    assert sum(iterations) <= 200
+    assert (len(iterations), sum(iterations)) == (1, 4)
 
 
 @st.composite
@@ -633,3 +645,137 @@ def test_seeded_w_qp_agrees_on_generated_markets(market):
         warms = [eq.solve_qp(p, first) for p in problems]
         _solve_cold_and_warm(problems, warms, [second], start)
     assert differs
+
+
+def test_walked_points_agree_on_generated_markets():
+    served = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_markets())
+    def walk(market):
+        sc, (first, second) = market
+        problems = [eq.assemble_producer(p, sc) for p in sc.producers]
+        with pytest.MonkeyPatch.context() as mp:
+            steps = _recorder(mp, "_serve")
+            warms = [eq.solve_qp(p, first) for p in problems]
+            _solve_cold_and_warm(problems, warms, [second], [None])
+        served.append(_served(steps))
+
+    walk()
+    assert any(served)
+
+
+# ---- the region walk ---------------------------------------------------------
+
+def _walk_steps(monkeypatch):
+    """Replace players._serve by a wrapper that records (region rows, served,
+    next rows) of every walk step, and return that list."""
+    steps = []
+    inner = players._serve
+
+    def recording(problem, cond, g, mu0, region, z):
+        served, moves = inner(problem, cond, g, mu0, region, z)
+        steps.append((region.rows, served, moves))
+        return served, moves
+
+    monkeypatch.setattr(players, "_serve", recording)
+    return steps
+
+
+def test_repeated_row_set_hands_the_column_to_the_engine(rich_producer, monkeypatch):
+    low = eq.solve_qp(rich_producer, np.full(3, 2.0))
+    first, _ = players._strict_active(low)
+    inner = players._serve
+
+    def cycling(problem, cond, g, mu0, region, z):
+        # the walk from the first region to no rows and back
+        served, _ = inner(problem, cond, g, mu0, region, z)
+        return served, [() if region.rows == first else first] * g.shape[1]
+
+    monkeypatch.setattr(players, "_serve", cycling)
+    steps = _walk_steps(monkeypatch)
+    engine = _recorder(monkeypatch, "_solve_w_qp")
+    prices = np.full(3, 60.0)
+    sol = eq.solve_qp(rich_producer, prices, warm_start=low)
+    assert [rows for rows, _, _ in steps] == [first, ()]
+    assert all(served == [None] for _, served, _ in steps)
+    assert len(engine) == 1
+    _assert_agrees_with_full_qp(rich_producer, prices, sol)
+
+
+def _small_cov_vertex():
+    """small_cov's producer2 (ramp_down = -capacity) at full output in
+    delivery 0 and none in delivery 1: ramp_down(0), cap_upper(0) and
+    cap_lower(1) are tied on its 2 W variables, so its multipliers are not
+    unique.  Returns the market, the problem, the prices and those rows."""
+    market = eq.Market(AGREEMENT_MARKETS["small_cov"])
+    prob = next(p for p in market.problems if p.name == "producer2")
+    rows = tuple(prob.ineq_row(label) for label in (
+        ("ramp_down", 0, "gas", 0), ("cap_upper", 0, "gas", 0), ("cap_lower", 1, "gas", 0)))
+    return market, prob, np.array([40.0, 40.0, 1.0]), rows
+
+
+def test_tied_row_outside_the_region_hands_the_column_to_the_engine(monkeypatch):
+    market, prob, prices, vertex = _small_cov_vertex()
+    centre = eq.solve_equilibrium(market.scenario, market=market).prices
+    warm = eq.solve_qp(prob, centre)
+    steps = _walk_steps(monkeypatch)
+    engine = _recorder(monkeypatch, "_solve_w_qp")
+    for start in (None, warm):
+        steps.clear()
+        engine.clear()
+        sol = eq.solve_qp(prob, prices, warm_start=start)
+        # the last region certifies its point, but a vertex row outside it is tied
+        rows, served, moves = steps[-1]
+        assert served == [None] and moves == [None]
+        assert set(rows) < set(vertex)
+        assert len(engine) == 1
+        assert sol.active_set == vertex
+        _assert_agrees_with_full_qp(prob, prices, sol)
+
+
+def test_degenerate_vertex_multipliers_are_the_minimum_norm_ones():
+    _, prob, prices, vertex = _small_cov_vertex()
+    cond = players._condensation(prob)
+    b_t = cond.b_w[[cond.w_pos[i] for i in vertex]]
+    null = np.linalg.svd(b_t.T)[2][-1]  # B_T' e = r leaves one direction free
+    for sol in (eq.solve_qp(prob, prices), players._full_solve_qp(prob, prices)):
+        eta = sol.ineq_duals[list(vertex)]
+        assert sol.active_set == vertex and np.all(eta >= 0.0)
+        # the nearest point to 0 on the line eta + t null, kept nonnegative
+        with np.errstate(divide="ignore"):
+            bounds = -eta / null
+        t = np.clip(-float(eta @ null), np.max(bounds[null > 0.0], initial=-np.inf),
+                    np.min(bounds[null < 0.0], initial=np.inf))
+        assert abs(t) <= 1e-12 * float(np.max(eta))
+        assert players._strict_active(sol)[0] == vertex[:2]
+
+
+def test_jittered_small_cov_picks_one_selection_on_every_path(monkeypatch):
+    # moving the small_cov equilibrium by up to 2 ulp per price moves the
+    # last radius-0.5 point of the draws in
+    # test_seeded_w_qp_agrees_with_the_fallback_seed_and_the_full_qp across
+    # the vertex of _small_cov_vertex; every path must pick its one selection
+    market, prob, _, _ = _small_cov_vertex()
+    centre = eq.solve_equilibrium(market.scenario, market=market).prices
+    jitter = np.random.default_rng(0)
+    for _ in range(200):
+        moved = centre.copy()
+        for k, ulps in enumerate(jitter.integers(-2, 3, centre.size)):
+            for _ in range(abs(int(ulps))):
+                moved[k] = np.nextafter(moved[k], np.copysign(np.inf, ulps))
+        rng = np.random.default_rng(41)
+        spread = max(1.0, float(np.max(np.abs(moved))))
+        for radius in (0.05, 0.5):
+            points = moved + radius * spread * rng.standard_normal((3, moved.size))
+        prices = points[-1]
+        full = eq.response_jacobian(prob, players._full_solve_qp(prob, prices)).selection_id
+        warm = eq.solve_qp(prob, moved)
+        with pytest.MonkeyPatch.context() as mp:
+            for bypass in (False, True):
+                if bypass:
+                    _bypass_walk(mp)
+                for start in (None, warm):
+                    sol = eq.solve_qp(prob, prices, warm_start=start)
+                    assert eq.response_jacobian(prob, sol).selection_id == full

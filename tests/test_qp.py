@@ -57,7 +57,8 @@ def test_engine_duals_with_a_repeated_equality_row():
 
 
 def _w_qp_calls(scenario):
-    """The arguments of every W-QP the engine gets while ``scenario`` solves."""
+    """The arguments of every W-QP the engine gets while ``scenario`` solves
+    with the region walk bypassed, so that every W-QP goes to the engine."""
     calls = []
     engine = players.solve_qp_active_set
 
@@ -66,6 +67,7 @@ def _w_qp_calls(scenario):
         return engine(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(players, "_serve", lambda problem, cond, g, *rest: ([None] * g.shape[1],) * 2)
         mp.setattr(players, "solve_qp_active_set", recording)
         market = eq.Market(scenario)
         eq.solve_equilibrium(scenario, market=market)
