@@ -206,8 +206,8 @@ def excess_volume(scenario: Scenario, expected_prices) -> np.ndarray:
 
 def _pin_table(problem: PlayerProblem) -> np.ndarray:
     """Which production entries each inequality row pins when it is tight,
-    at the upper bound, at the lower and at either: a read-only boolean
-    array (rows + 1, 3 * W), kept per problem; the last row pins nothing.
+    at the upper bound and at the lower: a read-only boolean array
+    (rows + 1, 2 * W), kept per problem; the last row pins nothing.
 
     A tight row holds each entry it touches at the bound its coefficient
     pushes against: the upper where the coefficient is positive, the lower
@@ -218,8 +218,8 @@ def _pin_table(problem: PlayerProblem) -> np.ndarray:
     cache = problem._derived
     if "pins" not in cache:
         w = problem.ineq_matrix[:, problem.index_map.n_traded:]
-        table = np.vstack((np.hstack((w > 0.0, w < 0.0, w != 0.0)),
-                           np.zeros((1, 3 * w.shape[1]), dtype=bool)))
+        table = np.vstack((np.hstack((w > 0.0, w < 0.0)),
+                           np.zeros((1, 2 * w.shape[1]), dtype=bool)))
         table.flags.writeable = False
         cache["pins"] = table
     return cache["pins"]
@@ -227,10 +227,10 @@ def _pin_table(problem: PlayerProblem) -> np.ndarray:
 
 def _plant_bound_states(problem, solutions):
     """Per solution, delivery and plant: is production pinned at its upper
-    bound, at its lower and at either.
+    bound and at its lower.
 
     Read from the solutions' active sets in one pass over the pin table;
-    returns one boolean array of shape (solutions, 3, deliveries, plants).
+    returns one boolean array of shape (solutions, 2, deliveries, plants).
     """
     table = _pin_table(problem)
     rows, starts = [], []
@@ -239,16 +239,16 @@ def _plant_bound_states(problem, solutions):
         rows += sol.active_set
         rows.append(table.shape[0] - 1)  # keeps every segment nonempty
     pinned = np.logical_or.reduceat(table[rows], starts, axis=0)
-    return pinned.reshape(len(solutions), 3, problem.index_map.grid.n_deliveries, -1)
+    return pinned.reshape(len(solutions), 2, problem.index_map.grid.n_deliveries, -1)
 
 
 def _fleet_bounds(market: Market, columns):
     """Per column (one solution per player) and delivery: is every plant of
-    the fleet pinned at its upper bound, at its lower and at either; one
-    boolean array (columns, 3, deliveries).  A market without plants has no
-    delivery at a bound and no plant inside its bounds."""
-    bound = np.ones((len(columns), 3, market.scenario.grid.n_deliveries), dtype=bool)
-    bound[:, :2] = any(p.kind == "producer" for p in market.problems)
+    the fleet pinned at its upper bound and at its lower; one boolean array
+    (columns, 2, deliveries).  A market without plants has no delivery at a
+    bound."""
+    bound = np.full((len(columns), 2, market.scenario.grid.n_deliveries),
+                    any(p.kind == "producer" for p in market.problems))
     for k, problem in enumerate(market.problems):
         if problem.kind == "producer":
             bound &= _plant_bound_states(problem, [sols[k] for sols in columns]).all(axis=-1)
@@ -279,18 +279,13 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
         if prices is None:
             raise ValueError("need prices or solutions")
         solutions = market.solutions(np.asarray(prices, dtype=float))
-    return _saturation_report(scenario, solutions, _fleet_bounds(market, [solutions])[0])
-
-
-def _saturation_report(scenario: Scenario, solutions, bound) -> SaturationReport:
-    """The report of ``detect_saturation`` from the bound states
-    ``_fleet_bounds`` gives for ``solutions``."""
     z = np.zeros(scenario.n_contracts)
     for sol in solutions:
         z += sol.volumes
     sums = _totals(scenario) @ z
     statuses, consistent = [], []
-    for upper, lower, total in zip(*bound[:2].tolist(), sums.tolist()):
+    all_upper, all_lower = _fleet_bounds(market, [solutions])[0].tolist()
+    for upper, lower, total in zip(all_upper, all_lower, sums.tolist()):
         if upper:
             statuses.append("all-upper")
             consistent.append(total < 0)
@@ -489,7 +484,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         k = min(n_samples - len(samples), cap - attempts)
         pairs = prices + radius * rng.standard_normal((k, 2, n))
         z, point_sols = market.excess_many(pairs.reshape(2 * k, n).T)
-        saturated = _fleet_bounds(market, point_sols)[:, :2].any(axis=(1, 2))
+        saturated = _fleet_bounds(market, point_sols).any(axis=(1, 2))
         for i, (x, y) in enumerate(pairs):
             attempts += 1
             if float(np.max(np.abs(x - y))) < 1e-12:
@@ -523,7 +518,12 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         rank = int(np.sum(sv > cut))
         rank_ok = rank == required
 
-    bound = _fleet_bounds(market, [sols])[0]
+    strict = np.zeros(scenario.grid.n_deliveries, dtype=bool)
+    for problem, sol in zip(market.problems, sols):
+        if problem.kind == "producer":
+            upper, lower = _plant_bound_states(problem, [sol])[0]
+            strict |= (~upper & ~lower).any(axis=1)
+
     return DiagnosticsReport(
         monotonicity_samples=tuple(samples),
         monotonicity_all_negative=all_neg,
@@ -532,7 +532,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         rank_condition=rank,
         rank_required=required,
         rank_ok=rank_ok,
-        strictly_feasible_plant_per_period=tuple((~bound[2]).tolist()),
-        saturation=_saturation_report(scenario, sols, bound),
+        strictly_feasible_plant_per_period=tuple(strict.tolist()),
+        saturation=detect_saturation(scenario, solutions=sols, market=market),
         notes=tuple(notes),
     )

@@ -519,10 +519,9 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
         if region.coef is None:
             engine += cols
             continue
-        pick = cols if len(cols) < m else slice(None)
-        z = region.coef @ np.concatenate((np.ones((1, len(cols))), g[: problem.n_prices, pick]))
+        z = region.coef @ np.concatenate((np.ones((1, len(cols))), g[: problem.n_prices, cols]))
         seed = seed or (region.pos, z[n_w:])
-        served, moves = _serve(problem, cond, g[:, pick], mu0[:, pick], region, z)
+        served, moves = _serve(problem, cond, g[:, cols], mu0[:, cols], region, z)
         for c, point, move in zip(cols, served, moves):
             points[c] = point
             if point is None:

@@ -334,7 +334,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     spread = 0.05 * max(1.0, float(np.max(np.abs(res.prices))))
     points = [res.prices] + [res.prices + spread * rng.standard_normal(res.prices.size)
                              for _ in range(10)]
-    served = _recorder(monkeypatch, "_serve")
+    steps = _recorder(monkeypatch, "_serve")
     for prices in points:
         for prob in market.problems:
             cond = players._condensation(prob)
@@ -343,16 +343,20 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
             g = prob.merged_linear(prices)[:, None]
             assert players._solve_condensed(prob, cond, g, None)[0] is not None
             _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
+    cold = _served(steps)
     # warm pass: each point from the previous point's solution, so the
     # walk starts from the region of that solution's strict rows
+    served = _recorder(monkeypatch, "_serve")
     for prob in market.problems:
         warm = eq.solve_qp(prob, points[0])
         for prices in points[1:]:
             warm = eq.solve_qp(prob, prices, warm_start=warm)
             _assert_agrees_with_full_qp(prob, prices, warm)
-    # every market with a unique-W producer is served by a region somewhere
+    # every market with a unique-W producer is served by a region somewhere,
+    # from the cold start's tied rows and from the warm start's strict rows
     unique = any(players._condensation(p).w_unique for p in market.problems
                  if p.kind == "producer")
+    assert cold == unique
     assert _served(served) == unique
 
 
@@ -702,6 +706,41 @@ def test_repeated_row_set_hands_the_column_to_the_engine(rich_producer, monkeypa
     assert all(served == [None] for _, served, _ in steps)
     assert len(engine) == 1
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
+
+
+def test_walked_columns_keep_their_own_prices(rich_producer, monkeypatch):
+    # columns reach the region X out of order: the first region F sends
+    # columns 0 and 2 to X and column 1 to B, and B sends column 1 on to X,
+    # so X holds the columns 0, 2, 1; each must get the point of its prices
+    warm = eq.solve_qp(rich_producer, np.full(3, 2.0))
+    first = players._strict_active(warm)[0]
+    detour = players._strict_active(eq.solve_qp(rich_producer, np.full(3, 10.0)))[0]
+    columns = np.array([[19.0, 20.0, 21.0]] * 3) + np.array([[0.0], [0.3], [-0.2]])
+    alone = [eq.solve_qp(rich_producer, columns[:, c], warm_start=warm) for c in range(3)]
+    target = players._strict_active(alone[0])[0]
+    assert all(players._strict_active(sol)[0] == target for sol in alone)
+    assert len({first, detour, target}) == 3
+    g_all = players._query(rich_producer, columns)[1]
+    inner = players._serve
+
+    def steering(problem, cond, g, mu0, region, z):
+        if region.rows == target:
+            return inner(problem, cond, g, mu0, region, z)
+        ids = [next(c for c in range(3) if np.array_equal(g[:, k], g_all[:, c]))
+               for k in range(g.shape[1])]
+        moves = {first: {0: target, 1: detour, 2: target}, detour: {1: target}}[region.rows]
+        return [None] * len(ids), [moves[c] for c in ids]
+
+    monkeypatch.setattr(players, "_serve", steering)
+    steps = _walk_steps(monkeypatch)
+    engine = _recorder(monkeypatch, "_solve_w_qp")
+    sols = players.solve_qp_many(rich_producer, columns, warm_start=warm)
+    assert [rows for rows, _, _ in steps] == [first, detour, target]
+    assert all(point is not None for point in steps[-1][1]) and not engine
+    for sol, ref in zip(sols, alone):
+        assert sol.active_set == ref.active_set
+        np.testing.assert_allclose(sol.primal, ref.primal, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sol.ineq_duals, ref.ineq_duals, rtol=0, atol=1e-9)
 
 
 def _small_cov_vertex():
