@@ -298,13 +298,20 @@ class BruteForceResult:
     levels: int                          # nested bisection levels, one per contract
 
 
-def _bisect_root(f, lo, hi, tol):
-    """Root of a non-increasing scalar map on [lo, hi] by plain bisection."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo <= 0.0:
-        return lo
-    if f_hi >= 0.0:
-        return hi
+def _bisect_root(f, lo, hi, tol, start=None):
+    """Root of a non-increasing scalar map on [lo, hi] by bisection in a bracket
+    walked from ``start`` by steps doubling from ``tol`` (from lo, one box-wide step)."""
+    start, step = (lo, hi - lo) if start is None else (start, tol)
+    up = f(start) >= 0.0  # the root lies above start
+    edge = hi if up else lo
+    while start != edge:
+        far = min(start + step, hi) if up else max(start - step, lo)
+        if (f(far) >= 0.0) != up:
+            break
+        start, step = far, 2.0 * step
+    else:
+        return edge
+    lo, hi = sorted((start, far))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) >= 0.0:
@@ -325,9 +332,9 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
     is non-increasing in its own price and plain bisection brackets its
     root.  The last component is zeroed in the last price, the reduced
     second-to-last component in its price, and so on outward, one level per
-    contract.  The outermost level stops at half a grid step, the inner
-    ones at a hundredth, and the answer lies within one grid step of the
-    true equilibrium.
+    contract, each bracketed from its level's previous root.  The outermost
+    level stops at half a grid step, the inner ones at a hundredth, and
+    the answer lies within one grid step of the true equilibrium.
     """
     spec = grid_spec or GridSpec()
     market = market or Market(scenario)
@@ -336,6 +343,7 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
         raise EquitermError(f"brute force limited to 3 contracts, got {n}")
     lo, hi = market.price_box()
     count = 0
+    roots = [None] * n
 
     def z_at(p):
         nonlocal count
@@ -353,7 +361,8 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
             return float(z_at(completion(prefix + [p]))[k])
 
         tol = 0.5 * spec.step if k == 0 else 0.01 * spec.step
-        return completion(prefix + [_bisect_root(reduced, lo[k], hi[k], tol)])
+        roots[k] = _bisect_root(reduced, lo[k], hi[k], tol, roots[k])
+        return completion(prefix + [roots[k]])
 
     price = np.array(completion([]))
     resid = float(np.max(np.abs(z_at(price))))

@@ -21,28 +21,29 @@ also once per scenario.  The cold start is likewise found once per
 instance and kept read-only.
 
 The W-QP is a multiparametric QP in the prices: on a critical region,
-where a fixed set of strict rows (positive multiplier) is active, its
-solution is affine, W(pi) = W0 + W1 pi and eta_R(pi) = eta0 + eta1 pi, from
-one reduced KKT system in (W, eta_R) with a constant and a per-price
-right-hand side.  A solve walks these regions, starting from the warm
-start's strict rows, or from the W rows tied at the feasible start when it
-is cold.  It keeps a region's point when that certifies (finite,
-eta_R >= 0, and the full problem's start-point check passes, equalities
-included) and the W rows tied there are exactly R.  Otherwise it moves to
-R' = {rows of R with eta > 0} + {W rows the predicted W violates}: the
-primal-dual active-set step, a semismooth Newton step (Hintermueller, Ito
-& Kunisch, SIAM J. Optim. 13, 2002).  The walk ends after finitely many
-row sets, and the engine solves the W-QP instead, in three cases: R' was
-already tried, the region of R' cannot serve (W not unique or a singular
-reduced system), or the certified point has a tied W row outside R (a
-degenerate vertex).  The engine starts from the player's usual start,
-seeded with the first region's rows whose multiplier it predicts stays
-positive, or with the warm start's active W rows when no region could
-serve (a strict row that is not a W row).  The engine accepts any rows
-active at its start, so the seed changes the path, not the answer.  Only
-W is mapped; mu and t are recovered from it as above.  Each problem
-instance keeps one region, keyed by its rows, so memory stays bounded on a
-long sweep.
+where a fixed set R of strict rows (positive multiplier) is active, its
+solution W(pi), eta_R(pi) is affine.  When W is unique its Hessian H is
+positive definite, and the range-space method (Nocedal & Wright, 16.2)
+builds every region from one factor of H per instance and one |R| x |R|
+Cholesky factor per region.  A solve walks these regions, starting from
+the warm start's strict rows, or from the W rows tied at the feasible
+start when it is cold.  It keeps a region's point when that certifies
+(finite, eta_R >= 0 up to the roundoff of its solve, and the full
+problem's start-point check passes, equalities included) and the W rows
+tied there are exactly R.  Otherwise it moves to R' = {rows of R with
+eta > 0} + {W rows the predicted W violates}: the primal-dual active-set
+step, a semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J.
+Optim. 13, 2002).  The walk ends after finitely many row sets, and the
+engine solves the W-QP instead, in three cases: R' was already tried, the
+region of R' cannot serve (W not unique, or rows of R' dependent), or the
+certified point has a tied W row outside R (a degenerate vertex).  The
+engine starts from the player's usual start, seeded with the first
+region's rows whose multiplier it predicts stays positive, or with the
+warm start's active W rows when no region could serve (a strict row that
+is not a W row).  The engine accepts any rows active at its start, so the
+seed changes the path, not the answer.  Only W is mapped; mu and t are
+recovered from it as above.  Each problem instance keeps one region, keyed
+by its rows, so memory stays bounded on a long sweep.
 
 At a degenerate vertex the tied W rows are linearly dependent and their
 multipliers are not unique; the engine and the full QP then keep the
@@ -85,10 +86,9 @@ start unchanged, so it is skipped (decided once per instance).
 ``response_jacobian`` differentiates the optimal power trades with respect
 to expected prices while holding the strictly active constraints fixed:
 one affine piece of the piecewise-affine response map.  When every
-strictly active row is a ramp or capacity row it reads the matrix from the
-region of those rows (the per-price columns of its reduced KKT system,
-mapped back through mu and t); otherwise it solves the full KKT system of
-the equality-plus-strict selection.
+strictly active row is a ramp or capacity row and W is unique it reads
+the matrix from the region of those rows; otherwise it solves the full
+KKT system of the equality-plus-strict selection.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ __all__ = [
 
 DUAL_TOL = 1e-8
 FD_STEP = 1e-6  # price step of finite_difference_volumes
-# smallest Cholesky pivot of S, relative to the largest, that still counts
-# as full rank; an exactly repeated equality row leaves a pivot near 1e-8
-S_PIVOT_TOL = 1e-6
+# smallest Cholesky pivot of S, H or a region's M, relative to the largest, that
+# still counts as full rank; an exactly repeated row leaves a pivot near 1e-8
+PIVOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,8 @@ class _Condensed:
 
     With Sigma the unscaled covariance of t and A = [A_t A_w] the equality
     rows, S = A_t Sigma^-1 A_t' / lambda.  Production W enters only through
-    the ramp and capacity rows (``w_rows`` of the full problem).
+    the ramp and capacity rows (``w_rows`` of the full problem).  The
+    range-space terms every region shares are kept, None unless W is unique.
     """
 
     n_t: int
@@ -376,12 +377,15 @@ class _Condensed:
     s_inv: np.ndarray              # S^-1
     a_w: np.ndarray                # A_w
     b_w: np.ndarray                # W block of the ramp and capacity rows
-    hessian: np.ndarray            # A_w' S^-1 A_w, Hessian of the W-QP
-    d_mu: np.ndarray               # S^-1 A_t Sigma^-1 E / lambda = -dmu0/dpi
+    hessian: np.ndarray            # H = A_w' S^-1 A_w, Hessian of the W-QP
     w_rows: np.ndarray
     w_pos: dict                    # full-problem row -> W-QP row
-    w_unique: bool                 # A_w has full column rank
+    w_unique: bool                 # A_w has full column rank (H is factored)
     tols: tuple                    # qp.row_tolerances of the full problem
+    w_map: np.ndarray | None       # P = H^-1 [r0 R1], the unconstrained W
+    h_inv_bt: np.ndarray | None    # H^-1 B_w'
+    jac0: np.ndarray | None        # dV/dpi with no W row held
+    jac_rows: np.ndarray | None    # G = R1' H^-1 B_w': dV/dpi per unit of deta/dpi
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
 
@@ -391,15 +395,17 @@ class _Region:
     """One critical region of the W-QP: its rows held active (a step of a
     region walk, or a solution's strict rows).
 
-    ``coef`` maps [1, pi] to (W, eta of those rows), or is None when
-    the region cannot serve a solve (W not unique or the reduced KKT matrix
-    singular).  ``jacobian`` is dV/dpi on the region, None when the reduced
-    system is inconsistent.
+    ``coef`` maps [1, pi] to (W, eta of those rows) and ``eta_err`` maps
+    [1, |pi|] to a bound on the roundoff of that eta; both are None when
+    the region cannot serve a solve (W not unique, or M = B_s H^-1 B_s'
+    singular).  ``jacobian`` is dV/dpi on the region, None when W is not
+    unique.
     """
 
     rows: tuple[int, ...]          # full-problem rows (a strict set is a selection_id)
     pos: np.ndarray                # their W-QP rows
     coef: np.ndarray | None
+    eta_err: np.ndarray | None
     jacobian: np.ndarray | None
 
 
@@ -410,81 +416,91 @@ def _condensation(problem: PlayerProblem) -> _Condensed | None:
     return cache["condensed"]
 
 
+def _spd_inverse(matrix):
+    """Inverse of a symmetric positive definite ``matrix`` by Cholesky; None
+    when that fails or a pivot is below ``PIVOT_TOL`` of the largest."""
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(matrix))
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diag(l_inv)  # 1 / the factor's pivots
+    if pivots.size and not pivots.min() > PIVOT_TOL * pivots.max():
+        return None
+    return l_inv.T @ l_inv
+
+
 def _condense(problem: PlayerProblem) -> _Condensed | None:
-    """Factor S for this instance; None when a Cholesky factor fails."""
+    """Factor S, and H when W is unique, for this instance; None when S fails."""
     sigma_inv = problem.cov_inverse
     if sigma_inv is None:
         return None
-    n_t = problem.n_vars - problem.index_map.n_w
+    n_t, n_p = problem.n_vars - problem.index_map.n_w, problem.n_prices
     lam = problem.risk_aversion
     a_t = problem.eq_matrix[:, :n_t]
     m = a_t @ sigma_inv
-    try:
-        chol = np.linalg.cholesky(m @ a_t.T / lam)
-    except np.linalg.LinAlgError:
-        return None
-    pivots = np.diag(chol)
-    if not pivots.size or not pivots.min() > S_PIVOT_TOL * pivots.max():
-        return None  # numerically rank-deficient A_t (repeated rows) or not finite
-    l_inv = np.linalg.inv(chol)
-    s_inv = l_inv.T @ l_inv
+    s_inv = _spd_inverse(m @ a_t.T / lam)
+    if s_inv is None or not s_inv.size:
+        return None  # repeated equality rows, or no equality row
     w_rows, a_w, b_w = _w_block(problem)
     n_w = a_w.shape[1]
+    hessian = a_w.T @ s_inv @ a_w
+    # H is positive definite iff A_w has full column rank (an empty H is its
+    # own inverse); then the min-norm QP has no free direction: it returns its start
+    h_inv, maps = _spd_inverse(hessian) if n_w else hessian, [None] * 4
+    if h_inv is not None:
+        d_mu = s_inv @ m[:, :n_p] / lam  # -dmu(0)/dpi
+        mu_zero = -s_inv @ (problem.eq_rhs + m @ problem.linear[:n_t] / lam)
+        r = np.column_stack((-a_w.T @ mu_zero, a_w.T @ d_mu))
+        w_map, h_inv_bt = h_inv @ r, h_inv @ b_w.T
+        r_1 = r[:, 1:].T
+        jac0 = -(sigma_inv[:n_p, :n_p] - m[:, :n_p].T @ d_mu) / lam - r_1 @ w_map[:, 1:]
+        jac0.flags.writeable = False  # the unconstrained region's, shared
+        maps = [w_map, h_inv_bt, jac0, r_1 @ h_inv_bt]
     return _Condensed(
-        n_t=n_t,
-        sigma_inv=sigma_inv,
-        m=m,
-        s_inv=s_inv,
-        a_w=a_w,
-        b_w=b_w,
-        hessian=a_w.T @ s_inv @ a_w,
-        d_mu=s_inv @ m[:, : problem.n_prices] / lam,
-        w_rows=w_rows,
-        w_pos={int(r): k for k, r in enumerate(w_rows)},
-        # the rank test of the engine's null-space basis: with full column
-        # rank the min-norm QP has no free direction and returns its start
-        w_unique=n_w == 0 or int(np.linalg.matrix_rank(a_w)) == n_w,
+        n_t=n_t, sigma_inv=sigma_inv, m=m, s_inv=s_inv, a_w=a_w, b_w=b_w, hessian=hessian,
+        w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)}, w_unique=h_inv is not None,
         tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
+        w_map=maps[0], h_inv_bt=maps[1], jac0=maps[2], jac_rows=maps[3],
     )
 
 
 def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> _Region:
     """The region of the W rows ``rows``, from the instance's slot or built
-    into it, replacing the one held there.  Each step of a region walk
-    reads one, and so does ``response_jacobian`` for a solution's strict
-    rows.
+    into it, replacing the one held there: a walk step's or a solution's.
 
-    The reduced KKT system [H B_s'; B_s 0] (W, eta_s) = (-A_w' mu0(pi), b_s)
-    is solved for its constant column and one column per price.
+    Range-space build (Nocedal & Wright, 16.2), with [r0 R1] the W-QP's
+    negated linear term (constant, per price), B_s the held rows and b_s
+    their bounds: eta = M^-1 (B_s P - [b_s 0]) from one Cholesky factor of
+    M = B_s H^-1 B_s', W = P - H^-1 B_s' eta, dV/dpi = jac0 + G[:, s] deta/dpi.
     """
     slot = cond.region
     if slot and slot[0].rows == rows:
         return slot[0]
-    n_p, lam = problem.n_prices, problem.risk_aversion
-    n_w = cond.a_w.shape[1]
     pos = np.array([cond.w_pos[i] for i in rows], dtype=int)
-    coef, consistent, d_mu = None, True, -cond.d_mu
-    if n_w:
-        b_s = cond.b_w[pos]
-        k = n_w + pos.size
-        K = np.zeros((k, k))
-        K[:n_w, :n_w] = cond.hessian
-        K[:n_w, n_w:] = b_s.T
-        K[n_w:, :n_w] = b_s
-        mu_zero = -cond.s_inv @ (problem.eq_rhs + cond.m @ problem.linear[: cond.n_t] / lam)
-        rhs = np.zeros((k, 1 + n_p))
-        rhs[:n_w, 0] = -cond.a_w.T @ mu_zero
-        rhs[n_w:, 0] = problem.ineq_rhs[cond.w_rows[pos]]
-        rhs[:n_w, 1:] = cond.a_w.T @ cond.d_mu
-        sol, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=None)
-        coef = sol if cond.w_unique and rank == k else None
-        consistent = float(np.max(np.abs(K @ sol[:, 1:] - rhs[:, 1:]))) <= 1e-7
-        d_mu = d_mu + cond.s_inv @ (cond.a_w @ sol[:n_w, 1:])
-    jacobian = None
-    if consistent:
-        jacobian = -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
+    coef = eta_err = jacobian = None
+    if cond.w_map is not None and not rows:  # unconstrained: P, and no multiplier
+        coef, eta_err, jacobian = cond.w_map, cond.w_map[:0], cond.jac0
+    elif cond.w_map is not None:
+        hb = cond.h_inv_bt[:, pos]
+        b_s, bound = cond.b_w[pos], problem.ineq_rhs[cond.w_rows[pos]]
+        m_mat, rhs = b_s @ hb, b_s @ cond.w_map
+        rhs[:, 0] -= bound
+        m_inv = _spd_inverse(m_mat)
+        if m_inv is None:
+            # dependent rows (a degenerate vertex): eta is not unique, but W1 is,
+            # P1 projected onto B_s W = 0 in the H metric (B_s P1 is in M's range)
+            eta_1 = np.linalg.pinv(m_mat, PIVOT_TOL ** 2, hermitian=True) @ rhs[:, 1:]
+        else:
+            eta = m_inv @ rhs
+            coef = np.vstack((cond.w_map - hb @ eta, eta))
+            # first-order roundoff of eta: eps per term summed, through |M^-1|
+            terms = np.abs(b_s) @ np.abs(cond.w_map)
+            terms[:, 0] += np.abs(bound)
+            eta_err = np.finfo(float).eps * (sum(hb.shape) + rhs.shape[1]) * (np.abs(m_inv) @ terms)
+            eta_1 = eta[:, 1:]
+        jacobian = cond.jac0 + cond.jac_rows[:, pos] @ eta_1
         jacobian.flags.writeable = False  # shared by every caller of the region
-    slot[:] = [_Region(rows, pos, coef, jacobian)]
+    slot[:] = [_Region(rows, pos, coef, eta_err, jacobian)]
     return slot[0]
 
 
@@ -570,19 +586,23 @@ def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, region:
     ``region``, one column per column of ``g``.
 
     Returns, per column, (x, mu, eta, active) where the point certifies
-    (finite, eta >= 0 and every full-problem row within the start
-    tolerances) and the W rows tied there are the region's rows, else None;
-    and the rows of the next region, those of ``region`` whose multiplier
-    is positive and the W rows the predicted W violates beyond tolerance,
-    or None where the walk ends (a point that is not finite, or one that
-    certifies with a tied W row outside the region: a degenerate vertex).
+    (finite, eta >= -``eta_err`` and every full-problem row within the
+    start tolerances) and the W rows tied there are the region's rows, else
+    None; and the rows of the next region, those of ``region`` whose
+    multiplier is positive and the W rows the predicted W violates beyond
+    tolerance, or None where the walk ends (a point that is not finite, or
+    one that certifies with a tied W row outside the region: a degenerate
+    vertex).
     """
     m, n_w = g.shape[1], cond.a_w.shape[1]
     finite = np.isfinite(z).all(axis=0)
-    keep = finite & (z[n_w:] >= 0.0).all(axis=0)
-    if not keep.all():
+    if not finite.all():
         z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
     w, eta_r = z[:n_w], z[n_w:]
+    if (eta_r < 0.0).any():  # zero where within the roundoff of its own solve
+        err = region.eta_err @ np.vstack((np.ones((1, m)), np.abs(g[: problem.n_prices])))
+        eta_r = np.where(eta_r >= -err, np.maximum(eta_r, 0.0), eta_r)
+    keep = finite & (eta_r >= 0.0).all(axis=0)
     eta_w = np.zeros((cond.w_rows.size, m))
     eta_w[region.pos] = eta_r
     points = (_recover(problem, cond, g[: cond.n_t], mu0, w, eta_w, keep) if keep.any()

@@ -370,8 +370,9 @@ def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, mo
     prices = np.full(3, 60.0)
     sol = eq.solve_qp(rich_producer, prices, warm_start=low)
     # the idle selection does not hold at high prices: its region is tried
-    # and fails to certify; the walk ends on a set of rows whose reduced
-    # KKT matrix is singular, and the engine solves the W-QP from the warm start
+    # and fails to certify; the walk ends on a set of rows whose matrix
+    # M = B_s H^-1 B_s' is singular, and the engine solves the W-QP from the
+    # warm start
     assert [points for _, (points, _moves) in served] == [[None]] * len(served)
     assert len(served) > 1 and engine
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
@@ -818,3 +819,134 @@ def test_jittered_small_cov_picks_one_selection_on_every_path(monkeypatch):
                 for start in (None, warm):
                     sol = eq.solve_qp(prob, prices, warm_start=start)
                     assert eq.response_jacobian(prob, sol).selection_id == full
+
+
+# ---- range-space region maps ----------------------------------------------
+
+def _reduced_kkt_region(problem, cond, rows):
+    """(coef, jacobian) of the region of ``rows`` from one least-squares solve
+    of the reduced KKT system [H B_s'; B_s 0] (W, eta_s) = (-A_w' mu0(pi), b_s):
+    an independent build that the range-space maps are checked against."""
+    n_p, lam = problem.n_prices, problem.risk_aversion
+    n_w = cond.a_w.shape[1]
+    pos = [cond.w_pos[i] for i in rows]
+    b_s = cond.b_w[pos]
+    k = n_w + len(pos)
+    K = np.zeros((k, k))
+    K[:n_w, :n_w] = cond.hessian
+    K[:n_w, n_w:] = b_s.T
+    K[n_w:, :n_w] = b_s
+    d_mu = cond.s_inv @ cond.m[:, :n_p] / lam
+    mu_zero = -cond.s_inv @ (problem.eq_rhs + cond.m @ problem.linear[: cond.n_t] / lam)
+    rhs = np.zeros((k, 1 + n_p))
+    rhs[:n_w, 0] = -cond.a_w.T @ mu_zero
+    rhs[n_w:, 0] = problem.ineq_rhs[cond.w_rows[pos]]
+    rhs[:n_w, 1:] = cond.a_w.T @ d_mu
+    sol, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=None)
+    coef = sol if cond.w_unique and rank == k else None
+    d_mu = -d_mu + cond.s_inv @ (cond.a_w @ sol[:n_w, 1:])
+    jacobian = -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
+    return coef, jacobian
+
+
+def _curvature(problem, cond):
+    """The scale of dV/dpi's terms, Sigma^-1 / lambda on the prices: an entry
+    of dV/dpi can cancel to roundoff."""
+    n_p = problem.n_prices
+    return float(np.max(np.abs(cond.sigma_inv[:n_p, :n_p]))) / problem.risk_aversion
+
+
+def _assert_close(value, ref, scale=0.0):
+    """``value`` within 1e-10 of ``ref``, relative to the larger of ``scale``
+    and the largest entry of ``ref``."""
+    scale = max(scale, float(np.max(np.abs(ref), initial=0.0)))
+    assert value.shape == ref.shape
+    assert float(np.max(np.abs(value - ref), initial=0.0)) <= 1e-10 * scale
+
+
+def _built_regions(monkeypatch):
+    """Record every region built, as (problem, rows, region)."""
+    built = []
+    inner = players._region
+
+    def recording(problem, cond, rows):
+        slot = cond.region
+        fresh = not (slot and slot[0].rows == rows)
+        region = inner(problem, cond, rows)
+        if fresh:
+            built.append((problem, rows, region))
+        return region
+
+    monkeypatch.setattr(players, "_region", recording)
+    return built
+
+
+SOLVED_MARKETS = {**dict(make_corpus()), **{f"ladder_{n}": ladder(n) for n in (12, 24, 48)}}
+
+
+def test_region_maps_agree_with_the_reduced_kkt_build(monkeypatch):
+    built = _built_regions(monkeypatch)
+    for sc in SOLVED_MARKETS.values():
+        assert eq.solve_equilibrium(sc).converged
+    singular = served = 0
+    for problem, rows, region in built:
+        cond = players._condensation(problem)
+        if not cond.w_unique:
+            # twin plants: no map; the engine and the full KKT Jacobian serve
+            assert region.coef is None and region.jacobian is None
+            continue
+        coef, jacobian = _reduced_kkt_region(problem, cond, rows)
+        _assert_close(region.jacobian, jacobian, _curvature(problem, cond))
+        if region.coef is None:
+            singular += 1  # dependent rows: the reference is rank-deficient too
+            assert coef is None
+        else:
+            served += 1
+            _assert_close(region.coef, coef)
+    assert served > 100 and singular  # three_by_three's producer2 walks into (0, 3, 4)
+
+
+def test_dependent_rows_leave_the_region_singular(rich_producer):
+    # 5 rows on 4 W variables: the walk's last region at prices 60 from a
+    # warm start at prices 2 (see the engine fallback test above)
+    cond = players._condensation(rich_producer)
+    cond.region.clear()
+    region = players._region(rich_producer, cond, (0, 3, 4, 6, 8))
+    assert region.coef is None and region.eta_err is None
+    coef, jacobian = _reduced_kkt_region(rich_producer, cond, (0, 3, 4, 6, 8))
+    assert coef is None
+    # W's per-price map is still unique, and so is dV/dpi
+    _assert_close(region.jacobian, jacobian, _curvature(rich_producer, cond))
+
+
+# engine runs per solve_equilibrium when the range-space build came in; a
+# later change may lower a count, never raise it
+ENGINE_RUNS = {"twin_plants": 12, "three_by_three": 3, "ladder_24": 1}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_MARKETS))
+def test_engine_runs_per_solve_do_not_grow(name, monkeypatch):
+    engine = _recorder(monkeypatch, "solve_qp_active_set")
+    assert eq.solve_equilibrium(SOLVED_MARKETS[name]).converged
+    assert len(engine) <= ENGINE_RUNS.get(name, 0)
+
+
+def test_degenerate_cold_start_is_served_by_its_region(monkeypatch):
+    # n1_single's producer1 starts cold at prices where its unconstrained
+    # optimum is W = 0, with the lower bound row 1 tied: the multiplier of
+    # that row is zero up to the roundoff of its solve, so the region serves
+    market = eq.Market(SOLVED_MARKETS["n1_single"])
+    prob = next(p for p in market.problems if p.name == "producer1")
+    steps = _walk_steps(monkeypatch)
+    engine = _recorder(monkeypatch, "solve_qp_active_set")
+    cond = players._condensation(prob)
+    prices = np.array([5.5])
+    cond.region.clear()
+    region = players._region(prob, cond, (1,))
+    eta = float(region.coef[-1] @ np.concatenate(([1.0], prices)))
+    err = float(region.eta_err[-1] @ np.concatenate(([1.0], prices)))
+    assert abs(eta) <= err  # a degenerate vertex, up to roundoff
+    sol = eq.solve_qp(prob, prices)
+    assert [rows for rows, _, _ in steps] == [(1,)] and steps[0][1][0] is not None
+    assert not engine and sol.ineq_duals[1] == 0.0
+    _assert_agrees_with_full_qp(prob, prices, sol)
