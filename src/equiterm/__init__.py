@@ -8,7 +8,6 @@ from .errors import (
     EquitermError,
     GridError,
     InfeasibleError,
-    JacobianUnavailableError,
     NumericalError,
     ScenarioError,
 )

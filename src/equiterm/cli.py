@@ -44,6 +44,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
+_INPUT_ERRORS = (ScenarioError, GridError, EnsembleError, CovarianceError)  # all ValueErrors
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,19 +346,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScenarioError, GridError, EnsembleError, CovarianceError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     report = _envelope(args)
     try:
         return _COMMANDS[args.command](scenario, args, report)
+    except _INPUT_ERRORS as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioError, GridError, EnsembleError, CovarianceError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (InfeasibleError, NumericalError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import PlayerProblem, assemble_all
-from .errors import JacobianUnavailableError
 from .grid import delivery_totals_matrix
 from .players import PlayerSolution, response_jacobian, solve_qp, solve_qp_many
 from .scenario import Scenario
@@ -54,8 +53,10 @@ class SolveOptions:
     initial_prices: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.tol <= 0 or self.kkt_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol < np.inf and 0.0 < self.kkt_tol < np.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,11 @@ class DiagnosticsReport:
 
     monotonicity_samples: tuple[tuple[np.ndarray, np.ndarray, float], ...]
     monotonicity_all_negative: bool | None
-    jacobian_eigen_max: float | None
-    jacobian_available: bool
-    rank_condition: int | None
+    jacobian_eigen_max: float
+    jacobian_available: bool      # always True: every selection has a sensitivity
+    rank_condition: int
     rank_required: int
-    rank_ok: bool | None
+    rank_ok: bool
     strictly_feasible_plant_per_period: tuple[bool, ...]
     saturation: SaturationReport | None
     notes: tuple[str, ...] = ()
@@ -431,17 +432,14 @@ def _newton_step(market: Market, sols, z):
     responsive subspace, and the selection's curvature.
 
     The curvature is the largest |eigenvalue| of the symmetrized aggregate
-    sensitivity, None when no sensitivity is available.  At a selection
+    sensitivity, None when no player responds to prices.  At a selection
     boundary or deep in a pinned region the sensitivity is (numerically)
     singular; a plain solve or a tiny Tikhonov shift then produces
     astronomical steps along the flat directions.  The truncated
     eigendecomposition zeroes those components instead; progress along flat
     directions is the gradient step's job.
     """
-    try:
-        J = market.aggregate_jacobian(sols)
-    except JacobianUnavailableError:
-        return None, None
+    J = market.aggregate_jacobian(sols)
     w, U = np.linalg.eigh(0.5 * (J + J.T))
     w_max = float(np.max(np.abs(w)))
     if w_max <= 1e-11:  # no player responds to prices here at all
@@ -497,26 +495,20 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     all_neg = all(ip < 0 for _, _, ip in samples) if samples else None
 
     required = scenario.grid.n_deliveries
-    eig_max = rank = rank_ok = None
-    try:
-        # one sensitivity per player, summed in player order into both totals
-        J, Jp = np.zeros((n, n)), np.zeros((n, n))
-        for problem, sol in zip(market.problems, sols):
-            matrix = response_jacobian(problem, sol).matrix
-            J += matrix
-            if problem.kind == "producer":
-                Jp += matrix
-    except JacobianUnavailableError as exc:
-        notes.append(f"aggregate sensitivity unavailable: {exc}")
-    else:
-        eig_max = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
-        a1 = _totals(scenario)
-        S = a1 @ Jp @ a1.T
-        sv = np.linalg.svd(S, compute_uv=False)
-        cut = max(S.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-        cut = max(cut, 1e-10 * (sv[0] if sv.size else 0.0), 1e-14)
-        rank = int(np.sum(sv > cut))
-        rank_ok = rank == required
+    # one sensitivity per player, summed in player order into both totals
+    J, Jp = np.zeros((n, n)), np.zeros((n, n))
+    for problem, sol in zip(market.problems, sols):
+        matrix = response_jacobian(problem, sol).matrix
+        J += matrix
+        if problem.kind == "producer":
+            Jp += matrix
+    eig_max = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+    a1 = _totals(scenario)
+    S = a1 @ Jp @ a1.T
+    sv = np.linalg.svd(S, compute_uv=False)
+    cut = max(S.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    cut = max(cut, 1e-10 * (sv[0] if sv.size else 0.0), 1e-14)
+    rank = int(np.sum(sv > cut))
 
     strict = np.zeros(scenario.grid.n_deliveries, dtype=bool)
     for problem, sol in zip(market.problems, sols):
@@ -528,10 +520,10 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         monotonicity_samples=tuple(samples),
         monotonicity_all_negative=all_neg,
         jacobian_eigen_max=eig_max,
-        jacobian_available=eig_max is not None,
+        jacobian_available=True,
         rank_condition=rank,
         rank_required=required,
-        rank_ok=rank_ok,
+        rank_ok=rank == required,
         strictly_feasible_plant_per_period=tuple(strict.tolist()),
         saturation=detect_saturation(scenario, solutions=sols, market=market),
         notes=tuple(notes),

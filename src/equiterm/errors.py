@@ -28,6 +28,3 @@ class InfeasibleError(EquitermError, RuntimeError):
 class NumericalError(EquitermError, RuntimeError):
     """A numerical routine failed to converge or hit a singular system."""
 
-
-class JacobianUnavailableError(NumericalError):
-    """Sensitivity system is singular at a degenerate active set."""

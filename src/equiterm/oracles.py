@@ -285,8 +285,8 @@ class GridSpec:
     step: float = 1e-4
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be finite and positive")
 
 
 @dataclass(frozen=True)

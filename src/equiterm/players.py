@@ -86,9 +86,11 @@ start unchanged, so it is skipped (decided once per instance).
 ``response_jacobian`` differentiates the optimal power trades with respect
 to expected prices while holding the strictly active constraints fixed:
 one affine piece of the piecewise-affine response map.  When every
-strictly active row is a ramp or capacity row and W is unique it reads
-the matrix from the region of those rows; otherwise it solves the full
-KKT system of the equality-plus-strict selection.
+strict row is a W row it is dV/dpi = J_t - R1' dW/dpi, J_t the sensitivity
+at fixed W, with dW/dpi read from the region's map where it serves, else
+the null-space projection Z (Z'HZ)^+ Z' R1 (Nocedal & Wright, 16.2);
+otherwise the projection runs on the full problem.  It is exact wherever
+Sigma is positive definite: the Hessian's flat directions move W alone.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import PlayerProblem
-from .errors import InfeasibleError, JacobianUnavailableError, ScenarioError
-from .qp import (interior_margin, row_tolerances, row_violations, solve_qp_active_set,
+from .errors import InfeasibleError, ScenarioError
+from .qp import (_factor, interior_margin, row_tolerances, row_violations, solve_qp_active_set,
                  start_violation)
 
 __all__ = [
@@ -368,7 +370,8 @@ class _Condensed:
     With Sigma the unscaled covariance of t and A = [A_t A_w] the equality
     rows, S = A_t Sigma^-1 A_t' / lambda.  Production W enters only through
     the ramp and capacity rows (``w_rows`` of the full problem).  The
-    range-space terms every region shares are kept, None unless W is unique.
+    sensitivity terms J_t and R1 are kept for every instance; the
+    range-space terms every region shares are None unless W is unique.
     """
 
     n_t: int
@@ -382,10 +385,10 @@ class _Condensed:
     w_pos: dict                    # full-problem row -> W-QP row
     w_unique: bool                 # A_w has full column rank (H is factored)
     tols: tuple                    # qp.row_tolerances of the full problem
+    jac_t: np.ndarray              # J_t = dV/dpi at fixed W
+    r_1: np.ndarray                # R1, with R1' = -dV/dW
     w_map: np.ndarray | None       # P = H^-1 [r0 R1], the unconstrained W
     h_inv_bt: np.ndarray | None    # H^-1 B_w'
-    jac0: np.ndarray | None        # dV/dpi with no W row held
-    jac_rows: np.ndarray | None    # G = R1' H^-1 B_w': dV/dpi per unit of deta/dpi
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
 
@@ -398,15 +401,13 @@ class _Region:
     ``coef`` maps [1, pi] to (W, eta of those rows) and ``eta_err`` maps
     [1, |pi|] to a bound on the roundoff of that eta; both are None when
     the region cannot serve a solve (W not unique, or M = B_s H^-1 B_s'
-    singular).  ``jacobian`` is dV/dpi on the region, None when W is not
-    unique.
+    singular).
     """
 
     rows: tuple[int, ...]          # full-problem rows (a strict set is a selection_id)
     pos: np.ndarray                # their W-QP rows
     coef: np.ndarray | None
     eta_err: np.ndarray | None
-    jacobian: np.ndarray | None
 
 
 def _condensation(problem: PlayerProblem) -> _Condensed | None:
@@ -444,23 +445,20 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
     w_rows, a_w, b_w = _w_block(problem)
     n_w = a_w.shape[1]
     hessian = a_w.T @ s_inv @ a_w
+    d_mu = s_inv @ m[:, :n_p] / lam  # -dmu(0)/dpi
+    r_1 = a_w.T @ d_mu
+    jac_t = -(sigma_inv[:n_p, :n_p] - m[:, :n_p].T @ d_mu) / lam
     # H is positive definite iff A_w has full column rank (an empty H is its
     # own inverse); then the min-norm QP has no free direction: it returns its start
-    h_inv, maps = _spd_inverse(hessian) if n_w else hessian, [None] * 4
+    h_inv, w_map, h_inv_bt = _spd_inverse(hessian) if n_w else hessian, None, None
     if h_inv is not None:
-        d_mu = s_inv @ m[:, :n_p] / lam  # -dmu(0)/dpi
         mu_zero = -s_inv @ (problem.eq_rhs + m @ problem.linear[:n_t] / lam)
-        r = np.column_stack((-a_w.T @ mu_zero, a_w.T @ d_mu))
-        w_map, h_inv_bt = h_inv @ r, h_inv @ b_w.T
-        r_1 = r[:, 1:].T
-        jac0 = -(sigma_inv[:n_p, :n_p] - m[:, :n_p].T @ d_mu) / lam - r_1 @ w_map[:, 1:]
-        jac0.flags.writeable = False  # the unconstrained region's, shared
-        maps = [w_map, h_inv_bt, jac0, r_1 @ h_inv_bt]
+        w_map, h_inv_bt = h_inv @ np.column_stack((-a_w.T @ mu_zero, r_1)), h_inv @ b_w.T
     return _Condensed(
         n_t=n_t, sigma_inv=sigma_inv, m=m, s_inv=s_inv, a_w=a_w, b_w=b_w, hessian=hessian,
         w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)}, w_unique=h_inv is not None,
         tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
-        w_map=maps[0], h_inv_bt=maps[1], jac0=maps[2], jac_rows=maps[3],
+        jac_t=jac_t, r_1=r_1, w_map=w_map, h_inv_bt=h_inv_bt,
     )
 
 
@@ -471,36 +469,30 @@ def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> 
     Range-space build (Nocedal & Wright, 16.2), with [r0 R1] the W-QP's
     negated linear term (constant, per price), B_s the held rows and b_s
     their bounds: eta = M^-1 (B_s P - [b_s 0]) from one Cholesky factor of
-    M = B_s H^-1 B_s', W = P - H^-1 B_s' eta, dV/dpi = jac0 + G[:, s] deta/dpi.
+    M = B_s H^-1 B_s', and W = P - H^-1 B_s' eta.  When that factor fails
+    the rows are dependent (a degenerate vertex) and eta is not unique.
     """
     slot = cond.region
     if slot and slot[0].rows == rows:
         return slot[0]
     pos = np.array([cond.w_pos[i] for i in rows], dtype=int)
-    coef = eta_err = jacobian = None
+    coef = eta_err = None
     if cond.w_map is not None and not rows:  # unconstrained: P, and no multiplier
-        coef, eta_err, jacobian = cond.w_map, cond.w_map[:0], cond.jac0
+        coef, eta_err = cond.w_map, cond.w_map[:0]
     elif cond.w_map is not None:
         hb = cond.h_inv_bt[:, pos]
         b_s, bound = cond.b_w[pos], problem.ineq_rhs[cond.w_rows[pos]]
-        m_mat, rhs = b_s @ hb, b_s @ cond.w_map
-        rhs[:, 0] -= bound
-        m_inv = _spd_inverse(m_mat)
-        if m_inv is None:
-            # dependent rows (a degenerate vertex): eta is not unique, but W1 is,
-            # P1 projected onto B_s W = 0 in the H metric (B_s P1 is in M's range)
-            eta_1 = np.linalg.pinv(m_mat, PIVOT_TOL ** 2, hermitian=True) @ rhs[:, 1:]
-        else:
+        m_inv = _spd_inverse(b_s @ hb)
+        if m_inv is not None:
+            rhs = b_s @ cond.w_map
+            rhs[:, 0] -= bound
             eta = m_inv @ rhs
             coef = np.vstack((cond.w_map - hb @ eta, eta))
             # first-order roundoff of eta: eps per term summed, through |M^-1|
             terms = np.abs(b_s) @ np.abs(cond.w_map)
             terms[:, 0] += np.abs(bound)
             eta_err = np.finfo(float).eps * (sum(hb.shape) + rhs.shape[1]) * (np.abs(m_inv) @ terms)
-            eta_1 = eta[:, 1:]
-        jacobian = cond.jac0 + cond.jac_rows[:, pos] @ eta_1
-        jacobian.flags.writeable = False  # shared by every caller of the region
-    slot[:] = [_Region(rows, pos, coef, eta_err, jacobian)]
+    slot[:] = [_Region(rows, pos, coef, eta_err)]
     return slot[0]
 
 
@@ -692,34 +684,37 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
         solution = solve_qp(problem, expected_prices)
     strict, weak = _strict_active(solution)
     cond = _condensation(problem)
-    matrix = None
     if cond is not None and all(i in cond.w_pos for i in strict):
-        matrix = _region(problem, cond, strict).jacobian
-    if matrix is None:
+        matrix = _condensed_jacobian(problem, cond, strict)
+    else:
         matrix = _kkt_jacobian(problem, strict)
     return ResponseJacobian(matrix, strict, bool(weak))
 
 
+def _condensed_jacobian(problem: PlayerProblem, cond: _Condensed, rows) -> np.ndarray:
+    """dV/dpi = J_t - R1' dW/dpi with the W rows ``rows`` held: dW/dpi is the
+    price columns of their region's map where it serves, else R1 projected."""
+    coef = _region(problem, cond, rows).coef
+    if coef is None:
+        dw = _projected(cond.hessian, cond.b_w[[cond.w_pos[i] for i in rows]], cond.r_1)
+    else:
+        dw = coef[: cond.a_w.shape[1], 1:]
+    return cond.jac_t - cond.r_1.T @ dw
+
+
 def _kkt_jacobian(problem: PlayerProblem, strict) -> np.ndarray:
-    """dV/dpi from the full KKT system of the equality-plus-strict rows."""
+    """dV/dpi of the full problem with the equality and ``strict`` rows held:
+    the projection of the price columns of -I with Hessian Q."""
     n_p = problem.n_prices
-    n = problem.n_vars
-    C = np.vstack([problem.eq_matrix, problem.ineq_matrix[list(strict)]])
-    m = C.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = problem.quadratic
-    K[:n, n:] = C.T
-    K[n:, :n] = C
-    rhs = np.zeros((n + m, n_p))
-    rhs[:n_p, :n_p] = -np.eye(n_p)
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    resid = float(np.max(np.abs(K @ sol - rhs)))
-    if resid > 1e-7:
-        raise JacobianUnavailableError(
-            f"sensitivity system inconsistent (residual {resid:.2e}) at a "
-            "degenerate active set"
-        )
-    return sol[:n_p, :]
+    rows = np.vstack([problem.eq_matrix, problem.ineq_matrix[list(strict)]])
+    return -_projected(problem.quadratic, rows, np.eye(problem.n_vars, n_p))[:n_p]
+
+
+def _projected(hessian, rows, rhs):
+    """Z (Z'HZ)^+ Z' rhs, Z the null space of ``rows``: the minimizer of
+    1/2 x'Hx - rhs'x on rows x = 0, both ranks cut by the engine's SVD rule."""
+    z = _factor(rows, hessian.shape[0])[0]
+    return z @ _factor(z.T @ hessian @ z, z.shape[1])[1](z.T @ rhs)
 
 
 def finite_difference_volumes(problem: PlayerProblem, expected_prices, direction) -> np.ndarray:

@@ -44,14 +44,14 @@ class QPResult:
 
 def _factor(C: np.ndarray, n: int):
     """The null-space basis Z of the working-set rows C (rows x n) and the
-    minimum-norm solution y of C'y = r as a function of r, from one SVD
-    C = U diag(s) V' cut at the rank ``lstsq(rcond=None)`` uses."""
+    minimum-norm solution y of C'y = r (r a vector or columns) as a function
+    of r, from one SVD C = U diag(s) V' cut at the rank ``lstsq(rcond=None)`` uses."""
     if C.shape[0] == 0:
-        return np.eye(n), lambda r: np.zeros(0)
+        return np.eye(n), lambda r: np.zeros((0,) + np.shape(r)[1:])
     u, s, vt = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s.max(initial=0.0)))
     u_r, s_r, vt_r = u[:, :rank], s[:rank], vt[:rank]
-    return vt[rank:].T, lambda r: u_r @ ((vt_r @ r) / s_r)
+    return vt[rank:].T, lambda r: u_r @ ((vt_r @ r).T / s_r).T
 
 
 def start_violation(A, a, B, b, x) -> str | None:

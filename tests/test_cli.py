@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import equiterm as eq
-from equiterm import qp
+from equiterm import cli, qp
 from equiterm.cli import _build_parser, main
 from equiterm.errors import CovarianceError, EnsembleError, GridError
 from tests.corpus import (demand_exceeds_capacity, desk_n1, in_small_units, make_corpus,
@@ -278,6 +278,50 @@ def test_doob_subcommand(ensemble_file, capsys):
     doc = json.loads(out)
     assert doc["result"]["reconstruction_error"] <= 1e-12
     assert doc["result"]["martingale_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("cmd", ["validate", "solve", "diagnose"])
+def test_one_path_ensemble_exits_2(ensemble_file, tmp_path, capsys, cmd):
+    # two paths are the fewest that estimate a covariance; diagnose solves
+    # past a failed validation and meets the estimate's CovarianceError
+    doc = json.loads(ensemble_file.read_text(encoding="utf-8"))
+    paths = doc["exogenous"]["ensemble"]["paths"]
+    del paths[1:]
+    paths[0]["weight"] = 1.0
+    path = tmp_path / "one_path.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run([cmd, "--scenario", str(path)], capsys)
+    assert code == 2
+    assert "bad configuration" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (eq.ScenarioError, 2), (eq.GridError, 2), (eq.EnsembleError, 2), (eq.CovarianceError, 2),
+    (eq.InfeasibleError, 3), (eq.NumericalError, 3), (ValueError, 1),
+])
+def test_errors_raised_by_a_command_exit_with_their_code(scenario_file, capsys, monkeypatch,
+                                                         error, code):
+    # every input error class is a ValueError too: each must keep its own code
+    def raising(scenario, args, report):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", raising)
+    got, out, err = run(["solve", "--scenario", str(scenario_file)], capsys)
+    assert got == code
+    assert not out and "raised by the command" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--step", "nan"],
+    ["oracle", "--step", "inf"],
+    ["solve", "--tol", "nan"],
+    ["solve", "--kkt-tol", "inf"],
+    ["solve", "--max-iter", "0"],
+], ids=["step_nan", "step_inf", "tol_nan", "kkt_tol_inf", "max_iter_0"])
+def test_non_finite_or_empty_options_exit_1(scenario_file, capsys, argv):
+    code, out, err = run([*argv, "--scenario", str(scenario_file)], capsys)
+    assert code == 1
+    assert not out and "bad configuration" in err
 
 
 def test_doob_needs_ensemble(scenario_file, capsys):

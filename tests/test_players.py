@@ -12,6 +12,7 @@ from equiterm.grid import delivery_totals_matrix
 from equiterm.oracles import producer_solution_with_fixed_totals
 from equiterm.qp import FEAS_TOL
 from tests.corpus import build_scenario, desk_identity, ladder, make_corpus
+from tests.test_acceptance import FD_TOL
 
 
 @pytest.fixture(scope="module")
@@ -473,6 +474,29 @@ def test_binding_trading_box_falls_back_to_full_qp():
     assert sol.kkt_residual <= 1e-8
 
 
+def test_trading_box_selections_match_finite_differences():
+    # the producer of test_binding_trading_box_falls_back_to_full_qp: a strict
+    # trading-box row leaves the W-QP, so dV/dpi is the full problem's
+    # null-space projection, checked against central differences
+    sc = build_scenario(seed=5, sizes=(2, 2), fuels={"gas": 0.5},
+                        producers=[(1.0, [("gas", 10.0, 10.0, -10.0, 2.0)])],
+                        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.4, bound_factor=0.1)
+    prob = eq.assemble_producer(sc.producers[0], sc)
+    boxes = {"v_upper", "v_lower", "f_upper", "f_lower", "o_upper", "o_lower"}
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(400):
+        prices = rng.uniform(-20.0, 80.0, 4)
+        rj = eq.response_jacobian(prob, expected_prices=prices)
+        if rj.on_boundary or not any(prob.ineq_labels[i][0] in boxes for i in rj.selection_id):
+            continue
+        checked += 1
+        for direction in np.eye(4):
+            fd = eq.finite_difference_volumes(prob, prices, direction)
+            assert float(np.max(np.abs(rj.matrix @ direction - fd))) <= FD_TOL
+    assert checked
+
+
 @pytest.mark.parametrize("which", ["producer", "consumer"])
 def test_non_finite_condensed_point_falls_back(rich_scenario, monkeypatch, which):
     prob = next(p for p in eq.assemble_all(rich_scenario) if p.kind == which)
@@ -888,15 +912,18 @@ def test_region_maps_agree_with_the_reduced_kkt_build(monkeypatch):
     built = _built_regions(monkeypatch)
     for sc in SOLVED_MARKETS.values():
         assert eq.solve_equilibrium(sc).converged
-    singular = served = 0
+    monkeypatch.undo()  # the Jacobians below build regions too: stop recording
+    singular = served = twins = 0
     for problem, rows, region in built:
         cond = players._condensation(problem)
-        if not cond.w_unique:
-            # twin plants: no map; the engine and the full KKT Jacobian serve
-            assert region.coef is None and region.jacobian is None
-            continue
         coef, jacobian = _reduced_kkt_region(problem, cond, rows)
-        _assert_close(region.jacobian, jacobian, _curvature(problem, cond))
+        jac = players._condensed_jacobian(problem, cond, rows)
+        _assert_close(jac, jacobian, _curvature(problem, cond))
+        if not cond.w_unique:
+            # twin plants: no map; the engine serves, and dV/dpi is the projection
+            assert region.coef is None
+            twins += 1
+            continue
         if region.coef is None:
             singular += 1  # dependent rows: the reference is rank-deficient too
             assert coef is None
@@ -904,6 +931,7 @@ def test_region_maps_agree_with_the_reduced_kkt_build(monkeypatch):
             served += 1
             _assert_close(region.coef, coef)
     assert served > 100 and singular  # three_by_three's producer2 walks into (0, 3, 4)
+    assert twins
 
 
 def test_dependent_rows_leave_the_region_singular(rich_producer):
@@ -916,7 +944,8 @@ def test_dependent_rows_leave_the_region_singular(rich_producer):
     coef, jacobian = _reduced_kkt_region(rich_producer, cond, (0, 3, 4, 6, 8))
     assert coef is None
     # W's per-price map is still unique, and so is dV/dpi
-    _assert_close(region.jacobian, jacobian, _curvature(rich_producer, cond))
+    jac = players._condensed_jacobian(rich_producer, cond, (0, 3, 4, 6, 8))
+    _assert_close(jac, jacobian, _curvature(rich_producer, cond))
 
 
 # engine runs per solve_equilibrium when the range-space build came in; a
