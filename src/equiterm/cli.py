@@ -117,13 +117,20 @@ def render_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report: dict, code: int) -> int:
+    """Write the report and return ``code``, or ``EXIT_USAGE`` when
+    ``--output`` cannot be written."""
     text = render_json(report) if args.format == "json" else render_text(report)
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write report: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 def _config_echo(args) -> dict:
@@ -191,16 +198,14 @@ def _solve(scenario, args):
 def _cmd_validate(scenario, args, report):
     validation = validate_scenario(scenario)
     report["validation"] = validation.as_dict()
-    _emit(args, report)
-    return EXIT_OK if validation.passed else EXIT_VALIDATION
+    return _emit(args, report, EXIT_OK if validation.passed else EXIT_VALIDATION)
 
 
 def _cmd_solve(scenario, args, report):
     validation = validate_scenario(scenario)
     report["validation"] = validation.as_dict()
     if not validation.passed:
-        _emit(args, report)
-        return EXIT_VALIDATION
+        return _emit(args, report, EXIT_VALIDATION)
     result = _solve(scenario, args)
     report["result"] = {
         "converged": result.converged,
@@ -214,8 +219,7 @@ def _cmd_solve(scenario, args, report):
         "saturation": asdict(result.saturation),
         "trace_residuals": result.trace,
     }
-    _emit(args, report)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit(args, report, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
 
 
 def _cmd_diagnose(scenario, args, report):
@@ -243,8 +247,7 @@ def _cmd_diagnose(scenario, args, report):
         "notes": diag.notes,
         "seed": args.seed,
     }
-    _emit(args, report)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit(args, report, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
 
 
 def _cmd_two_stage(scenario, args, report):
@@ -269,8 +272,7 @@ def _cmd_two_stage(scenario, args, report):
             "agrees_1e6": check.rel_error <= 1e-6,
         },
     }
-    _emit(args, report)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit(args, report, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
 
 
 def _cmd_mean_max(scenario, args, report):
@@ -283,8 +285,7 @@ def _cmd_mean_max(scenario, args, report):
         "prices_discounted": mm.prices,
         "deliveries": [asdict(d) for d in mm.deliveries],
     }
-    _emit(args, report)
-    return EXIT_OK if mm.converged else EXIT_NO_CONVERGENCE
+    return _emit(args, report, EXIT_OK if mm.converged else EXIT_NO_CONVERGENCE)
 
 
 def _cmd_oracle(scenario, args, report):
@@ -299,8 +300,7 @@ def _cmd_oracle(scenario, args, report):
         "evaluations": bf.evaluations,
         "levels": bf.levels,
     }
-    _emit(args, report)
-    return EXIT_OK
+    return _emit(args, report, EXIT_OK)
 
 
 def _cmd_doob(scenario, args, report):
@@ -319,8 +319,7 @@ def _cmd_doob(scenario, args, report):
         "predictable": parts.predictable,
         "weights": ens.weights,
     }
-    _emit(args, report)
-    return EXIT_OK
+    return _emit(args, report, EXIT_OK)
 
 
 _COMMANDS = {

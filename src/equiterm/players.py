@@ -8,17 +8,19 @@ A = [A_t A_w] the equality rows and S = A_t Sigma^-1 A_t' / lambda, the
 equality multipliers are affine in production W,
 
     mu(W) = -S^-1 (a + A_t Sigma^-1 g_t / lambda) + S^-1 A_w W,
-    t     = -Sigma^-1 (g_t + A_t' mu) / lambda.
+    t     = -Sigma^-1 (g_t + A_t' mu) / lambda,
 
-A consumer has no W, so its response is an affine map of prices.  A
-producer is left with a QP over W alone, with Hessian A_w' S^-1 A_w, linear
-term A_w' mu(0) and only the ramp and capacity rows, solved by the same
-active-set engine as the full problem.  Sigma^-1 is factored once per
-scenario and shared by reference (``PlayerProblem.cov_inverse``); S is
-factored once per problem instance, from that instance's own rows, and
-a scenario assembles its problems once (``assemble_all``), so that is
-also once per scenario.  The cold start is likewise found once per
-instance and kept read-only.
+with g_t the traded linear term, affine in the prices pi.  So [t; mu] is
+one affine map of [1; pi; W], composed once per problem instance
+(``_Condensed.rec``).  A consumer has no W, so its response is an affine
+map of prices.  A producer is left with a QP over W alone, with Hessian
+A_w' S^-1 A_w, linear term A_w' mu(0) = -[r0 R1] [1; pi] and only the
+ramp and capacity rows, solved by the same active-set engine as the full
+problem.  Sigma^-1 is factored once per scenario and shared by reference
+(``PlayerProblem.cov_inverse``); S is factored once per problem instance,
+from that instance's own rows, and a scenario assembles its problems once
+(``assemble_all``), so that is also once per scenario.  The cold start is
+likewise found once per instance and kept read-only.
 
 The W-QP is a multiparametric QP in the prices: on a critical region,
 where a fixed set R of strict rows (positive multiplier) is active, its
@@ -41,9 +43,10 @@ engine starts from the player's usual start, seeded with the first
 region's rows whose multiplier it predicts stays positive, or with the
 warm start's active W rows when no region could serve (a strict row that
 is not a W row).  The engine accepts any rows active at its start, so the
-seed changes the path, not the answer.  Only W is mapped; mu and t are
-recovered from it as above.  Each problem instance keeps one region, keyed
-by its rows, so memory stays bounded on a long sweep.
+seed changes the path, not the answer.  Only W is mapped; t and mu are
+recovered from it by ``rec``, one product per block of columns.  Each
+problem instance keeps one region, keyed by its rows, so memory stays
+bounded on a long sweep.
 
 At a degenerate vertex the tied W rows are linearly dependent and their
 multipliers are not unique; the engine and the full QP then keep the
@@ -257,25 +260,27 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
     column whose region walk ends is solved alone, by the W-QP engine from
     the warm start and then by the full QP.
     """
-    prices, g = _query(problem, price_columns)
+    prices, p = _query(problem, price_columns)
     cond = _condensation(problem)
-    points = ([None] * g.shape[1] if cond is None
-              else _solve_condensed(problem, cond, g, warm_start))
+    points = ([None] * p.shape[1] if cond is None
+              else _solve_condensed(problem, cond, p, warm_start))
     return tuple(
-        _solution(problem, prices[c], *(point or _solve_full(problem, g[:, c], warm_start)))
+        _solution(problem, prices[c], *(point or _solve_full(
+            problem, problem.merged_linear(prices[c]), warm_start)))
         for c, point in enumerate(points)
     )
 
 
 def _full_solve_qp(problem: PlayerProblem, expected_prices) -> PlayerSolution:
     """Cold ``solve_qp`` through the full QP only: the oracle of the condensed path."""
-    prices, g = _query(problem, np.reshape(expected_prices, (-1, 1)))
-    return _solution(problem, prices[0], *_solve_full(problem, g[:, 0], None))
+    prices, _ = _query(problem, np.reshape(expected_prices, (-1, 1)))
+    g = problem.merged_linear(prices[0])
+    return _solution(problem, prices[0], *_solve_full(problem, g, None))
 
 
 def _query(problem: PlayerProblem, price_columns):
-    """A read-only copy of the price columns with one row per point, and the
-    linear term of each column (variables x points)."""
+    """A read-only copy of the price columns with one row per point, and
+    P = [1; pi] per column, what the condensed maps act on."""
     prices = np.asarray(price_columns, dtype=float)
     n_p = problem.n_prices
     if prices.ndim != 2 or prices.shape[0] != n_p:
@@ -283,11 +288,9 @@ def _query(problem: PlayerProblem, price_columns):
     finite = np.isfinite(prices).all(axis=0)
     if not finite.all():
         raise ValueError(f"expected prices must be finite (column {np.argmin(finite)})")
-    g = np.repeat(problem.linear[:, None], prices.shape[1], axis=1)
-    g[:n_p] = prices
     rows = prices.T.copy()
     rows.flags.writeable = False
-    return rows, g
+    return rows, np.concatenate((np.ones((1, prices.shape[1])), prices))
 
 
 def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolution:
@@ -369,15 +372,16 @@ class _Condensed:
 
     With Sigma the unscaled covariance of t and A = [A_t A_w] the equality
     rows, S = A_t Sigma^-1 A_t' / lambda.  Production W enters only through
-    the ramp and capacity rows (``w_rows`` of the full problem).  The
-    sensitivity terms J_t and R1 are kept for every instance; the
-    range-space terms every region shares are None unless W is unique.
+    the ramp and capacity rows (``w_rows`` of the full problem).  ``rec``
+    maps [1; pi; W] to [t; mu] (module docstring), and ``w_lin`` = [r0 R1]
+    to the W-QP's linear term -[r0 R1] [1; pi].  These, and the sensitivity
+    terms J_t and R1, are kept for every instance; the range-space terms
+    every region shares are None unless W is unique.
     """
 
     n_t: int
     sigma_inv: np.ndarray          # shared Sigma^-1, not a copy
-    m: np.ndarray                  # A_t Sigma^-1
-    s_inv: np.ndarray              # S^-1
+    rec: np.ndarray                # [1; pi; W] -> [t; mu]
     a_w: np.ndarray                # A_w
     b_w: np.ndarray                # W block of the ramp and capacity rows
     hessian: np.ndarray            # H = A_w' S^-1 A_w, Hessian of the W-QP
@@ -387,7 +391,8 @@ class _Condensed:
     tols: tuple                    # qp.row_tolerances of the full problem
     jac_t: np.ndarray              # J_t = dV/dpi at fixed W
     r_1: np.ndarray                # R1, with R1' = -dV/dW
-    w_map: np.ndarray | None       # P = H^-1 [r0 R1], the unconstrained W
+    w_lin: np.ndarray              # [r0 R1], the W-QP's negated linear term
+    w_map: np.ndarray | None       # H^-1 [r0 R1], the unconstrained W
     h_inv_bt: np.ndarray | None    # H^-1 B_w'
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
@@ -448,17 +453,21 @@ def _condense(problem: PlayerProblem) -> _Condensed | None:
     d_mu = s_inv @ m[:, :n_p] / lam  # -dmu(0)/dpi
     r_1 = a_w.T @ d_mu
     jac_t = -(sigma_inv[:n_p, :n_p] - m[:, :n_p].T @ d_mu) / lam
+    g_t = problem.linear[:n_t]  # zero power slots
+    mu_map = np.hstack(((-s_inv @ (problem.eq_rhs + m @ g_t / lam))[:, None], -d_mu, s_inv @ a_w))
+    t_map = np.hstack(((sigma_inv @ g_t)[:, None], sigma_inv[:, :n_p], np.zeros((n_t, n_w))))
+    w_lin = np.column_stack((-a_w.T @ mu_map[:, 0], r_1))
     # H is positive definite iff A_w has full column rank (an empty H is its
     # own inverse); then the min-norm QP has no free direction: it returns its start
     h_inv, w_map, h_inv_bt = _spd_inverse(hessian) if n_w else hessian, None, None
     if h_inv is not None:
-        mu_zero = -s_inv @ (problem.eq_rhs + m @ problem.linear[:n_t] / lam)
-        w_map, h_inv_bt = h_inv @ np.column_stack((-a_w.T @ mu_zero, r_1)), h_inv @ b_w.T
+        w_map, h_inv_bt = h_inv @ w_lin, h_inv @ b_w.T
     return _Condensed(
-        n_t=n_t, sigma_inv=sigma_inv, m=m, s_inv=s_inv, a_w=a_w, b_w=b_w, hessian=hessian,
+        n_t=n_t, sigma_inv=sigma_inv, rec=np.vstack((-(t_map + m.T @ mu_map) / lam, mu_map)),
+        a_w=a_w, b_w=b_w, hessian=hessian,
         w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)}, w_unique=h_inv is not None,
         tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
-        jac_t=jac_t, r_1=r_1, w_map=w_map, h_inv_bt=h_inv_bt,
+        jac_t=jac_t, r_1=r_1, w_lin=w_lin, w_map=w_map, h_inv_bt=h_inv_bt,
     )
 
 
@@ -467,9 +476,10 @@ def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> 
     into it, replacing the one held there: a walk step's or a solution's.
 
     Range-space build (Nocedal & Wright, 16.2), with [r0 R1] the W-QP's
-    negated linear term (constant, per price), B_s the held rows and b_s
-    their bounds: eta = M^-1 (B_s P - [b_s 0]) from one Cholesky factor of
-    M = B_s H^-1 B_s', and W = P - H^-1 B_s' eta.  When that factor fails
+    negated linear term (constant, per price), W0 = H^-1 [r0 R1] the
+    unconstrained W, B_s the held rows and b_s their bounds:
+    eta = M^-1 (B_s W0 - [b_s 0]) from one Cholesky factor of
+    M = B_s H^-1 B_s', and W = W0 - H^-1 B_s' eta.  When that factor fails
     the rows are dependent (a degenerate vertex) and eta is not unique.
     """
     slot = cond.region
@@ -477,7 +487,7 @@ def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> 
         return slot[0]
     pos = np.array([cond.w_pos[i] for i in rows], dtype=int)
     coef = eta_err = None
-    if cond.w_map is not None and not rows:  # unconstrained: P, and no multiplier
+    if cond.w_map is not None and not rows:  # unconstrained: W0, and no multiplier
         coef, eta_err = cond.w_map, cond.w_map[:0]
     elif cond.w_map is not None:
         hb = cond.h_inv_bt[:, pos]
@@ -496,9 +506,9 @@ def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> 
     return slot[0]
 
 
-def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, warm_start):
-    """Per column of ``g``, (x, mu, eta, active) through the W-QP, or None
-    where the point fails the full rows.
+def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, warm_start):
+    """Per column of ``p`` = [1; pi], (x, mu, eta, active) through the W-QP,
+    or None where the point fails the full rows.
 
     Each column walks the W-QP's critical regions from the first one
     (``_first_rows``), and the columns on one region take their step
@@ -510,16 +520,15 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
     predicts stay active there, or with the warm start's active W rows when
     no region could serve.
     """
-    m, n_w = g.shape[1], cond.a_w.shape[1]
-    g_t = g[: cond.n_t]
-    mu0 = -cond.s_inv @ (problem.eq_rhs[:, None] + cond.m @ g_t / problem.risk_aversion)
+    m, n_w = p.shape[1], cond.a_w.shape[1]
     if not n_w:
         empty = np.zeros((0, m))
-        return _recover(problem, cond, g_t, mu0, empty, empty)  # V is affine in g
+        return _recover(problem, cond, p, empty, empty)  # V is affine in pi
     x0, active = _start(problem, warm_start)
     first = _first_rows(problem, cond, x0, warm_start)
     points, engine, tried = [None] * m, [], {}  # tried: column -> row sets of its walk
-    walks = {} if first is None else {first: list(range(m))}
+    every = list(range(m))
+    walks = {} if first is None else {first: every}
     seed = None  # the first region's rows and prediction, at every column
     while walks:
         rows, cols = walks.popitem()
@@ -527,9 +536,10 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
         if region.coef is None:
             engine += cols
             continue
-        z = region.coef @ np.concatenate((np.ones((1, len(cols))), g[: problem.n_prices, cols]))
+        p_cols = p if cols == every else p[:, cols]  # a subset, or another order
+        z = region.coef @ p_cols
         seed = seed or (region.pos, z[n_w:])
-        served, moves = _serve(problem, cond, g[:, cols], mu0[:, cols], region, z)
+        served, moves = _serve(problem, cond, p_cols, region, z)
         for c, point, move in zip(cols, served, moves):
             points[c] = point
             if point is None:
@@ -539,22 +549,22 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, wa
                 else:
                     trail.add(move)
                     walks.setdefault(move, []).append(c)
-    fallback = [cond.w_pos[i] for i in active if i in cond.w_pos]
     for c in sorted(engine):
-        points[c] = _solve_w_qp(problem, cond, g_t[:, c : c + 1], mu0[:, c : c + 1], x0,
-                                fallback if seed is None else seed[0][seed[1][:, c] > 0.0].tolist())
+        start = (seed[0][seed[1][:, c] > 0.0].tolist() if seed is not None
+                 else [cond.w_pos[i] for i in active if i in cond.w_pos])
+        points[c] = _solve_w_qp(problem, cond, p[:, c : c + 1], x0, start)
     return points
 
 
-def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, g_t, mu0, x0, seed):
-    """(x, mu, eta, active) of one point through the engine's W-QP from the
-    full-problem point ``x0`` with the W-QP rows ``seed`` as its working set,
-    or None when the point fails the full rows."""
+def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
+    """(x, mu, eta, active) of the point ``p`` = [1; pi] (one column) through
+    the engine's W-QP from the full-problem point ``x0`` with the W-QP rows
+    ``seed`` as its working set, or None when the point fails the full rows."""
     res = solve_qp_active_set(
-        cond.hessian, cond.a_w.T @ mu0[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
+        cond.hessian, -cond.w_lin @ p[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
-    point = _recover(problem, cond, g_t, mu0, res.x[:, None], res.ineq_duals[:, None])[0]
+    point = _recover(problem, cond, p, res.x[:, None], res.ineq_duals[:, None])[0]
     if point is None:
         return None
     x, mu, eta, active = point
@@ -573,9 +583,9 @@ def _first_rows(problem: PlayerProblem, cond: _Condensed, x0, warm_start):
     return rows if all(i in cond.w_pos for i in rows) else None
 
 
-def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, region: _Region, z):
+def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Region, z):
     """One step of the walk at the prediction ``z`` = (W, eta of its rows) of
-    ``region``, one column per column of ``g``.
+    ``region``, one column per column of ``p`` = [1; pi].
 
     Returns, per column, (x, mu, eta, active) where the point certifies
     (finite, eta >= -``eta_err`` and every full-problem row within the
@@ -586,19 +596,18 @@ def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, region:
     one that certifies with a tied W row outside the region: a degenerate
     vertex).
     """
-    m, n_w = g.shape[1], cond.a_w.shape[1]
+    m, n_w = p.shape[1], cond.a_w.shape[1]
     finite = np.isfinite(z).all(axis=0)
     if not finite.all():
         z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
     w, eta_r = z[:n_w], z[n_w:]
     if (eta_r < 0.0).any():  # zero where within the roundoff of its own solve
-        err = region.eta_err @ np.vstack((np.ones((1, m)), np.abs(g[: problem.n_prices])))
+        err = region.eta_err @ np.abs(p)
         eta_r = np.where(eta_r >= -err, np.maximum(eta_r, 0.0), eta_r)
     keep = finite & (eta_r >= 0.0).all(axis=0)
     eta_w = np.zeros((cond.w_rows.size, m))
     eta_w[region.pos] = eta_r
-    points = (_recover(problem, cond, g[: cond.n_t], mu0, w, eta_w, keep) if keep.any()
-              else [None] * m)
+    points = _recover(problem, cond, p, w, eta_w, keep) if keep.any() else [None] * m
     served = [point if point is not None
               and tuple(i for i in point[3] if i in cond.w_pos) == region.rows else None
               for point in points]
@@ -615,13 +624,14 @@ def _serve(problem: PlayerProblem, cond: _Condensed, g: np.ndarray, mu0, region:
     return served, moves
 
 
-def _recover(problem: PlayerProblem, cond: _Condensed, g_t, mu0, w, eta_w, keep=True):
+def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta_w, keep=True):
     """Per column, (x, mu, eta, active) from W and the W-QP's duals, or None
     where ``keep`` is False, the point is not finite or it violates a
-    full-problem row beyond the start tolerances.  ``g_t``, ``mu0``, ``w``
-    and ``eta_w`` hold one column per point."""
-    mu = mu0 + cond.s_inv @ (cond.a_w @ w) if w.shape[0] else mu0
-    x = np.concatenate((-(cond.sigma_inv @ g_t + cond.m.T @ mu) / problem.risk_aversion, w))
+    full-problem row beyond the start tolerances.  [t; mu] is one product
+    ``rec`` [1; pi; W]; ``p`` = [1; pi], ``w`` and ``eta_w`` hold one column
+    per point."""
+    t_mu = cond.rec @ (np.concatenate((p, w)) if w.shape[0] else p)
+    x, mu = np.concatenate((t_mu[: cond.n_t], w)), t_mu[cond.n_t :]
     finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         x = np.where(finite, x, 0.0)  # refused; keeps the row products finite

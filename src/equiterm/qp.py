@@ -86,21 +86,23 @@ def interior_margin(A, a, B, b, v0=None):
     min(b - Bv0, cap), feasible whenever Av = a is consistent and v0
     satisfies it.  When the start (v0, cap) itself passes the engine's start
     check, every row keeps a slack of at least the cap, so (v0, cap) is
-    optimal and the engine is not run.  Returns (margin, v, status); margin
-    and v are None unless status is "ok": "infeasible" for inconsistent
-    equalities, else a failure naming its cause.
+    optimal: that check runs on (A, B) directly, and the LP in (v, t) is
+    built only when the engine must run.  Returns (margin, v, status);
+    margin and v are None unless status is "ok": "infeasible" for
+    inconsistent equalities, else a failure naming its cause.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m_eq, m_in = B.shape[1], A.shape[0], B.shape[0]
     if v0 is None:
         v0 = np.linalg.lstsq(A, a, rcond=None)[0] if m_eq else np.zeros(n)
+    bv = B @ v0
+    if not any(row_violations(row_tolerances(a, b), A @ v0 - a, b - (bv + MARGIN_CAP))):
+        return MARGIN_CAP, v0, "ok"
     e_t = np.eye(1, n + 1, n)
     lp = (np.hstack([A, np.zeros((m_eq, 1))]), a,
           np.vstack([np.hstack([B, np.ones((m_in, 1))]), e_t]), np.append(b, MARGIN_CAP))
-    if start_violation(*lp, np.append(v0, MARGIN_CAP)) is None:
-        return MARGIN_CAP, v0, "ok"
-    t0 = min(float(np.min(b - B @ v0, initial=MARGIN_CAP)), MARGIN_CAP) - 1.0
+    t0 = min(float(np.min(b - bv, initial=MARGIN_CAP)), MARGIN_CAP) - 1.0
     try:
         res = solve_qp_active_set(np.zeros((n + 1, n + 1)), -e_t[0], *lp, np.append(v0, t0))
     except InfeasibleError:

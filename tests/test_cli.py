@@ -205,6 +205,16 @@ def test_usage_error_exits_1(capsys):
     assert main(["solve", "--scenario", "x", "--method", "hybrid"]) == 1
 
 
+@pytest.mark.parametrize("command, target", [("solve", "missing/dir/r.json"), ("validate", ".")])
+def test_unwritable_output_is_a_usage_error(scenario_file, tmp_path, capsys, command, target):
+    # a missing directory, or a directory in place of a file: no traceback
+    out = tmp_path / target
+    assert main([command, "--scenario", str(scenario_file), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write report: {out}: ")
+
+
 def test_repeated_calls_in_one_process_give_the_same_reports(scenario_file, tmp_path, capsys):
     # main builds its parser once per process: later calls, other subcommands
     # and usage errors in between must not change what a call reports

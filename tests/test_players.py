@@ -341,8 +341,8 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
             cond = players._condensation(prob)
             assert cond is not None
             # the condensed point itself is accepted, so solve_qp serves it
-            g = prob.merged_linear(prices)[:, None]
-            assert players._solve_condensed(prob, cond, g, None)[0] is not None
+            p = players._query(prob, prices[:, None])[1]
+            assert players._solve_condensed(prob, cond, p, None)[0] is not None
             _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
     cold = _served(steps)
     # warm pass: each point from the previous point's solution, so the
@@ -464,7 +464,8 @@ def test_binding_trading_box_falls_back_to_full_qp():
     prices = np.full(4, 50.0)
     cond = players._condensation(prob)
     assert cond is not None
-    assert players._solve_condensed(prob, cond, prob.merged_linear(prices)[:, None], None) == [None]
+    assert players._solve_condensed(prob, cond, players._query(prob, prices[:, None])[1],
+                                    None) == [None]
     sol = eq.solve_qp(prob, prices)
     boxes = {"v_upper", "v_lower", "f_upper", "f_lower", "o_upper", "o_lower"}
     assert any(prob.ineq_labels[i][0] in boxes for i in sol.active_set)
@@ -501,7 +502,7 @@ def test_trading_box_selections_match_finite_differences():
 def test_non_finite_condensed_point_falls_back(rich_scenario, monkeypatch, which):
     prob = next(p for p in eq.assemble_all(rich_scenario) if p.kind == which)
     cond = players._condensation(prob)
-    poisoned = replace(cond, sigma_inv=np.full_like(cond.sigma_inv, np.nan))
+    poisoned = replace(cond, rec=np.full_like(cond.rec, np.nan))
     monkeypatch.setattr(players, "_condensation", lambda problem: poisoned)
     prices = np.full(3, 12.0)
     sol = eq.solve_qp(prob, prices)
@@ -703,8 +704,8 @@ def _walk_steps(monkeypatch):
     steps = []
     inner = players._serve
 
-    def recording(problem, cond, g, mu0, region, z):
-        served, moves = inner(problem, cond, g, mu0, region, z)
+    def recording(problem, cond, p, region, z):
+        served, moves = inner(problem, cond, p, region, z)
         steps.append((region.rows, served, moves))
         return served, moves
 
@@ -717,10 +718,10 @@ def test_repeated_row_set_hands_the_column_to_the_engine(rich_producer, monkeypa
     first, _ = players._strict_active(low)
     inner = players._serve
 
-    def cycling(problem, cond, g, mu0, region, z):
+    def cycling(problem, cond, p, region, z):
         # the walk from the first region to no rows and back
-        served, _ = inner(problem, cond, g, mu0, region, z)
-        return served, [() if region.rows == first else first] * g.shape[1]
+        served, _ = inner(problem, cond, p, region, z)
+        return served, [() if region.rows == first else first] * p.shape[1]
 
     monkeypatch.setattr(players, "_serve", cycling)
     steps = _walk_steps(monkeypatch)
@@ -745,14 +746,14 @@ def test_walked_columns_keep_their_own_prices(rich_producer, monkeypatch):
     target = players._strict_active(alone[0])[0]
     assert all(players._strict_active(sol)[0] == target for sol in alone)
     assert len({first, detour, target}) == 3
-    g_all = players._query(rich_producer, columns)[1]
+    p_all = players._query(rich_producer, columns)[1]
     inner = players._serve
 
-    def steering(problem, cond, g, mu0, region, z):
+    def steering(problem, cond, p, region, z):
         if region.rows == target:
-            return inner(problem, cond, g, mu0, region, z)
-        ids = [next(c for c in range(3) if np.array_equal(g[:, k], g_all[:, c]))
-               for k in range(g.shape[1])]
+            return inner(problem, cond, p, region, z)
+        ids = [next(c for c in range(3) if np.array_equal(p[:, k], p_all[:, c]))
+               for k in range(p.shape[1])]
         moves = {first: {0: target, 1: detour, 2: target}, detour: {1: target}}[region.rows]
         return [None] * len(ids), [moves[c] for c in ids]
 
@@ -860,16 +861,18 @@ def _reduced_kkt_region(problem, cond, rows):
     K[:n_w, :n_w] = cond.hessian
     K[:n_w, n_w:] = b_s.T
     K[n_w:, :n_w] = b_s
-    d_mu = cond.s_inv @ cond.m[:, :n_p] / lam
-    mu_zero = -cond.s_inv @ (problem.eq_rhs + cond.m @ problem.linear[: cond.n_t] / lam)
+    m = problem.eq_matrix[:, : cond.n_t] @ problem.cov_inverse  # A_t Sigma^-1
+    s_inv = np.linalg.inv(m @ problem.eq_matrix[:, : cond.n_t].T / lam)
+    d_mu = s_inv @ m[:, :n_p] / lam
+    mu_zero = -s_inv @ (problem.eq_rhs + m @ problem.linear[: cond.n_t] / lam)
     rhs = np.zeros((k, 1 + n_p))
     rhs[:n_w, 0] = -cond.a_w.T @ mu_zero
     rhs[n_w:, 0] = problem.ineq_rhs[cond.w_rows[pos]]
     rhs[:n_w, 1:] = cond.a_w.T @ d_mu
     sol, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=None)
     coef = sol if cond.w_unique and rank == k else None
-    d_mu = -d_mu + cond.s_inv @ (cond.a_w @ sol[:n_w, 1:])
-    jacobian = -(cond.sigma_inv[:n_p, :n_p] + cond.m[:, :n_p].T @ d_mu) / lam
+    d_mu = -d_mu + s_inv @ (cond.a_w @ sol[:n_w, 1:])
+    jacobian = -(cond.sigma_inv[:n_p, :n_p] + m[:, :n_p].T @ d_mu) / lam
     return coef, jacobian
 
 
@@ -979,3 +982,35 @@ def test_degenerate_cold_start_is_served_by_its_region(monkeypatch):
     assert [rows for rows, _, _ in steps] == [(1,)] and steps[0][1][0] is not None
     assert not engine and sol.ineq_duals[1] == 0.0
     _assert_agrees_with_full_qp(prob, prices, sol)
+
+
+# ---- the recovery map -------------------------------------------------------
+
+def _recovery_chain(problem, prices, w):
+    """[t; mu] at (pi, W) by the chain of products that ``rec`` composes,
+    built from the problem's Sigma^-1 and rows alone:
+    mu = -S^-1 (a + A_t Sigma^-1 g_t / lambda) + S^-1 A_w W and
+    t = -(Sigma^-1 g_t + (A_t Sigma^-1)' mu) / lambda."""
+    n_t, lam = problem.n_vars - problem.index_map.n_w, problem.risk_aversion
+    a_t, a_w = problem.eq_matrix[:, :n_t], problem.eq_matrix[:, n_t:]
+    m = a_t @ problem.cov_inverse
+    s_inv = np.linalg.inv(m @ a_t.T / lam)
+    g_t = problem.merged_linear(prices)[:n_t]
+    mu = -s_inv @ (problem.eq_rhs + m @ g_t / lam) + s_inv @ (a_w @ w)
+    return np.concatenate((-(problem.cov_inverse @ g_t + m.T @ mu) / lam, mu))
+
+
+@pytest.mark.parametrize("name", sorted(set(dict(make_corpus())) | {"ladder_12"}))
+def test_recovery_map_matches_the_chain_it_composes(name):
+    rng = np.random.default_rng(17)
+    for problem in eq.assemble_all(SOLVED_MARKETS[name]):
+        cond = players._condensation(problem)
+        assert cond is not None
+        for _ in range(5):
+            prices = rng.uniform(-20.0, 80.0, problem.n_prices)
+            w = rng.uniform(0.0, 10.0, problem.index_map.n_w)
+            ref = _recovery_chain(problem, prices, w)
+            value = cond.rec @ np.concatenate(([1.0], prices, w))
+            assert value.shape == ref.shape
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert float(np.max(np.abs(value - ref))) <= 1e-12 * scale
