@@ -20,8 +20,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import players
-from .equilibrium import SolveOptions, check_uniqueness, solve_equilibrium
 from .errors import (
     CovarianceError,
     EnsembleError,
@@ -31,11 +29,8 @@ from .errors import (
     NumericalError,
     ScenarioError,
 )
-from .oracles import GridSpec, brute_force_equilibrium, mean_max_equilibrium, two_stage_check
-from .process import doob_decompose
-from .qp import FEAS_TOL
+from .qp import FEAS_MARGIN, FEAS_TOL, STRICT_DUAL_TOL
 from .scenario import load_scenario
-from .validate import FEAS_MARGIN, validate_scenario
 
 __all__ = ["main"]
 
@@ -45,6 +40,22 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 _INPUT_ERRORS = (ScenarioError, GridError, EnsembleError, CovarianceError)  # all ValueErrors
+
+# Names that only some commands call.  Each resolves on first access through
+# the package, which imports its home module, and is then bound here.  The
+# commands look them up on ``_here`` at call time, so a patched binding (a
+# tracer's) is the one called.
+_LAZY = frozenset((
+    "validate_scenario SolveOptions solve_equilibrium check_uniqueness GridSpec "
+    "brute_force_equilibrium mean_max_equilibrium two_stage_check doob_decompose").split())
+_here = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 @functools.cache
@@ -137,7 +148,7 @@ def _config_echo(args) -> dict:
     cfg = {
         "format": args.format,
         "internal_tolerances": {
-            "player_dual_tol": players.DUAL_TOL,
+            "player_dual_tol": STRICT_DUAL_TOL,
             "player_active_tol": FEAS_TOL,
             "feas_margin": FEAS_MARGIN,
         },
@@ -191,18 +202,18 @@ def _solution_rows(result) -> list:
 
 
 def _solve(scenario, args):
-    opts = SolveOptions(tol=args.tol, kkt_tol=args.kkt_tol, max_iter=args.max_iter)
-    return solve_equilibrium(scenario, opts)
+    opts = _here.SolveOptions(tol=args.tol, kkt_tol=args.kkt_tol, max_iter=args.max_iter)
+    return _here.solve_equilibrium(scenario, opts)
 
 
 def _cmd_validate(scenario, args, report):
-    validation = validate_scenario(scenario)
+    validation = _here.validate_scenario(scenario)
     report["validation"] = validation.as_dict()
     return _emit(args, report, EXIT_OK if validation.passed else EXIT_VALIDATION)
 
 
 def _cmd_solve(scenario, args, report):
-    validation = validate_scenario(scenario)
+    validation = _here.validate_scenario(scenario)
     report["validation"] = validation.as_dict()
     if not validation.passed:
         return _emit(args, report, EXIT_VALIDATION)
@@ -223,10 +234,10 @@ def _cmd_solve(scenario, args, report):
 
 
 def _cmd_diagnose(scenario, args, report):
-    validation = validate_scenario(scenario)
+    validation = _here.validate_scenario(scenario)
     report["validation"] = validation.as_dict()
     result = _solve(scenario, args)
-    diag = check_uniqueness(scenario, result, seed=args.seed)
+    diag = _here.check_uniqueness(scenario, result, seed=args.seed)
     ips = [ip for _, _, ip in diag.monotonicity_samples]
     report["result"] = {
         "converged": result.converged,
@@ -256,7 +267,7 @@ def _cmd_two_stage(scenario, args, report):
               file=sys.stderr)
         return EXIT_VALIDATION
     result = _solve(scenario, args)
-    check = two_stage_check(scenario, result)
+    check = _here.two_stage_check(scenario, result)
     report["result"] = {
         "converged": result.converged,
         "clearing_residual": result.clearing_residual,
@@ -276,7 +287,7 @@ def _cmd_two_stage(scenario, args, report):
 
 
 def _cmd_mean_max(scenario, args, report):
-    mm = mean_max_equilibrium(scenario)
+    mm = _here.mean_max_equilibrium(scenario)
     report["result"] = {
         "converged": mm.converged,
         "message": mm.message,
@@ -292,7 +303,7 @@ def _cmd_oracle(scenario, args, report):
     if scenario.n_contracts > 3:
         print("brute-force oracle limited to 3 contracts", file=sys.stderr)
         return EXIT_VALIDATION
-    bf = brute_force_equilibrium(scenario, GridSpec(step=args.step))
+    bf = _here.brute_force_equilibrium(scenario, _here.GridSpec(step=args.step))
     report["result"] = {
         "prices_discounted": bf.prices,
         "clearing_residual": bf.residual,
@@ -309,7 +320,7 @@ def _cmd_doob(scenario, args, report):
         print("doob needs a scenario whose exogenous block carries an ensemble",
               file=sys.stderr)
         return EXIT_VALIDATION
-    parts = doob_decompose(ens)
+    parts = _here.doob_decompose(ens)
     report["result"] = {
         "n_paths": ens.n_paths,
         "reconstruction_error": parts.max_reconstruction_error(ens),

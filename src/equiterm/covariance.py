@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CovarianceError
-from .process import PathEnsemble, raw_covariance
+
+if TYPE_CHECKING:  # process loads only where an ensemble is estimated
+    from .process import PathEnsemble
 
 __all__ = ["CovarianceBlocks", "estimate_covariance"]
 
@@ -120,6 +123,7 @@ def estimate_covariance(ensemble: PathEnsemble) -> CovarianceBlocks:
     """
     if ensemble.n_paths < 2:
         raise CovarianceError("need at least two paths to estimate a covariance")
+    from .process import raw_covariance
     full = raw_covariance(ensemble)
     eigs = np.linalg.eigvalsh(full)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])

@@ -298,10 +298,10 @@ class BruteForceResult:
     levels: int                          # nested bisection levels, one per contract
 
 
-def _bisect_root(f, lo, hi, tol, start=None):
-    """Root of a non-increasing scalar map on [lo, hi] by bisection in a bracket
-    walked from ``start`` by steps doubling from ``tol`` (from lo, one box-wide step)."""
-    start, step = (lo, hi - lo) if start is None else (start, tol)
+def _bisect_root(f, lo, hi, tol, start=None, step=0.0):
+    """Root of a non-increasing scalar map on [lo, hi] by bisection in a bracket walked
+    from ``start`` by steps doubling from max(tol, step) (from lo, one box-wide step)."""
+    start, step = (lo, hi - lo) if start is None else (start, max(tol, step))
     up = f(start) >= 0.0  # the root lies above start
     edge = hi if up else lo
     while start != edge:
@@ -332,7 +332,8 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
     is non-increasing in its own price and plain bisection brackets its
     root.  The last component is zeroed in the last price, the reduced
     second-to-last component in its price, and so on outward, one level per
-    contract, each bracketed from its level's previous root.  The outermost
+    contract.  Each level's bracket is walked from its previous root, first
+    by half its previous move (at least the tolerance).  The outermost
     level stops at half a grid step, the inner ones at a hundredth, and
     the answer lies within one grid step of the true equilibrium.
     """
@@ -344,6 +345,7 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
     lo, hi = market.price_box()
     count = 0
     roots = [None] * n
+    moves = [0.0] * n  # each level's last root move, half of which starts its next walk
 
     def z_at(p):
         nonlocal count
@@ -361,7 +363,9 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
             return float(z_at(completion(prefix + [p]))[k])
 
         tol = 0.5 * spec.step if k == 0 else 0.01 * spec.step
-        roots[k] = _bisect_root(reduced, lo[k], hi[k], tol, roots[k])
+        last = roots[k]
+        roots[k] = _bisect_root(reduced, lo[k], hi[k], tol, last, 0.5 * moves[k])
+        moves[k] = 0.0 if last is None else abs(roots[k] - last)
         return completion(prefix + [roots[k]])
 
     price = np.array(completion([]))

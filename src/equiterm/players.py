@@ -105,8 +105,8 @@ import numpy as np
 
 from .assembly import PlayerProblem
 from .errors import InfeasibleError, ScenarioError
-from .qp import (_factor, interior_margin, row_tolerances, row_violations, solve_qp_active_set,
-                 start_violation)
+from .qp import (STRICT_DUAL_TOL, _factor, interior_margin, row_tolerances, row_violations,
+                 solve_qp_active_set, start_violation)
 
 __all__ = [
     "PlayerSolution",
@@ -120,7 +120,7 @@ __all__ = [
     "finite_difference_volumes",
 ]
 
-DUAL_TOL = 1e-8
+DUAL_TOL = STRICT_DUAL_TOL
 FD_STEP = 1e-6  # price step of finite_difference_volumes
 # smallest Cholesky pivot of S, H or a region's M, relative to the largest, that
 # still counts as full rank; an exactly repeated row leaves a pivot near 1e-8

@@ -26,10 +26,12 @@ import numpy as np
 from .errors import InfeasibleError, NumericalError
 
 __all__ = ["QPResult", "solve_qp_active_set", "start_violation", "row_tolerances",
-           "row_violations", "interior_margin", "MARGIN_CAP"]
+           "row_violations", "interior_margin", "MARGIN_CAP", "FEAS_MARGIN"]
 
 MARGIN_CAP = 1.0  # phase-I slack variable cap keeps the LP bounded
+FEAS_MARGIN = 1e-6  # least phase-I margin that validation accepts as strictly interior
 FEAS_TOL = 1e-8   # start-point and working-set tolerance, relative to max(1, |rhs|)
+STRICT_DUAL_TOL = 1e-8  # a player's active row is strict when its multiplier exceeds this
 DUAL_TOL = 1e-11  # most negative multiplier kept, relative to the gradient scale
 
 

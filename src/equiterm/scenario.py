@@ -12,13 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .covariance import CovarianceBlocks, estimate_covariance
 from .errors import EquitermError, ScenarioError
 from .grid import TradingGrid
-from .process import PathEnsemble, ensemble_from_records
+
+if TYPE_CHECKING:  # process loads only where an ensemble is parsed
+    from .process import PathEnsemble
 
 __all__ = [
     "PowerPlant",
@@ -375,6 +378,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 np.array(cov["q3"], dtype=float),
             )
         elif "ensemble" in exo:
+            from .process import ensemble_from_records
             ensemble = ensemble_from_records(grid, fuels.fuels, exo["ensemble"]["paths"])
         exogenous = ExogenousModel(
             demand=exo["demand"],

@@ -33,12 +33,10 @@ import numpy as np
 
 from .assembly import assemble_all
 from .errors import CovarianceError, EquitermError
-from .qp import interior_margin, start_violation
+from .qp import FEAS_MARGIN, interior_margin, start_violation
 from .scenario import Scenario
 
 __all__ = ["CheckResult", "ValidationReport", "validate_scenario", "FEAS_MARGIN"]
-
-FEAS_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)

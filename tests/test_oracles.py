@@ -4,7 +4,7 @@ import pytest
 import equiterm as eq
 from equiterm.equilibrium import Market
 from equiterm.errors import EquitermError, InfeasibleError
-from equiterm.oracles import producer_solution_with_fixed_totals, two_stage_check
+from equiterm.oracles import _bisect_root, producer_solution_with_fixed_totals, two_stage_check
 from tests.corpus import (
     build_scenario,
     mean_max_instances,
@@ -156,6 +156,26 @@ def test_brute_force_rejects_large_markets():
         consumers=[(1.0, 1.0, 0.0)], demand_frac=0.5)
     with pytest.raises(EquitermError):
         eq.brute_force_equilibrium(sc)
+
+
+@pytest.mark.parametrize("root", [0.3, 2.9999995, 3.0, 7.25, 10.0])
+def test_bisect_root_walk_from_a_first_step_finds_the_same_root(root):
+    # any first step (below tol it is tol) brackets the root within tol; one
+    # near the root's distance from the start saves the doubling from tol
+    tol, evaluations = 1e-6, {}
+    for step in (0.0, 1e-9, 0.5, 4.0, 100.0):
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return root - p
+
+        got = _bisect_root(f, 0.0, 10.0, tol, start=3.0, step=step)
+        assert abs(got - root) <= tol, (step, got)
+        assert all(0.0 <= p <= 10.0 for p in calls)
+        evaluations[step] = len(calls)
+    if root == 7.25:
+        assert evaluations[4.0] < evaluations[0.0] - 15
 
 
 def test_symmetric_consumers_split_equally():
