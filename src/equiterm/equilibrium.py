@@ -210,15 +210,16 @@ def _pin_table(problem: PlayerProblem) -> np.ndarray:
     at the upper bound and at the lower: a read-only boolean array
     (rows + 1, 2 * W), kept per problem; the last row pins nothing.
 
-    A tight row holds each entry it touches at the bound its coefficient
-    pushes against: the upper where the coefficient is positive, the lower
-    where it is negative.  So cap_upper pins its entry up and cap_lower
-    down; ramp_up(j), w[j+1] - w[j] <= ramp_up, pins j+1 up and j down;
-    ramp_down(j), w[j+1] - w[j] >= ramp_down, the reverse.
+    Only a capacity row pins: its W block has one nonzero entry, held at
+    the upper bound where the coefficient is positive (cap_upper) and at
+    the lower where it is negative (cap_lower).  A tight ramp row ties two
+    deliveries' production to each other, not to a bound, so it pins
+    nothing.
     """
     cache = problem._derived
     if "pins" not in cache:
         w = problem.ineq_matrix[:, problem.index_map.n_traded:]
+        w = w * (np.count_nonzero(w, axis=1) == 1)[:, None]
         table = np.vstack((np.hstack((w > 0.0, w < 0.0)),
                            np.zeros((1, 2 * w.shape[1]), dtype=bool)))
         table.flags.writeable = False

@@ -48,10 +48,12 @@ recovered from it by ``rec``, one product per block of columns.  Each
 problem instance keeps one region, keyed by its rows, so memory stays
 bounded on a long sweep.
 
+Every point no region served (the engine's or the full QP's) is finished
+in one place, ``_solution``, which reads its active set from the slack.
 At a degenerate vertex the tied W rows are linearly dependent and their
-multipliers are not unique; the engine and the full QP then keep the
-minimum-norm nonnegative ones (``_canonical_duals``), so every path picks
-the same strict rows, and so the same ``selection_id``.
+multipliers are not unique; it then keeps the minimum-norm nonnegative
+ones (``_canonical_duals``), so every path picks the same strict rows, and
+so the same ``selection_id``.
 
 ``solve_qp_many`` solves one player at a block of price columns, all from
 one warm start, and ``solve_qp`` is its one-column case.  The region, the
@@ -63,9 +65,10 @@ and then by the full QP.
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
 Cholesky factor of Sigma or S fails (S is singular when equality rows
-repeat, as in the pinned-totals oracle), or when the recovered point is
-not finite or violates any row of the full problem, equalities included,
-beyond the engine's start-point tolerances: whenever a trading box binds.
+repeat, as in the pinned-totals oracle; the instance's record then has no
+map), or when the recovered point is not finite or violates any row of
+the full problem, equalities included, beyond the engine's start-point
+tolerances: whenever a trading box binds.
 
 An accepted point's duals are valid for the full problem: t meets its
 stationarity rows by construction, the W-QP's stationarity
@@ -120,7 +123,6 @@ __all__ = [
     "finite_difference_volumes",
 ]
 
-DUAL_TOL = STRICT_DUAL_TOL
 FD_STEP = 1e-6  # price step of finite_difference_volumes
 # smallest Cholesky pivot of S, H or a region's M, relative to the largest, that
 # still counts as full rank; an exactly repeated row leaves a pivot near 1e-8
@@ -217,22 +219,13 @@ def _feasible_start(problem: PlayerProblem) -> np.ndarray:
     return x
 
 
-def _w_block(problem: PlayerProblem):
-    """Inequality rows that touch W (the ramp and capacity rows), A_w and the
-    W block of those rows."""
-    n_t = problem.index_map.n_traded
-    rows = np.flatnonzero(problem.ineq_matrix[:, n_t:].any(axis=1))
-    return rows, problem.eq_matrix[:, n_t:], problem.ineq_matrix[rows, n_t:]
-
-
-def _min_norm_production(problem: PlayerProblem, x: np.ndarray, w_rows, a_w, b_w) -> np.ndarray:
+def _min_norm_production(problem: PlayerProblem, cond: _Condensed, x: np.ndarray) -> np.ndarray:
     """Second stage: minimum-norm W on the optimal face, (V, F, O) fixed."""
-    n_w = a_w.shape[1]
-    n_t = problem.n_vars - n_w
+    n_t, n_w = cond.n_t, cond.a_w.shape[1]
     res = solve_qp_active_set(
-        np.eye(n_w), np.zeros(n_w), a_w,
+        np.eye(n_w), np.zeros(n_w), cond.a_w,
         problem.eq_rhs - problem.eq_matrix[:, :n_t] @ x[:n_t],
-        b_w, problem.ineq_rhs[w_rows], x[n_t:],
+        cond.b_w, problem.ineq_rhs[cond.w_rows], x[n_t:],
     )
     out = x.copy()
     out[n_t:] = res.x
@@ -258,11 +251,12 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
 
     The condensed arithmetic covers all columns on one region at once; a
     column whose region walk ends is solved alone, by the W-QP engine from
-    the warm start and then by the full QP.
+    the warm start and then by the full QP, which also solves every column
+    of an instance without a map (``rec`` None).
     """
     prices, p = _query(problem, price_columns)
     cond = _condensation(problem)
-    points = ([None] * p.shape[1] if cond is None
+    points = ([None] * p.shape[1] if cond.rec is None
               else _solve_condensed(problem, cond, p, warm_start))
     return tuple(
         _solution(problem, prices[c], *(point or _solve_full(
@@ -294,20 +288,19 @@ def _query(problem: PlayerProblem, price_columns):
 
 
 def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolution:
-    """Min-norm production unless W is unique, then the active set at x
-    (``active``, or None: not yet taken, and then the canonical multipliers
-    there, as the engine's W-QP path takes them in ``_solve_w_qp``)."""
+    """The one finishing step of every solve: a point no region served
+    (``active`` None) takes min-norm production unless W is unique, then its
+    active set from the slack there and the canonical multipliers."""
     cond = _condensation(problem)
-    if problem.kind == "producer" and (cond is None or not cond.w_unique):
-        block = _w_block(problem) if cond is None else (cond.w_rows, cond.a_w, cond.b_w)
-        x, active = _min_norm_production(problem, x, *block), None
     if active is None:
-        active = _active_sets(problem, cond, _rows(problem, x)[1][:, None])[0]
-        eta = _canonical_duals(problem, cond, eta, active)
+        if problem.kind == "producer" and not cond.w_unique:
+            x = _min_norm_production(problem, cond, x)
+        active = _active_sets(cond, _rows(problem, x)[1][:, None])[0]
+        eta = _canonical_duals(cond, eta, active)
     return PlayerSolution(prices, x, mu, eta, active, problem)
 
 
-def _canonical_duals(problem: PlayerProblem, cond, eta, active):
+def _canonical_duals(cond: _Condensed, eta, active):
     """``eta`` with the multipliers of the W rows tied in ``active`` replaced
     by the minimum-norm nonnegative ones with the same B_w' eta, where those
     rows are linearly dependent (a degenerate vertex, whose multipliers are
@@ -317,11 +310,7 @@ def _canonical_duals(problem: PlayerProblem, cond, eta, active):
     engine, from eta_T itself.  Any optimal W has the same multipliers, so
     the choice does not depend on which one was found.
     """
-    if cond is None:
-        w_rows, _, b_w = _w_block(problem)
-        w_pos = {int(r): k for k, r in enumerate(w_rows)}
-    else:
-        w_rows, b_w, w_pos = cond.w_rows, cond.b_w, cond.w_pos
+    w_rows, b_w, w_pos = cond.w_rows, cond.b_w, cond.w_pos
     tied = [w_pos[i] for i in active if i in w_pos]
     if len(tied) < 2 or np.linalg.matrix_rank(b_w[tied]) == len(tied):
         return eta
@@ -334,11 +323,10 @@ def _canonical_duals(problem: PlayerProblem, cond, eta, active):
     return out
 
 
-def _active_sets(problem: PlayerProblem, cond, slack):
+def _active_sets(cond: _Condensed, slack):
     """The active set of each column of ``slack`` (rows x points), read from
     one comparison with the instance's tolerances."""
-    tols = cond.tols if cond is not None else row_tolerances(problem.eq_rhs, problem.ineq_rhs)
-    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= tols[1][:, None]).T]
+    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= cond.tols[1][:, None]).T]
 
 
 def _start(problem: PlayerProblem, warm_start):
@@ -368,32 +356,32 @@ def _solve_full(problem: PlayerProblem, g: np.ndarray, warm_start):
 
 @dataclass(frozen=True)
 class _Condensed:
-    """The traded block t of one player eliminated in closed form.
+    """The record of one player instance: its traded block t eliminated in
+    closed form.
 
     With Sigma the unscaled covariance of t and A = [A_t A_w] the equality
     rows, S = A_t Sigma^-1 A_t' / lambda.  Production W enters only through
     the ramp and capacity rows (``w_rows`` of the full problem).  ``rec``
     maps [1; pi; W] to [t; mu] (module docstring), and ``w_lin`` = [r0 R1]
-    to the W-QP's linear term -[r0 R1] [1; pi].  These, and the sensitivity
-    terms J_t and R1, are kept for every instance; the range-space terms
-    every region shares are None unless W is unique.
+    to the W-QP's linear term -[r0 R1] [1; pi].  These, H, J_t and R1 are
+    None when Sigma or S has no Cholesky factor (the full QP serves); the
+    range-space terms every region shares are None unless W is unique.
     """
 
     n_t: int
-    sigma_inv: np.ndarray          # shared Sigma^-1, not a copy
-    rec: np.ndarray                # [1; pi; W] -> [t; mu]
-    a_w: np.ndarray                # A_w
-    b_w: np.ndarray                # W block of the ramp and capacity rows
-    hessian: np.ndarray            # H = A_w' S^-1 A_w, Hessian of the W-QP
     w_rows: np.ndarray
     w_pos: dict                    # full-problem row -> W-QP row
-    w_unique: bool                 # A_w has full column rank (H is factored)
+    a_w: np.ndarray                # A_w
+    b_w: np.ndarray                # W block of the ramp and capacity rows
     tols: tuple                    # qp.row_tolerances of the full problem
-    jac_t: np.ndarray              # J_t = dV/dpi at fixed W
-    r_1: np.ndarray                # R1, with R1' = -dV/dW
-    w_lin: np.ndarray              # [r0 R1], the W-QP's negated linear term
-    w_map: np.ndarray | None       # H^-1 [r0 R1], the unconstrained W
-    h_inv_bt: np.ndarray | None    # H^-1 B_w'
+    rec: np.ndarray | None = None  # [1; pi; W] -> [t; mu]
+    hessian: np.ndarray | None = None  # H = A_w' S^-1 A_w, Hessian of the W-QP
+    w_unique: bool = False         # A_w has full column rank (H is factored)
+    jac_t: np.ndarray | None = None  # J_t = dV/dpi at fixed W
+    r_1: np.ndarray | None = None  # R1, with R1' = -dV/dW
+    w_lin: np.ndarray | None = None  # [r0 R1], the W-QP's negated linear term
+    w_map: np.ndarray | None = None  # H^-1 [r0 R1], the unconstrained W
+    h_inv_bt: np.ndarray | None = None  # H^-1 B_w'
     # the one critical region kept for this instance (see _region)
     region: list = field(init=False, default_factory=list, repr=False, compare=False)
 
@@ -415,7 +403,8 @@ class _Region:
     eta_err: np.ndarray | None
 
 
-def _condensation(problem: PlayerProblem) -> _Condensed | None:
+def _condensation(problem: PlayerProblem) -> _Condensed:
+    """The instance's record, built on first use and kept."""
     cache = problem._derived
     if "condensed" not in cache:
         cache["condensed"] = _condense(problem)
@@ -435,40 +424,37 @@ def _spd_inverse(matrix):
     return l_inv.T @ l_inv
 
 
-def _condense(problem: PlayerProblem) -> _Condensed | None:
-    """Factor S, and H when W is unique, for this instance; None when S fails."""
-    sigma_inv = problem.cov_inverse
-    if sigma_inv is None:
-        return None
+def _condense(problem: PlayerProblem) -> _Condensed:
+    """The record of this instance: its W rows and row tolerances, and the
+    maps from the factors of S, and of H when W is unique; no map when Sigma
+    or S has no factor."""
     n_t, n_p = problem.n_vars - problem.index_map.n_w, problem.n_prices
-    lam = problem.risk_aversion
-    a_t = problem.eq_matrix[:, :n_t]
-    m = a_t @ sigma_inv
-    s_inv = _spd_inverse(m @ a_t.T / lam)
-    if s_inv is None or not s_inv.size:
-        return None  # repeated equality rows, or no equality row
-    w_rows, a_w, b_w = _w_block(problem)
+    w_rows = np.flatnonzero(problem.ineq_matrix[:, n_t:].any(axis=1))
+    a_w, b_w = problem.eq_matrix[:, n_t:], problem.ineq_matrix[w_rows, n_t:]
+    base = dict(n_t=n_t, w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)},
+                a_w=a_w, b_w=b_w, tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs))
+    cov_inv, lam, a_t = problem.cov_inverse, problem.risk_aversion, problem.eq_matrix[:, :n_t]
+    m = None if cov_inv is None else a_t @ cov_inv
+    s_inv = None if m is None else _spd_inverse(m @ a_t.T / lam)
+    if s_inv is None or not s_inv.size:  # no factor, repeated equality rows, or none
+        return _Condensed(**base)
     n_w = a_w.shape[1]
     hessian = a_w.T @ s_inv @ a_w
     d_mu = s_inv @ m[:, :n_p] / lam  # -dmu(0)/dpi
     r_1 = a_w.T @ d_mu
-    jac_t = -(sigma_inv[:n_p, :n_p] - m[:, :n_p].T @ d_mu) / lam
+    jac_t = -(cov_inv[:n_p, :n_p] - m[:, :n_p].T @ d_mu) / lam
     g_t = problem.linear[:n_t]  # zero power slots
     mu_map = np.hstack(((-s_inv @ (problem.eq_rhs + m @ g_t / lam))[:, None], -d_mu, s_inv @ a_w))
-    t_map = np.hstack(((sigma_inv @ g_t)[:, None], sigma_inv[:, :n_p], np.zeros((n_t, n_w))))
+    t_map = np.hstack(((cov_inv @ g_t)[:, None], cov_inv[:, :n_p], np.zeros((n_t, n_w))))
     w_lin = np.column_stack((-a_w.T @ mu_map[:, 0], r_1))
     # H is positive definite iff A_w has full column rank (an empty H is its
     # own inverse); then the min-norm QP has no free direction: it returns its start
     h_inv, w_map, h_inv_bt = _spd_inverse(hessian) if n_w else hessian, None, None
     if h_inv is not None:
         w_map, h_inv_bt = h_inv @ w_lin, h_inv @ b_w.T
-    return _Condensed(
-        n_t=n_t, sigma_inv=sigma_inv, rec=np.vstack((-(t_map + m.T @ mu_map) / lam, mu_map)),
-        a_w=a_w, b_w=b_w, hessian=hessian,
-        w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)}, w_unique=h_inv is not None,
-        tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs),
-        jac_t=jac_t, r_1=r_1, w_lin=w_lin, w_map=w_map, h_inv_bt=h_inv_bt,
-    )
+    rec = np.vstack((-(t_map + m.T @ mu_map) / lam, mu_map))
+    return _Condensed(**base, rec=rec, hessian=hessian, w_unique=h_inv is not None, jac_t=jac_t,
+                      r_1=r_1, w_lin=w_lin, w_map=w_map, h_inv_bt=h_inv_bt)
 
 
 def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> _Region:
@@ -507,8 +493,9 @@ def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> 
 
 
 def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, warm_start):
-    """Per column of ``p`` = [1; pi], (x, mu, eta, active) through the W-QP,
-    or None where the point fails the full rows.
+    """Per column of ``p`` = [1; pi], (x, mu, eta, active) through the W-QP
+    (active None where the engine solved it), or None where the point fails
+    the full rows.
 
     Each column walks the W-QP's critical regions from the first one
     (``_first_rows``), and the columns on one region take their step
@@ -557,18 +544,15 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
 
 
 def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
-    """(x, mu, eta, active) of the point ``p`` = [1; pi] (one column) through
-    the engine's W-QP from the full-problem point ``x0`` with the W-QP rows
-    ``seed`` as its working set, or None when the point fails the full rows."""
+    """(x, mu, eta, active=None) of the point ``p`` = [1; pi] (one column)
+    through the engine's W-QP from the full-problem point ``x0`` with the
+    W-QP rows ``seed`` as its working set, or None when it fails the full rows."""
     res = solve_qp_active_set(
         cond.hessian, -cond.w_lin @ p[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
     point = _recover(problem, cond, p, res.x[:, None], res.ineq_duals[:, None])[0]
-    if point is None:
-        return None
-    x, mu, eta, active = point
-    return x, mu, _canonical_duals(problem, cond, eta, active), active
+    return None if point is None else (*point[:3], None)
 
 
 def _first_rows(problem: PlayerProblem, cond: _Condensed, x0, warm_start):
@@ -641,7 +625,7 @@ def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta_w, keep=True):
     eta = np.zeros((problem.ineq_rhs.size, x.shape[1]))
     eta[cond.w_rows] = eta_w
     xs, mus, etas = x.T.copy(), mu.T.copy(), eta.T.copy()  # one contiguous row per point
-    active = _active_sets(problem, cond, slack)
+    active = _active_sets(cond, slack)
     return [(xs[c], mus[c], etas[c], active[c]) if keep[c] else None for c in range(x.shape[1])]
 
 
@@ -679,9 +663,9 @@ def best_response_volumes(problem: PlayerProblem, expected_prices) -> np.ndarray
 
 
 def _strict_active(solution):
-    """Active rows with a multiplier above ``DUAL_TOL`` (strict) and the rest."""
+    """Active rows with a multiplier above ``STRICT_DUAL_TOL`` (strict) and the rest."""
     active = np.array(solution.active_set, dtype=int)
-    strong = solution.ineq_duals[active] > DUAL_TOL
+    strong = solution.ineq_duals[active] > STRICT_DUAL_TOL
     return tuple(active[strong].tolist()), tuple(active[~strong].tolist())
 
 
@@ -694,7 +678,7 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
         solution = solve_qp(problem, expected_prices)
     strict, weak = _strict_active(solution)
     cond = _condensation(problem)
-    if cond is not None and all(i in cond.w_pos for i in strict):
+    if cond.rec is not None and all(i in cond.w_pos for i in strict):
         matrix = _condensed_jacobian(problem, cond, strict)
     else:
         matrix = _kkt_jacobian(problem, strict)

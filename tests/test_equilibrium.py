@@ -226,7 +226,7 @@ def _ramp_scenario():
 
 
 def _primal_bound_states(scenario, problem, solution, tol=1e-7):
-    """Reference: walk each plant's production path against its bounds."""
+    """Reference: each plant's production against its capacity bounds."""
     im = problem.index_map
     producer = next(p for p in scenario.producers if p.name == problem.name)
     nj = scenario.grid.n_deliveries
@@ -235,18 +235,10 @@ def _primal_bound_states(scenario, problem, solution, tol=1e-7):
     for fuel, plants in producer.plants_by_fuel(scenario.fuel_names).items():
         for r, plant in enumerate(plants):
             k = im.w_index(0, fuel, r) - im.n_traded
-            w = [solution.primal[im.w_index(j, fuel, r)] for j in range(nj)]
             s = tol * max(1.0, plant.capacity)
             for j in range(nj):
-                up = w[j] >= plant.capacity - s
-                lo = w[j] <= s
-                if j > 0:
-                    up = up or w[j] - w[j - 1] >= plant.ramp_up - s
-                    lo = lo or w[j] - w[j - 1] <= plant.ramp_down + s
-                if j < nj - 1:
-                    up = up or w[j + 1] - w[j] <= plant.ramp_down + s
-                    lo = lo or w[j + 1] - w[j] >= plant.ramp_up - s
-                upper[j, k], lower[j, k] = up, lo
+                w = solution.primal[im.w_index(j, fuel, r)]
+                upper[j, k], lower[j, k] = w >= plant.capacity - s, w <= s
     return upper, lower
 
 
@@ -270,9 +262,10 @@ def test_bound_states_from_active_set_match_primal_walk(medium, which):
     assert pinned > 0
 
 
-def test_ramp_pinned_deliveries_read_as_saturated():
+def test_ramp_pinned_deliveries_read_as_interior():
     # price spike at the middle delivery: ramp_up(0) and ramp_down(1) bind
-    # while production stays strictly inside (0, capacity)
+    # while production stays strictly inside (0, capacity), so no delivery
+    # has its fleet at a bound
     sc = _ramp_scenario()
     market = Market(sc)
     prices = np.array([0.0, 50.0, 0.0]) * sc.grid.node_discounts()
@@ -281,11 +274,10 @@ def test_ramp_pinned_deliveries_read_as_saturated():
     tight = {producer.ineq_labels[i][:2] for i in sol.active_set}
     assert tight == {("ramp_up", 0), ("ramp_down", 1)}
     rep = eq.detect_saturation(sc, prices=prices, market=market)
-    assert rep.statuses == ("all-lower", "all-upper", "all-lower")
-    for status, total, ok in zip(rep.statuses, rep.clearing_sums, rep.sign_consistent):
-        assert ok == (total < 0 if status == "all-upper" else total > 0)
+    assert rep.statuses == ("interior",) * 3
+    assert rep.sign_consistent == (True,) * 3
     diag = eq.check_uniqueness(sc, prices=prices, n_samples=1, market=market)
-    assert diag.strictly_feasible_plant_per_period == (False, False, False)
+    assert diag.strictly_feasible_plant_per_period == (True, True, True)
 
 
 # ---- one evaluation per price point -------------------------------------------

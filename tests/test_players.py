@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import equiterm as eq
 from equiterm import players
+from equiterm.covariance import CovarianceBlocks
 from equiterm.errors import InfeasibleError
 from equiterm.grid import delivery_totals_matrix
 from equiterm.oracles import producer_solution_with_fixed_totals
-from equiterm.qp import FEAS_TOL
+from equiterm.qp import FEAS_TOL, STRICT_DUAL_TOL
 from tests.corpus import build_scenario, desk_identity, ladder, make_corpus
 from tests.test_acceptance import FD_TOL
 
@@ -295,7 +296,7 @@ def _assert_agrees_with_full_qp(prob, prices, fast):
     jac = eq.response_jacobian(prob, fast)
     ref = eq.response_jacobian(prob, full)
     strict, _ = players._strict_active(full)
-    assert strict == tuple(i for i in full.active_set if full.ineq_duals[i] > players.DUAL_TOL)
+    assert strict == tuple(i for i in full.active_set if full.ineq_duals[i] > STRICT_DUAL_TOL)
     kkt = players._kkt_jacobian(prob, strict)
     assert jac.selection_id == ref.selection_id
     np.testing.assert_allclose(jac.matrix, kkt, rtol=0, atol=1e-9)
@@ -339,7 +340,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     for prices in points:
         for prob in market.problems:
             cond = players._condensation(prob)
-            assert cond is not None
+            assert cond.rec is not None
             # the condensed point itself is accepted, so solve_qp serves it
             p = players._query(prob, prices[:, None])[1]
             assert players._solve_condensed(prob, cond, p, None)[0] is not None
@@ -392,11 +393,21 @@ def test_non_unique_production_keeps_the_min_norm_stage(monkeypatch):
     for _ in range(20):
         prices = res.prices * (1.0 + 0.05 * rng.standard_normal(res.prices.size))
         sol = market.solutions(prices)[market.problems.index(prob)]
-        again = players._min_norm_production(prob, sol.primal, cond.w_rows, cond.a_w, cond.b_w)
+        again = players._min_norm_production(prob, cond, sol.primal)
         scale = max(1.0, float(np.max(np.abs(sol.primal))))
         np.testing.assert_allclose(again, sol.primal, rtol=0, atol=1e-9 * scale)
     assert not any(p is prob and out is not None for p, out in served)
     assert sum(p is prob for p, _ in stages) >= 20
+
+
+def test_each_engine_column_is_canonicalized_once(monkeypatch):
+    # twin plants: every producer W-QP runs on the engine; its point is
+    # finished by _solution alone, which reads the active set and the
+    # canonical multipliers once
+    canonical = _recorder(monkeypatch, "_canonical_duals")
+    engine = _recorder(monkeypatch, "_solve_w_qp")
+    assert eq.solve_equilibrium(AGREEMENT_MARKETS["twin_plants"]).converged
+    assert engine and len(canonical) == len(engine)
 
 
 def test_residuals_are_taken_at_the_point_the_min_norm_stage_returns(monkeypatch):
@@ -407,8 +418,8 @@ def test_residuals_are_taken_at_the_point_the_min_norm_stage_returns(monkeypatch
     moved = []
     inner = players._min_norm_production
 
-    def recording(problem, x, *args):
-        out = inner(problem, x, *args)
+    def recording(problem, cond, x):
+        out = inner(problem, cond, x)
         moved.append(not np.array_equal(out, x))
         return out
 
@@ -451,7 +462,7 @@ def test_min_norm_stage_is_the_identity_for_unique_production(name):
             continue
         for prices in points:
             x = eq.solve_qp(prob, prices).primal
-            out = players._min_norm_production(prob, x, cond.w_rows, cond.a_w, cond.b_w)
+            out = players._min_norm_production(prob, cond, x)
             assert out.tobytes() == x.tobytes()
 
 
@@ -463,7 +474,7 @@ def test_binding_trading_box_falls_back_to_full_qp():
     prob = eq.assemble_producer(sc.producers[0], sc)
     prices = np.full(4, 50.0)
     cond = players._condensation(prob)
-    assert cond is not None
+    assert cond.rec is not None
     assert players._solve_condensed(prob, cond, players._query(prob, prices[:, None])[1],
                                     None) == [None]
     sol = eq.solve_qp(prob, prices)
@@ -517,7 +528,7 @@ def test_pinned_totals_are_served_by_the_full_qp(monkeypatch, name):
     sc = AGREEMENT_MARKETS[name]
     prices = eq.merit_order_prices(sc)
     producers = [eq.assemble_producer(p, sc) for p in sc.producers]
-    assert all(players._condensation(prob) is not None for prob in producers)
+    assert all(players._condensation(prob).rec is not None for prob in producers)
     built = []
     condense = players._condense
 
@@ -533,8 +544,8 @@ def test_pinned_totals_are_served_by_the_full_qp(monkeypatch, name):
         assert sol.kkt_residual <= 1e-8
     # each restricted copy repeats the volume rows, so S is singular (its
     # Cholesky factor fails or leaves a pivot near roundoff): it is condensed
-    # afresh, inheriting nothing from the original, and refused
-    assert built == [None] * len(producers)
+    # afresh, inheriting nothing from the original, and has no map
+    assert len(built) == len(producers) and all(cond.rec is None for cond in built)
 
 
 def test_batched_active_sets_match_the_column_loop(rich_producer):
@@ -551,10 +562,46 @@ def test_batched_active_sets_match_the_column_loop(rich_producer):
     slack[:, 0] = tol  # on the tolerance counts as active
     slack[:, 1] = np.nextafter(tol, np.inf)
     cond = players._condensation(prob)
-    for tols in (cond, None):  # the instance's vector, or taken afresh
-        assert players._active_sets(prob, tols, slack) == loop()
-        assert players._active_sets(prob, tols, slack[:, :0]) == []
+    assert players._active_sets(cond, slack) == loop()
+    assert players._active_sets(cond, slack[:, :0]) == []
     assert loop()[0] == tuple(range(prob.ineq_rhs.size)) and loop()[1] == ()
+
+
+def _without_last_variance(sc):
+    """``sc`` with the last row and column of its stacked covariance zeroed
+    (the last emission price): Sigma has no Cholesky factor, q1 keeps one."""
+    cov = sc.exogenous.covariance
+    q2, q3 = cov.q2.copy(), cov.q3.copy()
+    q2[:, -1] = 0.0
+    q3[-1, :] = 0.0
+    q3[:, -1] = 0.0
+    singular = CovarianceBlocks(cov.q1, q2, q3)
+    return replace(sc, exogenous=replace(sc.exogenous, covariance=singular))
+
+
+def test_producer_without_a_covariance_factor_is_served_by_the_full_qp():
+    sc = _without_last_variance(AGREEMENT_MARKETS["n1_single"])
+    prob = next(p for p in eq.assemble_all(sc) if p.kind == "producer")
+    assert prob.cov_inverse is None
+    cond = players._condensation(prob)
+    assert cond.rec is None and not cond.w_unique
+    # the record still holds the W rows and the row tolerances
+    w_rows = [i for i, label in enumerate(prob.ineq_labels)
+              if label[0] in ("ramp_up", "ramp_down", "cap_upper", "cap_lower")]
+    assert w_rows and cond.w_rows.tolist() == w_rows
+    assert cond.w_pos == {r: k for k, r in enumerate(w_rows)}
+    assert cond.tols[0] == FEAS_TOL * max(1.0, float(np.max(np.abs(prob.eq_rhs))))
+    ineq_tols = FEAS_TOL * np.maximum(1.0, np.abs(prob.ineq_rhs))
+    assert cond.tols[1].tobytes() == ineq_tols.tobytes()
+    for prices in (eq.merit_order_prices(sc), np.array([0.0]), np.array([40.0])):
+        sol = eq.solve_qp(prob, prices)
+        full = players._full_solve_qp(prob, prices)
+        for name in ("primal", "eq_duals", "ineq_duals"):
+            assert getattr(sol, name).tobytes() == getattr(full, name).tobytes()
+        assert sol.active_set == full.active_set
+        assert np.all(np.isfinite(eq.response_jacobian(prob, sol).matrix))
+    report = eq.validate_scenario(sc)
+    assert "covariance_pd" in [c.name for c in report.failures()]
 
 
 def test_players_share_one_covariance_inverse(rich_scenario):
@@ -566,7 +613,6 @@ def test_players_share_one_covariance_inverse(rich_scenario):
     assert all(p.cov_inverse is blocks.q1_inverse() for p in consumers)
     for p in market.problems:
         eq.solve_qp(p, np.full(3, 12.0))
-        assert players._condensation(p).sigma_inv is p.cov_inverse
 
 
 # ---- the seeded W-QP -------------------------------------------------------
@@ -580,7 +626,7 @@ def _rerun_from_fallback_seed(mp, problems, start):
     that records, per W-QP, whether the two seeds differed.
     """
     hessians = {id(players._condensation(p).hessian): p for p in problems
-                if players._condensation(p) is not None}
+                if players._condensation(p).rec is not None}
     engine = players.solve_qp_active_set
     differs = []
     _bypass_walk(mp)
@@ -872,7 +918,7 @@ def _reduced_kkt_region(problem, cond, rows):
     sol, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=None)
     coef = sol if cond.w_unique and rank == k else None
     d_mu = -d_mu + s_inv @ (cond.a_w @ sol[:n_w, 1:])
-    jacobian = -(cond.sigma_inv[:n_p, :n_p] + m[:, :n_p].T @ d_mu) / lam
+    jacobian = -(problem.cov_inverse[:n_p, :n_p] + m[:, :n_p].T @ d_mu) / lam
     return coef, jacobian
 
 
@@ -880,7 +926,7 @@ def _curvature(problem, cond):
     """The scale of dV/dpi's terms, Sigma^-1 / lambda on the prices: an entry
     of dV/dpi can cancel to roundoff."""
     n_p = problem.n_prices
-    return float(np.max(np.abs(cond.sigma_inv[:n_p, :n_p]))) / problem.risk_aversion
+    return float(np.max(np.abs(problem.cov_inverse[:n_p, :n_p]))) / problem.risk_aversion
 
 
 def _assert_close(value, ref, scale=0.0):
@@ -1005,7 +1051,7 @@ def test_recovery_map_matches_the_chain_it_composes(name):
     rng = np.random.default_rng(17)
     for problem in eq.assemble_all(SOLVED_MARKETS[name]):
         cond = players._condensation(problem)
-        assert cond is not None
+        assert cond.rec is not None
         for _ in range(5):
             prices = rng.uniform(-20.0, 80.0, problem.n_prices)
             w = rng.uniform(0.0, 10.0, problem.index_map.n_w)
