@@ -24,36 +24,40 @@ likewise found once per instance and kept read-only.
 
 The W-QP is a multiparametric QP in the prices: on a critical region,
 where a fixed set R of strict rows (positive multiplier) is active, its
-solution W(pi), eta_R(pi) is affine.  When W is unique its Hessian H is
-positive definite, and the range-space method (Nocedal & Wright, 16.2)
-builds every region from one factor of H per instance and one |R| x |R|
-Cholesky factor per region.  A solve walks these regions, starting from
-the warm start's strict rows, or from the W rows tied at the feasible
-start when it is cold.  It keeps a region's point when that certifies
-(finite, eta_R >= 0 up to the roundoff of its solve, and the full
-problem's start-point check passes, equalities included) and the W rows
-tied there are exactly R.  Otherwise it moves to R' = {rows of R with
-eta > 0} + {W rows the predicted W violates}: the primal-dual active-set
-step, a semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J.
-Optim. 13, 2002).  The walk ends after finitely many row sets, and the
-engine solves the W-QP instead, in three cases: R' was already tried, the
-region of R' cannot serve (W not unique, or rows of R' dependent), or the
-certified point has a tied W row outside R (a degenerate vertex).  The
-engine starts from the player's usual start, seeded with the first
-region's rows whose multiplier it predicts stays positive, or with the
-warm start's active W rows when no region could serve (a strict row that
-is not a W row).  The engine accepts any rows active at its start, so the
-seed changes the path, not the answer.  Only W is mapped; t and mu are
-recovered from it by ``rec``, one product per block of columns.  Each
-problem instance keeps one region, keyed by its rows, so memory stays
+solution W(pi), eta_R(pi) is affine (Nocedal & Wright, 16.2).  When W is
+unique (H positive definite) a region is built by the range-space method,
+from one factor of H per instance and one |R| x |R| Cholesky factor.  Any
+other region, where W is not unique or the rows of R are dependent, takes
+the null-space method, cut by the engine's rank rule: the minimum-norm W
+and eta_R of the region (Patrinos & Sarimveis, Automatica 46, 2010).  A
+solve walks these regions, starting from the warm start's strict rows, or
+from the W rows tied at the feasible start when it is cold.  It keeps a
+region's point when that certifies (finite, eta_R >= 0 up to the roundoff
+of its solve, and the full problem's start-point check passes, equalities
+included) and the W rows tied there are exactly R.  Where W is not unique
+eta_R must exceed ``STRICT_DUAL_TOL`` beyond that roundoff, so that R stays
+tight across the optimal face.  Otherwise a unique W moves to R' = {rows
+of R with eta > 0} + {W rows the predicted W violates}: the primal-dual
+active-set step, a semismooth Newton step (Hintermueller, Ito & Kunisch,
+SIAM J. Optim. 13, 2002).  The walk ends after finitely many row sets, and
+the engine solves the W-QP instead, in three cases: R' was already tried,
+W is not unique (it does not walk), or the certified point has a tied W
+row outside R (a degenerate vertex).  The engine starts from the player's
+usual start, seeded with the first region's rows whose multiplier it
+predicts stays positive, or with the warm start's active W rows when a
+strict row is not a W row.  The engine accepts any rows active at its
+start, so the seed changes the path, not the answer.  Only W is mapped; t
+and mu are recovered from it by ``rec``, one product per block of columns.
+Each problem instance keeps one region, keyed by its rows, so memory stays
 bounded on a long sweep.
 
 Every point no region served (the engine's or the full QP's) is finished
 in one place, ``_solution``, which reads its active set from the slack.
 At a degenerate vertex the tied W rows are linearly dependent and their
 multipliers are not unique; it then keeps the minimum-norm nonnegative
-ones (``_canonical_duals``), so every path picks the same strict rows, and
-so the same ``selection_id``.
+ones (``_canonical_duals``).  A region serves only nonnegative ones, and
+its map gives the minimum-norm ones, so every path picks the same strict
+rows, and so the same ``selection_id``.
 
 ``solve_qp_many`` solves one player at a block of price columns, all from
 one warm start, and ``solve_qp`` is its one-column case.  The region, the
@@ -85,18 +89,18 @@ The traded block of the optimum is unique; W can sit on a flat face, so a
 second stage picks the minimum-norm W on that face to make results
 deterministic.  W carries no cost and no curvature, so the first stage's
 multipliers stay valid there (a convex QP has the same multipliers at
-every optimum).  When A_w has full column rank, W is fixed by the traded
-block and that face is a single point: the second stage would return its
-start unchanged, so it is skipped (decided once per instance).
+every optimum).  The face keeps A_w W and every strict row fixed, so it is
+a single point when A_w has full column rank (decided once per instance)
+or when [A_w; B_s] does for the strict rows B_s of the point (the engine's
+rank rule): the second stage would return its start, and it is skipped.
 
 ``response_jacobian`` differentiates the optimal power trades with respect
 to expected prices while holding the strictly active constraints fixed:
 one affine piece of the piecewise-affine response map.  When every
 strict row is a W row it is dV/dpi = J_t - R1' dW/dpi, J_t the sensitivity
-at fixed W, with dW/dpi read from the region's map where it serves, else
-the null-space projection Z (Z'HZ)^+ Z' R1 (Nocedal & Wright, 16.2);
-otherwise the projection runs on the full problem.  It is exact wherever
-Sigma is positive definite: the Hessian's flat directions move W alone.
+at fixed W, with dW/dpi the price columns of the region's map; otherwise
+it is the null-space projection Z (Z'HZ)^+ Z' of the full problem.  It is
+exact wherever Sigma is positive definite: flat directions move W alone.
 """
 
 from __future__ import annotations
@@ -289,15 +293,24 @@ def _query(problem: PlayerProblem, price_columns):
 
 def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolution:
     """The one finishing step of every solve: a point no region served
-    (``active`` None) takes min-norm production unless W is unique, then its
-    active set from the slack there and the canonical multipliers."""
+    (``active`` None) takes min-norm production unless W is unique or
+    ``_pinned``, then its active set from the slack there and the canonical
+    multipliers."""
     cond = _condensation(problem)
     if active is None:
-        if problem.kind == "producer" and not cond.w_unique:
+        if problem.kind == "producer" and not cond.w_unique and not _pinned(cond, eta):
             x = _min_norm_production(problem, cond, x)
         active = _active_sets(cond, _rows(problem, x)[1][:, None])[0]
         eta = _canonical_duals(cond, eta, active)
     return PlayerSolution(prices, x, mu, eta, active, problem)
+
+
+def _pinned(cond: _Condensed, eta) -> bool:
+    """Whether the W rows strict in ``eta`` pin W: [A_w; B_s] has full
+    column rank by the engine's rank rule.  Every optimum keeps those rows
+    tight and A_w W fixed, so the optimal face is one point."""
+    strict = cond.b_w[eta[cond.w_rows] > STRICT_DUAL_TOL]
+    return not _factor(np.vstack((cond.a_w, strict)), cond.a_w.shape[1])[0].shape[1]
 
 
 def _canonical_duals(cond: _Condensed, eta, active):
@@ -391,16 +404,15 @@ class _Region:
     """One critical region of the W-QP: its rows held active (a step of a
     region walk, or a solution's strict rows).
 
-    ``coef`` maps [1, pi] to (W, eta of those rows) and ``eta_err`` maps
-    [1, |pi|] to a bound on the roundoff of that eta; both are None when
-    the region cannot serve a solve (W not unique, or M = B_s H^-1 B_s'
-    singular).
+    ``coef`` maps [1, pi] to (W, eta of those rows), the minimum-norm ones
+    where they are not unique, and ``eta_err`` maps [1, |pi|] to a bound on
+    the roundoff of that eta.
     """
 
     rows: tuple[int, ...]          # full-problem rows (a strict set is a selection_id)
     pos: np.ndarray                # their W-QP rows
-    coef: np.ndarray | None
-    eta_err: np.ndarray | None
+    coef: np.ndarray
+    eta_err: np.ndarray
 
 
 def _condensation(problem: PlayerProblem) -> _Condensed:
@@ -460,36 +472,60 @@ def _condense(problem: PlayerProblem) -> _Condensed:
 def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> _Region:
     """The region of the W rows ``rows``, from the instance's slot or built
     into it, replacing the one held there: a walk step's or a solution's.
-
-    Range-space build (Nocedal & Wright, 16.2), with [r0 R1] the W-QP's
-    negated linear term (constant, per price), W0 = H^-1 [r0 R1] the
-    unconstrained W, B_s the held rows and b_s their bounds:
-    eta = M^-1 (B_s W0 - [b_s 0]) from one Cholesky factor of
-    M = B_s H^-1 B_s', and W = W0 - H^-1 B_s' eta.  When that factor fails
-    the rows are dependent (a degenerate vertex) and eta is not unique.
-    """
+    With [r0 R1] the W-QP's negated linear term (constant, per price), B_s
+    the held rows and b_s their bounds, it is the range-space build where
+    that factors, else the null-space build."""
     slot = cond.region
     if slot and slot[0].rows == rows:
         return slot[0]
     pos = np.array([cond.w_pos[i] for i in rows], dtype=int)
-    coef = eta_err = None
-    if cond.w_map is not None and not rows:  # unconstrained: W0, and no multiplier
-        coef, eta_err = cond.w_map, cond.w_map[:0]
-    elif cond.w_map is not None:
-        hb = cond.h_inv_bt[:, pos]
-        b_s, bound = cond.b_w[pos], problem.ineq_rhs[cond.w_rows[pos]]
-        m_inv = _spd_inverse(b_s @ hb)
-        if m_inv is not None:
-            rhs = b_s @ cond.w_map
-            rhs[:, 0] -= bound
-            eta = m_inv @ rhs
-            coef = np.vstack((cond.w_map - hb @ eta, eta))
-            # first-order roundoff of eta: eps per term summed, through |M^-1|
-            terms = np.abs(b_s) @ np.abs(cond.w_map)
-            terms[:, 0] += np.abs(bound)
-            eta_err = np.finfo(float).eps * (sum(hb.shape) + rhs.shape[1]) * (np.abs(m_inv) @ terms)
-    slot[:] = [_Region(rows, pos, coef, eta_err)]
+    b_s, bound = cond.b_w[pos], problem.ineq_rhs[cond.w_rows[pos]]
+    built = _range_space(cond, pos, b_s, bound) or _null_space(cond, b_s, bound)
+    slot[:] = [_Region(rows, pos, *built)]
     return slot[0]
+
+
+def _range_space(cond: _Condensed, pos, b_s, bound):
+    """(coef, eta_err) by the range-space build (Nocedal & Wright, 16.2),
+    with W0 = H^-1 [r0 R1] the unconstrained W:
+    eta = M^-1 (B_s W0 - [b_s 0]) from one Cholesky factor of
+    M = B_s H^-1 B_s', and W = W0 - H^-1 B_s' eta.  None when W is not
+    unique (no factor of H) or M has no factor (the rows are dependent)."""
+    if cond.w_map is None:
+        return None
+    if not pos.size:  # unconstrained: W0, and no multiplier
+        return cond.w_map, cond.w_map[:0]
+    hb = cond.h_inv_bt[:, pos]
+    m_inv = _spd_inverse(b_s @ hb)
+    if m_inv is None:
+        return None
+    rhs = b_s @ cond.w_map
+    rhs[:, 0] -= bound
+    eta = m_inv @ rhs
+    # first-order roundoff of eta: eps per term summed, through |M^-1|
+    terms = np.abs(b_s) @ np.abs(cond.w_map)
+    terms[:, 0] += np.abs(bound)
+    return (np.vstack((cond.w_map - hb @ eta, eta)),
+            np.finfo(float).eps * (sum(hb.shape) + rhs.shape[1]) * (np.abs(m_inv) @ terms))
+
+
+def _null_space(cond: _Condensed, b_s, bound):
+    """(coef, eta_err) by the null-space build (Nocedal & Wright, 16.2) from
+    one SVD of B_s, cut by the engine's rank rule (``qp._factor``):
+    W = B_s^+ [b_s 0] + Z (Z'HZ)^+ Z' ([r0 R1] - H B_s^+ [b_s 0]), the
+    minimum-norm W of the region, and the minimum-norm eta with
+    B_s' eta = [r0 R1] - H W."""
+    n_w = b_s.shape[1]
+    z, solve = _factor(b_s, n_w)
+    pinv_t = solve(np.eye(n_w))  # (B_s')^+, one row per held row
+    w = np.zeros_like(cond.w_lin)
+    w[:, 0] = pinv_t.T @ bound
+    w += _projected(cond.hessian, z, cond.w_lin - cond.hessian @ w)
+    eta = pinv_t @ (cond.w_lin - cond.hessian @ w)
+    # first-order roundoff of eta: eps per term summed, through |(B_s')^+|
+    terms = np.abs(cond.w_lin) + np.abs(cond.hessian) @ np.abs(w)
+    return (np.vstack((w, eta)),
+            np.finfo(float).eps * (sum(b_s.shape) + w.shape[1]) * (np.abs(pinv_t) @ terms))
 
 
 def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, warm_start):
@@ -501,11 +537,11 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
     (``_first_rows``), and the columns on one region take their step
     together (``_serve``): a column is served where it certifies with
     exactly the region's W rows tied, else it moves to the rows ``_serve``
-    names.  Where the walk ends (no rows named, a row set it tried before,
-    or a region that cannot serve) the engine solves the column alone from
-    the player's usual start, seeded with the first region's rows that it
-    predicts stay active there, or with the warm start's active W rows when
-    no region could serve.
+    names.  Where the walk ends (no rows named, as always where W is not
+    unique, or a row set it tried before) the engine solves the column
+    alone from the player's usual start, seeded with the first region's
+    rows that it predicts stay active there, or with the warm start's
+    active W rows when a strict row of the warm start is not a W row.
     """
     m, n_w = p.shape[1], cond.a_w.shape[1]
     if not n_w:
@@ -520,9 +556,6 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
     while walks:
         rows, cols = walks.popitem()
         region = _region(problem, cond, rows)
-        if region.coef is None:
-            engine += cols
-            continue
         p_cols = p if cols == every else p[:, cols]  # a subset, or another order
         z = region.coef @ p_cols
         seed = seed or (region.pos, z[n_w:])
@@ -572,23 +605,27 @@ def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Reg
     ``region``, one column per column of ``p`` = [1; pi].
 
     Returns, per column, (x, mu, eta, active) where the point certifies
-    (finite, eta >= -``eta_err`` and every full-problem row within the
-    start tolerances) and the W rows tied there are the region's rows, else
-    None; and the rows of the next region, those of ``region`` whose
-    multiplier is positive and the W rows the predicted W violates beyond
-    tolerance, or None where the walk ends (a point that is not finite, or
-    one that certifies with a tied W row outside the region: a degenerate
-    vertex).
+    (finite, eta >= -``eta_err``, or eta >= ``STRICT_DUAL_TOL`` + ``eta_err``
+    where W is not unique, and every full-problem row within the start
+    tolerances) and the W rows tied there are the region's rows, else None;
+    and the rows of the next region, those of ``region`` whose multiplier
+    is positive and the W rows the predicted W violates beyond tolerance,
+    or None where the walk ends (W not unique, a point that is not finite,
+    or one that certifies with a tied W row outside the region: a
+    degenerate vertex).
     """
     m, n_w = p.shape[1], cond.a_w.shape[1]
     finite = np.isfinite(z).all(axis=0)
     if not finite.all():
         z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
     w, eta_r = z[:n_w], z[n_w:]
-    if (eta_r < 0.0).any():  # zero where within the roundoff of its own solve
+    floor = 0.0
+    if not cond.w_unique:  # a weak row need not stay tight across the optimal face
+        floor = STRICT_DUAL_TOL + region.eta_err @ np.abs(p)
+    elif (eta_r < 0.0).any():  # zero where within the roundoff of its own solve
         err = region.eta_err @ np.abs(p)
         eta_r = np.where(eta_r >= -err, np.maximum(eta_r, 0.0), eta_r)
-    keep = finite & (eta_r >= 0.0).all(axis=0)
+    keep = finite & (eta_r >= floor).all(axis=0)
     eta_w = np.zeros((cond.w_rows.size, m))
     eta_w[region.pos] = eta_r
     points = _recover(problem, cond, p, w, eta_w, keep) if keep.any() else [None] * m
@@ -597,7 +634,7 @@ def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Reg
               for point in points]
     moves = [None] * m
     refused = [c for c, point in enumerate(points) if point is None and finite[c]]
-    if refused:
+    if refused and cond.w_unique:
         w_rows = cond.w_rows
         over = (cond.b_w @ w[:, refused] - problem.ineq_rhs[w_rows, None]
                 > cond.tols[1][w_rows, None])
@@ -687,12 +724,8 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
 
 def _condensed_jacobian(problem: PlayerProblem, cond: _Condensed, rows) -> np.ndarray:
     """dV/dpi = J_t - R1' dW/dpi with the W rows ``rows`` held: dW/dpi is the
-    price columns of their region's map where it serves, else R1 projected."""
-    coef = _region(problem, cond, rows).coef
-    if coef is None:
-        dw = _projected(cond.hessian, cond.b_w[[cond.w_pos[i] for i in rows]], cond.r_1)
-    else:
-        dw = coef[: cond.a_w.shape[1], 1:]
+    price columns of their region's map."""
+    dw = _region(problem, cond, rows).coef[: cond.a_w.shape[1], 1:]
     return cond.jac_t - cond.r_1.T @ dw
 
 
@@ -701,13 +734,14 @@ def _kkt_jacobian(problem: PlayerProblem, strict) -> np.ndarray:
     the projection of the price columns of -I with Hessian Q."""
     n_p = problem.n_prices
     rows = np.vstack([problem.eq_matrix, problem.ineq_matrix[list(strict)]])
-    return -_projected(problem.quadratic, rows, np.eye(problem.n_vars, n_p))[:n_p]
+    z = _factor(rows, problem.n_vars)[0]
+    return -_projected(problem.quadratic, z, np.eye(problem.n_vars, n_p))[:n_p]
 
 
-def _projected(hessian, rows, rhs):
-    """Z (Z'HZ)^+ Z' rhs, Z the null space of ``rows``: the minimizer of
-    1/2 x'Hx - rhs'x on rows x = 0, both ranks cut by the engine's SVD rule."""
-    z = _factor(rows, hessian.shape[0])[0]
+def _projected(hessian, z, rhs):
+    """Z (Z'HZ)^+ Z' rhs for the null-space basis ``z`` of some rows: the
+    minimum-norm minimizer of 1/2 x'Hx - rhs'x on those rows' null space,
+    its rank cut by the engine's SVD rule."""
     return z @ _factor(z.T @ hessian @ z, z.shape[1])[1](z.T @ rhs)
 
 

@@ -201,6 +201,16 @@ def ladder(n_contracts):
         consumers=[(1.0, 0.6, 0.0), (1.2, 0.4, 0.0)], demand_frac=0.4)
 
 
+def portfolio(n_contracts):
+    """The ladder's grid, fuels and consumers with one producer that owns two
+    coal and two gas plants, so its dispatch is not unique."""
+    return build_scenario(
+        seed=n_contracts, sizes=(2,) * (n_contracts // 2), fuels={"coal": 0.9, "gas": 0.5},
+        producers=[(1.0, [("coal", 9.0, 4.0, -4.0, 1.0), ("coal", 5.0, 5.0, -5.0, 1.3),
+                          ("gas", 8.0, 8.0, -8.0, 2.0), ("gas", 6.0, 6.0, -6.0, 2.2)])],
+        consumers=[(1.0, 0.6, 0.0), (1.2, 0.4, 0.0)], demand_frac=0.4)
+
+
 # ---------------------------------------------------------------------------
 # acceptance corpora
 

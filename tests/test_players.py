@@ -354,56 +354,63 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
         for prices in points[1:]:
             warm = eq.solve_qp(prob, prices, warm_start=warm)
             _assert_agrees_with_full_qp(prob, prices, warm)
-    # every market with a unique-W producer is served by a region somewhere,
-    # from the cold start's tied rows and from the warm start's strict rows
+    # every market is served by a region somewhere from the warm start's
+    # strict rows, and from the cold start's tied rows where it has a
+    # unique-W producer (a non-unique W does not walk from its cold start)
     unique = any(players._condensation(p).w_unique for p in market.problems
                  if p.kind == "producer")
     assert cold == unique
-    assert _served(served) == unique
+    assert _served(served)
 
 
-def test_region_that_fails_to_certify_falls_back_to_the_engine(rich_producer, monkeypatch):
+def test_walk_through_dependent_rows_is_served_by_a_region(rich_producer, monkeypatch):
     low = eq.solve_qp(rich_producer, np.full(3, 2.0))
     strict, _ = players._strict_active(low)
     cond = players._condensation(rich_producer)
     assert strict and all(i in cond.w_pos for i in strict)
-    served = _recorder(monkeypatch, "_serve")
+    steps = _walk_steps(monkeypatch)
     engine = _recorder(monkeypatch, "solve_qp_active_set")
     prices = np.full(3, 60.0)
     sol = eq.solve_qp(rich_producer, prices, warm_start=low)
     # the idle selection does not hold at high prices: its region is tried
-    # and fails to certify; the walk ends on a set of rows whose matrix
-    # M = B_s H^-1 B_s' is singular, and the engine solves the W-QP from the
-    # warm start
-    assert [points for _, (points, _moves) in served] == [[None]] * len(served)
-    assert len(served) > 1 and engine
+    # and fails to certify; the walk passes the dependent rows (0, 3, 4, 6, 8),
+    # 5 rows on 4 W variables, whose null-space map names the next region,
+    # and the last region serves without the engine
+    walked = [rows for rows, _, _ in steps]
+    assert walked[0] == strict and (0, 3, 4, 6, 8) in walked
+    assert all(served == [None] for _, served, _ in steps[:-1])
+    assert steps[-1][1][0] is not None and not engine
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
     assert sol.active_set != low.active_set
 
 
-def test_non_unique_production_keeps_the_min_norm_stage(monkeypatch):
+def test_non_unique_production_is_served_at_the_min_norm_point(monkeypatch):
     market = eq.Market(AGREEMENT_MARKETS["twin_plants"])
     prob = next(p for p in market.problems if p.name == "producer1")
     cond = players._condensation(prob)
     assert not cond.w_unique
+    res = eq.solve_equilibrium(market.scenario, market=market)
+    min_norm = players._min_norm_production
     served = _recorder(monkeypatch, "_serve")
     stages = _recorder(monkeypatch, "_min_norm_production")
-    res = eq.solve_equilibrium(market.scenario, market=market)
     rng = np.random.default_rng(3)
     for _ in range(20):
         prices = res.prices * (1.0 + 0.05 * rng.standard_normal(res.prices.size))
         sol = market.solutions(prices)[market.problems.index(prob)]
-        again = players._min_norm_production(prob, cond, sol.primal)
+        again = min_norm(prob, cond, sol.primal)
         scale = max(1.0, float(np.max(np.abs(sol.primal))))
         np.testing.assert_allclose(again, sol.primal, rtol=0, atol=1e-9 * scale)
-    assert not any(p is prob and out is not None for p, out in served)
-    assert sum(p is prob for p, _ in stages) >= 20
+    # the warm start's region serves every point in one step (a non-unique W
+    # does not walk), and no second stage runs
+    steps = [points for p, (points, _moves) in served if p is prob]
+    assert len(steps) == 20 and all(points[0] is not None for points in steps)
+    assert not stages
 
 
 def test_each_engine_column_is_canonicalized_once(monkeypatch):
-    # twin plants: every producer W-QP runs on the engine; its point is
-    # finished by _solution alone, which reads the active set and the
-    # canonical multipliers once
+    # twin plants: the W-QPs of the cold solves run on the engine; each
+    # point is finished by _solution alone, which reads the active set and
+    # the canonical multipliers once
     canonical = _recorder(monkeypatch, "_canonical_duals")
     engine = _recorder(monkeypatch, "_solve_w_qp")
     assert eq.solve_equilibrium(AGREEMENT_MARKETS["twin_plants"]).converged
@@ -412,7 +419,8 @@ def test_each_engine_column_is_canonicalized_once(monkeypatch):
 
 def test_residuals_are_taken_at_the_point_the_min_norm_stage_returns(monkeypatch):
     # twin plants: where the second stage moves W, the rows taken to accept
-    # the condensed point are stale and must be taken again
+    # the condensed point are stale and must be taken again; it runs after
+    # the engine, on the cold solves whose strict rows do not pin W
     market = eq.Market(AGREEMENT_MARKETS["twin_plants"])
     centre = eq.solve_equilibrium(market.scenario, market=market).prices
     moved = []
@@ -429,6 +437,7 @@ def test_residuals_are_taken_at_the_point_the_min_norm_stage_returns(monkeypatch
         prices = centre + 0.3 * float(np.max(np.abs(centre))) * rng.standard_normal(centre.size)
         for prob, sol in zip(market.problems, market.solutions(prices)):
             _assert_stored_residuals_bitwise(prob, sol)
+            _assert_stored_residuals_bitwise(prob, eq.solve_qp(prob, prices))
     assert any(moved)
 
 
@@ -620,7 +629,8 @@ def test_players_share_one_covariance_inverse(rich_scenario):
 def _rerun_from_fallback_seed(mp, problems, start):
     """Make every W-QP of ``problems`` run a second time from the seed used
     where no region can serve, the W rows of the warm start's active set
-    (none from a cold start), and check both give the same W.
+    (none from a cold start), and check both give the same W, or the same
+    A_w W where W is not unique.
 
     ``start[0]`` is the warm start of the solve under way.  Returns a list
     that records, per W-QP, whether the two seeds differed.
@@ -640,8 +650,10 @@ def _rerun_from_fallback_seed(mp, problems, start):
             fallback = [] if warm is None else [cond.w_pos[i] for i in warm.active_set
                                                  if i in cond.w_pos]
             ref = engine(G, g, A, a, B, b, x0, working_set=fallback)
-            scale = max(1.0, float(np.max(np.abs(ref.x))))
-            np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-9 * scale)
+            # a W that is not unique is compared through A_w W, which is
+            a_w = np.eye(G.shape[0]) if cond.w_unique else cond.a_w
+            scale = max(1.0, float(np.max(np.abs(a_w @ ref.x))))
+            np.testing.assert_allclose(a_w @ res.x, a_w @ ref.x, rtol=0, atol=1e-9 * scale)
             differs.append(sorted(working_set) != fallback)
         return res
 
@@ -673,8 +685,8 @@ def test_seeded_w_qp_agrees_with_the_fallback_seed_and_the_full_qp(name, monkeyp
 
 
 def test_ladder_dispatch_work(monkeypatch):
-    # the region walk serves all but one W-QP of the three benchmark ladders;
-    # the engine runs once, for 4 iterations
+    # the region walk serves every W-QP of the three benchmark ladders, the
+    # dependent row set that once sent ladder_24 to the engine included
     iterations = []
     engine = players.solve_qp_active_set
 
@@ -686,7 +698,7 @@ def test_ladder_dispatch_work(monkeypatch):
     monkeypatch.setattr(players, "solve_qp_active_set", counting)
     for n in (12, 24, 48):
         assert eq.solve_equilibrium(ladder(n)).converged
-    assert (len(iterations), sum(iterations)) == (1, 4)
+    assert (len(iterations), sum(iterations)) == (0, 0)
 
 
 @st.composite
@@ -739,6 +751,65 @@ def test_walked_points_agree_on_generated_markets():
         served.append(_served(steps))
 
     walk()
+    assert any(served)
+
+
+@st.composite
+def fuel_pair_markets(draw):
+    """A small market whose one producer owns a pair of plants of one fuel,
+    identical or with distinct efficiencies, and maybe a pair of the other
+    fuel (four plants on the power, fuel and emission rows: W is not unique
+    even with distinct efficiencies), and two price points around its
+    merit-order prices."""
+    sizes = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    plant = st.tuples(st.floats(2.0, 10.0), st.floats(0.5, 10.0), st.floats(1.0, 2.5))
+    plants = []
+    for fuel in draw(st.sampled_from([("coal",), ("gas",), ("coal", "gas")])):
+        cap, ramp, eff = draw(plant)
+        if draw(st.booleans()):
+            pair = [(cap, ramp, eff)] * 2
+        else:
+            other = draw(plant)
+            pair = [(cap, ramp, eff), (*other[:2], eff * draw(st.floats(1.1, 1.5)))]
+        plants += [(fuel, c, r, -r, e) for c, r, e in pair]
+    sc = build_scenario(
+        seed=draw(st.integers(0, 99)), sizes=sizes, fuels={"coal": 0.9, "gas": 0.5},
+        producers=[(draw(st.floats(0.5, 2.0)), plants)], consumers=[(1.0, 1.0, 0.0)],
+        demand_frac=draw(st.floats(0.2, 0.7)))
+    centre = eq.merit_order_prices(sc)
+    shifts = st.lists(st.floats(-0.5, 0.5), min_size=centre.size, max_size=centre.size)
+    return sc, [centre * (1.0 + np.array(draw(shifts))) for _ in range(2)]
+
+
+def test_plants_of_one_fuel_match_the_full_qp_and_the_min_norm_stage():
+    # cold and warm: the served volumes are the full QP's, W is the second
+    # stage's minimum-norm W at the full QP's own point, and the selection
+    # is the same; some non-unique W is served by its region
+    served = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuel_pair_markets())
+    def check(market):
+        sc, (first, second) = market
+        prob = eq.assemble_producer(sc.producers[0], sc)
+        cond = players._condensation(prob)
+        full = players._full_solve_qp(prob, second)
+        x = players._solve_full(prob, prob.merged_linear(second), None)[0]
+        w_ref = players._min_norm_production(prob, cond, x)[cond.n_t:]
+        scale = max(1.0, float(np.max(np.abs(full.primal))))
+        selection = eq.response_jacobian(prob, full).selection_id
+        with pytest.MonkeyPatch.context() as mp:
+            steps = _recorder(mp, "_serve")
+            warm = eq.solve_qp(prob, first)
+            for start in (None, warm):
+                sol = eq.solve_qp(prob, second, warm_start=start)
+                np.testing.assert_allclose(sol.volumes, full.volumes, rtol=0, atol=1e-9 * scale)
+                np.testing.assert_allclose(sol.primal[cond.n_t:], w_ref, rtol=0, atol=1e-9 * scale)
+                assert eq.response_jacobian(prob, sol).selection_id == selection
+        served.append(not cond.w_unique and _served(steps))
+
+    check()
     assert any(served)
 
 
@@ -897,7 +968,9 @@ def test_jittered_small_cov_picks_one_selection_on_every_path(monkeypatch):
 def _reduced_kkt_region(problem, cond, rows):
     """(coef, jacobian) of the region of ``rows`` from one least-squares solve
     of the reduced KKT system [H B_s'; B_s 0] (W, eta_s) = (-A_w' mu0(pi), b_s):
-    an independent build that the range-space maps are checked against."""
+    an independent build that the region maps are checked against.  Its
+    kernel is (null(H) & null(B_s)) x null(B_s'), so where W or eta is not
+    unique the minimum-norm solution holds the minimum-norm W and eta."""
     n_p, lam = problem.n_prices, problem.risk_aversion
     n_w = cond.a_w.shape[1]
     pos = [cond.w_pos[i] for i in rows]
@@ -915,11 +988,10 @@ def _reduced_kkt_region(problem, cond, rows):
     rhs[:n_w, 0] = -cond.a_w.T @ mu_zero
     rhs[n_w:, 0] = problem.ineq_rhs[cond.w_rows[pos]]
     rhs[:n_w, 1:] = cond.a_w.T @ d_mu
-    sol, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=None)
-    coef = sol if cond.w_unique and rank == k else None
+    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     d_mu = -d_mu + s_inv @ (cond.a_w @ sol[:n_w, 1:])
     jacobian = -(problem.cov_inverse[:n_p, :n_p] + m[:, :n_p].T @ d_mu) / lam
-    return coef, jacobian
+    return sol, jacobian
 
 
 def _curvature(problem, cond):
@@ -962,44 +1034,53 @@ def test_region_maps_agree_with_the_reduced_kkt_build(monkeypatch):
     for sc in SOLVED_MARKETS.values():
         assert eq.solve_equilibrium(sc).converged
     monkeypatch.undo()  # the Jacobians below build regions too: stop recording
-    singular = served = twins = 0
+    dependent = served = twins = 0
     for problem, rows, region in built:
         cond = players._condensation(problem)
         coef, jacobian = _reduced_kkt_region(problem, cond, rows)
         jac = players._condensed_jacobian(problem, cond, rows)
         _assert_close(jac, jacobian, _curvature(problem, cond))
+        # every region has a map: the null-space build's minimum-norm W and
+        # eta where either is not unique
+        _assert_close(region.coef, coef)
         if not cond.w_unique:
-            # twin plants: no map; the engine serves, and dV/dpi is the projection
-            assert region.coef is None
             twins += 1
-            continue
-        if region.coef is None:
-            singular += 1  # dependent rows: the reference is rank-deficient too
-            assert coef is None
+        elif np.linalg.matrix_rank(cond.b_w[region.pos]) < len(rows):
+            dependent += 1
         else:
             served += 1
-            _assert_close(region.coef, coef)
-    assert served > 100 and singular  # three_by_three's producer2 walks into (0, 3, 4)
-    assert twins
+    # three_by_three's producer2 walks into (0, 3, 4), 3 rows on 2 W variables
+    assert served > 100 and dependent and twins
 
 
-def test_dependent_rows_leave_the_region_singular(rich_producer):
-    # 5 rows on 4 W variables: the walk's last region at prices 60 from a
-    # warm start at prices 2 (see the engine fallback test above)
+def test_dependent_rows_take_the_null_space_map(rich_producer):
+    # 5 rows on 4 W variables: a step of the walk at prices 60 from a warm
+    # start at prices 2 (see the walk test above)
+    rows = (0, 3, 4, 6, 8)
     cond = players._condensation(rich_producer)
+    b_s = cond.b_w[[cond.w_pos[i] for i in rows]]
+    rank = np.linalg.matrix_rank(b_s)
+    assert cond.w_unique and rank < len(rows)
     cond.region.clear()
-    region = players._region(rich_producer, cond, (0, 3, 4, 6, 8))
-    assert region.coef is None and region.eta_err is None
-    coef, jacobian = _reduced_kkt_region(rich_producer, cond, (0, 3, 4, 6, 8))
-    assert coef is None
-    # W's per-price map is still unique, and so is dV/dpi
-    jac = players._condensed_jacobian(rich_producer, cond, (0, 3, 4, 6, 8))
+    region = players._region(rich_producer, cond, rows)
+    n_w = cond.a_w.shape[1]
+    w, eta = region.coef[:n_w], region.coef[n_w:]
+    assert region.eta_err.shape == eta.shape and np.all(region.eta_err >= 0.0)
+    # W is unique; eta is the minimum-norm solution of its stationarity,
+    # orthogonal to the null space of B_s'
+    coef, jacobian = _reduced_kkt_region(rich_producer, cond, rows)
+    _assert_close(region.coef, coef)
+    _assert_close(b_s.T @ eta, cond.w_lin - cond.hessian @ w)
+    null = np.linalg.svd(b_s.T)[2][rank:]
+    _assert_close(null @ eta, np.zeros_like(null @ eta), float(np.max(np.abs(eta))))
+    jac = players._condensed_jacobian(rich_producer, cond, rows)
     _assert_close(jac, jacobian, _curvature(rich_producer, cond))
 
 
-# engine runs per solve_equilibrium when the range-space build came in; a
-# later change may lower a count, never raise it
-ENGINE_RUNS = {"twin_plants": 12, "three_by_three": 3, "ladder_24": 1}
+# engine runs per solve_equilibrium since the null-space build serves regions
+# with a non-unique W or dependent rows (twin_plants: the W-QP and the second
+# stage of its two cold solves); a later change may lower a count, never raise it
+ENGINE_RUNS = {"twin_plants": 4}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVED_MARKETS))
@@ -1007,6 +1088,18 @@ def test_engine_runs_per_solve_do_not_grow(name, monkeypatch):
     engine = _recorder(monkeypatch, "solve_qp_active_set")
     assert eq.solve_equilibrium(SOLVED_MARKETS[name]).converged
     assert len(engine) <= ENGINE_RUNS.get(name, 0)
+
+
+def test_twin_plants_uniqueness_check_runs_no_engine(monkeypatch):
+    # every sampled column warm-starts from the equilibrium, and its strict
+    # rows' null-space region serves it
+    sc = SOLVED_MARKETS["twin_plants"]
+    market = eq.Market(sc)
+    res = eq.solve_equilibrium(sc, market=market)
+    engine = _recorder(monkeypatch, "solve_qp_active_set")
+    diag = eq.check_uniqueness(sc, res, n_samples=16, market=market)
+    assert len(diag.monotonicity_samples) == 16 and diag.monotonicity_all_negative
+    assert not engine
 
 
 def test_degenerate_cold_start_is_served_by_its_region(monkeypatch):

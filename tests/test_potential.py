@@ -6,7 +6,7 @@ import pytest
 
 import equiterm as eq
 from equiterm.equilibrium import Market
-from tests.corpus import ladder, make_corpus
+from tests.corpus import ladder, make_corpus, portfolio
 from tests.welfare import welfare_qp_prices
 
 CORPUS = dict(make_corpus())
@@ -34,7 +34,8 @@ def test_potential_gradient_is_minus_excess(name):
         assert float(np.max(np.abs(fd + z))) <= 1e-6 * float(np.max(np.abs(z)))
 
 
-WELFARE_MARKETS = {**CORPUS, "ladder_12": ladder(12), "ladder_24": ladder(24)}
+WELFARE_MARKETS = {**CORPUS, "ladder_12": ladder(12), "ladder_24": ladder(24),
+                   "portfolio_12": portfolio(12), "portfolio_24": portfolio(24)}
 
 
 @pytest.mark.parametrize("name", list(WELFARE_MARKETS))
