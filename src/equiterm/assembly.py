@@ -6,6 +6,11 @@ delivery (all power sold is produced), one fuel balance per (fuel,
 delivery) pair (fuel bought covers the burn), one emission row for the
 whole horizon.  Consumers carry only V with one demand row per delivery.
 
+Every inequality is half of a bound pair: ramp up and down, capacity upper
+and lower, then the V, F and O trading boxes (a consumer's V only).  Rows
+are (column, coefficient) entries with a right-hand side and a label, made
+dense at the end.  The labels are the one statement of the row layout.
+
 Expected fuel and emission quotes enter the linear term discounted by
 e^{-r T_j}; the power slots stay zero and are filled per query with the
 candidate expected power prices, discounted likewise.
@@ -18,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .grid import IndexMap, canonical_index, delivery_totals_matrix
-from .scenario import Consumer, Producer, Scenario
+from .grid import IndexMap, canonical_index
+from .scenario import Bounds, Consumer, Producer, Scenario
 
 __all__ = ["PlayerProblem", "assemble_producer", "assemble_consumer", "assemble_all"]
 
@@ -56,7 +61,7 @@ class PlayerProblem:
 
     def __post_init__(self):
         for nm in ("quadratic", "linear", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, nm), dtype=float))
+            arr = np.ascontiguousarray(getattr(self, nm), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, nm, arr)
         object.__setattr__(self, "_derived", {})
@@ -88,163 +93,125 @@ class PlayerProblem:
     def ineq_row(self, label: tuple) -> int:
         return self.ineq_labels.index(label)
 
+    def capacity_rows(self, side: str) -> tuple[list[int], list[int]]:
+        """The inequality rows labelled ``side`` ("cap_upper" or "cap_lower")
+        and, for each, the position in the W block of the production it
+        bounds, read from the row's label through the index map."""
+        im = self.index_map
+        rows = [k for k, label in enumerate(self.ineq_labels) if label[0] == side]
+        return rows, [im.w_index(*self.ineq_labels[k][1:]) - im.n_traded for k in rows]
 
-def _producer_plants(producer: Producer, scenario: Scenario):
-    fuels = scenario.fuel_names
-    grouped = producer.plants_by_fuel(fuels)
-    counts = tuple(len(grouped[f]) for f in fuels)
-    return grouped, counts
+
+def _bound_pair(rows, entries, upper, lower, upper_label, lower_label):
+    """Append the rows entries·v <= upper and -entries·v <= lower."""
+    rows.append((entries, upper, upper_label))
+    rows.append(([(k, -c) for k, c in entries], lower, lower_label))
+
+
+def _dense(rows, n):
+    """The (rows, n) matrix, right-hand sides and labels of a list of
+    (entries, right-hand side, label) rows, each entry (column, coefficient)."""
+    entries, rhs, labels = zip(*rows)
+    matrix = np.zeros((len(rows), n))
+    for r, row in enumerate(entries):
+        for k, c in row:
+            matrix[r, k] = c
+    return matrix, rhs, labels
+
+
+def _trading_boxes(rows, im: IndexMap, bounds: Bounds, producer: bool):
+    """Every contract's V box; for a producer, every F box and then every O box."""
+    nodes = im.grid.node_labels()
+    vt, ft = bounds.v_trade, bounds.f_trade
+    for j, i in nodes:
+        _bound_pair(rows, [(im.v_index(j, i), 1.0)], vt, vt, ("v_upper", j, i), ("v_lower", j, i))
+    if not producer:
+        return
+    for j, i in nodes:
+        for fuel in im.fuels:
+            _bound_pair(rows, [(im.f_index(j, i, fuel), 1.0)], ft, ft,
+                        ("f_upper", j, i, fuel), ("f_lower", j, i, fuel))
+    for j, i in nodes:
+        _bound_pair(rows, [(im.o_index(j, i), 1.0)], ft, ft, ("o_upper", j, i), ("o_lower", j, i))
+
+
+def _problem(kind, player, im, quadratic, linear, eq, ineq, cov_inverse):
+    A, a, eq_labels = _dense(eq, linear.size)
+    B, b, ineq_labels = _dense(ineq, linear.size)
+    return PlayerProblem(
+        kind=kind, name=player.name, quadratic=quadratic, linear=linear,
+        eq_matrix=A, eq_rhs=a, ineq_matrix=B, ineq_rhs=b, index_map=im,
+        eq_labels=eq_labels, ineq_labels=ineq_labels,
+        risk_aversion=player.risk_aversion, cov_inverse=cov_inverse)
 
 
 def assemble_producer(producer: Producer, scenario: Scenario) -> PlayerProblem:
     grid = scenario.grid
     fuels = scenario.fuel_names
-    grouped, counts = _producer_plants(producer, scenario)
-    im = canonical_index(grid, fuels, counts)
-    n = im.total
-    nj, nl = grid.n_deliveries, len(fuels)
+    grouped = producer.plants_by_fuel(fuels)
+    im = canonical_index(grid, fuels, [len(grouped[fuel]) for fuel in fuels])
+    nj = grid.n_deliveries
+    # every plant with its (fuel, rank) key in the W order of a delivery,
+    # its emission coefficient, and each delivery's production columns
+    plants = [(fuel, r, plant) for fuel in fuels for r, plant in enumerate(grouped[fuel])]
+    burn = [-scenario.fuels.intensity(fuel) for fuel, _, _ in plants]
+    w = [[im.w_index(j, fuel, r) for fuel, r, _ in plants] for j in range(nj)]
 
     # equalities: volume per delivery, fuel per (fuel, delivery), one emission row
-    n_eq = nj + nj * nl + 1
-    A = np.zeros((n_eq, n))
-    a = np.zeros(n_eq)
-    eq_labels = []
-    row = 0
-    for j in range(nj):
-        for i in range(grid.sizes[j]):
-            A[row, im.v_index(j, i)] = 1.0
-        for l, fuel in enumerate(fuels):
-            for r in range(counts[l]):
-                A[row, im.w_index(j, fuel, r)] = 1.0
-        eq_labels.append(("volume", j))
-        row += 1
-    for l, fuel in enumerate(fuels):
+    eq = [([(im.v_index(j, i), 1.0) for i in range(grid.sizes[j])] + [(k, 1.0) for k in w[j]],
+           0.0, ("volume", j)) for j in range(nj)]
+    for fuel in fuels:
         for j in range(nj):
-            for i in range(grid.sizes[j]):
-                A[row, im.f_index(j, i, fuel)] = -1.0
-            for r, plant in enumerate(grouped[fuel]):
-                A[row, im.w_index(j, fuel, r)] = plant.efficiency
-            eq_labels.append(("fuel", j, fuel))
-            row += 1
-    for j in range(nj):
-        for i in range(grid.sizes[j]):
-            A[row, im.o_index(j, i)] = 1.0
-        for l, fuel in enumerate(fuels):
-            g_l = scenario.fuels.intensity(fuel)
-            for r in range(counts[l]):
-                A[row, im.w_index(j, fuel, r)] = -g_l
-    eq_labels.append(("emission",))
-    row += 1
+            burnt = [(k, pl.efficiency) for k, (f, _, pl) in zip(w[j], plants) if f == fuel]
+            eq.append(([(im.f_index(j, i, fuel), -1.0) for i in range(grid.sizes[j])] + burnt,
+                       0.0, ("fuel", j, fuel)))
+    emitted = [(k, g) for j in range(nj) for k, g in zip(w[j], burn)]
+    eq.append(([(im.o_index(j, i), 1.0) for j, i in grid.node_labels()] + emitted,
+               0.0, ("emission",)))
 
     # inequalities: ramps, capacity, then the three trading boxes
-    rows, rhs, labels = [], [], []
-
-    def add(coeffs, bound, label):
-        vec = np.zeros(n)
-        for idx, val in coeffs:
-            vec[idx] = val
-        rows.append(vec)
-        rhs.append(bound)
-        labels.append(label)
-
+    ineq = []
     for j in range(nj - 1):
-        for l, fuel in enumerate(fuels):
-            for r, plant in enumerate(grouped[fuel]):
-                up, dn = im.w_index(j + 1, fuel, r), im.w_index(j, fuel, r)
-                add([(up, 1.0), (dn, -1.0)], plant.ramp_up, ("ramp_up", j, fuel, r))
-                add([(up, -1.0), (dn, 1.0)], -plant.ramp_down, ("ramp_down", j, fuel, r))
+        for (fuel, r, pl), up, dn in zip(plants, w[j + 1], w[j]):
+            _bound_pair(ineq, [(up, 1.0), (dn, -1.0)], pl.ramp_up, -pl.ramp_down,
+                        ("ramp_up", j, fuel, r), ("ramp_down", j, fuel, r))
     for j in range(nj):
-        for l, fuel in enumerate(fuels):
-            for r, plant in enumerate(grouped[fuel]):
-                w = im.w_index(j, fuel, r)
-                add([(w, 1.0)], plant.capacity, ("cap_upper", j, fuel, r))
-                add([(w, -1.0)], 0.0, ("cap_lower", j, fuel, r))
-    vt, ft = scenario.bounds.v_trade, scenario.bounds.f_trade
-    for j, i in grid.node_labels():
-        k = im.v_index(j, i)
-        add([(k, 1.0)], vt, ("v_upper", j, i))
-        add([(k, -1.0)], vt, ("v_lower", j, i))
-    for j, i in grid.node_labels():
-        for fuel in fuels:
-            k = im.f_index(j, i, fuel)
-            add([(k, 1.0)], ft, ("f_upper", j, i, fuel))
-            add([(k, -1.0)], ft, ("f_lower", j, i, fuel))
-    for j, i in grid.node_labels():
-        k = im.o_index(j, i)
-        add([(k, 1.0)], ft, ("o_upper", j, i))
-        add([(k, -1.0)], ft, ("o_lower", j, i))
+        for (fuel, r, pl), k in zip(plants, w[j]):
+            _bound_pair(ineq, [(k, 1.0)], pl.capacity, 0.0,
+                        ("cap_upper", j, fuel, r), ("cap_lower", j, fuel, r))
+    _trading_boxes(ineq, im, scenario.bounds, producer=True)
 
+    n, nt = im.total, im.n_traded
     blocks = scenario.covariance_blocks()
     quadratic = np.zeros((n, n))
-    nt = im.n_traded
     quadratic[:nt, :nt] = producer.risk_aversion * blocks.stacked()
 
     linear = np.zeros(n)
     disc = grid.node_discounts()
     g_flat = scenario.exogenous.flat_fuel_forwards(grid, fuels)
     gem_flat = scenario.exogenous.flat_emission_forwards(grid)
-    linear[im.n_v : im.n_v + im.n_f] = np.repeat(disc, nl) * g_flat
+    linear[im.n_v : im.n_v + im.n_f] = np.repeat(disc, len(fuels)) * g_flat
     linear[im.n_v + im.n_f : nt] = disc * gem_flat
 
-    return PlayerProblem(
-        kind="producer",
-        name=producer.name,
-        quadratic=quadratic,
-        linear=linear,
-        eq_matrix=A,
-        eq_rhs=a,
-        ineq_matrix=np.array(rows),
-        ineq_rhs=np.array(rhs),
-        index_map=im,
-        eq_labels=tuple(eq_labels),
-        ineq_labels=tuple(labels),
-        risk_aversion=producer.risk_aversion,
-        cov_inverse=blocks.stacked_inverse(),
-    )
+    return _problem("producer", producer, im, quadratic, linear, eq, ineq,
+                    blocks.stacked_inverse())
 
 
 def assemble_consumer(consumer: Consumer, scenario: Scenario) -> PlayerProblem:
     grid = scenario.grid
     im = canonical_index(grid)
-    n = grid.n_contracts
+    demand = consumer.demand_share * scenario.demand_vector()
 
-    A = delivery_totals_matrix(grid)
-    a = consumer.demand_share * scenario.demand_vector()
-    eq_labels = tuple(("demand", j) for j in range(grid.n_deliveries))
-
-    vt = scenario.bounds.v_trade
-    rows, rhs, labels = [], [], []
-    for j, i in grid.node_labels():
-        k = im.v_index(j, i)
-        up = np.zeros(n)
-        up[k] = 1.0
-        rows.append(up)
-        rhs.append(vt)
-        labels.append(("v_upper", j, i))
-        lo = np.zeros(n)
-        lo[k] = -1.0
-        rows.append(lo)
-        rhs.append(vt)
-        labels.append(("v_lower", j, i))
+    eq = [([(im.v_index(j, i), 1.0) for i in range(grid.sizes[j])], demand[j], ("demand", j))
+          for j in range(grid.n_deliveries)]
+    ineq = []
+    _trading_boxes(ineq, im, scenario.bounds, producer=False)
 
     blocks = scenario.covariance_blocks()
     quadratic = consumer.risk_aversion * blocks.q1
 
-    return PlayerProblem(
-        kind="consumer",
-        name=consumer.name,
-        quadratic=quadratic,
-        linear=np.zeros(n),
-        eq_matrix=A,
-        eq_rhs=a,
-        ineq_matrix=np.array(rows),
-        ineq_rhs=np.array(rhs),
-        index_map=im,
-        eq_labels=eq_labels,
-        ineq_labels=tuple(labels),
-        risk_aversion=consumer.risk_aversion,
-        cov_inverse=blocks.q1_inverse(),
-    )
+    return _problem("consumer", consumer, im, quadratic, np.zeros(grid.n_contracts), eq, ineq,
+                    blocks.q1_inverse())
 
 
 def assemble_all(scenario: Scenario) -> tuple[PlayerProblem, ...]:

@@ -210,18 +210,18 @@ def _pin_table(problem: PlayerProblem) -> np.ndarray:
     at the upper bound and at the lower: a read-only boolean array
     (rows + 1, 2 * W), kept per problem; the last row pins nothing.
 
-    Only a capacity row pins: its W block has one nonzero entry, held at
-    the upper bound where the coefficient is positive (cap_upper) and at
-    the lower where it is negative (cap_lower).  A tight ramp row ties two
-    deliveries' production to each other, not to a bound, so it pins
-    nothing.
+    Only a capacity row pins, found by its label: a ``cap_upper`` row holds
+    its plant's production at the upper bound and a ``cap_lower`` row at the
+    lower.  A tight ramp row ties two deliveries' production to each other,
+    not to a bound, so it pins nothing.
     """
     cache = problem._derived
     if "pins" not in cache:
-        w = problem.ineq_matrix[:, problem.index_map.n_traded:]
-        w = w * (np.count_nonzero(w, axis=1) == 1)[:, None]
-        table = np.vstack((np.hstack((w > 0.0, w < 0.0)),
-                           np.zeros((1, 2 * w.shape[1]), dtype=bool)))
+        table = np.zeros((problem.ineq_rhs.size + 1, 2, problem.index_map.n_w), dtype=bool)
+        for side, label in enumerate(("cap_upper", "cap_lower")):
+            rows, cols = problem.capacity_rows(label)
+            table[rows, side, cols] = True
+        table = table.reshape(table.shape[0], -1)
         table.flags.writeable = False
         cache["pins"] = table
     return cache["pins"]
@@ -486,8 +486,6 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         saturated = _fleet_bounds(market, point_sols).any(axis=(1, 2))
         for i, (x, y) in enumerate(pairs):
             attempts += 1
-            if float(np.max(np.abs(x - y))) < 1e-12:
-                continue
             if saturated[2 * i] or saturated[2 * i + 1]:
                 continue
             samples.append((x, y, float((z[:, 2 * i] - z[:, 2 * i + 1]) @ (x - y))))

@@ -88,16 +88,16 @@ def _joint_blocks(scenario, problems):
     return A, a, B, b
 
 
-def _dispatch_start(problem, producer, fuels):
+def _dispatch_start(problem):
     """A box-interior start for a producer's phase-I LP, or None when it
-    violates a row: every plant at half its capacity in every delivery (so
-    each ramp row keeps its full ramp) and the min-norm traded block of
-    A_t t = a - A_w W."""
-    grouped = producer.plants_by_fuel(fuels)
-    caps = [0.5 * pl.capacity for fuel in fuels for pl in grouped[fuel]]
+    violates a row: every plant at half its ``cap_upper`` bound in every
+    delivery (so each ramp row keeps its full ramp) and the min-norm traded
+    block of A_t t = a - A_w W."""
     n_t = problem.index_map.n_traded
     A, a, B, b = problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs
-    w = np.tile(caps, problem.index_map.grid.n_deliveries)
+    rows, cols = problem.capacity_rows("cap_upper")
+    w = np.zeros(problem.index_map.n_w)
+    w[cols] = 0.5 * b[rows]
     t = np.linalg.lstsq(A[:, :n_t], a - A[:, n_t:] @ w, rcond=None)[0]
     v = np.concatenate([t, w])
     return None if start_violation(A, a, B, b, v) else v
@@ -138,9 +138,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     if blocks is not None:
         problems = assemble_all(scenario)
-        for k, p in enumerate(problems):
-            start = (_dispatch_start(p, scenario.producers[k], scenario.fuel_names)
-                     if p.kind == "producer" else None)
+        for p in problems:
+            start = _dispatch_start(p) if p.kind == "producer" else None
             margin, _, status = interior_margin(p.eq_matrix, p.eq_rhs, p.ineq_matrix,
                                                 p.ineq_rhs, start)
             checks.append(_margin_check(

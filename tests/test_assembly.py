@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import equiterm as eq
 from equiterm import assembly, cli, equilibrium, players, validate
 from equiterm.errors import InfeasibleError
-from tests.corpus import build_scenario, desk_identity
+from tests.corpus import build_scenario, desk_identity, ladder, make_corpus, portfolio
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +167,133 @@ def test_box_rows_roundtrip(identity, producer_problem):
         assert p.ineq_matrix[r, im.o_index(j, i)] == 1.0 and p.ineq_rhs[r] == ft
         r = p.ineq_row(("f_lower", j, i, "gas"))
         assert p.ineq_matrix[r, im.f_index(j, i, "gas")] == -1.0 and p.ineq_rhs[r] == ft
+
+
+# ---------------------------------------------------------------------------
+# every assembled row, rebuilt from its label and the scenario alone
+
+
+def _row_of_label(sc, player, label):
+    """The coefficients, keyed by IndexMap variable tuple, and the right-hand
+    side that the row with this label must have."""
+    kind, *key = label
+    trades = lambda j: [("V", j, i) for i in range(sc.grid.sizes[j])]  # noqa: E731
+    if kind == "demand":
+        (j,) = key
+        return dict.fromkeys(trades(j), 1.0), player.demand_share * sc.exogenous.demand[j]
+    if kind in ("v_upper", "v_lower", "f_upper", "f_lower", "o_upper", "o_lower"):
+        bound = sc.bounds.v_trade if kind[0] == "v" else sc.bounds.f_trade
+        return {(kind[0].upper(), *key): 1.0 if kind.endswith("upper") else -1.0}, bound
+    plants = player.plants_by_fuel(sc.fuel_names)
+    fleet = [(fuel, r, pl) for fuel in sc.fuel_names for r, pl in enumerate(plants[fuel])]
+    if kind == "volume":
+        (j,) = key
+        return {**dict.fromkeys(trades(j), 1.0),
+                **{("W", j, fuel, r): 1.0 for fuel, r, _ in fleet}}, 0.0
+    if kind == "fuel":
+        j, fuel = key
+        return {**{("F", j, i, fuel): -1.0 for i in range(sc.grid.sizes[j])},
+                **{("W", j, fuel, r): pl.efficiency for r, pl in enumerate(plants[fuel])}}, 0.0
+    if kind == "emission":
+        return {**{("O", j, i): 1.0 for j, i in sc.grid.node_labels()},
+                **{("W", j, fuel, r): -sc.fuels.intensity(fuel)
+                   for j in range(sc.grid.n_deliveries) for fuel, r, _ in fleet}}, 0.0
+    j, fuel, r = key
+    plant = plants[fuel][r]
+    if kind == "ramp_up":
+        return {("W", j + 1, fuel, r): 1.0, ("W", j, fuel, r): -1.0}, plant.ramp_up
+    if kind == "ramp_down":
+        return {("W", j + 1, fuel, r): -1.0, ("W", j, fuel, r): 1.0}, -plant.ramp_down
+    if kind == "cap_upper":
+        return {("W", j, fuel, r): 1.0}, plant.capacity
+    assert kind == "cap_lower", label
+    return {("W", j, fuel, r): -1.0}, 0.0
+
+
+def _labels_of_player(sc, player):
+    """Every row label the scenario implies for this player."""
+    nodes = sc.grid.node_labels()
+    deliveries = range(sc.grid.n_deliveries)
+    boxes = {(side, j, i) for side in ("v_upper", "v_lower") for j, i in nodes}
+    if isinstance(player, eq.Consumer):
+        return {("demand", j) for j in deliveries} | boxes
+    fuels = sc.fuel_names
+    plants = player.plants_by_fuel(fuels)
+    keys = [(fuel, r) for fuel in fuels for r in range(len(plants[fuel]))]
+    return ({("volume", j) for j in deliveries} | {("fuel", j, f) for j in deliveries for f in fuels}
+            | {("emission",)} | boxes
+            | {(side, j, i, f) for side in ("f_upper", "f_lower") for j, i in nodes for f in fuels}
+            | {(side, j, i) for side in ("o_upper", "o_lower") for j, i in nodes}
+            | {(side, j, *k) for side in ("ramp_up", "ramp_down") for j in deliveries[:-1]
+               for k in keys}
+            | {(side, j, *k) for side in ("cap_upper", "cap_lower") for j in deliveries
+               for k in keys})
+
+
+def _assert_rows_follow_labels(sc):
+    players_ = sc.producers + sc.consumers
+    for player, problem in zip(players_, eq.assemble_all(sc)):
+        im = problem.index_map
+        labels = problem.eq_labels + problem.ineq_labels
+        assert len(set(labels)) == len(labels)
+        assert set(labels) == _labels_of_player(sc, player)
+        for matrix, rhs, row_labels in ((problem.eq_matrix, problem.eq_rhs, problem.eq_labels),
+                                        (problem.ineq_matrix, problem.ineq_rhs,
+                                         problem.ineq_labels)):
+            assert matrix.shape == (len(row_labels), problem.n_vars)
+            for row, label in enumerate(row_labels):
+                coefs, bound = _row_of_label(sc, player, label)
+                expected = np.zeros(problem.n_vars)
+                for var, coef in coefs.items():
+                    expected[im.index_of(var)] = coef
+                assert matrix[row].tolist() == expected.tolist(), label
+                assert rhs[row] == bound, label
+
+
+LABELLED = {**dict(make_corpus()), "ladder48": ladder(48), "portfolio12": portfolio(12)}
+
+
+@pytest.mark.parametrize("name", list(LABELLED))
+def test_every_row_follows_its_label(name):
+    _assert_rows_follow_labels(LABELLED[name])
+
+
+@st.composite
+def fleets(draw):
+    """A producer with 1-2 fuels and 1-3 plants of each, on 1-4 deliveries of
+    1-3 trading times."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    fuels = draw(st.sampled_from([("coal",), ("gas",), ("coal", "gas")]))
+    plant = st.tuples(st.floats(1.0, 10.0), st.floats(0.5, 10.0), st.floats(0.5, 10.0),
+                      st.floats(1.0, 2.5))
+    plants = [(fuel, cap, up, -dn, eff) for fuel in fuels
+              for cap, up, dn, eff in draw(st.lists(plant, min_size=1, max_size=3))]
+    return build_scenario(
+        seed=draw(st.integers(0, 99)), sizes=sizes,
+        fuels={fuel: {"coal": 0.9, "gas": 0.5}[fuel] for fuel in fuels},
+        producers=[(draw(st.floats(0.5, 2.0)), plants)], consumers=[(1.0, 1.0, 0.0)],
+        demand_frac=draw(st.floats(0.2, 0.7)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fleets())
+def test_every_row_of_a_drawn_fleet_follows_its_label(sc):
+    _assert_rows_follow_labels(sc)
+
+
+@pytest.mark.parametrize("name", ["two_fuels", "ladder48", "portfolio12"])
+def test_capacity_rows_name_each_plants_production(name):
+    sc = LABELLED[name]
+    for problem in eq.assemble_all(sc)[: len(sc.producers)]:
+        n_t = problem.index_map.n_traded
+        for side, sign in (("cap_upper", 1.0), ("cap_lower", -1.0)):
+            rows, cols = problem.capacity_rows(side)
+            assert len(rows) == problem.index_map.n_w
+            for row, col in zip(rows, cols):
+                assert problem.ineq_labels[row][0] == side
+                assert np.flatnonzero(problem.ineq_matrix[row]).tolist() == [n_t + col]
+                assert problem.ineq_matrix[row, n_t + col] == sign
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -351,6 +354,62 @@ def _mutated_two_fuels(tmp_path, mutate):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+_DELETE = object()
+_PLANT = ("producers", 0, "plants", 0)
+
+# (id, path into the two_fuels document, value or _DELETE, cause named on stderr);
+# the empty path replaces the whole document
+MALFORMED = [
+    ("not_an_object", (), [], "scenario document must be a JSON object"),
+    ("no_schema", ("schema",), _DELETE, "missing or unsupported schema field"),
+    ("negative_capacity", (*_PLANT, "capacity"), -1.0, "capacity must be finite and > 0"),
+    ("text_capacity", (*_PLANT, "capacity"), "big", "could not convert string to float: 'big'"),
+    ("positive_ramp_down", (*_PLANT, "ramp_down"), 1.0, "need ramp_down <= 0 <= ramp_up"),
+    ("unknown_fuel", (*_PLANT, "fuel"), "oil", "plant fuel 'oil' not in fuel table"),
+    ("shares_sum_to_half", ("consumers", 0, "demand_share"), 0.5,
+     "consumer demand shares sum to 0.5"),
+    ("duplicate_names", ("producers", 1, "name"), "producer1", "duplicate producer names"),
+    ("demand_too_long", ("exogenous", "demand"), [7.2, 7.2, 7.2],
+     "demand length must match delivery count"),
+    ("nan_demand", ("exogenous", "demand", 0), float("nan"), "demand must be finite"),
+    ("covariance_and_ensemble", ("exogenous", "ensemble"), {"paths": []},
+     "give either covariance blocks or an ensemble, not both"),
+    ("no_bounds", ("bounds",), _DELETE, "malformed scenario document: 'bounds'"),
+    ("negative_v_trade", ("bounds", "v_trade"), -1.0, "v_trade must be finite and >= 0"),
+    ("plants_not_a_list", ("producers", 0, "plants"), 5, "'int' object is not iterable"),
+    ("no_plants", ("producers", 0, "plants"), [], "producer owns no plants"),
+    ("no_trading_times", ("grid", "deliveries", 0, "trading_times"), [],
+     "every delivery needs at least one trading time"),
+]
+
+
+@pytest.fixture(scope="module")
+def two_fuels_doc():
+    return eq.scenario_to_dict(dict(make_corpus())["two_fuels"])
+
+
+@pytest.mark.parametrize("path, value, cause", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_scenario_file_exits_2_naming_the_cause(two_fuels_doc, tmp_path, capsys,
+                                                         path, value, cause):
+    doc = copy.deepcopy(two_fuels_doc)
+    if not path:
+        doc = value
+    else:
+        *parents, last = path
+        target = functools.reduce(operator.getitem, parents, doc)
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    scenario = tmp_path / "malformed.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["validate", "--scenario", str(scenario)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid scenario: ") and cause in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_covariance_exits_2(tmp_path, capsys):

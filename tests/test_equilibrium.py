@@ -479,3 +479,29 @@ def test_non_finite_batch_column_is_named():
     prices[1, 3] = np.nan
     with pytest.raises(ValueError, match="column 3"):
         market.excess_many(prices)
+
+
+def test_secant_shrink_halves_when_the_drop_reaches_the_prediction():
+    assert equilibrium._secant_shrink(1.0, 1.0) == 0.5
+    assert equilibrium._secant_shrink(1.0, 2.0) == 0.5
+    assert equilibrium._secant_shrink(1.0, -3.0) == 0.125  # the secant minimizer
+
+
+@pytest.mark.parametrize("name", ["two_fuels", "three_by_three", "n12_max"])
+def test_an_astronomical_newton_step_is_capped_to_the_box(monkeypatch, name):
+    sc = dict(make_corpus())[name]
+    expected = eq.solve_equilibrium(sc).prices
+    original = equilibrium._newton_step
+    blown_up = []
+
+    def astronomical(market, sols, z):
+        step, curvature = original(market, sols, z)
+        if step is not None:
+            blown_up.append(step)
+            step = step * 1e12
+        return step, curvature
+
+    monkeypatch.setattr(equilibrium, "_newton_step", astronomical)
+    result = eq.solve_equilibrium(sc)
+    assert blown_up and result.converged
+    assert np.max(np.abs(result.prices - expected)) <= 1e-9

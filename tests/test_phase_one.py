@@ -178,7 +178,7 @@ def test_dispatch_start_is_feasible(name):
     sc = {**CORPUS, **LADDER}[name]
     for producer in sc.producers:
         prob = eq.assemble_producer(producer, sc)
-        v = validate._dispatch_start(prob, producer, sc.fuel_names)
+        v = validate._dispatch_start(prob)
         assert v is not None
         lp = (prob.eq_matrix, prob.eq_rhs, prob.ineq_matrix, prob.ineq_rhs)
         assert qp.start_violation(*lp, v) is None

@@ -256,3 +256,15 @@ def test_class_spread_matches_the_per_class_masks():
         col = np.round(rng.standard_normal(n), 1)
         expected = max(float(np.ptp(col[labels == grp])) for grp in range(n_groups))
         assert _class_spread(col, labels) == expected
+
+
+def test_zero_weight_class_falls_back_to_plain_average():
+    # the third path is alone in its class at t = 0.5 and carries no weight
+    ens = _ens(GRID3, [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 5.0, 6.0]],
+               weights=[0.5, 0.5, 0.0])
+    parts = doob_decompose(ens)
+    assert np.all(np.isfinite(parts.martingale)) and np.all(np.isfinite(parts.predictable))
+    np.testing.assert_array_equal(parts.predictable[:, 2], [2.5, 2.5, 2.0])
+    assert parts.max_reconstruction_error(ens) == 0.0
+    assert parts.martingale_residual(ens) == 0.0
+    assert parts.predictability_residual(ens) == 0.0

@@ -94,3 +94,10 @@ def test_one_svd_per_working_set_within_a_call(monkeypatch):
         svds += len(factored)
     # a full step that keeps the working set reuses its factor
     assert svds < iterations
+
+
+def test_a_descent_ray_with_no_rows_is_unbounded():
+    # G = 0, g = -1 and no rows: the objective falls without bound along +x
+    with pytest.raises(eq.NumericalError, match="descent ray is unbounded"):
+        qp.solve_qp_active_set(np.zeros((1, 1)), [-1.0], np.zeros((0, 1)), [],
+                               np.zeros((0, 1)), [], [0.0])
