@@ -98,50 +98,28 @@ class IndexMap:
     grid: TradingGrid
     fuels: tuple[str, ...]
     plant_counts: tuple[int, ...]
+    # block sizes, derived once: every index computation reads them
+    n_nodes: int = field(init=False, repr=False, compare=False)
+    n_fuels: int = field(init=False, repr=False, compare=False)
+    n_v: int = field(init=False, repr=False, compare=False)
+    n_f: int = field(init=False, repr=False, compare=False)
+    n_o: int = field(init=False, repr=False, compare=False)
+    plants_per_delivery: int = field(init=False, repr=False, compare=False)
+    n_w: int = field(init=False, repr=False, compare=False)
+    n_traded: int = field(init=False, repr=False, compare=False)  # (V, F, O), as (Pi, G, G_em)
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.plant_counts) != len(self.fuels):
             raise GridError("plant_counts must align with fuels")
         if tuple(sorted(self.fuels)) != tuple(self.fuels):
             raise GridError("fuels must be given in sorted order")
-
-    # ---- block sizes ------------------------------------------------
-    @property
-    def n_nodes(self) -> int:
-        return self.grid.n_contracts
-
-    @property
-    def n_fuels(self) -> int:
-        return len(self.fuels)
-
-    @property
-    def n_v(self) -> int:
-        return self.n_nodes
-
-    @property
-    def n_f(self) -> int:
-        return self.n_nodes * self.n_fuels
-
-    @property
-    def n_o(self) -> int:
-        return self.n_nodes
-
-    @property
-    def plants_per_delivery(self) -> int:
-        return sum(self.plant_counts)
-
-    @property
-    def n_w(self) -> int:
-        return self.grid.n_deliveries * self.plants_per_delivery
-
-    @property
-    def n_traded(self) -> int:
-        """Size of the (V, F, O) block, which matches the price vector."""
-        return self.n_v + self.n_f + self.n_o
-
-    @property
-    def total(self) -> int:
-        return self.n_traded + self.n_w
+        nodes, n_fuels, per = self.grid.n_contracts, len(self.fuels), sum(self.plant_counts)
+        n_w, n_traded = self.grid.n_deliveries * per, nodes * (n_fuels + 2)
+        for name, value in (("n_nodes", nodes), ("n_fuels", n_fuels), ("n_v", nodes),
+                            ("n_f", nodes * n_fuels), ("n_o", nodes), ("plants_per_delivery", per),
+                            ("n_w", n_w), ("n_traded", n_traded), ("total", n_traded + n_w)):
+            object.__setattr__(self, name, value)
 
     # ---- forward maps ------------------------------------------------
     def node(self, j: int, i: int) -> int:

@@ -79,11 +79,16 @@ stationarity rows by construction, the W-QP's stationarity
 A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
 are slack, so their multipliers are zero.  One pass over the full
 problem's rows, the equality gap Ax - a and the slack b - Bx, gives the
-start-point check that accepts a condensed point and the active set.  Only
-when the second stage below moves W is the slack taken again, at the moved
-point.  The objective and the KKT residuals are computed when first read,
-by ``kkt_residual`` itself, so a stored residual is its recomputation bit
-for bit and a caller that never reads one never pays for it.
+start-point check that accepts a condensed point and the active set.  On a
+large problem Bx is read from each inequality row's entries, at most one +1
+and one -1 in every ramp, capacity and box row: one difference of two
+gathered terms of [x; 0], O(rows) per column, the dense product's value.  A
+column is certified by whole-block comparisons, the W rows tied there
+against the region's rows as one mask.  Only when the second stage below
+moves W is the slack taken again, at the moved point.  The objective and
+the KKT residuals are computed when first read, by ``kkt_residual``
+itself, so a stored residual is its recomputation bit for bit and a caller
+that never reads one never pays for it.
 
 The traded block of the optimum is unique; W can sit on a flat face, so a
 second stage picks the minimum-norm W on that face to make results
@@ -131,6 +136,7 @@ FD_STEP = 1e-6  # price step of finite_difference_volumes
 # smallest Cholesky pivot of S, H or a region's M, relative to the largest, that
 # still counts as full rank; an exactly repeated row leaves a pivot near 1e-8
 PIVOT_TOL = 1e-6
+GATHER_ENTRIES = 1 << 14  # fewest entries of B at which a gathered Bx beats the dense product
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,10 @@ class PlayerSolution:
     @property
     def kkt_residual(self) -> float:
         return self.residuals.max_violation
+
+    @cached_property
+    def _strict(self) -> tuple:  # split once, for the next warm start and the Jacobian
+        return _strict_active(self)
 
     @property
     def volumes(self) -> np.ndarray:
@@ -283,9 +293,9 @@ def _query(problem: PlayerProblem, price_columns):
     n_p = problem.n_prices
     if prices.ndim != 2 or prices.shape[0] != n_p:
         raise ScenarioError(f"expected {n_p} prices per point, got shape {prices.shape}")
-    finite = np.isfinite(prices).all(axis=0)
-    if not finite.all():
-        raise ValueError(f"expected prices must be finite (column {np.argmin(finite)})")
+    if not np.isfinite(prices).all():
+        column = np.argmin(np.isfinite(prices).all(axis=0))
+        raise ValueError(f"expected prices must be finite (column {column})")
     rows = prices.T.copy()
     rows.flags.writeable = False
     return rows, np.concatenate((np.ones((1, prices.shape[1])), prices))
@@ -300,7 +310,7 @@ def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolut
     if active is None:
         if problem.kind == "producer" and not cond.w_unique and not _pinned(cond, eta):
             x = _min_norm_production(problem, cond, x)
-        active = _active_sets(cond, _rows(problem, x)[1][:, None])[0]
+        active = _active_sets(cond, _rows(problem, cond, x)[1][:, None])[0]
         eta = _canonical_duals(cond, eta, active)
     return PlayerSolution(prices, x, mu, eta, active, problem)
 
@@ -387,6 +397,8 @@ class _Condensed:
     a_w: np.ndarray                # A_w
     b_w: np.ndarray                # W block of the ramp and capacity rows
     tols: tuple                    # qp.row_tolerances of the full problem
+    w_tols: np.ndarray             # the W rows' column of tols[1]
+    ineq_pairs: tuple | None       # per row, its +1 and -1 entries' columns (_entry_pairs)
     rec: np.ndarray | None = None  # [1; pi; W] -> [t; mu]
     hessian: np.ndarray | None = None  # H = A_w' S^-1 A_w, Hessian of the W-QP
     w_unique: bool = False         # A_w has full column rank (H is factored)
@@ -411,6 +423,7 @@ class _Region:
 
     rows: tuple[int, ...]          # full-problem rows (a strict set is a selection_id)
     pos: np.ndarray                # their W-QP rows
+    held: np.ndarray               # W-QP rows x 1, True at pos
     coef: np.ndarray
     eta_err: np.ndarray
 
@@ -443,8 +456,11 @@ def _condense(problem: PlayerProblem) -> _Condensed:
     n_t, n_p = problem.n_vars - problem.index_map.n_w, problem.n_prices
     w_rows = np.flatnonzero(problem.ineq_matrix[:, n_t:].any(axis=1))
     a_w, b_w = problem.eq_matrix[:, n_t:], problem.ineq_matrix[w_rows, n_t:]
+    tols = row_tolerances(problem.eq_rhs, problem.ineq_rhs)
+    big = problem.ineq_matrix.size >= GATHER_ENTRIES
     base = dict(n_t=n_t, w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)},
-                a_w=a_w, b_w=b_w, tols=row_tolerances(problem.eq_rhs, problem.ineq_rhs))
+                a_w=a_w, b_w=b_w, tols=tols, w_tols=tols[1][w_rows, None],
+                ineq_pairs=_entry_pairs(problem.ineq_matrix) if big else None)
     cov_inv, lam, a_t = problem.cov_inverse, problem.risk_aversion, problem.eq_matrix[:, :n_t]
     m = None if cov_inv is None else a_t @ cov_inv
     s_inv = None if m is None else _spd_inverse(m @ a_t.T / lam)
@@ -469,6 +485,20 @@ def _condense(problem: PlayerProblem) -> _Condensed:
                       r_1=r_1, w_lin=w_lin, w_map=w_map, h_inv_bt=h_inv_bt)
 
 
+def _entry_pairs(matrix):
+    """Per row of ``matrix``, the columns of its +1 and its -1 entry, n (a zero
+    appended to x) for none, so the row times x is their gathered difference
+    (the dense value, up to a zero's sign); None if any row has other entries."""
+    m, n = matrix.shape
+    rows, cols = np.divmod(np.flatnonzero(matrix != 0.0), n)
+    neg = (matrix[rows, cols] < 0.0).astype(int)
+    if (np.abs(matrix[rows, cols]) != 1.0).any() or np.bincount(neg * m + rows).max(initial=0) > 1:
+        return None
+    pairs = np.full((2, m), n)
+    pairs[neg, rows] = cols
+    return tuple(pairs)
+
+
 def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> _Region:
     """The region of the W rows ``rows``, from the instance's slot or built
     into it, replacing the one held there: a walk step's or a solution's.
@@ -479,9 +509,11 @@ def _region(problem: PlayerProblem, cond: _Condensed, rows: tuple[int, ...]) -> 
     if slot and slot[0].rows == rows:
         return slot[0]
     pos = np.array([cond.w_pos[i] for i in rows], dtype=int)
+    held = np.zeros((cond.w_rows.size, 1), dtype=bool)
+    held[pos] = True
     b_s, bound = cond.b_w[pos], problem.ineq_rhs[cond.w_rows[pos]]
     built = _range_space(cond, pos, b_s, bound) or _null_space(cond, b_s, bound)
-    slot[:] = [_Region(rows, pos, *built)]
+    slot[:] = [_Region(rows, pos, held, *built)]
     return slot[0]
 
 
@@ -546,7 +578,7 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
     m, n_w = p.shape[1], cond.a_w.shape[1]
     if not n_w:
         empty = np.zeros((0, m))
-        return _recover(problem, cond, p, empty, empty)  # V is affine in pi
+        return _points(cond, *_recover(problem, cond, p, empty), empty)  # V is affine in pi
     x0, active = _start(problem, warm_start)
     first = _first_rows(problem, cond, x0, warm_start)
     points, engine, tried = [None] * m, [], {}  # tried: column -> row sets of its walk
@@ -584,7 +616,7 @@ def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
         cond.hessian, -cond.w_lin @ p[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
-    point = _recover(problem, cond, p, res.x[:, None], res.ineq_duals[:, None])[0]
+    point = _points(cond, *_recover(problem, cond, p, res.x[:, None]), res.ineq_duals[:, None])[0]
     return None if point is None else (*point[:3], None)
 
 
@@ -595,8 +627,8 @@ def _first_rows(problem: PlayerProblem, cond: _Condensed, x0, warm_start):
     if warm_start is None:
         slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ x0[cond.n_t:]
         # tied by the engine's own test, so it keeps every seeded row
-        return tuple(cond.w_rows[slack <= cond.tols[1][cond.w_rows]].tolist())
-    rows, _ = _strict_active(warm_start)
+        return tuple(cond.w_rows[slack <= cond.w_tols[:, 0]].tolist())
+    rows, _ = warm_start._strict
     return rows if all(i in cond.w_pos for i in rows) else None
 
 
@@ -614,7 +646,7 @@ def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Reg
     or one that certifies with a tied W row outside the region: a
     degenerate vertex).
     """
-    m, n_w = p.shape[1], cond.a_w.shape[1]
+    m, n_w, w_rows = p.shape[1], cond.a_w.shape[1], cond.w_rows
     finite = np.isfinite(z).all(axis=0)
     if not finite.all():
         z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
@@ -626,53 +658,60 @@ def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Reg
         err = region.eta_err @ np.abs(p)
         eta_r = np.where(eta_r >= -err, np.maximum(eta_r, 0.0), eta_r)
     keep = finite & (eta_r >= floor).all(axis=0)
-    eta_w = np.zeros((cond.w_rows.size, m))
+    eta_w = np.zeros((w_rows.size, m))
     eta_w[region.pos] = eta_r
-    points = _recover(problem, cond, p, w, eta_w, keep) if keep.any() else [None] * m
-    served = [point if point is not None
-              and tuple(i for i in point[3] if i in cond.w_pos) == region.rows else None
-              for point in points]
+    served = [None] * m
+    if keep.any():
+        x, mu, slack, ok = _recover(problem, cond, p, w)
+        keep &= ok
+        same = ((slack.take(w_rows, axis=0) <= cond.w_tols) == region.held).all(axis=0)
+        served = _points(cond, x, mu, slack, keep & same, eta_w)
     moves = [None] * m
-    refused = [c for c, point in enumerate(points) if point is None and finite[c]]
-    if refused and cond.w_unique:
-        w_rows = cond.w_rows
-        over = (cond.b_w @ w[:, refused] - problem.ineq_rhs[w_rows, None]
-                > cond.tols[1][w_rows, None])
-        held = np.array(region.rows, dtype=int)
+    if cond.w_unique and None in served:
+        refused = [c for c in range(m) if finite[c] and not keep[c]]
+        over = cond.b_w @ w[:, refused] - problem.ineq_rhs[w_rows, None] > cond.w_tols
+        ahead = over | (eta_w[:, refused] > 0.0)
         for k, c in enumerate(refused):
-            moves[c] = tuple(sorted({*held[eta_r[:, c] > 0.0].tolist(),
-                                     *w_rows[over[:, k]].tolist()}))
+            moves[c] = tuple(w_rows[ahead[:, k]].tolist())
     return served, moves
 
 
-def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta_w, keep=True):
-    """Per column, (x, mu, eta, active) from W and the W-QP's duals, or None
-    where ``keep`` is False, the point is not finite or it violates a
-    full-problem row beyond the start tolerances.  [t; mu] is one product
-    ``rec`` [1; pi; W]; ``p`` = [1; pi], ``w`` and ``eta_w`` hold one column
-    per point."""
+def _recover(problem: PlayerProblem, cond: _Condensed, p, w):
+    """Per column of ``p`` = [1; pi] and ``w``: x and mu, [t; mu] one product
+    ``rec`` [1; pi; W], the full problem's slack, and whether x is finite and
+    within the start tolerances of every full-problem row."""
     t_mu = cond.rec @ (np.concatenate((p, w)) if w.shape[0] else p)
     x, mu = np.concatenate((t_mu[: cond.n_t], w)), t_mu[cond.n_t :]
     finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         x = np.where(finite, x, 0.0)  # refused; keeps the row products finite
-    gap, slack = _rows(problem, x)
+    gap, slack = _rows(problem, cond, x)
     eq_bad, ineq_bad = row_violations(cond.tols, gap, slack)
-    keep = keep & finite & ~(eq_bad | ineq_bad)
-    eta = np.zeros((problem.ineq_rhs.size, x.shape[1]))
-    eta[cond.w_rows] = eta_w
-    xs, mus, etas = x.T.copy(), mu.T.copy(), eta.T.copy()  # one contiguous row per point
+    return x, mu, slack, finite & ~(eq_bad | ineq_bad)
+
+
+def _points(cond: _Condensed, x, mu, slack, keep, eta_w):
+    """Per column, (x, mu, eta, active) where ``keep``, else None, eta ``eta_w`` on the W rows."""
+    etas = np.zeros((x.shape[1], slack.shape[0]))
+    etas[:, cond.w_rows] = eta_w.T
+    xs, mus = x.T.copy(), mu.T.copy()  # one contiguous row per point
     active = _active_sets(cond, slack)
     return [(xs[c], mus[c], etas[c], active[c]) if keep[c] else None for c in range(x.shape[1])]
 
 
-def _rows(problem: PlayerProblem, x):
+def _rows(problem: PlayerProblem, cond: _Condensed, x):
     """The full problem's equality gap Ax - a and slack b - Bx at x, one
-    column per point when x has columns."""
+    column per point when x has columns; Bx from ``cond.ineq_pairs`` in
+    O(rows) where it has them, else the dense product."""
     a, b = problem.eq_rhs, problem.ineq_rhs
     if x.ndim == 2:
         a, b = a[:, None], b[:, None]
-    return problem.eq_matrix @ x - a, b - problem.ineq_matrix @ x
+    if cond.ineq_pairs is None:
+        bx = problem.ineq_matrix @ x
+    else:
+        (plus, minus), ext = cond.ineq_pairs, np.concatenate((x, np.zeros((1,) + x.shape[1:])))
+        bx = ext.take(plus, axis=0) - ext.take(minus, axis=0)
+    return problem.eq_matrix @ x - a, b - bx
 
 
 def _residuals(problem, g, x, mu, eta, gap, slack) -> ResidualReport:
@@ -689,9 +728,9 @@ def _residuals(problem, g, x, mu, eta, gap, slack) -> ResidualReport:
 
 def kkt_residual(problem: PlayerProblem, solution: PlayerSolution) -> ResidualReport:
     """Recompute the optimality residuals of a stored solution."""
-    g = problem.merged_linear(solution.prices)
-    x = solution.primal
-    return _residuals(problem, g, x, solution.eq_duals, solution.ineq_duals, *_rows(problem, x))
+    g, x = problem.merged_linear(solution.prices), solution.primal
+    return _residuals(problem, g, x, solution.eq_duals, solution.ineq_duals,
+                      *_rows(problem, _condensation(problem), x))
 
 
 def best_response_volumes(problem: PlayerProblem, expected_prices) -> np.ndarray:
@@ -713,7 +752,7 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
         if expected_prices is None:
             raise ValueError("need a solution or expected prices")
         solution = solve_qp(problem, expected_prices)
-    strict, weak = _strict_active(solution)
+    strict, weak = solution._strict
     cond = _condensation(problem)
     if cond.rec is not None and all(i in cond.w_pos for i in strict):
         matrix = _condensed_jacobian(problem, cond, strict)

@@ -312,15 +312,17 @@ class Scenario:
     def marginal_costs(self) -> np.ndarray:
         """(deliveries, plants) expected marginal cost, plants in producer
         order: efficiency times the mean fuel forward plus intensity times
-        the mean emission forward of the delivery."""
+        the mean emission forward of the delivery, each mean one row sum over
+        the delivery's block of quotes (``np.mean``'s value bit for bit)."""
+        grid, exo, fuels = self.grid, self.exogenous, self.fuel_names
+        quotes = np.vstack((exo.flat_fuel_forwards(grid, fuels).reshape(grid.n_contracts, -1).T,
+                            exo.flat_emission_forwards(grid)))
+        means = np.array([quotes[:, b].sum(axis=1) / n for b, n in zip(grid.slices, grid.sizes)])
         plants = [pl for p in self.producers for pl in p.plants]
-        out = np.zeros((self.grid.n_deliveries, len(plants)))
-        for j in range(self.grid.n_deliveries):
-            e_bar = float(np.mean(self.exogenous.emission_forwards[j]))
-            for k, plant in enumerate(plants):
-                g_bar = float(np.mean(self.exogenous.forwards_for(plant.fuel)[j]))
-                out[j, k] = plant.efficiency * g_bar + self.fuels.intensity(plant.fuel) * e_bar
-        return out
+        efficiency = np.array([pl.efficiency for pl in plants])
+        intensity = np.array([self.fuels.intensity(pl.fuel) for pl in plants])
+        return (efficiency * means[:, [fuels.index(pl.fuel) for pl in plants]]
+                + intensity * means[:, -1:])
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,17 @@ def portfolio(n_contracts):
         consumers=[(1.0, 0.6, 0.0), (1.2, 0.4, 0.0)], demand_frac=0.4)
 
 
+def asymmetric_ramps():
+    """Four deliveries whose cheap plant ramps up by at most 3 and down by at
+    most 1 (ramp_up 3, ramp_down -1): demand rises, falls and rises, so at
+    the equilibrium it climbs 3 and then drops 1."""
+    return build_scenario(
+        seed=34, sizes=(2, 2, 2, 2), fuels={"gas": 0.5},
+        producers=[(1.0, [("gas", 10.0, 3.0, -1.0, 1.8)]),
+                   (1.2, [("gas", 10.0, 10.0, -10.0, 2.4)])],
+        consumers=[(1.0, 1.0, 0.0)], demand_frac=(0.15, 0.6, 0.2, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # acceptance corpora
 

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -280,6 +280,41 @@ def fleets(draw):
 @given(fleets())
 def test_every_row_of_a_drawn_fleet_follows_its_label(sc):
     _assert_rows_follow_labels(sc)
+
+
+BLOCK_SIZES = ("n_nodes", "n_fuels", "n_v", "n_f", "n_o", "plants_per_delivery", "n_w",
+               "n_traded", "total")
+
+
+def _assert_block_sizes(sc):
+    """Every player's IndexMap holds its block sizes as fields set once,
+    equal to their formulas in the grid, the fuels and the plant counts."""
+    for problem in eq.assemble_all(sc):
+        im = problem.index_map
+        assert {f.name for f in fields(im) if not f.init} == set(BLOCK_SIZES)
+        nodes, per = sc.grid.n_contracts, sum(im.plant_counts)
+        assert (im.n_nodes, im.n_fuels, im.n_v, im.n_o) == (nodes, len(im.fuels), nodes, nodes)
+        assert im.n_f == nodes * len(im.fuels)
+        assert im.plants_per_delivery == per and im.n_w == sc.grid.n_deliveries * per
+        assert im.n_traded == im.n_v + im.n_f + im.n_o and im.total == im.n_traded + im.n_w
+        assert problem.n_prices == nodes
+        if problem.kind == "producer":
+            player = next(p for p in sc.producers if p.name == problem.name)
+            plants = player.plants_by_fuel(sc.fuel_names)
+            assert im.plant_counts == tuple(len(plants[fuel]) for fuel in im.fuels)
+            assert problem.n_vars == im.total
+
+
+@pytest.mark.parametrize("name", list(LABELLED))
+def test_index_map_block_sizes_are_fields(name):
+    _assert_block_sizes(LABELLED[name])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fleets())
+def test_index_map_block_sizes_of_a_drawn_fleet(sc):
+    _assert_block_sizes(sc)
 
 
 @pytest.mark.parametrize("name", ["two_fuels", "ladder48", "portfolio12"])

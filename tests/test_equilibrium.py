@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 import equiterm as eq
 from equiterm import equilibrium, players
 from equiterm.equilibrium import Market, _plant_bound_states, merit_order_prices
-from tests.corpus import build_scenario, desk_n1, make_corpus
+from tests.corpus import build_scenario, desk_n1, ladder, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -505,3 +505,49 @@ def test_an_astronomical_newton_step_is_capped_to_the_box(monkeypatch, name):
     result = eq.solve_equilibrium(sc)
     assert blown_up and result.converged
     assert np.max(np.abs(result.prices - expected)) <= 1e-9
+
+
+# ---- marginal costs --------------------------------------------------------
+
+def _marginal_costs_loop(sc):
+    """The definition spelled out as the reference: one ``np.mean`` per
+    (delivery, plant) for the fuel and one per delivery for emission."""
+    plants = [pl for p in sc.producers for pl in p.plants]
+    out = np.zeros((sc.grid.n_deliveries, len(plants)))
+    for j in range(sc.grid.n_deliveries):
+        e_bar = float(np.mean(sc.exogenous.emission_forwards[j]))
+        for k, plant in enumerate(plants):
+            g_bar = float(np.mean(sc.exogenous.forwards_for(plant.fuel)[j]))
+            out[j, k] = plant.efficiency * g_bar + sc.fuels.intensity(plant.fuel) * e_bar
+    return out
+
+
+def _long_deliveries():
+    """Deliveries of 9, 17 and 3 trading times with irregular quotes, so the
+    means leave numpy's short sequential sums for its unrolled pairwise ones."""
+    sc = build_scenario(
+        seed=35, sizes=(9, 17, 3), fuels={"coal": 0.9, "gas": 0.5},
+        producers=[(1.0, [("coal", 8.0, 4.0, -4.0, 1.1), ("gas", 6.0, 6.0, -6.0, 2.0)]),
+                   (1.3, [("gas", 5.0, 5.0, -5.0, 2.3)])],
+        consumers=[(1.0, 1.0, 0.0)], demand_frac=0.4)
+    rng = np.random.default_rng(35)
+
+    def quotes():
+        return tuple(tuple(rng.uniform(1.0, 9.0, m).tolist()) for m in sc.grid.sizes)
+
+    exo = eq.ExogenousModel(sc.exogenous.demand, {fuel: quotes() for fuel in sc.fuel_names},
+                            quotes(), covariance=sc.exogenous.covariance)
+    return replace(sc, exogenous=exo)
+
+
+MARGINAL_MARKETS = {**dict(make_corpus()), "ladder_48": ladder(48),
+                    "long_deliveries": _long_deliveries()}
+
+
+@pytest.mark.parametrize("name", list(MARGINAL_MARKETS))
+def test_marginal_costs_match_the_per_plant_loop(name):
+    sc = MARGINAL_MARKETS[name]
+    costs = sc.marginal_costs()
+    ref = _marginal_costs_loop(sc)
+    assert costs.shape == ref.shape and costs.dtype == ref.dtype
+    assert costs.tobytes() == ref.tobytes()

@@ -12,8 +12,10 @@ from equiterm.errors import InfeasibleError
 from equiterm.grid import delivery_totals_matrix
 from equiterm.oracles import producer_solution_with_fixed_totals
 from equiterm.qp import FEAS_TOL, STRICT_DUAL_TOL
-from tests.corpus import build_scenario, desk_identity, ladder, make_corpus
+from tests.corpus import (asymmetric_ramps, build_scenario, desk_identity, ladder, make_corpus,
+                          portfolio)
 from tests.test_acceptance import FD_TOL
+from tests.welfare import welfare_qp_prices
 
 
 @pytest.fixture(scope="module")
@@ -1153,3 +1155,79 @@ def test_recovery_map_matches_the_chain_it_composes(name):
             assert value.shape == ref.shape
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert float(np.max(np.abs(value - ref))) <= 1e-12 * scale
+
+
+# ---- the entry-based slack -------------------------------------------------
+
+SLACK_MARKETS = {**dict(make_corpus()),
+                 **{f"ladder_{n}": ladder(n) for n in (12, 24, 48, 96, 192)},
+                 **{f"portfolio_{n}": portfolio(n) for n in (12, 96)},
+                 "asymmetric_ramps": asymmetric_ramps()}
+
+
+def _seeded_points(problem, rng, m):
+    """``m`` random points of the problem's variables, some entries exact zeros of either sign."""
+    x = rng.standard_normal((problem.n_vars, m)) * 10.0 ** rng.uniform(-3, 3, (problem.n_vars, 1))
+    zero = rng.random(x.shape) < 0.2
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+@pytest.mark.parametrize("name", list(SLACK_MARKETS))
+def test_entry_slack_is_the_dense_slack_bit_for_bit(name):
+    # every row has at most one +1 and one -1 entry, so the gathered slack is
+    # b - Bx of the dense matrix at one column and at a block of columns; the
+    # record keeps the entries where the matrix is large enough to gain
+    rng = np.random.default_rng(23)
+    for problem in eq.assemble_all(SLACK_MARKETS[name]):
+        cond = players._condensation(problem)
+        pairs = players._entry_pairs(problem.ineq_matrix)
+        assert pairs is not None
+        big = problem.ineq_matrix.size >= players.GATHER_ENTRIES
+        assert (cond.ineq_pairs is not None) == big
+        gathered = replace(cond, ineq_pairs=pairs)
+        block = _seeded_points(problem, rng, 4)
+        for x in (block[:, 0].copy(), block):
+            b = problem.ineq_rhs if x.ndim == 1 else problem.ineq_rhs[:, None]
+            a = problem.eq_rhs if x.ndim == 1 else problem.eq_rhs[:, None]
+            gap, slack = players._rows(problem, gathered, x)
+            assert slack.tobytes() == (b - problem.ineq_matrix @ x).tobytes()
+            assert gap.tobytes() == (problem.eq_matrix @ x - a).tobytes()
+
+
+def test_rows_without_the_entry_layout_take_the_dense_product(rich_producer):
+    # a row with two +1 entries, or a coefficient other than +-1, has no pairs
+    matrix = rich_producer.ineq_matrix
+    wide, scaled = matrix.copy(), matrix.copy()
+    wide[0, :3] = 1.0
+    scaled[0, np.flatnonzero(scaled[0])[0]] = 2.0
+    assert players._entry_pairs(wide) is None and players._entry_pairs(scaled) is None
+    assert [p.shape for p in players._entry_pairs(matrix)] == [(matrix.shape[0],)] * 2
+    assert [p.shape for p in players._entry_pairs(np.zeros((0, 5)))] == [(0,)] * 2
+    cond = players._condensation(rich_producer)
+    assert cond.ineq_pairs is None  # a small problem keeps the dense product
+    gathered = replace(cond, ineq_pairs=players._entry_pairs(matrix))
+    x = _seeded_points(rich_producer, np.random.default_rng(5), 3)
+    assert (players._rows(rich_producer, gathered, x)[1].tobytes()
+            == players._rows(rich_producer, cond, x)[1].tobytes())
+
+
+def test_asymmetric_ramps_bind_with_their_own_bounds():
+    sc = asymmetric_ramps()
+    prob = eq.assemble_all(sc)[0]
+    plant = sc.producers[0].plants[0]
+    assert (plant.ramp_up, plant.ramp_down) == (3.0, -1.0)
+    for j in range(sc.grid.n_deliveries - 1):
+        assert prob.ineq_rhs[prob.ineq_row(("ramp_up", j, "gas", 0))] == 3.0
+        assert prob.ineq_rhs[prob.ineq_row(("ramp_down", j, "gas", 0))] == 1.0
+    res = eq.solve_equilibrium(sc)
+    assert res.converged, res.message
+    np.testing.assert_allclose(res.prices, welfare_qp_prices(sc), rtol=0, atol=1e-9)
+    # the answer climbs 3 and then drops 1: both ramp rows hold strictly
+    sol = res.player_solutions[0]
+    strict = {prob.ineq_labels[i] for i in players._strict_active(sol)[0]}
+    assert {("ramp_up", 0, "gas", 0), ("ramp_down", 1, "gas", 0)} <= strict
+    pairs = players._entry_pairs(prob.ineq_matrix)
+    gathered = replace(players._condensation(prob), ineq_pairs=pairs)
+    _, slack = players._rows(prob, gathered, sol.primal)
+    assert slack.tobytes() == (prob.ineq_rhs - prob.ineq_matrix @ sol.primal).tobytes()
