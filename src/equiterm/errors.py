@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the key check of the
+JSON objects of a scenario file."""
 
 
 class EquitermError(Exception):
@@ -28,3 +29,14 @@ class InfeasibleError(EquitermError, RuntimeError):
 class NumericalError(EquitermError, RuntimeError):
     """A numerical routine failed to converge or hit a singular system."""
 
+
+def known_keys(obj, keys, what: str) -> dict:
+    """The JSON object ``obj`` of a scenario file, or a ScenarioError naming
+    ``what`` when it is not an object, or naming its first key (in sorted
+    order) that is not in ``keys``."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    unknown = sorted(obj.keys() - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown key {unknown[0]!r} in {what}")
+    return obj

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnsembleError
+from .errors import EnsembleError, known_keys
 from .grid import TradingGrid, canonical_index
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "verify_covariance_invariance",
     "drift_matching_prices",
     "ensemble_from_records",
+    "ensemble_to_records",
     "raw_covariance",
 ]
 
@@ -291,10 +292,6 @@ class InvarianceReport:
     max_abs_deviation: float
     dimension: int
 
-    @property
-    def invariant(self) -> bool:
-        return self.max_abs_deviation <= 1e-12
-
 
 def verify_covariance_invariance(original: PathEnsemble, shifted: PathEnsemble) -> InvarianceReport:
     """Compare full second-moment blocks of two ensembles on the same tree.
@@ -317,12 +314,14 @@ def ensemble_from_records(grid: TradingGrid, fuels, records) -> PathEnsemble:
 
     Each record carries ``weight``, ``pi`` and ``g_em`` as per-delivery
     lists of per-trading-time values, and ``g`` as a mapping fuel ->
-    same nested layout.
+    same nested layout.  A key outside that layout is refused by name.
     """
     fuels = tuple(sorted(fuels))
     n_nodes = grid.n_contracts
     weights, pis, gs, gems = [], [], [], []
     for rec in records:
+        known_keys(rec, ("weight", "pi", "g", "g_em"), "path record")
+        known_keys(rec["g"], fuels, "path record's g")
         weights.append(float(rec["weight"]))
         pi_flat = np.empty(n_nodes)
         gem_flat = np.empty(n_nodes)
@@ -345,3 +344,15 @@ def ensemble_from_records(grid: TradingGrid, fuels, records) -> PathEnsemble:
         gems.append(gem_flat)
     return PathEnsemble(grid, fuels, np.array(weights), np.array(pis), np.array(gs),
                         np.array(gems))
+
+
+def ensemble_to_records(ensemble: PathEnsemble) -> list[dict]:
+    """The path records ``ensemble_from_records`` reads back, one per path."""
+    grid, fuels = ensemble.grid, ensemble.fuels
+    g = ensemble.g.reshape(ensemble.n_paths, grid.n_contracts, len(fuels))
+    return [{
+        "weight": float(ensemble.weights[p]),
+        "pi": [ensemble.pi[p, b].tolist() for b in grid.slices],
+        "g": {f: [g[p, b, l].tolist() for b in grid.slices] for l, f in enumerate(fuels)},
+        "g_em": [ensemble.gem[p, b].tolist() for b in grid.slices],
+    } for p in range(ensemble.n_paths)]

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .covariance import CovarianceBlocks, estimate_covariance
-from .errors import EquitermError, ScenarioError
+from .errors import EquitermError, ScenarioError, known_keys
 from .grid import TradingGrid
 
 if TYPE_CHECKING:  # process loads only where an ensemble is parsed
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 SCHEMA = "equiterm/1"
+_COVARIANCE = ("q1", "q2", "q3")  # the keys of a covariance block
 
 
 def _positive(value, name) -> float:
@@ -54,12 +55,15 @@ class PowerPlant:
     the (non-positive) largest allowed decrease between deliveries.
     """
 
+    # first, as a record's JSON object lists its fields in order; keyword-only
+    # so that it may precede fields without a default (so too in Producer and
+    # Consumer)
+    name: str = field(default="", kw_only=True)
     fuel: str
     capacity: float
     ramp_up: float
     ramp_down: float
     efficiency: float
-    name: str = ""
 
     def __post_init__(self):
         _positive(self.capacity, "capacity")
@@ -74,17 +78,21 @@ class PowerPlant:
 
 @dataclass(frozen=True)
 class Producer:
-    """A generator maximizing mean-variance profit over its plant fleet."""
+    """A generator maximizing mean-variance profit over its plant fleet.
 
+    Each plant is a PowerPlant or the JSON object of one.
+    """
+
+    name: str = field(default="", kw_only=True)
     risk_aversion: float
     plants: tuple[PowerPlant, ...]
-    name: str = ""
 
     def __post_init__(self):
         _positive(self.risk_aversion, "risk_aversion")
         if not self.plants:
             raise ScenarioError("producer owns no plants")
-        object.__setattr__(self, "plants", tuple(self.plants))
+        object.__setattr__(self, "plants", tuple(
+            pl if isinstance(pl, PowerPlant) else PowerPlant(**pl) for pl in self.plants))
 
     def plants_by_fuel(self, fuels) -> dict[str, tuple[PowerPlant, ...]]:
         """Plants grouped per fuel in canonical (sorted) order."""
@@ -103,10 +111,10 @@ class Consumer:
     ``retail_price`` shifts reported profit only, never the decisions.
     """
 
+    name: str = field(default="", kw_only=True)
     risk_aversion: float
     demand_share: float
     retail_price: float = 0.0
-    name: str = ""
 
     def __post_init__(self):
         _positive(self.risk_aversion, "risk_aversion")
@@ -123,11 +131,7 @@ class FuelTable:
     intensities: tuple[tuple[str, float], ...]
 
     def __init__(self, intensities):
-        if hasattr(intensities, "items"):
-            items = intensities.items()
-        else:
-            items = intensities
-        pairs = tuple(sorted((str(f), float(g)) for f, g in items))
+        pairs = tuple(sorted((str(f), float(g)) for f, g in dict(intensities).items()))
         for fuel, g in pairs:
             _positive(g, f"emission intensity of {fuel!r}")
         object.__setattr__(self, "intensities", pairs)
@@ -164,52 +168,49 @@ class Bounds:
             object.__setattr__(self, nm, v)
 
 
+def _rows(rows) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(x) for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class ExogenousModel:
     """Demand plus expected fuel/emission forward quotes, and the second-
     moment source: either explicit covariance blocks or a path ensemble
-    (exactly one)."""
+    (exactly one).
+
+    ``fuel_forwards`` maps each fuel, in sorted order, to its rows of quotes
+    per delivery.
+    """
 
     demand: tuple[float, ...]
-    fuel_forwards: tuple[tuple[str, tuple[tuple[float, ...], ...]], ...]
+    fuel_forwards: dict[str, tuple[tuple[float, ...], ...]]
     emission_forwards: tuple[tuple[float, ...], ...]
     covariance: CovarianceBlocks | None = None
     ensemble: PathEnsemble | None = None
 
-    def __init__(self, demand, fuel_forwards, emission_forwards, covariance=None,
-                 ensemble=None):
-        object.__setattr__(self, "demand", tuple(float(d) for d in demand))
-        if hasattr(fuel_forwards, "items"):
-            items = fuel_forwards.items()
-        else:
-            items = fuel_forwards
-        object.__setattr__(
-            self,
-            "fuel_forwards",
-            tuple(sorted((str(f), tuple(tuple(float(x) for x in row) for row in rows))
-                         for f, rows in items)),
-        )
-        object.__setattr__(
-            self,
-            "emission_forwards",
-            tuple(tuple(float(x) for x in row) for row in emission_forwards),
-        )
-        if (covariance is None) == (ensemble is None):
+    def __post_init__(self):
+        object.__setattr__(self, "demand", tuple(float(d) for d in self.demand))
+        object.__setattr__(self, "fuel_forwards", dict(sorted(
+            (str(f), _rows(rows)) for f, rows in dict(self.fuel_forwards).items())))
+        object.__setattr__(self, "emission_forwards", _rows(self.emission_forwards))
+        if (self.covariance is None) == (self.ensemble is None):
             raise ScenarioError("exactly one of covariance or ensemble must be given")
-        object.__setattr__(self, "covariance", covariance)
-        object.__setattr__(self, "ensemble", ensemble)
         for d in self.demand:
             if not math.isfinite(d):
                 raise ScenarioError("demand must be finite")
+        quotes = [(f"fuel {f!r}", rows) for f, rows in self.fuel_forwards.items()]
+        for what, rows in [*quotes, ("emission", self.emission_forwards)]:
+            for j, row in enumerate(rows):
+                if not all(map(math.isfinite, row)):
+                    raise ScenarioError(f"{what} forwards must be finite (delivery {j})")
 
     def fuel_names(self) -> tuple[str, ...]:
-        return tuple(f for f, _ in self.fuel_forwards)
+        return tuple(self.fuel_forwards)
 
     def forwards_for(self, fuel: str):
-        for f, rows in self.fuel_forwards:
-            if f == fuel:
-                return rows
-        raise ScenarioError(f"no forwards for fuel {fuel!r}")
+        if fuel not in self.fuel_forwards:
+            raise ScenarioError(f"no forwards for fuel {fuel!r}")
+        return self.fuel_forwards[fuel]
 
     def flat_fuel_forwards(self, grid: TradingGrid, fuels) -> np.ndarray:
         """Canonical (N*|L|,) vector of undiscounted fuel quotes."""
@@ -330,70 +331,39 @@ class Scenario:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+    """The scenario of a file's JSON document.  Each record is built from its
+    own JSON object, whose keys are the record's fields; the objects shaped
+    otherwise check their keys here."""
+    known_keys(doc, ("schema", "grid", "fuels", "producers", "consumers", "exogenous",
+                     "bounds"), "scenario document")
     if doc.get("schema") != SCHEMA:
         raise ScenarioError(f"missing or unsupported schema field (expected {SCHEMA!r})")
     try:
+        grid_doc = known_keys(doc["grid"], ("deliveries", "interest_rate"), "grid")
+        deliveries = [known_keys(d, ("time", "trading_times"), "delivery")
+                      for d in grid_doc["deliveries"]]
         grid = TradingGrid(
-            deliveries=tuple(d["time"] for d in doc["grid"]["deliveries"]),
-            trading_times=tuple(tuple(d["trading_times"]) for d in doc["grid"]["deliveries"]),
-            interest_rate=float(doc["grid"].get("interest_rate", 0.0)),
+            deliveries=tuple(d["time"] for d in deliveries),
+            trading_times=tuple(tuple(d["trading_times"]) for d in deliveries),
+            interest_rate=float(grid_doc.get("interest_rate", 0.0)),
         )
         fuels = FuelTable(doc["fuels"])
-        producers = tuple(
-            Producer(
-                risk_aversion=p["risk_aversion"],
-                plants=tuple(
-                    PowerPlant(
-                        fuel=pl["fuel"],
-                        capacity=pl["capacity"],
-                        ramp_up=pl["ramp_up"],
-                        ramp_down=pl["ramp_down"],
-                        efficiency=pl["efficiency"],
-                        name=pl.get("name", ""),
-                    )
-                    for pl in p["plants"]
-                ),
-                name=p.get("name", ""),
-            )
-            for p in doc.get("producers", [])
-        )
-        consumers = tuple(
-            Consumer(
-                risk_aversion=c["risk_aversion"],
-                demand_share=c["demand_share"],
-                retail_price=c.get("retail_price", 0.0),
-                name=c.get("name", ""),
-            )
-            for c in doc["consumers"]
-        )
+        producers = tuple(Producer(**p) for p in doc.get("producers", ()))
+        consumers = tuple(Consumer(**c) for c in doc["consumers"])
         exo = doc["exogenous"]
-        covariance = ensemble = None
         if "covariance" in exo and "ensemble" in exo:
             raise ScenarioError("give either covariance blocks or an ensemble, not both")
+        moments = {}
         if "covariance" in exo:
-            cov = exo["covariance"]
-            covariance = CovarianceBlocks(
-                np.array(cov["q1"], dtype=float),
-                np.array(cov["q2"], dtype=float),
-                np.array(cov["q3"], dtype=float),
-            )
+            cov = known_keys(exo["covariance"], _COVARIANCE, "covariance")
+            moments["covariance"] = CovarianceBlocks(
+                *(np.array(cov[name], dtype=float) for name in _COVARIANCE))
         elif "ensemble" in exo:
             from .process import ensemble_from_records
-            ensemble = ensemble_from_records(grid, fuels.fuels, exo["ensemble"]["paths"])
-        exogenous = ExogenousModel(
-            demand=exo["demand"],
-            fuel_forwards=exo["fuel_forwards"],
-            emission_forwards=exo["emission_forwards"],
-            covariance=covariance,
-            ensemble=ensemble,
-        )
-        bounds = Bounds(
-            v_trade=doc["bounds"]["v_trade"],
-            f_trade=doc["bounds"]["f_trade"],
-            pi_max=doc["bounds"]["pi_max"],
-        )
+            paths = known_keys(exo["ensemble"], ("paths",), "ensemble")["paths"]
+            moments["ensemble"] = ensemble_from_records(grid, fuels.fuels, paths)
+        exogenous = ExogenousModel(**{**exo, **moments})
+        bounds = Bounds(**doc["bounds"])
     except EquitermError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -401,75 +371,39 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(grid, producers, consumers, fuels, exogenous, bounds)
 
 
+def _to_json(value):
+    """A record as the JSON object of its fields in order (an absent moment
+    source left out), tuples as lists, the covariance and the ensemble in
+    their blocks' shapes."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    if isinstance(value, CovarianceBlocks):
+        return {name: getattr(value, name).tolist() for name in _COVARIANCE}
+    if isinstance(value, (PowerPlant, Producer, Consumer, Bounds, ExogenousModel)):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    if is_dataclass(value):  # the one other record a scenario holds: a path ensemble
+        from .process import ensemble_to_records
+        return {"paths": ensemble_to_records(value)}
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    exo = scenario.exogenous
-    exo_doc: dict = {
-        "demand": list(exo.demand),
-        "fuel_forwards": {f: [list(r) for r in rows] for f, rows in exo.fuel_forwards},
-        "emission_forwards": [list(r) for r in exo.emission_forwards],
-    }
-    if exo.covariance is not None:
-        exo_doc["covariance"] = {
-            "q1": exo.covariance.q1.tolist(),
-            "q2": exo.covariance.q2.tolist(),
-            "q3": exo.covariance.q3.tolist(),
-        }
-    else:
-        ens = exo.ensemble
-        blocks = scenario.grid.slices
-        paths = []
-        for p in range(ens.n_paths):
-            g = ens.g[p].reshape(scenario.grid.n_contracts, len(ens.fuels))
-            paths.append({
-                "weight": float(ens.weights[p]),
-                "pi": [list(ens.pi[p, b]) for b in blocks],
-                "g": {f: [list(g[b, l]) for b in blocks] for l, f in enumerate(ens.fuels)},
-                "g_em": [list(ens.gem[p, b]) for b in blocks],
-            })
-        exo_doc["ensemble"] = {"paths": paths}
+    grid = scenario.grid
     return {
         "schema": SCHEMA,
         "grid": {
-            "interest_rate": scenario.grid.interest_rate,
-            "deliveries": [
-                {"time": T, "trading_times": list(ts)}
-                for T, ts in zip(scenario.grid.deliveries, scenario.grid.trading_times)
-            ],
+            "interest_rate": grid.interest_rate,
+            "deliveries": [{"time": T, "trading_times": list(ts)}
+                           for T, ts in zip(grid.deliveries, grid.trading_times)],
         },
-        "fuels": {f: g for f, g in scenario.fuels.intensities},
-        "producers": [
-            {
-                "name": p.name,
-                "risk_aversion": p.risk_aversion,
-                "plants": [
-                    {
-                        "name": pl.name,
-                        "fuel": pl.fuel,
-                        "capacity": pl.capacity,
-                        "ramp_up": pl.ramp_up,
-                        "ramp_down": pl.ramp_down,
-                        "efficiency": pl.efficiency,
-                    }
-                    for pl in p.plants
-                ],
-            }
-            for p in scenario.producers
-        ],
-        "consumers": [
-            {
-                "name": c.name,
-                "risk_aversion": c.risk_aversion,
-                "demand_share": c.demand_share,
-                "retail_price": c.retail_price,
-            }
-            for c in scenario.consumers
-        ],
-        "exogenous": exo_doc,
-        "bounds": {
-            "v_trade": scenario.bounds.v_trade,
-            "f_trade": scenario.bounds.f_trade,
-            "pi_max": scenario.bounds.pi_max,
-        },
+        "fuels": dict(scenario.fuels.intensities),
+        "producers": _to_json(scenario.producers),
+        "consumers": _to_json(scenario.consumers),
+        "exogenous": _to_json(scenario.exogenous),
+        "bounds": _to_json(scenario.bounds),
     }
 
 

@@ -382,6 +382,30 @@ MALFORMED = [
     ("no_plants", ("producers", 0, "plants"), [], "producer owns no plants"),
     ("no_trading_times", ("grid", "deliveries", 0, "trading_times"), [],
      "every delivery needs at least one trading time"),
+    ("nan_gas_forward", ("exogenous", "fuel_forwards", "gas", 1, 0), float("nan"),
+     "fuel 'gas' forwards must be finite (delivery 1)"),
+    ("inf_emission_forward", ("exogenous", "emission_forwards", 0, 1), float("inf"),
+     "emission forwards must be finite (delivery 0)"),
+    # an unknown key, named: Python's own wording for a record differs by version
+    ("unknown_top_level_key", ("producer",), [], "unknown key 'producer' in scenario document"),
+    ("unknown_grid_key", ("grid", "interest_rat"), 0.05, "unknown key 'interest_rat' in grid"),
+    ("unknown_delivery_key", ("grid", "deliveries", 0, "tme"), 1.0,
+     "unknown key 'tme' in delivery"),
+    ("unknown_plant_key", (*_PLANT, "efficency"), 1.0, "'efficency'"),
+    ("unknown_producer_key", ("producers", 0, "risk"), 1.0, "'risk'"),
+    ("unknown_consumer_key", ("consumers", 0, "retail_prce"), 3.0, "'retail_prce'"),
+    ("unknown_exogenous_key", ("exogenous", "demnd"), [7.2, 7.2], "'demnd'"),
+    ("unknown_covariance_key", ("exogenous", "covariance", "q4"), [],
+     "unknown key 'q4' in covariance"),
+    ("unknown_ensemble_key", ("exogenous",), {"ensemble": {"paths": [], "seed": 1}},
+     "unknown key 'seed' in ensemble"),
+    ("unknown_path_record_key", ("exogenous",),
+     {"ensemble": {"paths": [{"weight": 1.0, "label": "a"}]}},
+     "unknown key 'label' in path record"),
+    ("unknown_path_record_fuel", ("exogenous",),
+     {"ensemble": {"paths": [{"weight": 1.0, "pi": [], "g": {"oil": []}, "g_em": []}]}},
+     "unknown key 'oil' in path record's g"),
+    ("unknown_bounds_key", ("bounds", "pi_mx"), 10.0, "'pi_mx'"),
 ]
 
 
@@ -410,6 +434,17 @@ def test_malformed_scenario_file_exits_2_naming_the_cause(two_fuels_doc, tmp_pat
     assert code == 2 and out == ""
     assert err.startswith("invalid scenario: ") and cause in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "mean-max"])
+def test_non_finite_fuel_quote_exits_2_before_any_command(tmp_path, capsys, command):
+    def nan_gas(doc):
+        doc["exogenous"]["fuel_forwards"]["gas"][0][0] = float("nan")
+
+    path = _mutated_two_fuels(tmp_path, nan_gas)
+    code, out, err = run([command, "--scenario", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "invalid scenario: fuel 'gas' forwards must be finite (delivery 0)\n"
 
 
 def test_non_finite_covariance_exits_2(tmp_path, capsys):

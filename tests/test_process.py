@@ -11,6 +11,7 @@ from equiterm.process import (
     doob_decompose,
     drift_matching_prices,
     ensemble_from_records,
+    ensemble_to_records,
     shift_measure,
     verify_covariance_invariance,
 )
@@ -172,6 +173,7 @@ def test_records_roundtrip():
          "g_em": [[1.0, 0.9], [1.0]]},
     ]
     ens = ensemble_from_records(grid, ("gas",), records)
+    assert ensemble_to_records(ens) == records
     assert ens.pi.shape == (2, 3)
     np.testing.assert_array_equal(ens.pi[0], [1.0, 2.0, 4.0])
     np.testing.assert_array_equal(ens.g[1], [3.0, 2.9, 3.0])
