@@ -54,8 +54,8 @@ class PlayerProblem:
     ineq_labels: tuple[tuple, ...]
     risk_aversion: float
     cov_inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # the condensation and the cold start, built from this instance's own
-    # matrices on first use (players.py), so a dataclasses.replace copy
+    # the capacity table, the condensation and the cold start, built from
+    # this instance's own rows on first use, so a dataclasses.replace copy
     # starts empty instead of inheriting stale ones
     _derived: dict = field(init=False, repr=False, compare=False)
 
@@ -93,13 +93,19 @@ class PlayerProblem:
     def ineq_row(self, label: tuple) -> int:
         return self.ineq_labels.index(label)
 
-    def capacity_rows(self, side: str) -> tuple[list[int], list[int]]:
-        """The inequality rows labelled ``side`` ("cap_upper" or "cap_lower")
-        and, for each, the position in the W block of the production it
-        bounds, read from the row's label through the index map."""
-        im = self.index_map
-        rows = [k for k, label in enumerate(self.ineq_labels) if label[0] == side]
-        return rows, [im.w_index(*self.ineq_labels[k][1:]) - im.n_traded for k in rows]
+    def capacity_rows(self) -> np.ndarray:
+        """The ``cap_upper`` and the ``cap_lower`` row of each production
+        entry, in W order: a read-only (2, W) integer table, read once from
+        the row labels through the index map."""
+        if "capacity_rows" not in self._derived:
+            im = self.index_map
+            sides, table = ("cap_upper", "cap_lower"), np.zeros((2, im.n_w), dtype=np.intp)
+            for k, (side, *key) in enumerate(self.ineq_labels):
+                if side in sides:
+                    table[sides.index(side), im.w_index(*key) - im.n_traded] = k
+            table.flags.writeable = False
+            self._derived["capacity_rows"] = table
+        return self._derived["capacity_rows"]
 
 
 def _bound_pair(rows, entries, upper, lower, upper_label, lower_label):

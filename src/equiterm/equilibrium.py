@@ -15,6 +15,7 @@ Tests check the prices against the joint welfare QP and brute-force oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -205,56 +206,30 @@ def excess_volume(scenario: Scenario, expected_prices) -> np.ndarray:
     return Market(scenario).excess(expected_prices)[0]
 
 
-def _pin_table(problem: PlayerProblem) -> np.ndarray:
-    """Which production entries each inequality row pins when it is tight,
-    at the upper bound and at the lower: a read-only boolean array
-    (rows + 1, 2 * W), kept per problem; the last row pins nothing.
+def _fleet_bound_states(market: Market, columns) -> np.ndarray:
+    """Per column (one solution per player), delivery and plant of the whole
+    fleet, producers in order: is production at its upper bound and at its
+    lower; one boolean array (columns, 2, deliveries, plants).
 
-    Only a capacity row pins, found by its label: a ``cap_upper`` row holds
-    its plant's production at the upper bound and a ``cap_lower`` row at the
-    lower.  A tight ramp row ties two deliveries' production to each other,
-    not to a bound, so it pins nothing.
+    Only an active capacity row pins: a tight ramp row ties two deliveries'
+    production to each other, not to a bound.  Each producer's solution
+    (producers lead the player order) flags its active rows in its own span
+    of one array, read in one assignment and one gather.
     """
-    cache = problem._derived
-    if "pins" not in cache:
-        table = np.zeros((problem.ineq_rhs.size + 1, 2, problem.index_map.n_w), dtype=bool)
-        for side, label in enumerate(("cap_upper", "cap_lower")):
-            rows, cols = problem.capacity_rows(label)
-            table[rows, side, cols] = True
-        table = table.reshape(table.shape[0], -1)
-        table.flags.writeable = False
-        cache["pins"] = table
-    return cache["pins"]
-
-
-def _plant_bound_states(problem, solutions):
-    """Per solution, delivery and plant: is production pinned at its upper
-    bound and at its lower.
-
-    Read from the solutions' active sets in one pass over the pin table;
-    returns one boolean array of shape (solutions, 2, deliveries, plants).
-    """
-    table = _pin_table(problem)
-    rows, starts = [], []
-    for sol in solutions:
-        starts.append(len(rows))
-        rows += sol.active_set
-        rows.append(table.shape[0] - 1)  # keeps every segment nonempty
-    pinned = np.logical_or.reduceat(table[rows], starts, axis=0)
-    return pinned.reshape(len(solutions), 2, problem.index_map.grid.n_deliveries, -1)
-
-
-def _fleet_bounds(market: Market, columns):
-    """Per column (one solution per player) and delivery: is every plant of
-    the fleet pinned at its upper bound and at its lower; one boolean array
-    (columns, 2, deliveries).  A market without plants has no delivery at a
-    bound."""
-    bound = np.full((len(columns), 2, market.scenario.grid.n_deliveries),
-                    any(p.kind == "producer" for p in market.problems))
-    for k, problem in enumerate(market.problems):
-        if problem.kind == "producer":
-            bound &= _plant_bound_states(problem, [sols[k] for sols in columns]).all(axis=-1)
-    return bound
+    cache = market.scenario._derived
+    if "fleet" not in cache:
+        span = max(p.ineq_rhs.size for p in market.problems)
+        nd = market.scenario.grid.n_deliveries
+        cache["fleet"] = span, np.concatenate(
+            [p.capacity_rows().reshape(2, nd, -1) + k * span
+             for k, p in enumerate(market.problems)], axis=2)
+    span, table = cache["fleet"]
+    n = len(market.scenario.producers)
+    sets = [sol.active_set for sols in columns for sol in sols[:n]]
+    active = np.zeros(len(sets) * span, dtype=bool)
+    active[np.repeat(np.arange(0, active.size, span), list(map(len, sets)))
+           + np.fromiter(chain.from_iterable(sets), np.intp)] = True
+    return active.reshape(len(columns), n * span)[:, table]
 
 
 def _totals(scenario: Scenario) -> np.ndarray:
@@ -286,7 +261,9 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
         z += sol.volumes
     sums = _totals(scenario) @ z
     statuses, consistent = [], []
-    all_upper, all_lower = _fleet_bounds(market, [solutions])[0].tolist()
+    states = _fleet_bound_states(market, [solutions])[0]
+    # a fleet without plants is at no bound
+    all_upper, all_lower = (states.all(axis=-1) & (states.shape[-1] > 0)).tolist()
     for upper, lower, total in zip(all_upper, all_lower, sums.tolist()):
         if upper:
             statuses.append("all-upper")
@@ -483,7 +460,8 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         k = min(n_samples - len(samples), cap - attempts)
         pairs = prices + radius * rng.standard_normal((k, 2, n))
         z, point_sols = market.excess_many(pairs.reshape(2 * k, n).T)
-        saturated = _fleet_bounds(market, point_sols).any(axis=(1, 2))
+        states = _fleet_bound_states(market, point_sols)
+        saturated = (states.all(axis=-1) & (states.shape[-1] > 0)).any(axis=(1, 2))
         for i, (x, y) in enumerate(pairs):
             attempts += 1
             if saturated[2 * i] or saturated[2 * i + 1]:
@@ -509,11 +487,8 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     cut = max(cut, 1e-10 * (sv[0] if sv.size else 0.0), 1e-14)
     rank = int(np.sum(sv > cut))
 
-    strict = np.zeros(scenario.grid.n_deliveries, dtype=bool)
-    for problem, sol in zip(market.problems, sols):
-        if problem.kind == "producer":
-            upper, lower = _plant_bound_states(problem, [sol])[0]
-            strict |= (~upper & ~lower).any(axis=1)
+    upper, lower = _fleet_bound_states(market, [sols])[0]
+    strict = (~upper & ~lower).any(axis=-1)
 
     return DiagnosticsReport(
         monotonicity_samples=tuple(samples),

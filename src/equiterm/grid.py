@@ -144,35 +144,6 @@ class IndexMap:
         within = sum(self.plant_counts[:l]) + r
         return self.n_traded + j * self.plants_per_delivery + within
 
-    # ---- inverse map --------------------------------------------------
-    def tuple_of(self, k: int) -> tuple:
-        """Structured tuple for flat position ``k``.
-
-        Returns ("V", j, i), ("F", j, i, fuel), ("O", j, i) or
-        ("W", j, fuel, r).
-        """
-        if not 0 <= k < self.total:
-            raise GridError(f"flat index {k} out of range")
-        labels = self.grid.node_labels()
-        if k < self.n_v:
-            j, i = labels[k]
-            return ("V", j, i)
-        k -= self.n_v
-        if k < self.n_f:
-            j, i = labels[k // self.n_fuels]
-            return ("F", j, i, self.fuels[k % self.n_fuels])
-        k -= self.n_f
-        if k < self.n_o:
-            j, i = labels[k]
-            return ("O", j, i)
-        k -= self.n_o
-        j, within = divmod(k, self.plants_per_delivery)
-        l = 0
-        while within >= self.plant_counts[l]:
-            within -= self.plant_counts[l]
-            l += 1
-        return ("W", j, self.fuels[l], within)
-
     def index_of(self, label: tuple) -> int:
         kind = label[0]
         if kind == "V":

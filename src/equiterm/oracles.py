@@ -300,7 +300,10 @@ class BruteForceResult:
 
 def _bisect_root(f, lo, hi, tol, start=None, step=0.0):
     """Root of a non-increasing scalar map on [lo, hi] by bisection in a bracket walked
-    from ``start`` by steps doubling from max(tol, step) (from lo, one box-wide step)."""
+    from ``start`` by steps doubling from max(tol, step) (from lo, one box-wide step).
+    ``tol`` is at least the float spacing at the box edge: a bracket that narrow
+    may have no float inside, and its midpoint is then one of its ends."""
+    tol = max(tol, math.ulp(max(-lo, hi)))
     start, step = (lo, hi - lo) if start is None else (start, max(tol, step))
     up = f(start) >= 0.0  # the root lies above start
     edge = hi if up else lo

@@ -307,7 +307,7 @@ class Scenario:
                                     else estimate_covariance(exo.ensemble))
         return self._derived["cov"]
 
-    def total_capacity(self, j: int) -> float:
+    def total_capacity(self) -> float:
         return sum(pl.capacity for p in self.producers for pl in p.plants)
 
     def marginal_costs(self) -> np.ndarray:

@@ -95,9 +95,7 @@ def _dispatch_start(problem):
     block of A_t t = a - A_w W."""
     n_t = problem.index_map.n_traded
     A, a, B, b = problem.eq_matrix, problem.eq_rhs, problem.ineq_matrix, problem.ineq_rhs
-    rows, cols = problem.capacity_rows("cap_upper")
-    w = np.zeros(problem.index_map.n_w)
-    w[cols] = 0.5 * b[rows]
+    w = 0.5 * b[problem.capacity_rows()[0]]
     t = np.linalg.lstsq(A[:, :n_t], a - A[:, n_t:] @ w, rcond=None)[0]
     v = np.concatenate([t, w])
     return None if start_violation(A, a, B, b, v) else v
@@ -154,10 +152,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         ))
 
     # crisp capacity-vs-demand message (subsumed by the joint LP)
-    bad = []
+    bad, cap = [], scenario.total_capacity()
     for j in range(scenario.grid.n_deliveries):
         D = scenario.exogenous.demand[j]
-        cap = scenario.total_capacity(j)
         if not 0.0 < D < cap:
             bad.append(f"delivery {j}: demand {D} outside (0, total capacity {cap})")
     checks.append(CheckResult(
@@ -172,9 +169,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         if val <= 0.0:
             checks.append(CheckResult(
                 f"bound_positive:{nm}", False, f"{nm} must be strictly positive"))
-    demand = scenario.demand_vector()
-    caps = np.array([scenario.total_capacity(j) for j in range(scenario.grid.n_deliveries)])
-    v_need = float(max(np.max(demand, initial=0.0), np.max(caps, initial=0.0)))
+    v_need = float(max(np.max(scenario.demand_vector(), initial=0.0), cap))
     v_floor = 2.0 * v_need
     checks.append(CheckResult(
         "bound_adequacy:v_trade",

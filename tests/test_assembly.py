@@ -322,10 +322,10 @@ def test_capacity_rows_name_each_plants_production(name):
     sc = LABELLED[name]
     for problem in eq.assemble_all(sc)[: len(sc.producers)]:
         n_t = problem.index_map.n_traded
-        for side, sign in (("cap_upper", 1.0), ("cap_lower", -1.0)):
-            rows, cols = problem.capacity_rows(side)
-            assert len(rows) == problem.index_map.n_w
-            for row, col in zip(rows, cols):
+        table = problem.capacity_rows()
+        assert table.shape == (2, problem.index_map.n_w)
+        for side, sign, rows in zip(("cap_upper", "cap_lower"), (1.0, -1.0), table.tolist()):
+            for col, row in enumerate(rows):
                 assert problem.ineq_labels[row][0] == side
                 assert np.flatnonzero(problem.ineq_matrix[row]).tolist() == [n_t + col]
                 assert problem.ineq_matrix[row, n_t + col] == sign

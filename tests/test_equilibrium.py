@@ -6,8 +6,8 @@ import pytest
 
 import equiterm as eq
 from equiterm import equilibrium, players
-from equiterm.equilibrium import Market, _plant_bound_states, merit_order_prices
-from tests.corpus import build_scenario, desk_n1, ladder, make_corpus
+from equiterm.equilibrium import Market, _fleet_bound_states, merit_order_prices
+from tests.corpus import build_scenario, desk_n1, ladder, make_corpus, portfolio
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_high_price_sweep_all_upper(solved_n1):
     hi = (sc.bounds.pi_max - eps) * sc.grid.node_discounts()
     sat = eq.detect_saturation(sc, prices=hi)
     assert sat.statuses == ("all-upper",)
-    expected = sc.exogenous.demand[0] - sc.total_capacity(0)
+    expected = sc.exogenous.demand[0] - sc.total_capacity()
     assert sat.clearing_sums[0] == pytest.approx(expected)
     assert sat.clearing_sums[0] < 0
     assert all(sat.sign_consistent)
@@ -131,8 +131,14 @@ def test_diagnostics_on_healthy_market(medium):
 def test_consumer_only_market_fails_uniqueness():
     sc = desk_n1()
     no_prod = eq.Scenario(sc.grid, (), sc.consumers, sc.fuels, sc.exogenous, sc.bounds)
-    diag = eq.check_uniqueness(no_prod, prices=np.zeros(1), n_samples=8, seed=0)
+    market = Market(no_prod)
+    diag = eq.check_uniqueness(no_prod, prices=np.zeros(1), n_samples=8, seed=0, market=market)
     assert diag.rank_condition == 0
+    # a fleet without plants: no delivery at a bound, none with a plant strictly inside
+    sols = market.solutions(np.zeros(1))
+    assert _fleet_bound_states(market, [sols, sols]).shape == (2, 2, 1, 0)
+    assert diag.saturation.statuses == ("interior",)
+    assert diag.strictly_feasible_plant_per_period == (False,)
     assert diag.rank_ok is False
     assert diag.jacobian_eigen_max >= -1e-12  # flat direction survives
 
@@ -242,24 +248,45 @@ def _primal_bound_states(scenario, problem, solution, tol=1e-7):
     return upper, lower
 
 
-@pytest.mark.parametrize("which", ["medium", "ramp"])
+FLEETS = {
+    "ramp": _ramp_scenario,
+    # several plants share a fuel
+    "twin_plants": lambda: dict(make_corpus())["twin_plants"],
+    "portfolio12": lambda: portfolio(12),
+}
+
+
+@pytest.mark.parametrize("which", ["medium", *FLEETS])
 def test_bound_states_from_active_set_match_primal_walk(medium, which):
-    sc = medium if which == "medium" else _ramp_scenario()
+    sc = medium if which == "medium" else FLEETS[which]()
     market = Market(sc)
     base = merit_order_prices(sc)
     rng = np.random.default_rng(23)
     pinned = 0
     for _ in range(40):
         prices = base + 0.5 * np.abs(base).max() * rng.standard_normal(base.size)
-        for problem, sol in zip(market.problems, market.solutions(prices)):
-            if problem.kind != "producer":
-                continue
-            got = _plant_bound_states(problem, [sol])[0]
-            ref = _primal_bound_states(sc, problem, sol)
-            np.testing.assert_array_equal(got[0], ref[0])
-            np.testing.assert_array_equal(got[1], ref[1])
-            pinned += int(got[0].sum() + got[1].sum())
+        sols = market.solutions(prices)
+        got = _fleet_bound_states(market, [sols])[0]
+        # producers lead the player order, each with its plants in W order
+        ref = np.concatenate([_primal_bound_states(sc, problem, sol) for problem, sol
+                              in zip(market.problems[: len(sc.producers)], sols)], axis=-1)
+        np.testing.assert_array_equal(got, ref)
+        pinned += int(got.sum())
     assert pinned > 0
+
+
+def test_fleet_bound_states_of_a_batch_are_its_columns_read_one_at_a_time():
+    sc = ladder(12)
+    market = Market(sc)
+    base = merit_order_prices(sc)
+    rng = np.random.default_rng(5)
+    points = base[:, None] + 0.2 * np.abs(base).max() * rng.standard_normal((base.size, 32))
+    _, columns = market.excess_many(points)
+    batch = _fleet_bound_states(market, columns)
+    assert batch.shape == (32, 2, sc.grid.n_deliveries, 3)
+    for states, sols in zip(batch, columns):
+        np.testing.assert_array_equal(states, _fleet_bound_states(market, [sols])[0])
+    assert len({states.tobytes() for states in batch}) > 1
 
 
 def test_ramp_pinned_deliveries_read_as_interior():

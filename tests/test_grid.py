@@ -41,10 +41,16 @@ def test_plant_order_is_canonical():
 
 
 def test_index_map_is_a_bijection():
+    # every V, F, O and W label, listed in canonical order, takes the next position
     grid = eq.TradingGrid((1.0, 2.0, 3.0), ((0.5, 1.0), (2.0,), (2.5, 2.8, 3.0)))
     im = eq.canonical_index(grid, ("coal", "gas"), (2, 1))
-    for k in range(im.total):
-        assert im.index_of(im.tuple_of(k)) == k
+    nodes = grid.node_labels()
+    labels = [("V", j, i) for j, i in nodes]
+    labels += [("F", j, i, fuel) for j, i in nodes for fuel in im.fuels]
+    labels += [("O", j, i) for j, i in nodes]
+    labels += [("W", j, fuel, r) for j in range(grid.n_deliveries)
+               for fuel, count in zip(im.fuels, im.plant_counts) for r in range(count)]
+    assert [im.index_of(label) for label in labels] == list(range(im.total))
 
 
 def test_grid_invariants():

@@ -7,6 +7,7 @@ from equiterm.errors import EquitermError, InfeasibleError
 from equiterm.oracles import _bisect_root, producer_solution_with_fixed_totals, two_stage_check
 from tests.corpus import (
     build_scenario,
+    make_corpus,
     mean_max_instances,
     merit_stack,
     oracle_instances,
@@ -176,6 +177,26 @@ def test_bisect_root_walk_from_a_first_step_finds_the_same_root(root):
         evaluations[step] = len(calls)
     if root == 7.25:
         assert evaluations[4.0] < evaluations[0.0] - 15
+
+
+@pytest.mark.parametrize("name", ["n1_single", "n2_two_times"])
+@pytest.mark.parametrize("step", [1e-12, 1e-300])
+def test_brute_force_ends_at_a_step_below_the_price_spacing(monkeypatch, name, step):
+    # a bracket one float wide has no midpoint; the evaluation cap turns a
+    # bisection that never ends into a failure
+    sc = dict(make_corpus())[name]
+    excess, calls = Market.excess, []
+
+    def capped(self, prices):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise RuntimeError("brute force did not end within 10,000 evaluations")
+        return excess(self, prices)
+
+    monkeypatch.setattr(Market, "excess", capped)
+    bf = eq.brute_force_equilibrium(sc, eq.GridSpec(step=step))
+    assert bf.evaluations == len(calls)
+    assert bf.residual <= 1e-8
 
 
 def test_symmetric_consumers_split_equally():
