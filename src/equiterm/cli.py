@@ -46,7 +46,7 @@ _INPUT_ERRORS = (ScenarioError, GridError, EnsembleError, CovarianceError)  # al
 # commands look them up on ``_here`` at call time, so a patched binding (a
 # tracer's) is the one called.
 _LAZY = frozenset((
-    "validate_scenario SolveOptions solve_equilibrium check_uniqueness GridSpec "
+    "validate_scenario SolveOptions Market solve_equilibrium check_uniqueness GridSpec "
     "brute_force_equilibrium mean_max_equilibrium two_stage_check doob_decompose").split())
 _here = sys.modules[__name__]
 
@@ -201,9 +201,9 @@ def _solution_rows(result) -> list:
     return rows
 
 
-def _solve(scenario, args):
+def _solve(scenario, args, market=None):
     opts = _here.SolveOptions(tol=args.tol, kkt_tol=args.kkt_tol, max_iter=args.max_iter)
-    return _here.solve_equilibrium(scenario, opts)
+    return _here.solve_equilibrium(scenario, opts, market=market)
 
 
 def _cmd_validate(scenario, args, report):
@@ -236,8 +236,9 @@ def _cmd_solve(scenario, args, report):
 def _cmd_diagnose(scenario, args, report):
     validation = _here.validate_scenario(scenario)
     report["validation"] = validation.as_dict()
-    result = _solve(scenario, args)
-    diag = _here.check_uniqueness(scenario, result, seed=args.seed)
+    market = _here.Market(scenario)  # the solve's last point is the diagnostics' memo
+    result = _solve(scenario, args, market)
+    diag = _here.check_uniqueness(scenario, result, seed=args.seed, market=market)
     ips = [ip for _, _, ip in diag.monotonicity_samples]
     report["result"] = {
         "converged": result.converged,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import PlayerProblem, assemble_all
 from .grid import delivery_totals_matrix
-from .players import PlayerSolution, response_jacobian, solve_qp, solve_qp_many
+from .players import PlayerSolution, response_jacobian, solve_fleet, solve_qp, solve_qp_many
 from .scenario import Scenario
 
 __all__ = [
@@ -113,16 +113,19 @@ class Market:
     Each player warm-starts from its own previous solution, so the memo is
     the warm start of every player: asking again for the last price vector
     (saturation detection, then the excess at the same point) solves
-    nothing.  Any other point is solved afresh.  ``excess_many`` evaluates
-    a batch of points, each from the memo point, and leaves the memo as it
-    was.
+    nothing.  The memo keeps Z, summed once in player order, next to the
+    solutions.  Any other point is solved afresh: first by one stacked pass
+    over the whole fleet from its held selection (``players.solve_fleet``),
+    then, player by player, wherever that pass did not serve.
+    ``excess_many`` evaluates a batch of points, each from the memo point,
+    and leaves the memo as it was.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.problems: tuple[PlayerProblem, ...] = assemble_all(scenario)
         self.names = tuple(p.name for p in self.problems)
-        self._last: tuple[bytes, tuple[PlayerSolution, ...]] | None = None
+        self._last: tuple[bytes, tuple[PlayerSolution, ...], np.ndarray] | None = None
 
     @property
     def n_prices(self) -> int:
@@ -131,22 +134,34 @@ class Market:
     def _warm(self):
         return (None,) * len(self.problems) if self._last is None else self._last[1]
 
+    def _solve(self, prices, alone):
+        """Each player's solutions at the columns of ``prices`` (prices x
+        points) from its warm start: the fleet step's, or ``alone``'s for a
+        player that step does not serve."""
+        warm = self._warm()
+        fleet = solve_fleet(self.problems, prices, warm, self.scenario._derived)
+        return [sols if sols is not None else alone(problem, w)
+                for problem, w, sols in zip(self.problems, warm, fleet)]
+
     def solutions(self, prices: np.ndarray) -> tuple[PlayerSolution, ...]:
         prices = np.asarray(prices, dtype=float)
         key, last = prices.tobytes(), self._last
         if last is not None and last[0] == key:
             return last[1]
-        sols = tuple(solve_qp(p, prices, warm_start=w)
-                     for p, w in zip(self.problems, self._warm()))
-        self._last = (key, sols)
-        return sols
-
-    def excess(self, prices: np.ndarray):
-        sols = self.solutions(prices)
+        column = prices.reshape(prices.shape + (1,))
+        sols = tuple(s[0] for s in self._solve(
+            column, lambda problem, w: (solve_qp(problem, prices, warm_start=w),)))
         z = np.zeros(self.n_prices)
         for sol in sols:
             z += sol.volumes
-        return z, sols
+        z.flags.writeable = False
+        self._last = (key, sols, z)
+        return sols
+
+    def excess(self, prices: np.ndarray):
+        """Z at ``prices`` (read-only) and the player solutions, from the memo."""
+        sols = self.solutions(prices)
+        return self._last[2], sols
 
     def excess_many(self, prices: np.ndarray):
         """Excess volumes at every column of ``prices`` (prices x points), as
@@ -156,8 +171,8 @@ class Market:
         in place, so no column depends on another or on their order.
         """
         prices = np.asarray(prices, dtype=float)
-        per_player = [solve_qp_many(p, prices, warm_start=w)
-                      for p, w in zip(self.problems, self._warm())]
+        per_player = self._solve(
+            prices, lambda problem, w: solve_qp_many(problem, prices, warm_start=w))
         m = prices.shape[1]
         z = np.zeros((m, self.n_prices))
         for sols in per_player:
@@ -255,10 +270,11 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
     if solutions is None:
         if prices is None:
             raise ValueError("need prices or solutions")
-        solutions = market.solutions(np.asarray(prices, dtype=float))
-    z = np.zeros(scenario.n_contracts)
-    for sol in solutions:
-        z += sol.volumes
+        z, solutions = market.excess(np.asarray(prices, dtype=float))
+    else:
+        z = np.zeros(scenario.n_contracts)
+        for sol in solutions:
+            z += sol.volumes
     sums = _totals(scenario) @ z
     statuses, consistent = [], []
     states = _fleet_bound_states(market, [solutions])[0]

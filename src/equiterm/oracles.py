@@ -293,7 +293,7 @@ class GridSpec:
 class BruteForceResult:
     prices: np.ndarray
     residual: float
-    step: float
+    step: float                          # the grid step, at least the box edge's float spacing
     evaluations: int                     # excess-map evaluations
     levels: int                          # nested bisection levels, one per contract
 
@@ -337,8 +337,10 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
     second-to-last component in its price, and so on outward, one level per
     contract.  Each level's bracket is walked from its previous root, first
     by half its previous move (at least the tolerance).  The outermost
-    level stops at half a grid step, the inner ones at a hundredth, and
-    the answer lies within one grid step of the true equilibrium.
+    level stops at half a grid step, the inner ones at a hundredth, each
+    at least the float spacing of its box edge (``_bisect_root``).  So the
+    answer lies within one reported step of the true equilibrium: the grid
+    step, or the float spacing of the widest box edge where that is larger.
     """
     spec = grid_spec or GridSpec()
     market = market or Market(scenario)
@@ -373,4 +375,5 @@ def brute_force_equilibrium(scenario: Scenario, grid_spec: GridSpec | None = Non
 
     price = np.array(completion([]))
     resid = float(np.max(np.abs(z_at(price))))
-    return BruteForceResult(price, resid, spec.step, count, n)
+    spacing = math.ulp(float(np.max(np.maximum(-lo, hi))))
+    return BruteForceResult(price, resid, max(spec.step, spacing), count, n)

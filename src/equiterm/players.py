@@ -64,7 +64,12 @@ one warm start, and ``solve_qp`` is its one-column case.  The region, the
 recovery of mu and t, the certificate and the active sets are one matrix
 operation each over all columns on one region; a consumer's affine map
 likewise.  Only a column whose walk ends is solved alone, by the engine
-and then by the full QP.
+and then by the full QP.  ``solve_fleet`` takes the first step of every
+player's walk at once, from its held selection: the price parts of every
+``rec`` and the held regions' maps are stacked, so a point is one product
+for every W, one for every held eta, one ``rec_w @ W`` per producer and
+one gathered pass over the whole fleet's rows, certified by the same
+``_certificate`` as ``_serve``.
 
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
@@ -79,13 +84,13 @@ stationarity rows by construction, the W-QP's stationarity
 A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
 are slack, so their multipliers are zero.  One pass over the full
 problem's rows, the equality gap Ax - a and the slack b - Bx, gives the
-start-point check that accepts a condensed point and the active set.  On a
-large problem Bx is read from each inequality row's entries, at most one +1
-and one -1 in every ramp, capacity and box row: one difference of two
-gathered terms of [x; 0], O(rows) per column, the dense product's value.  A
-column is certified by whole-block comparisons, the W rows tied there
-against the region's rows as one mask.  Only when the second stage below
-moves W is the slack taken again, at the moved point.  The objective and
+start-point check that accepts a condensed point and the active set.  Bx
+is read from each inequality row's entries, at most one +1 and one -1 in
+every ramp, capacity and box row: one difference of two gathered terms of
+[x; 0], O(rows) per column, the dense product's value.  A column is
+certified by whole-block comparisons (``_certificate``), the W rows tied
+there against the region's rows as one mask.  Only when the second stage
+below moves W is the slack taken again, at the moved point.  The objective and
 the KKT residuals are computed when first read, by ``kkt_residual``
 itself, so a stored residual is its recomputation bit for bit and a caller
 that never reads one never pays for it.
@@ -117,8 +122,8 @@ import numpy as np
 
 from .assembly import PlayerProblem
 from .errors import InfeasibleError, ScenarioError
-from .qp import (STRICT_DUAL_TOL, _factor, interior_margin, row_tolerances, row_violations,
-                 solve_qp_active_set, start_violation)
+from .qp import (STRICT_DUAL_TOL, _factor, interior_margin, row_tolerances, solve_qp_active_set,
+                 start_violation)
 
 __all__ = [
     "PlayerSolution",
@@ -136,7 +141,6 @@ FD_STEP = 1e-6  # price step of finite_difference_volumes
 # smallest Cholesky pivot of S, H or a region's M, relative to the largest, that
 # still counts as full rank; an exactly repeated row leaves a pivot near 1e-8
 PIVOT_TOL = 1e-6
-GATHER_ENTRIES = 1 << 14  # fewest entries of B at which a gathered Bx beats the dense product
 
 
 @dataclass(frozen=True)
@@ -272,11 +276,14 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
     cond = _condensation(problem)
     points = ([None] * p.shape[1] if cond.rec is None
               else _solve_condensed(problem, cond, p, warm_start))
-    return tuple(
-        _solution(problem, prices[c], *(point or _solve_full(
-            problem, problem.merged_linear(prices[c]), warm_start)))
-        for c, point in enumerate(points)
-    )
+    return _finish(problem, prices, points, warm_start)
+
+
+def _finish(problem: PlayerProblem, prices, points, warm_start) -> tuple[PlayerSolution, ...]:
+    """The solution of each point at its row of ``prices``; where the point
+    is None, the full QP's from the player's usual start."""
+    return tuple(_solution(problem, prices[c], *(point or _solve_full(
+        problem, problem.merged_linear(prices[c]), warm_start))) for c, point in enumerate(points))
 
 
 def _full_solve_qp(problem: PlayerProblem, expected_prices) -> PlayerSolution:
@@ -306,8 +313,8 @@ def _solution(problem: PlayerProblem, prices, x, mu, eta, active) -> PlayerSolut
     (``active`` None) takes min-norm production unless W is unique or
     ``_pinned``, then its active set from the slack there and the canonical
     multipliers."""
-    cond = _condensation(problem)
     if active is None:
+        cond = _condensation(problem)
         if problem.kind == "producer" and not cond.w_unique and not _pinned(cond, eta):
             x = _min_norm_production(problem, cond, x)
         active = _active_sets(cond, _rows(problem, cond, x)[1][:, None])[0]
@@ -349,7 +356,7 @@ def _canonical_duals(cond: _Condensed, eta, active):
 def _active_sets(cond: _Condensed, slack):
     """The active set of each column of ``slack`` (rows x points), read from
     one comparison with the instance's tolerances."""
-    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= cond.tols[1][:, None]).T]
+    return [tuple(col.nonzero()[0].tolist()) for col in (slack <= cond.tols[1]).T]
 
 
 def _start(problem: PlayerProblem, warm_start):
@@ -396,8 +403,8 @@ class _Condensed:
     w_pos: dict                    # full-problem row -> W-QP row
     a_w: np.ndarray                # A_w
     b_w: np.ndarray                # W block of the ramp and capacity rows
-    tols: tuple                    # qp.row_tolerances of the full problem
-    w_tols: np.ndarray             # the W rows' column of tols[1]
+    tols: tuple                    # qp.row_tolerances of the full problem, inequalities a column
+    w_tols: np.ndarray             # tols[1] at the W rows
     ineq_pairs: tuple | None       # per row, its +1 and -1 entries' columns (_entry_pairs)
     rec: np.ndarray | None = None  # [1; pi; W] -> [t; mu]
     hessian: np.ndarray | None = None  # H = A_w' S^-1 A_w, Hessian of the W-QP
@@ -456,11 +463,10 @@ def _condense(problem: PlayerProblem) -> _Condensed:
     n_t, n_p = problem.n_vars - problem.index_map.n_w, problem.n_prices
     w_rows = np.flatnonzero(problem.ineq_matrix[:, n_t:].any(axis=1))
     a_w, b_w = problem.eq_matrix[:, n_t:], problem.ineq_matrix[w_rows, n_t:]
-    tols = row_tolerances(problem.eq_rhs, problem.ineq_rhs)
-    big = problem.ineq_matrix.size >= GATHER_ENTRIES
+    eq_tol, ineq_tol = row_tolerances(problem.eq_rhs, problem.ineq_rhs)
     base = dict(n_t=n_t, w_rows=w_rows, w_pos={int(r): k for k, r in enumerate(w_rows)},
-                a_w=a_w, b_w=b_w, tols=tols, w_tols=tols[1][w_rows, None],
-                ineq_pairs=_entry_pairs(problem.ineq_matrix) if big else None)
+                a_w=a_w, b_w=b_w, tols=(eq_tol, ineq_tol[:, None]), w_tols=ineq_tol[w_rows, None],
+                ineq_pairs=_entry_pairs(problem.ineq_matrix))
     cov_inv, lam, a_t = problem.cov_inverse, problem.risk_aversion, problem.eq_matrix[:, :n_t]
     m = None if cov_inv is None else a_t @ cov_inv
     s_inv = None if m is None else _spd_inverse(m @ a_t.T / lam)
@@ -560,7 +566,8 @@ def _null_space(cond: _Condensed, b_s, bound):
             np.finfo(float).eps * (sum(b_s.shape) + w.shape[1]) * (np.abs(pinv_t) @ terms))
 
 
-def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, warm_start):
+def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, warm_start,
+                     step=None):
     """Per column of ``p`` = [1; pi], (x, mu, eta, active) through the W-QP
     (active None where the engine solved it), or None where the point fails
     the full rows.
@@ -569,29 +576,35 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
     (``_first_rows``), and the columns on one region take their step
     together (``_serve``): a column is served where it certifies with
     exactly the region's W rows tied, else it moves to the rows ``_serve``
-    names.  Where the walk ends (no rows named, as always where W is not
-    unique, or a row set it tried before) the engine solves the column
-    alone from the player's usual start, seeded with the first region's
-    rows that it predicts stay active there, or with the warm start's
-    active W rows when a strict row of the warm start is not a W row.
+    names.  ``step``, when given, is the first region's step already taken
+    by the fleet step: (region, its prediction, served, moves).  Where the
+    walk ends (no rows named, as always where W is not unique, or a row set
+    it tried before) the engine solves the column alone from the player's
+    usual start, seeded with the first region's rows that it predicts stay
+    active there, or with the warm start's active W rows when a strict row
+    of the warm start is not a W row.
     """
     m, n_w = p.shape[1], cond.a_w.shape[1]
     if not n_w:
         empty = np.zeros((0, m))
-        return _points(cond, *_recover(problem, cond, p, empty), empty)  # V is affine in pi
+        x, mu, slack, keep, _ = _recover(problem, cond, p, empty, empty, 0.0, False)
+        return _points(cond, x, mu, slack, keep, empty)  # V is affine in pi
     x0, active = _start(problem, warm_start)
-    first = _first_rows(problem, cond, x0, warm_start)
+    first = _first_rows(problem, cond, warm_start)
     points, engine, tried = [None] * m, [], {}  # tried: column -> row sets of its walk
     every = list(range(m))
     walks = {} if first is None else {first: every}
     seed = None  # the first region's rows and prediction, at every column
     while walks:
         rows, cols = walks.popitem()
-        region = _region(problem, cond, rows)
-        p_cols = p if cols == every else p[:, cols]  # a subset, or another order
-        z = region.coef @ p_cols
+        if step is None:
+            region = _region(problem, cond, rows)
+            p_cols = p if cols == every else p[:, cols]  # a subset, or another order
+            z = region.coef @ p_cols
+            served, moves = _serve(problem, cond, p_cols, region, z)
+        else:
+            (region, z, served, moves), step = step, None
         seed = seed or (region.pos, z[n_w:])
-        served, moves = _serve(problem, cond, p_cols, region, z)
         for c, point, move in zip(cols, served, moves):
             points[c] = point
             if point is None:
@@ -616,78 +629,90 @@ def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
         cond.hessian, -cond.w_lin @ p[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
-    point = _points(cond, *_recover(problem, cond, p, res.x[:, None]), res.ineq_duals[:, None])[0]
+    x, mu, slack, keep, _ = _recover(problem, cond, p, res.x[:, None], p[:0], 0.0, False)
+    point = _points(cond, x, mu, slack, keep, res.ineq_duals[:, None])[0]
     return None if point is None else (*point[:3], None)
 
 
-def _first_rows(problem: PlayerProblem, cond: _Condensed, x0, warm_start):
+def _first_rows(problem: PlayerProblem, cond: _Condensed, warm_start):
     """The rows of the region a walk starts from: a warm start's strict rows,
-    or the W rows tied at the feasible start ``x0``; None when a strict row
-    is not a W row."""
+    or the W rows tied at the instance's feasible start; None when a strict
+    row is not a W row."""
     if warm_start is None:
-        slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ x0[cond.n_t:]
+        slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ _start(problem, None)[0][cond.n_t:]
         # tied by the engine's own test, so it keeps every seeded row
         return tuple(cond.w_rows[slack <= cond.w_tols[:, 0]].tolist())
     rows, _ = warm_start._strict
     return rows if all(i in cond.w_pos for i in rows) else None
 
 
+def _certificate(tols, gap, slack, eta, floor, w_rows, held):
+    """Per row, where finite condensed points (one per column) fail: a row of
+    the full problem beyond its start tolerance (``tols``: the equalities',
+    the inequalities' column) or an eta of the held rows below ``floor``
+    (-eta_err, or ``STRICT_DUAL_TOL`` + eta_err where W is not unique); and
+    where the W rows ``w_rows`` tied there differ from ``held``.  A point is
+    served where neither holds: ``_serve`` reads it per column, the fleet
+    step per player and column."""
+    eq_tol, ineq_tol = tols
+    return (np.concatenate((np.abs(gap) > eq_tol, slack + ineq_tol < 0.0, eta < floor)),
+            (slack[w_rows] <= ineq_tol[w_rows]) != held)
+
+
 def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Region, z):
     """One step of the walk at the prediction ``z`` = (W, eta of its rows) of
     ``region``, one column per column of ``p`` = [1; pi].
 
-    Returns, per column, (x, mu, eta, active) where the point certifies
-    (finite, eta >= -``eta_err``, or eta >= ``STRICT_DUAL_TOL`` + ``eta_err``
-    where W is not unique, and every full-problem row within the start
-    tolerances) and the W rows tied there are the region's rows, else None;
-    and the rows of the next region, those of ``region`` whose multiplier
-    is positive and the W rows the predicted W violates beyond tolerance,
-    or None where the walk ends (W not unique, a point that is not finite,
-    or one that certifies with a tied W row outside the region: a
-    degenerate vertex).
+    Returns, per column, (x, mu, eta, active) where the point is finite and
+    served (``_certificate``), else None; and the rows of the next region
+    (``_moves``), or None where the walk ends (W not unique, a point that
+    is not finite, or one that certifies with a tied W row outside the
+    region: a degenerate vertex).
     """
-    m, n_w, w_rows = p.shape[1], cond.a_w.shape[1], cond.w_rows
+    m, n_w = p.shape[1], cond.a_w.shape[1]
     finite = np.isfinite(z).all(axis=0)
     if not finite.all():
         z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
     w, eta_r = z[:n_w], z[n_w:]
-    floor = 0.0
-    if not cond.w_unique:  # a weak row need not stay tight across the optimal face
-        floor = STRICT_DUAL_TOL + region.eta_err @ np.abs(p)
-    elif (eta_r < 0.0).any():  # zero where within the roundoff of its own solve
-        err = region.eta_err @ np.abs(p)
-        eta_r = np.where(eta_r >= -err, np.maximum(eta_r, 0.0), eta_r)
-    keep = finite & (eta_r >= floor).all(axis=0)
-    eta_w = np.zeros((w_rows.size, m))
-    eta_w[region.pos] = eta_r
-    served = [None] * m
-    if keep.any():
-        x, mu, slack, ok = _recover(problem, cond, p, w)
+    err = region.eta_err @ np.abs(p)  # zero where within the roundoff of its own solve
+    floor = -err if cond.w_unique else STRICT_DUAL_TOL + err  # a weak row need not stay tight
+    eta_w = np.zeros((cond.w_rows.size, m))
+    eta_w[region.pos] = np.maximum(eta_r, 0.0)
+    served, keep = [None] * m, finite & (eta_r >= floor).all(axis=0)
+    if keep.any():  # else no column can certify, and none is recovered
+        x, mu, slack, ok, same = _recover(problem, cond, p, w, eta_r, floor, region.held)
         keep &= ok
-        same = ((slack.take(w_rows, axis=0) <= cond.w_tols) == region.held).all(axis=0)
         served = _points(cond, x, mu, slack, keep & same, eta_w)
     moves = [None] * m
     if cond.w_unique and None in served:
         refused = [c for c in range(m) if finite[c] and not keep[c]]
-        over = cond.b_w @ w[:, refused] - problem.ineq_rhs[w_rows, None] > cond.w_tols
-        ahead = over | (eta_w[:, refused] > 0.0)
-        for k, c in enumerate(refused):
-            moves[c] = tuple(w_rows[ahead[:, k]].tolist())
+        for c, move in zip(refused, _moves(problem, cond, w, eta_w, refused)):
+            moves[c] = move
     return served, moves
 
 
-def _recover(problem: PlayerProblem, cond: _Condensed, p, w):
+def _moves(problem: PlayerProblem, cond: _Condensed, w, eta_w, refused):
+    """For each column in ``refused``, the rows of the next region of its
+    walk: the held rows whose multiplier in ``eta_w`` is positive and the W
+    rows that the predicted W violates beyond tolerance."""
+    over = cond.b_w @ w[:, refused] - problem.ineq_rhs[cond.w_rows, None] > cond.w_tols
+    ahead = over | (eta_w[:, refused] > 0.0)
+    return [tuple(cond.w_rows[ahead[:, k]].tolist()) for k in range(len(refused))]
+
+
+def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta, floor, held):
     """Per column of ``p`` = [1; pi] and ``w``: x and mu, [t; mu] one product
-    ``rec`` [1; pi; W], the full problem's slack, and whether x is finite and
-    within the start tolerances of every full-problem row."""
+    ``rec`` [1; pi; W], the full problem's slack, whether x is finite and
+    certifies with the held rows' ``eta`` and ``floor`` (``_certificate``),
+    and whether the W rows tied there are those ``held``."""
     t_mu = cond.rec @ (np.concatenate((p, w)) if w.shape[0] else p)
     x, mu = np.concatenate((t_mu[: cond.n_t], w)), t_mu[cond.n_t :]
     finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         x = np.where(finite, x, 0.0)  # refused; keeps the row products finite
     gap, slack = _rows(problem, cond, x)
-    eq_bad, ineq_bad = row_violations(cond.tols, gap, slack)
-    return x, mu, slack, finite & ~(eq_bad | ineq_bad)
+    fault, off = _certificate(cond.tols, gap, slack, eta, floor, cond.w_rows, held)
+    return x, mu, slack, finite & ~fault.any(axis=0), ~off.any(axis=0)
 
 
 def _points(cond: _Condensed, x, mu, slack, keep, eta_w):
@@ -697,6 +722,149 @@ def _points(cond: _Condensed, x, mu, slack, keep, eta_w):
     xs, mus = x.T.copy(), mu.T.copy()  # one contiguous row per point
     active = _active_sets(cond, slack)
     return [(xs[c], mus[c], etas[c], active[c]) if keep[c] else None for c in range(x.shape[1])]
+
+
+class _Fleet:
+    """The fleet step's stacked rows, built once per scenario from its
+    assembled problems, and the stack of its held regions, once per selection.
+
+    Its members are the players it can serve: each one with a map whose W,
+    if it has one, is unique, and whose inequality rows are +1/-1 pairs
+    (``_entry_pairs``).  A point is one vector per column, v = coef [1; pi]:
+    a zero, then each member's [mu; t; W].  ``coef`` stacks the price
+    columns of each ``rec``; a selection writes its regions' maps of W into
+    it and stacks their maps of eta (``_stack``), and a point adds one
+    ``rec_w @ W`` per producer.  Inequality rows are read as gathered pairs
+    of v, the zero where an entry is missing; equality rows by each
+    member's own product.
+    """
+
+    def __init__(self, problems):
+        self.problems, self.key = problems, None
+        self.members = [(k, p, c) for k, p in enumerate(problems) for c in (_condensation(p),)
+                        if c.rec is not None and c.w_unique and c.ineq_pairs is not None]
+        if not self.members:
+            return
+        conds, probs = [c for _, _, c in self.members], [p for _, p, _ in self.members]
+        sizes = np.array([(p.eq_rhs.size, c.n_t, c.a_w.shape[1], p.ineq_rhs.size, c.w_rows.size)
+                          for p, c in zip(probs, conds)]).T
+        n_eq, n_t, n_w, n_in, n_wr = sizes
+        at = np.zeros((sizes.shape[0], sizes.shape[1] + 1), dtype=int)
+        np.cumsum(sizes, axis=1, out=at[:, 1:])  # where each member's block of each size starts
+        block = 1 + at[0] + at[1] + at[2]  # each member's [mu; t; W] in v
+        x_at, self.in_at, self.w_at = block[:-1] + n_eq, at[3], at[4]
+        pairs = np.concatenate([c.ineq_pairs for c in conds], axis=1)  # local columns
+        self.pairs = np.where(pairs == np.repeat(n_t + n_w, n_in), 0, pairs + np.repeat(x_at, n_in))
+        self.eq_rhs, self.ineq_rhs = (np.concatenate([getattr(p, name) for p in probs])[:, None]
+                                      for name in ("eq_rhs", "ineq_rhs"))
+        self.tols = (np.repeat([c.tols[0] for c in conds], n_eq)[:, None],
+                     np.concatenate([c.tols[1] for c in conds]))
+        self.w_rows = np.concatenate([c.w_rows for c in conds]) + np.repeat(self.in_at[:-1], n_wr)
+        member = np.arange(len(conds))
+        self.in_owner, w_owner = np.repeat(member, n_in), np.repeat(member, n_wr)
+        self.local_in = np.arange(self.in_at[-1]) - self.in_at[self.in_owner]
+        # the member of each certificate row (equalities, inequalities, W rows'
+        # eta), then, after the members, of each W row's tie
+        self.owner = np.concatenate((np.repeat(member, n_eq), self.in_owner, w_owner,
+                                     member.size + w_owner))
+        width = 1 + problems[0].n_prices
+        self.coef = np.zeros((block[-1], width))
+        self.spans, self.rec_w = [], []  # per member: v's rows of x, mu, [mu; t] and W
+        for (b, x, t, w), c in zip(np.stack((block[:-1], x_at, n_t, n_w), 1).tolist(), conds):
+            self.coef[b : x + t] = np.concatenate((c.rec[t:, :width], c.rec[:t, :width]))
+            self.rec_w.append(np.concatenate((c.rec[t:, width:], c.rec[:t, width:])))
+            self.spans.append((slice(x, x + t + w), slice(b, x), slice(b, x + t),
+                               slice(x + t, x + t + w)))
+        self.spans = [span + (slice(*self.in_at[i : i + 2].tolist()),)
+                      for i, span in enumerate(self.spans)]  # and its inequality rows
+
+    def select(self, key):
+        """The regions that ``key`` holds (one row set per member, None where
+        a strict row is not a W row) and their stack (``_stack``), rebuilt
+        only when some member's held rows change."""
+        if key != self.key:
+            self.key, self.held = key, self._stack(key)
+        return self.held
+
+    def _stack(self, key):
+        """The regions of ``key``, ``coef`` with each one's map of W written
+        in place, the held rows (their place among the W rows, their maps of
+        eta and its roundoff) and the mask of them."""
+        regions = [None if rows is None or not c.a_w.shape[1] else _region(p, c, rows)
+                   for (_, p, c), rows in zip(self.members, key)]
+        none = np.zeros((0, self.coef.shape[1]))
+        at, eta, err = [np.zeros(0, dtype=int)], [none], [none]
+        for (*_, w_span, _), region, w_at in zip(self.spans, regions, self.w_at.tolist()):
+            n_w = w_span.stop - w_span.start
+            self.coef[w_span] = 0.0 if region is None else region.coef[:n_w]
+            if region is not None:
+                at.append(w_at + region.pos)
+                eta.append(region.coef[n_w:])
+                err.append(region.eta_err)
+        at, held = np.concatenate(at), np.zeros((self.w_rows.size, 1), dtype=bool)
+        held[at] = True
+        return regions, self.coef, (at, np.concatenate(eta), np.concatenate(err)), held
+
+
+def solve_fleet(problems, price_columns, warm_starts, cache) -> list:
+    """Each player's solutions at every column of ``price_columns`` (prices
+    x points), from its warm start, by one stacked pass over the whole fleet:
+    the first step of every member's walk, from its held selection (its warm
+    start's strict rows, or the W rows tied at its feasible start).
+
+    A member not served at every column goes on with its own walk from the
+    rows that step named (``_solve_condensed``), so no step runs twice.  A
+    player the step cannot serve (no map, W not unique, or a strict row that
+    is not a W row), or every player where a value is not finite, gets None:
+    it is solved alone.  ``cache`` keeps the ``_Fleet`` (scenario data).
+    """
+    fleet = cache.get("fleet_step")
+    if fleet is None or fleet.problems is not problems:
+        fleet = cache["fleet_step"] = _Fleet(problems)
+    out = [None] * len(problems)
+    if not fleet.members:
+        return out
+    prices, p = _query(problems[0], price_columns)
+    regions, coef, (at, eta_map, err), held = fleet.select(tuple(
+        _first_rows(problem, cond, warm_starts[k]) if cond.a_w.shape[1] else ()
+        for k, problem, cond in fleet.members))
+    m, size = p.shape[1], len(fleet.members)
+    v, eta, floor = coef @ p, np.zeros((held.shape[0], m)), np.zeros((held.shape[0], m))
+    eta[at], floor[at] = eta_map @ p, -(err @ np.abs(p))  # zero where not held
+    for (_, _, mu_t, w_span, _), rec_w, region in zip(fleet.spans, fleet.rec_w, regions):
+        if region is not None:
+            v[mu_t] += rec_w @ v[w_span]
+    if not (np.isfinite(v).all() and np.isfinite(eta).all()):
+        return out
+    gap = np.concatenate([problem.eq_matrix @ v[x_span] for (_, problem, _), (x_span, *_)
+                          in zip(fleet.members, fleet.spans)]) - fleet.eq_rhs
+    slack = fleet.ineq_rhs - (v[fleet.pairs[0]] - v[fleet.pairs[1]])
+    fault, off = _certificate(fleet.tols, gap, slack, eta, floor, fleet.w_rows, held)
+    failed = np.zeros((2 * size, m), dtype=bool)  # per member and column: certificate, ties
+    r, c = np.nonzero(np.concatenate((fault, off)))
+    failed[fleet.owner[r], c] = True
+    served = (~(failed[:size] | failed[size:])).tolist()
+    col, row = np.nonzero((slack <= fleet.tols[1]).T)  # the active sets, by column and row
+    cuts = np.searchsorted(col * size + fleet.in_owner[row], np.arange(m * size + 1)).tolist()
+    local, vt = fleet.local_in[row].tolist(), v.T.copy()  # one contiguous row per point
+    etas = np.zeros((m, slack.shape[0]))
+    etas[:, fleet.w_rows] = np.maximum(eta, 0.0).T
+    for i, (k, problem, cond) in enumerate(fleet.members):
+        if cond.a_w.shape[1] and regions[i] is None:
+            continue
+        x_span, mu_span, _, w_span, in_span = fleet.spans[i]
+        points = [(vt[c, x_span], vt[c, mu_span], etas[c, in_span],
+                   tuple(local[cuts[c * size + i] : cuts[c * size + i + 1]]))
+                  if ok else None for c, ok in enumerate(served[i])]
+        if None in points and cond.a_w.shape[1]:  # resume the walk from this step
+            w, eta_w = v[w_span], eta[fleet.w_at[i] : fleet.w_at[i + 1]]
+            moved, moves = np.flatnonzero(failed[i]).tolist(), [None] * m
+            for c, move in zip(moved, _moves(problem, cond, w, eta_w, moved)):
+                moves[c] = move  # a column that only tied another W row ends its walk
+            step = (regions[i], np.concatenate((w, eta_w[regions[i].pos])), points, moves)
+            points = _solve_condensed(problem, cond, p, warm_starts[k], step)
+        out[k] = _finish(problem, prices, points, warm_starts[k])
+    return out
 
 
 def _rows(problem: PlayerProblem, cond: _Condensed, x):

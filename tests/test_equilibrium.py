@@ -310,16 +310,26 @@ def test_ramp_pinned_deliveries_read_as_interior():
 # ---- one evaluation per price point -------------------------------------------
 
 
-def _record_solves(monkeypatch):
-    """Player solves per price vector, through the binding the market calls."""
+def _record_solves(monkeypatch, alone="solve_qp"):
+    """Player solves per price vector, through the bindings the market calls:
+    the fleet step, once per player it serves, and ``alone`` (``solve_qp``
+    or ``solve_qp_many``) for each player that step does not serve."""
     solves = Counter()
-    inner = equilibrium.solve_qp
+    fleet, inner = equilibrium.solve_fleet, getattr(equilibrium, alone)
+
+    def fleet_step(problems, prices, *args):
+        out = fleet(problems, prices, *args)
+        served = sum(sols is not None for sols in out)
+        solves.update({col.tobytes(): served for col in prices.T})
+        return out
 
     def recording(problem, prices, **kwargs):
-        solves[np.asarray(prices).tobytes()] += 1
+        columns = np.asarray(prices)
+        solves.update(col.tobytes() for col in (columns.T if columns.ndim == 2 else [columns]))
         return inner(problem, prices, **kwargs)
 
-    monkeypatch.setattr(equilibrium, "solve_qp", recording)
+    monkeypatch.setattr(equilibrium, "solve_fleet", fleet_step)
+    monkeypatch.setattr(equilibrium, alone, recording)
     return solves
 
 
@@ -353,14 +363,8 @@ def test_check_uniqueness_evaluates_each_point_once(monkeypatch):
     excess_many = market.excess_many
     market.excess_many = lambda prices: (
         evaluated.extend(col.tobytes() for col in prices.T) or excess_many(prices))
-    solves = Counter()
-    inner = equilibrium.solve_qp_many
-
-    def recording(problem, prices, **kwargs):
-        solves.update(col.tobytes() for col in prices.T)
-        return inner(problem, prices, **kwargs)
-
-    monkeypatch.setattr(equilibrium, "solve_qp_many", recording)
+    market.solutions(centre)  # the centre is the memo, so only the batches solve below
+    solves = _record_solves(monkeypatch, "solve_qp_many")
     diag = eq.check_uniqueness(sc, prices=centre, n_samples=16, market=market)
     assert len(diag.monotonicity_samples) == 16
     assert len(evaluated) == len(set(evaluated)) >= 32

@@ -199,6 +199,20 @@ def test_brute_force_ends_at_a_step_below_the_price_spacing(monkeypatch, name, s
     assert bf.residual <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["n1_single", "n2_two_times"])
+def test_brute_force_reports_the_step_it_can_resolve(name):
+    # below the float spacing of the box edge the bisection stops at that
+    # spacing, so that is the step reported, and the answer lies within it
+    sc = dict(make_corpus())[name]
+    market = Market(sc)
+    spacing = float(np.spacing(np.max(market.price_box()[1])))
+    assert eq.brute_force_equilibrium(sc, eq.GridSpec(step=1e-3), market=market).step == 1e-3
+    bf = eq.brute_force_equilibrium(sc, eq.GridSpec(step=1e-300), market=market)
+    assert bf.step == spacing
+    solved = eq.solve_equilibrium(sc).prices
+    assert float(np.max(np.abs(bf.prices - solved))) <= bf.step
+
+
 def test_symmetric_consumers_split_equally():
     sc = build_scenario(
         seed=101, sizes=(1,), fuels={"gas": 0.5},

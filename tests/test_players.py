@@ -1177,14 +1177,13 @@ def _seeded_points(problem, rng, m):
 def test_entry_slack_is_the_dense_slack_bit_for_bit(name):
     # every row has at most one +1 and one -1 entry, so the gathered slack is
     # b - Bx of the dense matrix at one column and at a block of columns; the
-    # record keeps the entries where the matrix is large enough to gain
+    # record keeps the entries of every assembled problem
     rng = np.random.default_rng(23)
     for problem in eq.assemble_all(SLACK_MARKETS[name]):
         cond = players._condensation(problem)
         pairs = players._entry_pairs(problem.ineq_matrix)
         assert pairs is not None
-        big = problem.ineq_matrix.size >= players.GATHER_ENTRIES
-        assert (cond.ineq_pairs is not None) == big
+        assert [p.tobytes() for p in cond.ineq_pairs] == [p.tobytes() for p in pairs]
         gathered = replace(cond, ineq_pairs=pairs)
         block = _seeded_points(problem, rng, 4)
         for x in (block[:, 0].copy(), block):
@@ -1204,12 +1203,12 @@ def test_rows_without_the_entry_layout_take_the_dense_product(rich_producer):
     assert players._entry_pairs(wide) is None and players._entry_pairs(scaled) is None
     assert [p.shape for p in players._entry_pairs(matrix)] == [(matrix.shape[0],)] * 2
     assert [p.shape for p in players._entry_pairs(np.zeros((0, 5)))] == [(0,)] * 2
-    cond = players._condensation(rich_producer)
-    assert cond.ineq_pairs is None  # a small problem keeps the dense product
-    gathered = replace(cond, ineq_pairs=players._entry_pairs(matrix))
+    gathered = players._condensation(rich_producer)
+    assert gathered.ineq_pairs is not None  # every assembled problem gathers
+    dense = replace(gathered, ineq_pairs=None)  # what a row with other entries leaves
     x = _seeded_points(rich_producer, np.random.default_rng(5), 3)
     assert (players._rows(rich_producer, gathered, x)[1].tobytes()
-            == players._rows(rich_producer, cond, x)[1].tobytes())
+            == players._rows(rich_producer, dense, x)[1].tobytes())
 
 
 def test_asymmetric_ramps_bind_with_their_own_bounds():
