@@ -46,7 +46,7 @@ _INPUT_ERRORS = (ScenarioError, GridError, EnsembleError, CovarianceError)  # al
 # commands look them up on ``_here`` at call time, so a patched binding (a
 # tracer's) is the one called.
 _LAZY = frozenset((
-    "validate_scenario SolveOptions Market solve_equilibrium check_uniqueness GridSpec "
+    "validate_scenario SolveOptions solve_equilibrium check_uniqueness GridSpec "
     "brute_force_equilibrium mean_max_equilibrium two_stage_check doob_decompose").split())
 _here = sys.modules[__name__]
 
@@ -201,9 +201,14 @@ def _solution_rows(result) -> list:
     return rows
 
 
-def _solve(scenario, args, market=None):
+def _solve(scenario, args):
     opts = _here.SolveOptions(tol=args.tol, kkt_tol=args.kkt_tol, max_iter=args.max_iter)
-    return _here.solve_equilibrium(scenario, opts, market=market)
+    return _here.solve_equilibrium(scenario, opts)
+
+
+def _result_head(scenario, result) -> dict:
+    return {"converged": result.converged, "clearing_residual": result.clearing_residual,
+            "prices": _price_table(scenario, result.prices)}
 
 
 def _cmd_validate(scenario, args, report):
@@ -219,13 +224,11 @@ def _cmd_solve(scenario, args, report):
         return _emit(args, report, EXIT_VALIDATION)
     result = _solve(scenario, args)
     report["result"] = {
-        "converged": result.converged,
+        **_result_head(scenario, result),
         "message": result.message,
         "iterations": result.iterations,
-        "clearing_residual": result.clearing_residual,
         "max_kkt_residual": result.max_kkt_residual,
         "price_bound_ok": result.price_bound_ok,
-        "prices": _price_table(scenario, result.prices),
         "players": _solution_rows(result),
         "saturation": asdict(result.saturation),
         "trace_residuals": result.trace,
@@ -236,15 +239,10 @@ def _cmd_solve(scenario, args, report):
 def _cmd_diagnose(scenario, args, report):
     validation = _here.validate_scenario(scenario)
     report["validation"] = validation.as_dict()
-    market = _here.Market(scenario)  # the solve's last point is the diagnostics' memo
-    result = _solve(scenario, args, market)
-    diag = _here.check_uniqueness(scenario, result, seed=args.seed, market=market)
+    result = _solve(scenario, args)
+    diag = _here.check_uniqueness(scenario, result, seed=args.seed)  # on the solve's market
     ips = [ip for _, _, ip in diag.monotonicity_samples]
-    report["result"] = {
-        "converged": result.converged,
-        "clearing_residual": result.clearing_residual,
-        "prices": _price_table(scenario, result.prices),
-    }
+    report["result"] = _result_head(scenario, result)
     report["diagnostics"] = {
         "monotonicity_pairs": len(ips),
         "monotonicity_all_negative": diag.monotonicity_all_negative,
@@ -270,9 +268,7 @@ def _cmd_two_stage(scenario, args, report):
     result = _solve(scenario, args)
     check = _here.two_stage_check(scenario, result)
     report["result"] = {
-        "converged": result.converged,
-        "clearing_residual": result.clearing_residual,
-        "prices": _price_table(scenario, result.prices),
+        **_result_head(scenario, result),
         "closed_form": {
             "expected_t2_price": check.params.expected_t2_price,
             "lambdas": check.params.lambdas,

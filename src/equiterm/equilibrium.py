@@ -14,15 +14,16 @@ Tests check the prices against the joint welfare QP and brute-force oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import PlayerProblem, assemble_all
 from .grid import delivery_totals_matrix
-from .players import PlayerSolution, response_jacobian, solve_fleet, solve_qp, solve_qp_many
+from .players import (PlayerSolution, ResponseJacobian, response_jacobian, solve_fleet, solve_qp,
+                      solve_qp_many)
 from .scenario import Scenario
 
 __all__ = [
@@ -86,6 +87,9 @@ class EquilibriumResult:
     max_kkt_residual: float
     saturation: SaturationReport | None = None
     price_bound_ok: bool = True
+    # the final point's record, and the market whose memo it is
+    selection: Selection | None = field(default=None, repr=False, compare=False)
+    market: Market | None = field(default=None, repr=False, compare=False)
 
     def undiscounted_prices(self, grid) -> np.ndarray:
         return self.prices / grid.node_discounts()
@@ -107,6 +111,63 @@ class DiagnosticsReport:
     notes: tuple[str, ...] = ()
 
 
+class Selection:
+    """One evaluated price point (prices, player solutions, Z) and what the
+    step rule, saturation and diagnostics read of its affine selection, each
+    built on first read and kept.  It holds the scenario and problems, not
+    their ``Market``, so the market's memo keeps it without a cycle."""
+
+    def __init__(self, scenario, problems, prices, sols, z):
+        self.scenario, self.problems = scenario, problems
+        self.prices, self.sols, self.z = prices, sols, z
+
+    @cached_property
+    def resid(self) -> float:
+        """The clearing residual max |Z|."""
+        return float(np.max(np.abs(self.z)))
+
+    @cached_property
+    def potential(self) -> tuple[float, float]:
+        """The welfare potential Phi, summed in player order, and its roundoff."""
+        objectives = [s.objective for s in self.sols]
+        return sum(objectives), PHI_ROUNDOFF * sum(abs(v) for v in objectives)
+
+    @cached_property
+    def jacobians(self) -> tuple[ResponseJacobian, ...]:
+        """Each player's response dV/dpi at its own selection."""
+        return tuple(map(response_jacobian, self.problems, self.sols))
+
+    @cached_property
+    def jacobian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The aggregate sensitivity J = dZ/dpi, its producers' part, both
+        summed in player order, and the symmetric part of J."""
+        matrices = [jac.matrix for jac in self.jacobians]
+        producers = len(self.scenario.producers)  # they lead the player order
+        Jp = sum(matrices[:producers], np.zeros((self.z.size,) * 2))
+        J = sum(matrices[producers:], Jp)
+        return J, Jp, 0.5 * (J + J.T)
+
+    @cached_property
+    def bound_states(self) -> np.ndarray:
+        """(2, deliveries, plants): is each plant at its upper bound, at its lower."""
+        return _fleet_bound_states(self, [self.sols])[0]
+
+    @cached_property
+    def saturation(self) -> SaturationReport:
+        """Each delivery interior, or every plant at the same bound.
+
+        At an all-upper delivery the per-delivery clearing sum must be
+        negative (demand sits strictly below saturated production), at an
+        all-lower one positive; both signs are checked and reported.
+        """
+        sums = (_totals(self.scenario) @ self.z).tolist()
+        states = self.bound_states  # a fleet without plants is at no bound
+        rows = list(zip(*(states.all(axis=-1) & (states.shape[-1] > 0)).tolist(), sums))
+        return SaturationReport(
+            tuple("all-upper" if up else "all-lower" if lo else "interior" for up, lo, _ in rows),
+            tuple(sums), tuple(s < 0 if up else s > 0 if lo else True for up, lo, s in rows))
+
+
 class Market:
     """Assembled player problems with warm starts and a memo of the last point.
 
@@ -114,31 +175,28 @@ class Market:
     the warm start of every player: asking again for the last price vector
     (saturation detection, then the excess at the same point) solves
     nothing.  The memo keeps Z, summed once in player order, next to the
-    solutions.  Any other point is solved afresh: first by one stacked pass
-    over the whole fleet from its held selection (``players.solve_fleet``),
-    then, player by player, wherever that pass did not serve.
-    ``excess_many`` evaluates a batch of points, each from the memo point,
-    and leaves the memo as it was.
+    solutions, and the point's ``Selection`` once a reader asks.  Any other
+    point is solved afresh: first by one stacked pass over the whole fleet
+    from its held selection (``players.solve_fleet``), then, player by
+    player, wherever that pass did not serve.  ``excess_many`` evaluates a
+    batch of points, each from the memo point, and leaves the memo as it was.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.problems: tuple[PlayerProblem, ...] = assemble_all(scenario)
         self.names = tuple(p.name for p in self.problems)
-        self._last: tuple[bytes, tuple[PlayerSolution, ...], np.ndarray] | None = None
+        self._last: list | None = None  # [key, solutions, Z, Selection or None]
 
     @property
     def n_prices(self) -> int:
         return self.scenario.n_contracts
 
-    def _warm(self):
-        return (None,) * len(self.problems) if self._last is None else self._last[1]
-
     def _solve(self, prices, alone):
         """Each player's solutions at the columns of ``prices`` (prices x
         points) from its warm start: the fleet step's, or ``alone``'s for a
         player that step does not serve."""
-        warm = self._warm()
+        warm = (None,) * len(self.problems) if self._last is None else self._last[1]
         fleet = solve_fleet(self.problems, prices, warm, self.scenario._derived)
         return [sols if sols is not None else alone(problem, w)
                 for problem, w, sols in zip(self.problems, warm, fleet)]
@@ -151,17 +209,23 @@ class Market:
         column = prices.reshape(prices.shape + (1,))
         sols = tuple(s[0] for s in self._solve(
             column, lambda problem, w: (solve_qp(problem, prices, warm_start=w),)))
-        z = np.zeros(self.n_prices)
-        for sol in sols:
-            z += sol.volumes
+        z = sum((sol.volumes for sol in sols), np.zeros(self.n_prices))
         z.flags.writeable = False
-        self._last = (key, sols, z)
+        self._last = [key, sols, z, None]
         return sols
 
     def excess(self, prices: np.ndarray):
         """Z at ``prices`` (read-only) and the player solutions, from the memo."""
         sols = self.solutions(prices)
         return self._last[2], sols
+
+    def selection(self, prices: np.ndarray) -> Selection:
+        """The record of ``prices``, made from the memo on first request and kept there."""
+        self.solutions(prices)
+        last = self._last
+        if last[3] is None:
+            last[3] = Selection(self.scenario, self.problems, np.asarray(prices, float), *last[1:3])
+        return last[3]
 
     def excess_many(self, prices: np.ndarray):
         """Excess volumes at every column of ``prices`` (prices x points), as
@@ -178,12 +242,6 @@ class Market:
         for sols in per_player:
             z += np.array([sol.volumes for sol in sols]).reshape(z.shape)
         return z.T, tuple(tuple(sols[c] for sols in per_player) for c in range(m))
-
-    def aggregate_jacobian(self, sols):
-        total = np.zeros((self.n_prices, self.n_prices))
-        for problem, sol in zip(self.problems, sols):
-            total += response_jacobian(problem, sol).matrix
-        return total
 
     def price_box(self):
         """Per-node discounted bounds implied by the price box."""
@@ -221,25 +279,26 @@ def excess_volume(scenario: Scenario, expected_prices) -> np.ndarray:
     return Market(scenario).excess(expected_prices)[0]
 
 
-def _fleet_bound_states(market: Market, columns) -> np.ndarray:
+def _fleet_bound_states(owner, columns) -> np.ndarray:
     """Per column (one solution per player), delivery and plant of the whole
     fleet, producers in order: is production at its upper bound and at its
-    lower; one boolean array (columns, 2, deliveries, plants).
+    lower; one boolean array (columns, 2, deliveries, plants).  ``owner``
+    holds the scenario and its problems: a ``Market`` or a ``Selection``.
 
     Only an active capacity row pins: a tight ramp row ties two deliveries'
     production to each other, not to a bound.  Each producer's solution
     (producers lead the player order) flags its active rows in its own span
     of one array, read in one assignment and one gather.
     """
-    cache = market.scenario._derived
+    cache = owner.scenario._derived
     if "fleet" not in cache:
-        span = max(p.ineq_rhs.size for p in market.problems)
-        nd = market.scenario.grid.n_deliveries
+        span = max(p.ineq_rhs.size for p in owner.problems)
+        nd = owner.scenario.grid.n_deliveries
         cache["fleet"] = span, np.concatenate(
             [p.capacity_rows().reshape(2, nd, -1) + k * span
-             for k, p in enumerate(market.problems)], axis=2)
+             for k, p in enumerate(owner.problems)], axis=2)
     span, table = cache["fleet"]
-    n = len(market.scenario.producers)
+    n = len(owner.scenario.producers)
     sets = [sol.active_set for sols in columns for sol in sols[:n]]
     active = np.zeros(len(sets) * span, dtype=bool)
     active[np.repeat(np.arange(0, active.size, span), list(map(len, sets)))
@@ -260,46 +319,15 @@ def _totals(scenario: Scenario) -> np.ndarray:
 
 def detect_saturation(scenario: Scenario, prices=None, solutions=None,
                       market: Market | None = None) -> SaturationReport:
-    """Classify each delivery: interior, or every plant at the same bound.
-
-    At an all-upper delivery the per-delivery clearing sum must be
-    negative (demand sits strictly below saturated production), at an
-    all-lower one positive; both signs are checked and reported.
-    """
+    """Classify each delivery at ``prices`` or of ``solutions`` (one per player):
+    interior, or every plant at the same bound (``Selection.saturation``)."""
+    if (prices is None) == (solutions is None):
+        raise ValueError("pass exactly one of prices and solutions")
     market = market or Market(scenario)
     if solutions is None:
-        if prices is None:
-            raise ValueError("need prices or solutions")
-        z, solutions = market.excess(np.asarray(prices, dtype=float))
-    else:
-        z = np.zeros(scenario.n_contracts)
-        for sol in solutions:
-            z += sol.volumes
-    sums = _totals(scenario) @ z
-    statuses, consistent = [], []
-    states = _fleet_bound_states(market, [solutions])[0]
-    # a fleet without plants is at no bound
-    all_upper, all_lower = (states.all(axis=-1) & (states.shape[-1] > 0)).tolist()
-    for upper, lower, total in zip(all_upper, all_lower, sums.tolist()):
-        if upper:
-            statuses.append("all-upper")
-            consistent.append(total < 0)
-        elif lower:
-            statuses.append("all-lower")
-            consistent.append(total > 0)
-        else:
-            statuses.append("interior")
-            consistent.append(True)
-    return SaturationReport(tuple(statuses), tuple(sums.tolist()), tuple(consistent))
-
-
-class _Iterate(NamedTuple):
-    prices: np.ndarray
-    z: np.ndarray
-    sols: tuple[PlayerSolution, ...]
-    resid: float   # max |Z|
-    phi: float     # welfare potential
-    noise: float   # its roundoff
+        return market.selection(prices).saturation
+    z = sum((sol.volumes for sol in solutions), np.zeros(scenario.n_contracts))
+    return Selection(scenario, market.problems, None, solutions, z).saturation
 
 
 def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
@@ -333,26 +361,21 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
     # the box is symmetric; its full width 2 * half_width can overflow
     half_width = float(np.max(box_hi))
 
-    def evaluate(p) -> _Iterate:
-        z, sols = market.excess(p)
-        objectives = [s.objective for s in sols]
-        return _Iterate(p, z, sols, float(np.max(np.abs(z))), sum(objectives),
-                        PHI_ROUNDOFF * sum(abs(v) for v in objectives))
-
-    def search(start: _Iterate, direction, t):
+    def search(start: Selection, direction, t):
         """First trial along ``direction``, from length ``t`` down, that
         lands, with its length; None when Phi cannot drop measurably."""
+        phi, noise = start.potential
         while True:
-            trial = evaluate(np.clip(start.prices + t * direction, box_lo, box_hi))
+            trial = market.selection(np.clip(start.prices + t * direction, box_lo, box_hi))
             linear = float(start.z @ (trial.prices - start.prices))  # first-order drop
-            drop = start.phi - trial.phi
-            if trial.resid <= options.tol or (drop > start.noise and drop >= ARMIJO * linear):
+            drop = phi - trial.potential[0]
+            if trial.resid <= options.tol or (drop > noise and drop >= ARMIJO * linear):
                 return trial, t
-            if linear <= start.noise:  # convexity: drop <= linear for every shorter step
+            if linear <= noise:  # convexity: drop <= linear for every shorter step
                 return None, t
             t *= _secant_shrink(linear, drop)
 
-    cur = evaluate(prices)
+    cur = market.selection(prices)
     trace = [cur.resid]
     message = "iteration limit reached"
     converged = False
@@ -366,21 +389,20 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
             message = "converged"
             break
 
-        step, curvature = _newton_step(market, cur.sols, cur.z)
+        step, curvature = _newton_step(cur)
         landed = None
         if step is not None:
             scale = 0.5 * float(np.max(np.abs(step)))
             if scale > half_width:  # singular selection direction: cap the ray
                 step = step * (half_width / scale)
-            if float(cur.z @ step) > cur.noise:
+            if float(cur.z @ step) > cur.potential[1]:
                 landed, _ = search(cur, step, 1.0)
-        z_max = float(np.max(np.abs(cur.z)))
-        if landed is None and z_max > 0.0:
-            cap = half_width / z_max  # takes a price from the centre to the box edge
+        if landed is None and cur.resid > 0.0:
+            cap = half_width / cur.resid  # takes a price from the centre to the box edge
             if grad_len is None:
                 # a flat selection has no curvature: move prices by their own size
                 size = float(np.max(np.abs(cur.prices))) or half_width
-                grad_len = 1.0 / curvature if curvature else size / z_max
+                grad_len = 1.0 / curvature if curvature else size / cur.resid
             landed, grad_len = search(cur, cur.z, min(grad_len, cap))
             grad_len *= 2.0
         if landed is None:
@@ -390,10 +412,10 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
         cur = landed
         trace.append(cur.resid)
 
-    max_kkt = max(s.kkt_residual for s in cur.sols)
-    saturation = detect_saturation(scenario, solutions=cur.sols, market=market)
-    if saturation.saturated and not converged:
+    if cur.saturation.saturated and not converged:
         message += " (price iterate inside the saturation region)"
+    # the memo is the answer, so diagnostics on this market start from it
+    market._last = [cur.prices.tobytes(), cur.sols, cur.z, cur]
     bound_ok = bool(np.all(cur.prices > box_lo) and np.all(cur.prices < box_hi))
     prices_ro = cur.prices.copy()
     prices_ro.flags.writeable = False
@@ -406,9 +428,11 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
         trace=tuple(trace),
         converged=converged,
         message=message,
-        max_kkt_residual=max_kkt,
-        saturation=saturation,
+        max_kkt_residual=max(s.kkt_residual for s in cur.sols),
+        saturation=cur.saturation,
         price_bound_ok=bound_ok,
+        selection=cur,
+        market=market,
     )
 
 
@@ -421,7 +445,7 @@ def _secant_shrink(linear, drop):
     return min(0.5, max(0.1, 0.5 * linear / bend))
 
 
-def _newton_step(market: Market, sols, z):
+def _newton_step(sel: Selection):
     """Newton step of the active affine selection, restricted to its
     responsive subspace, and the selection's curvature.
 
@@ -433,13 +457,12 @@ def _newton_step(market: Market, sols, z):
     eigendecomposition zeroes those components instead; progress along flat
     directions is the gradient step's job.
     """
-    J = market.aggregate_jacobian(sols)
-    w, U = np.linalg.eigh(0.5 * (J + J.T))
+    w, U = np.linalg.eigh(sel.jacobian[2])
     w_max = float(np.max(np.abs(w)))
     if w_max <= 1e-11:  # no player responds to prices here at all
         return None, None
     keep = np.abs(w) > 1e-9 * w_max
-    coeff = U.T @ (-z)
+    coeff = U.T @ (-sel.z)
     step = U @ np.where(keep, coeff / np.where(keep, w, 1.0), 0.0)
     if not np.all(np.isfinite(step)):
         return None, w_max
@@ -455,18 +478,20 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     reports the largest eigenvalue of the symmetrized aggregate
     sensitivity, the rank of the producers' per-delivery response (must be
     the delivery count), and whether every delivery has a plant strictly
-    inside its production bounds.
+    inside its production bounds.  An equilibrium's point is read from the
+    solve's market when no market is given and that one is the scenario's.
     """
-    market = market or Market(scenario)
+    if (equilibrium is None) == (prices is None):
+        raise ValueError("pass exactly one of equilibrium and prices")
     if equilibrium is not None:
         prices = equilibrium.prices
-    if prices is None:
-        raise ValueError("need an equilibrium or a price vector")
-    prices = np.asarray(prices, dtype=float)
-    sols = market.solutions(prices)
+        if market is None and getattr(equilibrium.market, "scenario", None) is scenario:
+            market = equilibrium.market
+    market = market or Market(scenario)
+    sel = market.selection(prices)
     n = market.n_prices
     rng = np.random.default_rng(seed)
-    radius = RADIUS_SCALE * max(1.0, float(np.max(np.abs(prices))))
+    radius = RADIUS_SCALE * max(1.0, float(np.max(np.abs(sel.prices))))
 
     samples = []
     notes = []
@@ -474,7 +499,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     while len(samples) < n_samples and attempts < cap:
         # a (k, 2, n) draw is k successive (x, y) draws of the stream
         k = min(n_samples - len(samples), cap - attempts)
-        pairs = prices + radius * rng.standard_normal((k, 2, n))
+        pairs = sel.prices + radius * rng.standard_normal((k, 2, n))
         z, point_sols = market.excess_many(pairs.reshape(2 * k, n).T)
         states = _fleet_bound_states(market, point_sols)
         saturated = (states.all(axis=-1) & (states.shape[-1] > 0)).any(axis=(1, 2))
@@ -488,22 +513,16 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     all_neg = all(ip < 0 for _, _, ip in samples) if samples else None
 
     required = scenario.grid.n_deliveries
-    # one sensitivity per player, summed in player order into both totals
-    J, Jp = np.zeros((n, n)), np.zeros((n, n))
-    for problem, sol in zip(market.problems, sols):
-        matrix = response_jacobian(problem, sol).matrix
-        J += matrix
-        if problem.kind == "producer":
-            Jp += matrix
-    eig_max = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+    _, Jp, symmetric = sel.jacobian
+    eig_max = float(np.linalg.eigvalsh(symmetric)[-1])
     a1 = _totals(scenario)
     S = a1 @ Jp @ a1.T
     sv = np.linalg.svd(S, compute_uv=False)
-    cut = max(S.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    cut = max(cut, 1e-10 * (sv[0] if sv.size else 0.0), 1e-14)
+    top = sv[0] if sv.size else 0.0
+    cut = max(max(S.shape) * np.finfo(float).eps * top, 1e-10 * top, 1e-14)
     rank = int(np.sum(sv > cut))
 
-    upper, lower = _fleet_bound_states(market, [sols])[0]
+    upper, lower = sel.bound_states
     strict = (~upper & ~lower).any(axis=-1)
 
     return DiagnosticsReport(
@@ -515,6 +534,6 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         rank_required=required,
         rank_ok=rank == required,
         strictly_feasible_plant_per_period=tuple(strict.tolist()),
-        saturation=detect_saturation(scenario, solutions=sols, market=market),
+        saturation=sel.saturation,
         notes=tuple(notes),
     )

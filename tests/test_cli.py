@@ -215,6 +215,31 @@ def test_diagnose(scenario_file, capsys):
     assert d["seed"] == 3
 
 
+ENVELOPE = {"command", "config", "report_schema", "scenario_hash", "scenario_path", "validation"}
+REPORT_KEYS = {
+    "solve": (ENVELOPE | {"result"}, {
+        "clearing_residual", "converged", "iterations", "max_kkt_residual", "message",
+        "players", "price_bound_ok", "prices", "saturation", "trace_residuals"}, None),
+    "diagnose": (ENVELOPE | {"result", "diagnostics"}, {
+        "clearing_residual", "converged", "prices"}, {
+        "jacobian_available", "jacobian_eigen_max", "monotonicity_all_negative",
+        "monotonicity_max_inner_product", "monotonicity_pairs", "notes", "rank_condition",
+        "rank_ok", "rank_required", "saturation", "seed", "strictly_feasible_plant_per_period"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_key_sets_are_pinned(scenario_file, capsys, command):
+    """The solve's selection record and market stay out of every report."""
+    code, out, _ = run([command, "--scenario", str(scenario_file)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    top, result, diagnostics = REPORT_KEYS[command]
+    assert set(doc) == top
+    assert set(doc["result"]) == result
+    assert diagnostics is None or set(doc["diagnostics"]) == diagnostics
+
+
 def test_two_stage_subcommand(two_stage_file, capsys):
     code, out, _ = run(["two-stage", "--scenario", str(two_stage_file)], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from dataclasses import astuple, replace
 
@@ -378,7 +380,7 @@ def test_check_uniqueness_takes_one_jacobian_per_player(monkeypatch):
     market = Market(sc)
     centre = eq.solve_equilibrium(sc, market=market).prices
     sols = market.solutions(centre)
-    J = market.aggregate_jacobian(sols)
+    J = sum(equilibrium.response_jacobian(p, s).matrix for p, s in zip(market.problems, sols))
     taken = []
     inner = equilibrium.response_jacobian
     monkeypatch.setattr(equilibrium, "response_jacobian",
@@ -386,6 +388,91 @@ def test_check_uniqueness_takes_one_jacobian_per_player(monkeypatch):
     diag = eq.check_uniqueness(sc, prices=centre, n_samples=4, market=market)
     assert sorted(map(id, taken)) == sorted(map(id, market.problems))
     assert diag.jacobian_eigen_max == float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+
+
+def test_check_uniqueness_takes_an_equilibrium_or_prices_not_both():
+    sc = dict(make_corpus())["two_fuels"]
+    res = eq.solve_equilibrium(sc)
+    away = 1.5 * res.prices  # the fleet is pinned here, unlike at the equilibrium
+    assert eq.check_uniqueness(sc, prices=away, n_samples=1).saturation.clearing_sums != \
+        eq.check_uniqueness(sc, res, n_samples=1).saturation.clearing_sums
+    for kwargs in ({"equilibrium": res, "prices": away}, {}):
+        with pytest.raises(ValueError, match="exactly one of equilibrium and prices"):
+            eq.check_uniqueness(sc, n_samples=1, **kwargs)
+
+
+def test_detect_saturation_takes_prices_or_solutions_not_both():
+    sc = dict(make_corpus())["two_fuels"]
+    res = eq.solve_equilibrium(sc)
+    away = 1.5 * res.prices
+    assert eq.detect_saturation(sc, prices=away) != \
+        eq.detect_saturation(sc, solutions=res.player_solutions)
+    for kwargs in ({"prices": away, "solutions": res.player_solutions}, {}):
+        with pytest.raises(ValueError, match="exactly one of prices and solutions"):
+            eq.detect_saturation(sc, **kwargs)
+
+
+def test_one_selection_record_serves_the_solve_and_check_uniqueness(monkeypatch):
+    """Over a solve and ``check_uniqueness(sc, result)``: one Market, each
+    player's sensitivity taken at most once per evaluated point, and at the
+    answer the fleet's bound states read once and classified once."""
+    markets, jacobians, reads, reports = [], Counter(), [], []
+
+    class RecordingMarket(equilibrium.Market):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            markets.append(self)
+
+    def jacobian(problem, sol, _inner=equilibrium.response_jacobian):
+        jacobians[sol.prices.tobytes(), id(problem)] += 1
+        return _inner(problem, sol)
+
+    def bound_states(owner, columns, _inner=equilibrium._fleet_bound_states):
+        reads.append({sols[0].prices.tobytes() for sols in columns})
+        return _inner(owner, columns)
+
+    def report(*args, _inner=equilibrium.SaturationReport):
+        reports.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(equilibrium, "Market", RecordingMarket)
+    monkeypatch.setattr(equilibrium, "response_jacobian", jacobian)
+    monkeypatch.setattr(equilibrium, "_fleet_bound_states", bound_states)
+    monkeypatch.setattr(equilibrium, "SaturationReport", report)
+    corpus = dict(make_corpus())
+    corpus_reads = 0
+    for name, sc in [*corpus.items(), ("ladder12", ladder(12)), ("ladder24", ladder(24))]:
+        for seen in (markets, jacobians, reads, reports):
+            seen.clear()
+        result = eq.solve_equilibrium(sc)
+        batches, excess_many = [], markets[0].excess_many
+        markets[0].excess_many = lambda prices: batches.append(prices) or excess_many(prices)
+        eq.check_uniqueness(sc, result)
+        final = result.prices.tobytes()
+        assert len(markets) == 1, name
+        assert max(jacobians.values()) == 1, name
+        assert sorted(i for key, i in jacobians if key == final) == \
+            sorted(map(id, markets[0].problems)), name
+        assert sum(final in keys for keys in reads) == 1, name
+        assert len(reports) == 1, name
+        assert len(reads) == 1 + len(batches), name  # the answer, then each sample batch
+        corpus_reads += len(reads) if name in corpus else 0
+    assert corpus_reads == 2 * len(corpus)
+
+
+def test_the_record_and_its_market_form_no_reference_cycle():
+    sc = dict(make_corpus())["two_fuels"]
+    gc.disable()  # what is still held without the collector is held by a cycle
+    try:
+        result = eq.solve_equilibrium(sc)
+        eq.check_uniqueness(sc, result, n_samples=4)
+        held = weakref.ref(result.market), weakref.ref(result.selection)
+        assert result.market._last[3] is result.selection
+        del result
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
+
 
 # ---- the batched excess map ------------------------------------------------------
 
@@ -525,8 +612,8 @@ def test_an_astronomical_newton_step_is_capped_to_the_box(monkeypatch, name):
     original = equilibrium._newton_step
     blown_up = []
 
-    def astronomical(market, sols, z):
-        step, curvature = original(market, sols, z)
+    def astronomical(sel):
+        step, curvature = original(sel)
         if step is not None:
             blown_up.append(step)
             step = step * 1e12

@@ -451,8 +451,9 @@ def test_each_problem_holds_at_most_one_region(name):
     spread = 0.3 * max(1.0, float(np.max(np.abs(res.prices))))
     selections = set()
     for _ in range(50):
-        sols = market.solutions(res.prices + spread * rng.standard_normal(res.prices.size))
-        market.aggregate_jacobian(sols)
+        sel = market.selection(res.prices + spread * rng.standard_normal(res.prices.size))
+        sols = sel.sols
+        sel.jacobian  # each player's sensitivity, read from its region
         for prob, sol in zip(market.problems, sols):
             selections.add((prob.name, players._strict_active(sol)[0]))
     assert len(selections) > len(market.problems)  # the slot was replaced
