@@ -519,7 +519,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     S = a1 @ Jp @ a1.T
     sv = np.linalg.svd(S, compute_uv=False)
     top = sv[0] if sv.size else 0.0
-    cut = max(max(S.shape) * np.finfo(float).eps * top, 1e-10 * top, 1e-14)
+    cut = max(1e-10 * top, 1e-14)
     rank = int(np.sum(sv > cut))
 
     upper, lower = sel.bound_states

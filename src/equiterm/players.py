@@ -30,24 +30,25 @@ from one factor of H per instance and one |R| x |R| Cholesky factor.  Any
 other region, where W is not unique or the rows of R are dependent, takes
 the null-space method, cut by the engine's rank rule: the minimum-norm W
 and eta_R of the region (Patrinos & Sarimveis, Automatica 46, 2010).  A
-solve walks these regions, starting from the warm start's strict rows, or
-from the W rows tied at the feasible start when it is cold.  It keeps a
-region's point when that certifies (finite, eta_R >= 0 up to the roundoff
-of its solve, and the full problem's start-point check passes, equalities
+solve walks these regions, starting from the warm start's strict rows, or,
+cold, from the W rows tied at the feasible start whose multiplier there is
+nonnegative: the primal-dual active-set start, where a running producer is
+unconstrained and an idle one at its lower bounds.  It keeps a region's
+point when that certifies (finite, eta_R >= 0 up to the roundoff of its
+solve, and the full problem's start-point check passes, equalities
 included) and the W rows tied there are exactly R.  Where W is not unique
 eta_R must exceed ``STRICT_DUAL_TOL`` beyond that roundoff, so that R stays
 tight across the optimal face.  Otherwise a unique W moves to R' = {rows
-of R with eta > 0} + {W rows the predicted W violates}: the primal-dual
-active-set step, a semismooth Newton step (Hintermueller, Ito & Kunisch,
-SIAM J. Optim. 13, 2002).  The walk ends after finitely many row sets, and
-the engine solves the W-QP instead, in three cases: R' was already tried,
-W is not unique (it does not walk), or the certified point has a tied W
-row outside R (a degenerate vertex).  The engine starts from the player's
-usual start, seeded with the first region's rows whose multiplier it
-predicts stays positive, or with the warm start's active W rows when a
-strict row is not a W row.  The engine accepts any rows active at its
-start, so the seed changes the path, not the answer.  Only W is mapped; t
-and mu are recovered from it by ``rec``, one product per block of columns.
+of R with eta > 0} + {W rows the predicted W violates} + {W rows tied at
+a certified point, a degenerate vertex}: the primal-dual active-set step,
+a semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
+2002).  The walk ends after finitely many row sets, and the engine solves
+the W-QP instead, in two cases: R' was already tried, or W is not unique
+(it does not walk).  The engine starts from the player's usual start,
+seeded with the column's first region's rows whose multiplier it predicts
+stays positive; it accepts any rows active at its start, so the seed
+changes the path, not the answer.  Only W is mapped; t and mu are
+recovered from it by ``rec``, one product per block of columns.
 Each problem instance keeps one region, keyed by its rows, so memory stays
 bounded on a long sweep.
 
@@ -75,9 +76,10 @@ The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
 Cholesky factor of Sigma or S fails (S is singular when equality rows
 repeat, as in the pinned-totals oracle; the instance's record then has no
-map), or when the recovered point is not finite or violates any row of
-the full problem, equalities included, beyond the engine's start-point
-tolerances: whenever a trading box binds.
+map), when a warm start's strict row is not a W row, or when the recovered
+point is not finite or violates any row of the full problem, equalities
+included, beyond the engine's start-point tolerances: whenever a trading
+box binds.
 
 An accepted point's duals are valid for the full problem: t meets its
 stationarity rows by construction, the W-QP's stationarity
@@ -570,31 +572,31 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
                      step=None):
     """Per column of ``p`` = [1; pi], (x, mu, eta, active) through the W-QP
     (active None where the engine solved it), or None where the point fails
-    the full rows.
+    the full rows or a strict row of the warm start is not a W row.
 
-    Each column walks the W-QP's critical regions from the first one
+    Each column walks the W-QP's critical regions from its first one
     (``_first_rows``), and the columns on one region take their step
     together (``_serve``): a column is served where it certifies with
     exactly the region's W rows tied, else it moves to the rows ``_serve``
     names.  ``step``, when given, is the first region's step already taken
-    by the fleet step: (region, its prediction, served, moves).  Where the
-    walk ends (no rows named, as always where W is not unique, or a row set
-    it tried before) the engine solves the column alone from the player's
-    usual start, seeded with the first region's rows that it predicts stay
-    active there, or with the warm start's active W rows when a strict row
-    of the warm start is not a W row.
+    by the fleet step for every column: (region, its prediction, served,
+    moves).  Where the walk ends (no rows named, as always where W is not
+    unique, or a row set it tried before) the engine solves the column alone
+    from the player's usual start, seeded with the column's first region's
+    rows that it predicts stay active there.
     """
     m, n_w = p.shape[1], cond.a_w.shape[1]
     if not n_w:
         empty = np.zeros((0, m))
         x, mu, slack, keep, _ = _recover(problem, cond, p, empty, empty, 0.0, False)
         return _points(cond, x, mu, slack, keep, empty)  # V is affine in pi
-    x0, active = _start(problem, warm_start)
-    first = _first_rows(problem, cond, warm_start)
-    points, engine, tried = [None] * m, [], {}  # tried: column -> row sets of its walk
+    firsts = [step[0].rows] * m if step else _first_rows(problem, cond, warm_start, p)
+    points, engine, walks = [None] * m, [], {}
+    tried, seeds = {}, {}  # per column walked: its row sets, the engine's seed
+    for c, rows in enumerate(firsts):
+        if rows is not None:
+            walks.setdefault(rows, []).append(c)
     every = list(range(m))
-    walks = {} if first is None else {first: every}
-    seed = None  # the first region's rows and prediction, at every column
     while walks:
         rows, cols = walks.popitem()
         if step is None:
@@ -604,20 +606,19 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
             served, moves = _serve(problem, cond, p_cols, region, z)
         else:
             (region, z, served, moves), step = step, None
-        seed = seed or (region.pos, z[n_w:])
-        for c, point, move in zip(cols, served, moves):
+        for k, (c, point, move) in enumerate(zip(cols, served, moves)):
             points[c] = point
             if point is None:
-                trail = tried.setdefault(c, {first})
-                if move is None or move in trail:
+                if c not in tried:  # its first region
+                    tried[c], seeds[c] = {rows}, region.pos[z[n_w:, k] > 0.0].tolist()
+                if move is None or move in tried[c]:
                     engine.append(c)
                 else:
-                    trail.add(move)
+                    tried[c].add(move)
                     walks.setdefault(move, []).append(c)
+    x0 = _start(problem, warm_start)[0]
     for c in sorted(engine):
-        start = (seed[0][seed[1][:, c] > 0.0].tolist() if seed is not None
-                 else [cond.w_pos[i] for i in active if i in cond.w_pos])
-        points[c] = _solve_w_qp(problem, cond, p[:, c : c + 1], x0, start)
+        points[c] = _solve_w_qp(problem, cond, p[:, c : c + 1], x0, seeds[c])
     return points
 
 
@@ -634,16 +635,26 @@ def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
     return None if point is None else (*point[:3], None)
 
 
-def _first_rows(problem: PlayerProblem, cond: _Condensed, warm_start):
-    """The rows of the region a walk starts from: a warm start's strict rows,
-    or the W rows tied at the instance's feasible start; None when a strict
-    row is not a W row."""
-    if warm_start is None:
-        slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ _start(problem, None)[0][cond.n_t:]
+def _first_rows(problem: PlayerProblem, cond: _Condensed, warm_start, p):
+    """Per column of ``p`` = [1; pi], the rows of the region its walk starts
+    from: a warm start's strict rows (None when one is not a W row), or,
+    cold, the single-entry W rows tied at the instance's feasible start W0
+    whose multiplier from B_T' eta = [r0 R1] [1; pi] - H W0 is nonnegative
+    (a tied ramp row is not held).  [r0 R1] lies in range(H), so no rows
+    held is the minimum-norm unconstrained W even where W is not unique."""
+    if warm_start is not None:
+        rows, _ = warm_start._strict
+        return [rows if all(i in cond.w_pos for i in rows) else None] * p.shape[1]
+    cache = problem._derived
+    if "cold" not in cache:
+        w0 = _start(problem, None)[0][cond.n_t:]
+        slack = problem.ineq_rhs[cond.w_rows] - cond.b_w @ w0
         # tied by the engine's own test, so it keeps every seeded row
-        return tuple(cond.w_rows[slack <= cond.w_tols[:, 0]].tolist())
-    rows, _ = warm_start._strict
-    return rows if all(i in cond.w_pos for i in rows) else None
+        tied = (slack <= cond.w_tols[:, 0]) & (np.count_nonzero(cond.b_w, axis=1) == 1)
+        grad = cond.w_lin - np.column_stack((cond.hessian @ w0, 0.0 * cond.r_1))
+        cache["cold"] = cond.w_rows[tied], cond.b_w[tied] @ grad  # each eta times its entry squared
+    rows, eta = cache["cold"]
+    return [tuple(rows[hold].tolist()) for hold in (eta @ p >= 0.0).T]
 
 
 def _certificate(tols, gap, slack, eta, floor, w_rows, held):
@@ -665,9 +676,9 @@ def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Reg
 
     Returns, per column, (x, mu, eta, active) where the point is finite and
     served (``_certificate``), else None; and the rows of the next region
-    (``_moves``), or None where the walk ends (W not unique, a point that
-    is not finite, or one that certifies with a tied W row outside the
-    region: a degenerate vertex).
+    (``_moves``), or None where the walk ends (W not unique, or a point that
+    is not finite).  A point that certifies with a tied W row outside the
+    region (a degenerate vertex) moves to the region holding those rows too.
     """
     m, n_w = p.shape[1], cond.a_w.shape[1]
     finite = np.isfinite(z).all(axis=0)
@@ -679,32 +690,36 @@ def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Reg
     eta_w = np.zeros((cond.w_rows.size, m))
     eta_w[region.pos] = np.maximum(eta_r, 0.0)
     served, keep = [None] * m, finite & (eta_r >= floor).all(axis=0)
+    ties = np.zeros(eta_w.shape, dtype=bool)
     if keep.any():  # else no column can certify, and none is recovered
-        x, mu, slack, ok, same = _recover(problem, cond, p, w, eta_r, floor, region.held)
+        x, mu, slack, ok, off = _recover(problem, cond, p, w, eta_r, floor, region.held)
         keep &= ok
-        served = _points(cond, x, mu, slack, keep & same, eta_w)
+        tied_off = keep & off.any(axis=0)
+        served = _points(cond, x, mu, slack, keep & ~tied_off, eta_w)
+        ties = (off | region.held) & tied_off
     moves = [None] * m
     if cond.w_unique and None in served:
-        refused = [c for c in range(m) if finite[c] and not keep[c]]
-        for c, move in zip(refused, _moves(problem, cond, w, eta_w, refused)):
+        moved = [c for c in range(m) if finite[c] and served[c] is None]
+        for c, move in zip(moved, _moves(problem, cond, w, eta_w, moved, ties)):
             moves[c] = move
     return served, moves
 
 
-def _moves(problem: PlayerProblem, cond: _Condensed, w, eta_w, refused):
-    """For each column in ``refused``, the rows of the next region of its
-    walk: the held rows whose multiplier in ``eta_w`` is positive and the W
-    rows that the predicted W violates beyond tolerance."""
-    over = cond.b_w @ w[:, refused] - problem.ineq_rhs[cond.w_rows, None] > cond.w_tols
-    ahead = over | (eta_w[:, refused] > 0.0)
-    return [tuple(cond.w_rows[ahead[:, k]].tolist()) for k in range(len(refused))]
+def _moves(problem: PlayerProblem, cond: _Condensed, w, eta_w, moved, ties):
+    """For each column in ``moved``, the rows of the next region of its
+    walk: the held rows whose multiplier in ``eta_w`` is positive, the W
+    rows that the predicted W violates beyond tolerance and the W rows
+    ``ties`` (rows x columns) holds."""
+    over = cond.b_w @ w[:, moved] - problem.ineq_rhs[cond.w_rows, None] > cond.w_tols
+    ahead = over | (eta_w[:, moved] > 0.0) | ties[:, moved]
+    return [tuple(cond.w_rows[ahead[:, k]].tolist()) for k in range(len(moved))]
 
 
 def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta, floor, held):
     """Per column of ``p`` = [1; pi] and ``w``: x and mu, [t; mu] one product
     ``rec`` [1; pi; W], the full problem's slack, whether x is finite and
     certifies with the held rows' ``eta`` and ``floor`` (``_certificate``),
-    and whether the W rows tied there are those ``held``."""
+    and where the W rows tied there differ from those ``held``."""
     t_mu = cond.rec @ (np.concatenate((p, w)) if w.shape[0] else p)
     x, mu = np.concatenate((t_mu[: cond.n_t], w)), t_mu[cond.n_t :]
     finite = np.isfinite(x).all(axis=0)
@@ -712,7 +727,7 @@ def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta, floor, held):
         x = np.where(finite, x, 0.0)  # refused; keeps the row products finite
     gap, slack = _rows(problem, cond, x)
     fault, off = _certificate(cond.tols, gap, slack, eta, floor, cond.w_rows, held)
-    return x, mu, slack, finite & ~fault.any(axis=0), ~off.any(axis=0)
+    return x, mu, slack, finite & ~fault.any(axis=0), off
 
 
 def _points(cond: _Condensed, x, mu, slack, keep, eta_w):
@@ -810,13 +825,14 @@ def solve_fleet(problems, price_columns, warm_starts, cache) -> list:
     """Each player's solutions at every column of ``price_columns`` (prices
     x points), from its warm start, by one stacked pass over the whole fleet:
     the first step of every member's walk, from its held selection (its warm
-    start's strict rows, or the W rows tied at its feasible start).
+    start's strict rows, or its cold start's rows at the first column).
 
     A member not served at every column goes on with its own walk from the
-    rows that step named (``_solve_condensed``), so no step runs twice.  A
-    player the step cannot serve (no map, W not unique, or a strict row that
-    is not a W row), or every player where a value is not finite, gets None:
-    it is solved alone.  ``cache`` keeps the ``_Fleet`` (scenario data).
+    rows that step named (``_solve_condensed``), a degenerate vertex's tied
+    rows included, so no step runs twice.  A player the step cannot serve
+    (no map, W not unique, or a strict row that is not a W row), or every
+    player where a value is not finite or there is no column, gets None: it
+    is solved alone.  ``cache`` keeps the ``_Fleet`` (scenario data).
     """
     fleet = cache.get("fleet_step")
     if fleet is None or fleet.problems is not problems:
@@ -825,10 +841,12 @@ def solve_fleet(problems, price_columns, warm_starts, cache) -> list:
     if not fleet.members:
         return out
     prices, p = _query(problems[0], price_columns)
-    regions, coef, (at, eta_map, err), held = fleet.select(tuple(
-        _first_rows(problem, cond, warm_starts[k]) if cond.a_w.shape[1] else ()
-        for k, problem, cond in fleet.members))
     m, size = p.shape[1], len(fleet.members)
+    if not m:  # no column to read cold rows at
+        return out
+    regions, coef, (at, eta_map, err), held = fleet.select(tuple(
+        _first_rows(problem, cond, warm_starts[k], p[:, :1])[0] if cond.a_w.shape[1] else ()
+        for k, problem, cond in fleet.members))
     v, eta, floor = coef @ p, np.zeros((held.shape[0], m)), np.zeros((held.shape[0], m))
     eta[at], floor[at] = eta_map @ p, -(err @ np.abs(p))  # zero where not held
     for (_, _, mu_t, w_span, _), rec_w, region in zip(fleet.spans, fleet.rec_w, regions):
@@ -857,10 +875,11 @@ def solve_fleet(problems, price_columns, warm_starts, cache) -> list:
                    tuple(local[cuts[c * size + i] : cuts[c * size + i + 1]]))
                   if ok else None for c, ok in enumerate(served[i])]
         if None in points and cond.a_w.shape[1]:  # resume the walk from this step
-            w, eta_w = v[w_span], eta[fleet.w_at[i] : fleet.w_at[i + 1]]
-            moved, moves = np.flatnonzero(failed[i]).tolist(), [None] * m
-            for c, move in zip(moved, _moves(problem, cond, w, eta_w, moved)):
-                moves[c] = move  # a column that only tied another W row ends its walk
+            own = slice(fleet.w_at[i], fleet.w_at[i + 1])
+            w, eta_w, ties = v[w_span], eta[own], (off[own] | held[own]) & ~failed[i]
+            moved, moves = [c for c, ok in enumerate(served[i]) if not ok], [None] * m
+            for c, move in zip(moved, _moves(problem, cond, w, eta_w, moved, ties)):
+                moves[c] = move
             step = (regions[i], np.concatenate((w, eta_w[regions[i].pos])), points, moves)
             points = _solve_condensed(problem, cond, p, warm_starts[k], step)
         out[k] = _finish(problem, prices, points, warm_starts[k])

@@ -348,6 +348,7 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
             assert players._solve_condensed(prob, cond, p, None)[0] is not None
             _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
     cold = _served(steps)
+    cold_names = {prob.name for prob, (points, _) in steps if any(q is not None for q in points)}
     # warm pass: each point from the previous point's solution, so the
     # walk starts from the region of that solution's strict rows
     served = _recorder(monkeypatch, "_serve")
@@ -357,12 +358,11 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
             warm = eq.solve_qp(prob, prices, warm_start=warm)
             _assert_agrees_with_full_qp(prob, prices, warm)
     # every market is served by a region somewhere from the warm start's
-    # strict rows, and from the cold start's tied rows where it has a
-    # unique-W producer (a non-unique W does not walk from its cold start)
-    unique = any(players._condensation(p).w_unique for p in market.problems
-                 if p.kind == "producer")
-    assert cold == unique
-    assert _served(served)
+    # strict rows, and somewhere from the cold start's rows; a non-unique W
+    # is served cold too, from its minimum-norm unconstrained start
+    assert cold and _served(served)
+    assert all(p.name in cold_names for p in market.problems
+               if p.kind == "producer" and not players._condensation(p).w_unique)
 
 
 def test_walk_through_dependent_rows_is_served_by_a_region(rich_producer, monkeypatch):
@@ -901,8 +901,9 @@ def _small_cov_vertex():
     return market, prob, np.array([40.0, 40.0, 1.0]), rows
 
 
-def test_tied_row_outside_the_region_hands_the_column_to_the_engine(monkeypatch):
+def test_tie_step_into_dependent_rows_that_repeats_hands_the_column_to_the_engine(monkeypatch):
     market, prob, prices, vertex = _small_cov_vertex()
+    cond = players._condensation(prob)
     centre = eq.solve_equilibrium(market.scenario, market=market).prices
     warm = eq.solve_qp(prob, centre)
     steps = _walk_steps(monkeypatch)
@@ -911,13 +912,24 @@ def test_tied_row_outside_the_region_hands_the_column_to_the_engine(monkeypatch)
         steps.clear()
         engine.clear()
         sol = eq.solve_qp(prob, prices, warm_start=start)
-        # the last region certifies its point, but a vertex row outside it is tied
-        rows, served, moves = steps[-1]
-        assert served == [None] and moves == [None]
-        assert set(rows) < set(vertex)
+        # the region of the strict rows (1, 2) certifies its point with the
+        # vertex row 5 tied outside it, so the walk steps to the region that
+        # holds all three; those rows are dependent, and its minimum-norm eta
+        # names (1, 2) again, a row set already tried
+        assert [rows for rows, _, _ in steps[-2:]] == [vertex[:2], vertex]
+        assert [moves for _, _, moves in steps[-2:]] == [[vertex], [vertex[:2]]]
+        assert all(served == [None] for _, served, _ in steps)
         assert len(engine) == 1
         assert sol.active_set == vertex
         _assert_agrees_with_full_qp(prob, prices, sol)
+    region = players._region(prob, cond, vertex[:2])
+    p = np.concatenate(([1.0], prices))
+    n_w = cond.a_w.shape[1]
+    slack = prob.ineq_rhs[cond.w_rows] - cond.b_w @ (region.coef[:n_w] @ p)
+    tols = cond.w_tols[:, 0]
+    assert np.all(slack + tols >= 0.0) and np.all(region.coef[n_w:] @ p >= 0.0)
+    assert tuple(cond.w_rows[slack <= tols].tolist()) == vertex
+    assert np.linalg.matrix_rank(cond.b_w[[cond.w_pos[i] for i in vertex]]) < len(vertex)
 
 
 def test_degenerate_vertex_multipliers_are_the_minimum_norm_ones():
@@ -1108,22 +1120,107 @@ def test_twin_plants_uniqueness_check_runs_no_engine(monkeypatch):
 def test_degenerate_cold_start_is_served_by_its_region(monkeypatch):
     # n1_single's producer1 starts cold at prices where its unconstrained
     # optimum is W = 0, with the lower bound row 1 tied: the multiplier of
-    # that row is zero up to the roundoff of its solve, so the region serves
+    # that row is zero up to the roundoff of its solve.  The cold start reads
+    # it below zero and does not hold the row; the unconstrained point then
+    # certifies with row 1 tied outside its region, and the tie step moves
+    # to (1,), which serves
     market = eq.Market(SOLVED_MARKETS["n1_single"])
     prob = next(p for p in market.problems if p.name == "producer1")
     steps = _walk_steps(monkeypatch)
     engine = _recorder(monkeypatch, "solve_qp_active_set")
     cond = players._condensation(prob)
     prices = np.array([5.5])
+    p = np.concatenate(([1.0], prices))
     cond.region.clear()
     region = players._region(prob, cond, (1,))
-    eta = float(region.coef[-1] @ np.concatenate(([1.0], prices)))
-    err = float(region.eta_err[-1] @ np.concatenate(([1.0], prices)))
+    eta = float(region.coef[-1] @ p)
+    err = float(region.eta_err[-1] @ p)
     assert abs(eta) <= err  # a degenerate vertex, up to roundoff
+    assert players._first_rows(prob, cond, None, p[:, None]) == [()]
     sol = eq.solve_qp(prob, prices)
-    assert [rows for rows, _, _ in steps] == [(1,)] and steps[0][1][0] is not None
+    assert [rows for rows, _, _ in steps] == [(), (1,)]
+    assert steps[0][1:] == ([None], [(1,)]) and steps[1][1][0] is not None
     assert not engine and sol.ineq_duals[1] == 0.0
     _assert_agrees_with_full_qp(prob, prices, sol)
+
+
+def test_cold_batch_groups_columns_by_their_first_rows(monkeypatch):
+    # two_fuels' producer2 holds its tied lower bounds (3, 5) where its
+    # plants stay idle and starts unconstrained where they run, so a cold
+    # batch reads its first rows per column and walks each group once
+    market = eq.Market(dict(make_corpus())["two_fuels"])
+    prob = next(p for p in market.problems if p.name == "producer2")
+    cond = players._condensation(prob)
+    columns = np.array([np.full(prob.n_prices, v) for v in (0.5, 6.0, 3.0, 20.0)]).T
+    p = players._query(prob, columns)[1]
+    assert players._first_rows(prob, cond, None, p) == [(3, 5), (), (3, 5), ()]
+    steps = _walk_steps(monkeypatch)
+    sols = players.solve_qp_many(prob, columns)
+    walked = [(rows, len(served)) for rows, served, _ in steps]
+    assert walked[0] == ((), 2) and ((3, 5), 2) in walked
+    for c, sol in enumerate(sols):
+        ref = eq.solve_qp(prob, columns[:, c])
+        assert sol.active_set == ref.active_set
+        np.testing.assert_allclose(sol.primal, ref.primal, rtol=0, atol=1e-9)
+        _assert_agrees_with_full_qp(prob, columns[:, c], sol)
+    assert players.solve_qp_many(prob, columns[:, :0]) == ()
+
+
+def test_cold_fleet_step_holds_the_first_columns_rows():
+    # the fleet step keys one row set per member: cold, the first column's
+    sc = dict(make_corpus())["two_fuels"]
+    columns = np.array([np.full(sc.n_contracts, v) for v in (0.5, 20.0)]).T
+    for order, held in (([0, 1], (3, 5)), ([1, 0], ())):
+        market = eq.Market(sc)
+        z, _ = market.excess_many(columns[:, order])
+        fleet = sc._derived["fleet_step"]
+        assert [rows for (_, p, _), rows in zip(fleet.members, fleet.key)
+                if p.kind == "producer"] == [held, held]
+        for k, c in enumerate(order):
+            np.testing.assert_allclose(z[:, k], eq.Market(sc).excess(columns[:, c])[0],
+                                       rtol=0, atol=1e-9)
+    z, sols = eq.Market(sc).excess_many(columns[:, :0])  # no column, so no cold rows
+    assert z.shape == (sc.n_contracts, 0) and sols == ()
+
+
+def _dispatch_work(monkeypatch):
+    """Count, in a list, region factorizations (a range-space build with rows
+    held, or a null-space build), walk steps, fleet stack rebuilds and engine
+    runs, and return it."""
+    counts = [0] * 4
+
+    def counting(owner, name, k, counted=lambda *args: True):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[k] += bool(counted(*args))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(players, "_range_space", 0, lambda cond, pos, *rest: pos.size > 0)
+    counting(players, "_null_space", 0)
+    counting(players, "_serve", 1)
+    counting(players._Fleet, "_stack", 2)
+    counting(players, "solve_qp_active_set", 3)
+    return counts
+
+
+def test_cold_walks_start_from_their_dual_feasible_rows(monkeypatch):
+    # on fresh corpus scenarios: each cold solve, then the uniqueness check at
+    # its answer on a new Market; holding every row tied at the cold start
+    # took 72 / 72 / 71 / 4 and 48 / 42 / 44 / 3
+    counts = _dispatch_work(monkeypatch)
+    solves, checks = np.zeros(4, dtype=int), np.zeros(4, dtype=int)
+    for _, sc in make_corpus():
+        counts[:] = [0] * 4
+        prices = eq.solve_equilibrium(sc).prices
+        solves += counts
+        counts[:] = [0] * 4
+        eq.check_uniqueness(sc, prices=prices, n_samples=16, market=eq.Market(sc))
+        checks += counts
+    assert solves.tolist() == [51, 53, 53, 4]
+    assert checks.tolist() == [9, 6, 2, 1]
 
 
 # ---- the recovery map -------------------------------------------------------
