@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .assembly import PlayerProblem, assemble_all
 from .grid import delivery_totals_matrix
-from .players import (PlayerSolution, ResponseJacobian, response_jacobian, solve_fleet, solve_qp,
-                      solve_qp_many)
+from .players import (FleetRecord, PlayerSolution, ResponseJacobian, response_jacobian, solve_fleet,
+                      solve_qp, solve_qp_many)
 from .scenario import Scenario
 
 __all__ = [
@@ -112,14 +111,17 @@ class DiagnosticsReport:
 
 
 class Selection:
-    """One evaluated price point (prices, player solutions, Z) and what the
-    step rule, saturation and diagnostics read of its affine selection, each
-    built on first read and kept.  It holds the scenario and problems, not
-    their ``Market``, so the market's memo keeps it without a cycle."""
+    """One evaluated price point (prices, the fleet step's ``FleetRecord``, Z) and what
+    the step rule, saturation and diagnostics read of its affine selection, each built
+    on first read and kept.  It holds no ``Market``: the memo keeps it without a cycle."""
 
-    def __init__(self, scenario, problems, prices, sols, z):
-        self.scenario, self.problems = scenario, problems
-        self.prices, self.sols, self.z = prices, sols, z
+    def __init__(self, scenario, prices, record):
+        self.scenario, self.problems = scenario, record.fleet.problems
+        self.prices, self.record, self.z = prices, record, record.z[:, 0]
+
+    @cached_property
+    def sols(self) -> tuple[PlayerSolution, ...]:
+        return tuple(map(self.record.solution, range(len(self.problems))))
 
     @cached_property
     def resid(self) -> float:
@@ -129,7 +131,7 @@ class Selection:
     @cached_property
     def potential(self) -> tuple[float, float]:
         """The welfare potential Phi, summed in player order, and its roundoff."""
-        objectives = [s.objective for s in self.sols]
+        objectives = [self.record.objective(k) for k in range(len(self.problems))]
         return sum(objectives), PHI_ROUNDOFF * sum(abs(v) for v in objectives)
 
     @cached_property
@@ -148,11 +150,6 @@ class Selection:
         return J, Jp, 0.5 * (J + J.T)
 
     @cached_property
-    def bound_states(self) -> np.ndarray:
-        """(2, deliveries, plants): is each plant at its upper bound, at its lower."""
-        return _fleet_bound_states(self, [self.sols])[0]
-
-    @cached_property
     def saturation(self) -> SaturationReport:
         """Each delivery interior, or every plant at the same bound.
 
@@ -161,71 +158,79 @@ class Selection:
         all-lower one positive; both signs are checked and reported.
         """
         sums = (_totals(self.scenario) @ self.z).tolist()
-        states = self.bound_states  # a fleet without plants is at no bound
+        states = self.record.bound_states[0]  # a fleet without plants is at no bound
         rows = list(zip(*(states.all(axis=-1) & (states.shape[-1] > 0)).tolist(), sums))
         return SaturationReport(
             tuple("all-upper" if up else "all-lower" if lo else "interior" for up, lo, _ in rows),
             tuple(sums), tuple(s < 0 if up else s > 0 if lo else True for up, lo, s in rows))
 
 
+class _Column:
+    """The player solutions at one column of a record, each built when first read."""
+
+    def __init__(self, record, c):
+        self.record, self.c = record, c
+
+    def __len__(self):
+        return len(self.record.sols)
+
+    def __getitem__(self, k):
+        return self.record.solution(range(len(self))[k], self.c)
+
+
 class Market:
     """Assembled player problems with warm starts and a memo of the last point.
 
-    Each player warm-starts from its own previous solution, so the memo is
-    the warm start of every player: asking again for the last price vector
-    (saturation detection, then the excess at the same point) solves
-    nothing.  The memo keeps Z, summed once in player order, next to the
-    solutions, and the point's ``Selection`` once a reader asks.  Any other
-    point is solved afresh: first by one stacked pass over the whole fleet
-    from its held selection (``players.solve_fleet``), then, player by
-    player, wherever that pass did not serve.  ``excess_many`` evaluates a
-    batch of points, each from the memo point, and leaves the memo as it was.
+    The memo is the last point's ``Selection``, whose record is every
+    player's warm start: asking again for the last price vector solves
+    nothing.  Any other point is solved afresh: first by one stacked pass
+    over the whole fleet from its held selection (``players.solve_fleet``),
+    then, player by player, wherever that pass did not serve.  A player's
+    solution is built from the pass's record only when read.  ``excess_many``
+    evaluates a batch of points from the memo point and leaves the memo in place.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.problems: tuple[PlayerProblem, ...] = assemble_all(scenario)
         self.names = tuple(p.name for p in self.problems)
-        self._last: list | None = None  # [key, solutions, Z, Selection or None]
+        self._last: tuple | None = None  # (key, Selection) of the memo point
 
     @property
     def n_prices(self) -> int:
         return self.scenario.n_contracts
 
     def _solve(self, prices, alone):
-        """Each player's solutions at the columns of ``prices`` (prices x
-        points) from its warm start: the fleet step's, or ``alone``'s for a
-        player that step does not serve."""
-        warm = (None,) * len(self.problems) if self._last is None else self._last[1]
-        fleet = solve_fleet(self.problems, prices, warm, self.scenario._derived)
-        return [sols if sols is not None else alone(problem, w)
-                for problem, w, sols in zip(self.problems, warm, fleet)]
+        """The record at ``prices`` (prices x points) from the memo; ``alone`` solves the rest."""
+        warm = None if self._last is None else self._last[1].record
+        record = solve_fleet(self.problems, prices, warm, self.scenario._derived)
+        for k, (problem, sols) in enumerate(zip(self.problems, record.sols)):
+            if sols is None:
+                record.sols[k] = list(alone(problem, warm and warm.solution(k)))
+        return record
 
-    def solutions(self, prices: np.ndarray) -> tuple[PlayerSolution, ...]:
+    def _batch(self, prices) -> FleetRecord:
+        """The record of every column of ``prices`` (prices x points)."""
         prices = np.asarray(prices, dtype=float)
-        key, last = prices.tobytes(), self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        column = prices.reshape(prices.shape + (1,))
-        sols = tuple(s[0] for s in self._solve(
-            column, lambda problem, w: (solve_qp(problem, prices, warm_start=w),)))
-        z = sum((sol.volumes for sol in sols), np.zeros(self.n_prices))
-        z.flags.writeable = False
-        self._last = [key, sols, z, None]
-        return sols
-
-    def excess(self, prices: np.ndarray):
-        """Z at ``prices`` (read-only) and the player solutions, from the memo."""
-        sols = self.solutions(prices)
-        return self._last[2], sols
+        return self._solve(prices, lambda problem, w: solve_qp_many(problem, prices, warm_start=w))
 
     def selection(self, prices: np.ndarray) -> Selection:
-        """The record of ``prices``, made from the memo on first request and kept there."""
-        self.solutions(prices)
-        last = self._last
-        if last[3] is None:
-            last[3] = Selection(self.scenario, self.problems, np.asarray(prices, float), *last[1:3])
-        return last[3]
+        """The record of ``prices``: the memo, or evaluated and made the memo."""
+        prices = np.asarray(prices, dtype=float)
+        key, last = prices.tobytes(), self._last
+        if last is None or last[0] != key:
+            record = self._solve(prices.reshape(prices.shape + (1,)),
+                                 lambda problem, w: (solve_qp(problem, prices, warm_start=w),))
+            self._last = last = key, Selection(self.scenario, prices, record)
+        return last[1]
+
+    def solutions(self, prices: np.ndarray) -> tuple[PlayerSolution, ...]:
+        return self.selection(prices).sols
+
+    def excess(self, prices: np.ndarray):
+        """Z at ``prices`` (read-only) and the player solutions, each built when read."""
+        sel = self.selection(prices)
+        return sel.z, _Column(sel.record, 0)
 
     def excess_many(self, prices: np.ndarray):
         """Excess volumes at every column of ``prices`` (prices x points), as
@@ -234,14 +239,8 @@ class Market:
         Every column warm-starts from the memo point, and the memo is left
         in place, so no column depends on another or on their order.
         """
-        prices = np.asarray(prices, dtype=float)
-        per_player = self._solve(
-            prices, lambda problem, w: solve_qp_many(problem, prices, warm_start=w))
-        m = prices.shape[1]
-        z = np.zeros((m, self.n_prices))
-        for sols in per_player:
-            z += np.array([sol.volumes for sol in sols]).reshape(z.shape)
-        return z.T, tuple(tuple(sols[c] for sols in per_player) for c in range(m))
+        record = self._batch(prices)
+        return record.z, tuple(tuple(_Column(record, c)) for c in range(record.m))
 
     def price_box(self):
         """Per-node discounted bounds implied by the price box."""
@@ -279,33 +278,6 @@ def excess_volume(scenario: Scenario, expected_prices) -> np.ndarray:
     return Market(scenario).excess(expected_prices)[0]
 
 
-def _fleet_bound_states(owner, columns) -> np.ndarray:
-    """Per column (one solution per player), delivery and plant of the whole
-    fleet, producers in order: is production at its upper bound and at its
-    lower; one boolean array (columns, 2, deliveries, plants).  ``owner``
-    holds the scenario and its problems: a ``Market`` or a ``Selection``.
-
-    Only an active capacity row pins: a tight ramp row ties two deliveries'
-    production to each other, not to a bound.  Each producer's solution
-    (producers lead the player order) flags its active rows in its own span
-    of one array, read in one assignment and one gather.
-    """
-    cache = owner.scenario._derived
-    if "fleet" not in cache:
-        span = max(p.ineq_rhs.size for p in owner.problems)
-        nd = owner.scenario.grid.n_deliveries
-        cache["fleet"] = span, np.concatenate(
-            [p.capacity_rows().reshape(2, nd, -1) + k * span
-             for k, p in enumerate(owner.problems)], axis=2)
-    span, table = cache["fleet"]
-    n = len(owner.scenario.producers)
-    sets = [sol.active_set for sols in columns for sol in sols[:n]]
-    active = np.zeros(len(sets) * span, dtype=bool)
-    active[np.repeat(np.arange(0, active.size, span), list(map(len, sets)))
-           + np.fromiter(chain.from_iterable(sets), np.intp)] = True
-    return active.reshape(len(columns), n * span)[:, table]
-
-
 def _totals(scenario: Scenario) -> np.ndarray:
     """``delivery_totals_matrix`` of the scenario's grid, built once per
     scenario and kept read-only."""
@@ -326,8 +298,8 @@ def detect_saturation(scenario: Scenario, prices=None, solutions=None,
     market = market or Market(scenario)
     if solutions is None:
         return market.selection(prices).saturation
-    z = sum((sol.volumes for sol in solutions), np.zeros(scenario.n_contracts))
-    return Selection(scenario, market.problems, None, solutions, z).saturation
+    record = FleetRecord(market.problems, scenario._derived, None, 1, [[s] for s in solutions])
+    return Selection(scenario, None, record).saturation
 
 
 def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
@@ -415,7 +387,7 @@ def solve_equilibrium(scenario: Scenario, options: SolveOptions | None = None,
     if cur.saturation.saturated and not converged:
         message += " (price iterate inside the saturation region)"
     # the memo is the answer, so diagnostics on this market start from it
-    market._last = [cur.prices.tobytes(), cur.sols, cur.z, cur]
+    market._last = cur.prices.tobytes(), cur
     bound_ok = bool(np.all(cur.prices > box_lo) and np.all(cur.prices < box_hi))
     prices_ro = cur.prices.copy()
     prices_ro.flags.writeable = False
@@ -483,6 +455,8 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     """
     if (equilibrium is None) == (prices is None):
         raise ValueError("pass exactly one of equilibrium and prices")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got seed={seed}")
     if equilibrium is not None:
         prices = equilibrium.prices
         if market is None and getattr(equilibrium.market, "scenario", None) is scenario:
@@ -500,8 +474,8 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
         # a (k, 2, n) draw is k successive (x, y) draws of the stream
         k = min(n_samples - len(samples), cap - attempts)
         pairs = sel.prices + radius * rng.standard_normal((k, 2, n))
-        z, point_sols = market.excess_many(pairs.reshape(2 * k, n).T)
-        states = _fleet_bound_states(market, point_sols)
+        record = market._batch(pairs.reshape(2 * k, n).T)
+        z, states = record.z, record.bound_states
         saturated = (states.all(axis=-1) & (states.shape[-1] > 0)).any(axis=(1, 2))
         for i, (x, y) in enumerate(pairs):
             attempts += 1
@@ -522,7 +496,7 @@ def check_uniqueness(scenario: Scenario, equilibrium: EquilibriumResult | None =
     cut = max(1e-10 * top, 1e-14)
     rank = int(np.sum(sv > cut))
 
-    upper, lower = sel.bound_states
+    upper, lower = sel.record.bound_states[0]
     strict = (~upper & ~lower).any(axis=-1)
 
     return DiagnosticsReport(

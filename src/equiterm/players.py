@@ -85,17 +85,14 @@ An accepted point's duals are valid for the full problem: t meets its
 stationarity rows by construction, the W-QP's stationarity
 A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
 are slack, so their multipliers are zero.  One pass over the full
-problem's rows, the equality gap Ax - a and the slack b - Bx, gives the
-start-point check that accepts a condensed point and the active set.  Bx
-is read from each inequality row's entries, at most one +1 and one -1 in
-every ramp, capacity and box row: one difference of two gathered terms of
-[x; 0], O(rows) per column, the dense product's value.  A column is
-certified by whole-block comparisons (``_certificate``), the W rows tied
-there against the region's rows as one mask.  Only when the second stage
-below moves W is the slack taken again, at the moved point.  The objective and
-the KKT residuals are computed when first read, by ``kkt_residual``
-itself, so a stored residual is its recomputation bit for bit and a caller
-that never reads one never pays for it.
+problem's rows (``_rows``: the equality gap, and the slack with Bx read
+from each row's +1 and -1 entries, O(rows) per column) gives the
+start-point check that accepts a condensed point (``_certificate``) and
+the active set.  Only when the second stage below moves W is the slack
+taken again.  What a caller may not read is computed when first read: the
+objective and the KKT residuals, by ``kkt_residual`` itself, so a stored
+residual is its recomputation bit for bit, and each solution the fleet
+step serves, built from its arrays (``FleetRecord``, the point's memo).
 
 The traded block of the optimum is unique; W can sit on a flat face, so a
 second stage picks the minimum-norm W on that face to make results
@@ -281,10 +278,10 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
     return _finish(problem, prices, points, warm_start)
 
 
-def _finish(problem: PlayerProblem, prices, points, warm_start) -> tuple[PlayerSolution, ...]:
-    """The solution of each point at its row of ``prices``; where the point
-    is None, the full QP's from the player's usual start."""
-    return tuple(_solution(problem, prices[c], *(point or _solve_full(
+def _finish(problem: PlayerProblem, prices, points, warm_start) -> tuple:
+    """The solution of each point at its row of ``prices``: None where it is
+    True (the fleet step's), the full QP's from the player's usual start where None."""
+    return tuple(None if point is True else _solution(problem, prices[c], *(point or _solve_full(
         problem, problem.merged_linear(prices[c]), warm_start))) for c, point in enumerate(points))
 
 
@@ -590,7 +587,8 @@ def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, wa
         empty = np.zeros((0, m))
         x, mu, slack, keep, _ = _recover(problem, cond, p, empty, empty, 0.0, False)
         return _points(cond, x, mu, slack, keep, empty)  # V is affine in pi
-    firsts = [step[0].rows] * m if step else _first_rows(problem, cond, warm_start, p)
+    firsts = [step[0].rows] * m if step else _first_rows(
+        problem, cond, warm_start and warm_start._strict[0], p)
     points, engine, walks = [None] * m, [], {}
     tried, seeds = {}, {}  # per column walked: its row sets, the engine's seed
     for c, rows in enumerate(firsts):
@@ -635,16 +633,15 @@ def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
     return None if point is None else (*point[:3], None)
 
 
-def _first_rows(problem: PlayerProblem, cond: _Condensed, warm_start, p):
+def _first_rows(problem: PlayerProblem, cond: _Condensed, strict, p):
     """Per column of ``p`` = [1; pi], the rows of the region its walk starts
-    from: a warm start's strict rows (None when one is not a W row), or,
-    cold, the single-entry W rows tied at the instance's feasible start W0
-    whose multiplier from B_T' eta = [r0 R1] [1; pi] - H W0 is nonnegative
-    (a tied ramp row is not held).  [r0 R1] lies in range(H), so no rows
+    from: a warm start's ``strict`` rows (None when one is not a W row), or,
+    cold (``strict`` None), the single-entry W rows tied at the instance's
+    feasible start W0 whose multiplier from B_T' eta = [r0 R1] [1; pi] - H W0
+    is nonnegative (a tied ramp row is not held).  [r0 R1] lies in range(H), so no rows
     held is the minimum-norm unconstrained W even where W is not unique."""
-    if warm_start is not None:
-        rows, _ = warm_start._strict
-        return [rows if all(i in cond.w_pos for i in rows) else None] * p.shape[1]
+    if strict is not None:
+        return [strict if all(i in cond.w_pos for i in strict) else None] * p.shape[1]
     cache = problem._derived
     if "cold" not in cache:
         w0 = _start(problem, None)[0][cond.n_t:]
@@ -758,6 +755,15 @@ class _Fleet:
         self.problems, self.key = problems, None
         self.members = [(k, p, c) for k, p in enumerate(problems) for c in (_condensation(p),)
                         if c.rec is not None and c.w_unique and c.ineq_pairs is not None]
+        self.index = {k: i for i, (k, _, _) in enumerate(self.members)}
+        # each producer's capacity rows in a row of flags per point: members' as stacked
+        order = [*self.index, *(k for k in range(len(problems)) if k not in self.index)]
+        ends = np.cumsum([0] + [problems[k].ineq_rhs.size for k in order]).tolist()
+        self.flag_at, self.n_flags = dict(zip(order, ends)), ends[-1]
+        nd = problems[0].index_map.grid.n_deliveries
+        self.table = np.concatenate([np.zeros((2, nd, 0), dtype=np.intp)] + [
+            p.capacity_rows().reshape(2, nd, -1) + self.flag_at[k]
+            for k, p in enumerate(problems) if p.kind == "producer"], axis=2)
         if not self.members:
             return
         conds, probs = [c for _, _, c in self.members], [p for _, p, _ in self.members]
@@ -776,22 +782,20 @@ class _Fleet:
                      np.concatenate([c.tols[1] for c in conds]))
         self.w_rows = np.concatenate([c.w_rows for c in conds]) + np.repeat(self.in_at[:-1], n_wr)
         member = np.arange(len(conds))
-        self.in_owner, w_owner = np.repeat(member, n_in), np.repeat(member, n_wr)
-        self.local_in = np.arange(self.in_at[-1]) - self.in_at[self.in_owner]
+        in_owner, w_owner = np.repeat(member, n_in), np.repeat(member, n_wr)
         # the member of each certificate row (equalities, inequalities, W rows'
         # eta), then, after the members, of each W row's tie
-        self.owner = np.concatenate((np.repeat(member, n_eq), self.in_owner, w_owner,
+        self.owner = np.concatenate((np.repeat(member, n_eq), in_owner, w_owner,
                                      member.size + w_owner))
         width = 1 + problems[0].n_prices
         self.coef = np.zeros((block[-1], width))
-        self.spans, self.rec_w = [], []  # per member: v's rows of x, mu, [mu; t] and W
-        for (b, x, t, w), c in zip(np.stack((block[:-1], x_at, n_t, n_w), 1).tolist(), conds):
+        self.spans, self.rec_w = [], []  # per member: v's rows of x, mu, [mu; t], W; its ineq rows
+        rows = np.stack((block[:-1], x_at, n_t, n_w, self.in_at[:-1], self.in_at[1:]), 1).tolist()
+        for (b, x, t, w, r0, r1), c in zip(rows, conds):
             self.coef[b : x + t] = np.concatenate((c.rec[t:, :width], c.rec[:t, :width]))
             self.rec_w.append(np.concatenate((c.rec[t:, width:], c.rec[:t, width:])))
             self.spans.append((slice(x, x + t + w), slice(b, x), slice(b, x + t),
-                               slice(x + t, x + t + w)))
-        self.spans = [span + (slice(*self.in_at[i : i + 2].tolist()),)
-                      for i, span in enumerate(self.spans)]  # and its inequality rows
+                               slice(x + t, x + t + w), slice(r0, r1)))
 
     def select(self, key):
         """The regions that ``key`` holds (one row set per member, None where
@@ -821,39 +825,108 @@ class _Fleet:
         return regions, self.coef, (at, np.concatenate(eta), np.concatenate(err)), held
 
 
-def solve_fleet(problems, price_columns, warm_starts, cache) -> list:
-    """Each player's solutions at every column of ``price_columns`` (prices
-    x points), from its warm start, by one stacked pass over the whole fleet:
-    the first step of every member's walk, from its held selection (its warm
-    start's strict rows, or its cold start's rows at the first column).
+class FleetRecord:
+    """The fleet step at every column of its prices, the memo of a point or batch: its
+    stacked arrays (``v``, held rows' ``eta``, members' ``slack``) and, per player, the
+    columns ``alone`` it was solved at, in ``sols``; other solutions are built when read."""
 
-    A member not served at every column goes on with its own walk from the
-    rows that step named (``_solve_condensed``), a degenerate vertex's tied
-    rows included, so no step runs twice.  A player the step cannot serve
-    (no map, W not unique, or a strict row that is not a W row), or every
-    player where a value is not finite or there is no column, gets None: it
-    is solved alone.  ``cache`` keeps the ``_Fleet`` (scenario data).
-    """
-    fleet = cache.get("fleet_step")
-    if fleet is None or fleet.problems is not problems:
-        fleet = cache["fleet_step"] = _Fleet(problems)
-    out = [None] * len(problems)
-    if not fleet.members:
-        return out
+    def __init__(self, problems, cache, prices, m, sols=None):
+        fleet = cache.get("fleet_step")
+        if fleet is None or fleet.problems is not problems:
+            fleet = cache["fleet_step"] = _Fleet(problems)
+        self.fleet, self.prices, self.m, self.v, self.values = fleet, prices, m, None, {}
+        self.sols = sols or [None] * len(problems)
+        self.alone = dict.fromkeys(range(len(problems)), range(m))  # all, until the step serves
+
+    @cached_property
+    def _rows(self):
+        """v, the inequality multipliers and the tight rows, one row per point."""
+        etas = np.zeros((self.m, self.slack.shape[0]))
+        etas[:, self.fleet.w_rows] = np.maximum(self.eta, 0.0).T
+        return self.v.T.copy(), etas, (self.slack <= self.fleet.tols[1]).T
+
+    def solution(self, k, c=0) -> PlayerSolution:
+        """Player k's solution at column c, built from the arrays on first read."""
+        if self.sols[k][c] is None:
+            x_span, mu_span, _, _, in_span = self.fleet.spans[self.fleet.index[k]]
+            vt, etas, tight = self._rows
+            sol = self.sols[k][c] = _solution(
+                self.fleet.problems[k], self.prices[c], vt[c, x_span], vt[c, mu_span],
+                etas[c, in_span], tuple(tight[c, in_span].nonzero()[0].tolist()))
+            if (k, c) in self.values:  # its objective, read first: the solution keeps it
+                vars(sol)["objective"] = self.values[k, c]
+        return self.sols[k][c]
+
+    def objective(self, k, c=0) -> float:
+        """Player k's optimal value at column c, without building its solution."""
+        sol = self.sols[k][c]
+        if sol is None and (k, c) not in self.values:
+            self.values[k, c] = self.fleet.problems[k].objective(
+                self._rows[0][c, self.fleet.spans[self.fleet.index[k]][0]], self.prices[c])
+        return self.values[k, c] if sol is None else sol.objective
+
+    def strict(self, k) -> tuple:
+        """Player k's strict rows at the first column: the next point's held selection."""
+        if self.sols[k][0] is not None:  # solved alone, or built (and split) already
+            return self.sols[k][0]._strict[0]
+        i = self.fleet.index[k]
+        strong = self.eta[self.fleet.w_at[i] : self.fleet.w_at[i + 1], 0] > STRICT_DUAL_TOL
+        return tuple(self.fleet.members[i][2].w_rows[strong].tolist())
+
+    @cached_property
+    def z(self):
+        """Z at every column (prices x points, read-only), summed in player order."""
+        z = np.zeros((self.m, self.fleet.problems[0].n_prices)).T
+        for k, cols in self.alone.items():
+            vol = np.empty(z.shape) if len(cols) == self.m else \
+                self.v[self.fleet.spans[self.fleet.index[k]][0]][: z.shape[0]].copy()
+            for c in cols:
+                vol[:, c] = self.sols[k][c].volumes
+            z += vol
+        z.flags.writeable = False
+        return z
+
+    @cached_property
+    def bound_states(self) -> np.ndarray:
+        """(columns, 2, deliveries, plants): is each plant of the fleet, producers
+        in order, at its upper bound, at its lower: an active capacity row pins, a
+        tight ramp row does not.  Solved columns read their active sets (slack alike)."""
+        fleet, flags = self.fleet, np.zeros((self.m, self.fleet.n_flags), dtype=bool)
+        if self.v is not None:
+            flags[:, : self.slack.shape[0]] = (self.slack <= fleet.tols[1]).T
+        for k, cols in self.alone.items():
+            at = fleet.flag_at[k]
+            for c in cols:
+                flags[c, at : at + fleet.problems[k].ineq_rhs.size] = False
+                flags[c, at + np.array(self.sols[k][c].active_set, dtype=int)] = True
+        return flags[:, fleet.table]
+
+
+def solve_fleet(problems, price_columns, warm, cache) -> FleetRecord:
+    """The record of every player at every column of ``price_columns`` (prices x
+    points) by one stacked pass over the whole fleet: the first step of every
+    member's walk from its held selection, the strict rows of ``warm`` (the
+    record of the point before), or cold, its cold start's rows at the first
+    column.  A member not served at every column goes on with its own walk from
+    the rows that step named (``_solve_condensed``), a degenerate vertex's tied
+    rows included.  A player the step cannot serve (no map, W not unique, or a
+    strict row that is not a W row), or every player where a value is not finite
+    or there is no column, keeps None in ``sols``: its caller solves it alone."""
     prices, p = _query(problems[0], price_columns)
-    m, size = p.shape[1], len(fleet.members)
-    if not m:  # no column to read cold rows at
-        return out
+    record = FleetRecord(problems, cache, prices, p.shape[1])
+    fleet, m, size = record.fleet, p.shape[1], len(record.fleet.members)
+    if not size or not m:  # no column to read cold rows at
+        return record
     regions, coef, (at, eta_map, err), held = fleet.select(tuple(
-        _first_rows(problem, cond, warm_starts[k], p[:, :1])[0] if cond.a_w.shape[1] else ()
-        for k, problem, cond in fleet.members))
+        _first_rows(problem, cond, warm and warm.strict(k), p[:, :1])[0]
+        if cond.a_w.shape[1] else () for k, problem, cond in fleet.members))
     v, eta, floor = coef @ p, np.zeros((held.shape[0], m)), np.zeros((held.shape[0], m))
     eta[at], floor[at] = eta_map @ p, -(err @ np.abs(p))  # zero where not held
     for (_, _, mu_t, w_span, _), rec_w, region in zip(fleet.spans, fleet.rec_w, regions):
         if region is not None:
             v[mu_t] += rec_w @ v[w_span]
     if not (np.isfinite(v).all() and np.isfinite(eta).all()):
-        return out
+        return record
     gap = np.concatenate([problem.eq_matrix @ v[x_span] for (_, problem, _), (x_span, *_)
                           in zip(fleet.members, fleet.spans)]) - fleet.eq_rhs
     slack = fleet.ineq_rhs - (v[fleet.pairs[0]] - v[fleet.pairs[1]])
@@ -862,28 +935,21 @@ def solve_fleet(problems, price_columns, warm_starts, cache) -> list:
     r, c = np.nonzero(np.concatenate((fault, off)))
     failed[fleet.owner[r], c] = True
     served = (~(failed[:size] | failed[size:])).tolist()
-    col, row = np.nonzero((slack <= fleet.tols[1]).T)  # the active sets, by column and row
-    cuts = np.searchsorted(col * size + fleet.in_owner[row], np.arange(m * size + 1)).tolist()
-    local, vt = fleet.local_in[row].tolist(), v.T.copy()  # one contiguous row per point
-    etas = np.zeros((m, slack.shape[0]))
-    etas[:, fleet.w_rows] = np.maximum(eta, 0.0).T
+    record.v, record.eta, record.slack = v, eta, slack
     for i, (k, problem, cond) in enumerate(fleet.members):
         if cond.a_w.shape[1] and regions[i] is None:
             continue
-        x_span, mu_span, _, w_span, in_span = fleet.spans[i]
-        points = [(vt[c, x_span], vt[c, mu_span], etas[c, in_span],
-                   tuple(local[cuts[c * size + i] : cuts[c * size + i + 1]]))
-                  if ok else None for c, ok in enumerate(served[i])]
-        if None in points and cond.a_w.shape[1]:  # resume the walk from this step
-            own = slice(fleet.w_at[i], fleet.w_at[i + 1])
-            w, eta_w, ties = v[w_span], eta[own], (off[own] | held[own]) & ~failed[i]
-            moved, moves = [c for c, ok in enumerate(served[i]) if not ok], [None] * m
-            for c, move in zip(moved, _moves(problem, cond, w, eta_w, moved, ties)):
-                moves[c] = move
-            step = (regions[i], np.concatenate((w, eta_w[regions[i].pos])), points, moves)
-            points = _solve_condensed(problem, cond, p, warm_starts[k], step)
-        out[k] = _finish(problem, prices, points, warm_starts[k])
-    return out
+        walked = record.alone[k] = [c for c, ok in enumerate(served[i]) if not ok]
+        points, start = [ok or None for ok in served[i]], walked and warm and warm.solution(k)
+        if walked and cond.a_w.shape[1]:  # resume the walk from this step
+            own, w = slice(fleet.w_at[i], fleet.w_at[i + 1]), v[fleet.spans[i][3]]
+            eta_w, ties = eta[own], (off[own] | held[own]) & ~failed[i]
+            moves = dict(zip(walked, _moves(problem, cond, w, eta_w, walked, ties)))
+            step = (regions[i], np.concatenate((w, eta_w[regions[i].pos])), points,
+                    list(map(moves.get, range(m))))
+            points = _solve_condensed(problem, cond, p, start, step)
+        record.sols[k] = list(_finish(problem, prices, points, start)) if walked else [None] * m
+    return record
 
 
 def _rows(problem: PlayerProblem, cond: _Condensed, x):

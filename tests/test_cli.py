@@ -310,17 +310,18 @@ def test_errors_raised_by_a_command_exit_with_their_code(scenario_file, capsys, 
     assert not out and "raised by the command" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["oracle", "--step", "nan"],
-    ["oracle", "--step", "inf"],
-    ["solve", "--tol", "nan"],
-    ["solve", "--kkt-tol", "inf"],
-    ["solve", "--max-iter", "0"],
-], ids=["step_nan", "step_inf", "tol_nan", "kkt_tol_inf", "max_iter_0"])
-def test_non_finite_or_empty_options_exit_1(scenario_file, capsys, argv):
+@pytest.mark.parametrize("argv, named", [
+    (["oracle", "--step", "nan"], "step"),
+    (["oracle", "--step", "inf"], "step"),
+    (["solve", "--tol", "nan"], "tolerances"),
+    (["solve", "--kkt-tol", "inf"], "tolerances"),
+    (["solve", "--max-iter", "0"], "max_iter"),
+    (["diagnose", "--seed", "-1"], "seed=-1"),
+], ids=["step_nan", "step_inf", "tol_nan", "kkt_tol_inf", "max_iter_0", "seed_negative"])
+def test_non_finite_or_empty_options_exit_1(scenario_file, capsys, argv, named):
     code, out, err = run([*argv, "--scenario", str(scenario_file)], capsys)
     assert code == 1
-    assert not out and "bad configuration" in err
+    assert not out and "bad configuration" in err and named in err
 
 
 def test_doob_needs_ensemble(scenario_file, capsys):

@@ -2,13 +2,14 @@ import gc
 import weakref
 from collections import Counter
 from dataclasses import astuple, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import equiterm as eq
 from equiterm import equilibrium, players
-from equiterm.equilibrium import Market, _fleet_bound_states, merit_order_prices
+from equiterm.equilibrium import Market, merit_order_prices
 from tests.corpus import build_scenario, desk_n1, ladder, make_corpus, portfolio
 
 
@@ -137,8 +138,7 @@ def test_consumer_only_market_fails_uniqueness():
     diag = eq.check_uniqueness(no_prod, prices=np.zeros(1), n_samples=8, seed=0, market=market)
     assert diag.rank_condition == 0
     # a fleet without plants: no delivery at a bound, none with a plant strictly inside
-    sols = market.solutions(np.zeros(1))
-    assert _fleet_bound_states(market, [sols, sols]).shape == (2, 2, 1, 0)
+    assert market._batch(np.zeros((1, 2))).bound_states.shape == (2, 2, 1, 0)
     assert diag.saturation.statuses == ("interior",)
     assert diag.strictly_feasible_plant_per_period == (False,)
     assert diag.rank_ok is False
@@ -267,8 +267,8 @@ def test_bound_states_from_active_set_match_primal_walk(medium, which):
     pinned = 0
     for _ in range(40):
         prices = base + 0.5 * np.abs(base).max() * rng.standard_normal(base.size)
+        got = market.selection(prices).record.bound_states[0]  # from the fleet step's slack
         sols = market.solutions(prices)
-        got = _fleet_bound_states(market, [sols])[0]
         # producers lead the player order, each with its plants in W order
         ref = np.concatenate([_primal_bound_states(sc, problem, sol) for problem, sol
                               in zip(market.problems[: len(sc.producers)], sols)], axis=-1)
@@ -283,11 +283,13 @@ def test_fleet_bound_states_of_a_batch_are_its_columns_read_one_at_a_time():
     base = merit_order_prices(sc)
     rng = np.random.default_rng(5)
     points = base[:, None] + 0.2 * np.abs(base).max() * rng.standard_normal((base.size, 32))
-    _, columns = market.excess_many(points)
-    batch = _fleet_bound_states(market, columns)
+    record = market._batch(points)
+    batch = record.bound_states
     assert batch.shape == (32, 2, sc.grid.n_deliveries, 3)
-    for states, sols in zip(batch, columns):
-        np.testing.assert_array_equal(states, _fleet_bound_states(market, [sols])[0])
+    for c, states in enumerate(batch):
+        single = players.FleetRecord(market.problems, sc._derived, None, 1,
+                                     [[record.solution(k, c)] for k in range(len(market.problems))])
+        np.testing.assert_array_equal(states, single.bound_states[0])
     assert len({states.tobytes() for states in batch}) > 1
 
 
@@ -321,7 +323,7 @@ def _record_solves(monkeypatch, alone="solve_qp"):
 
     def fleet_step(problems, prices, *args):
         out = fleet(problems, prices, *args)
-        served = sum(sols is not None for sols in out)
+        served = sum(sols is not None for sols in out.sols)
         solves.update({col.tobytes(): served for col in prices.T})
         return out
 
@@ -362,9 +364,9 @@ def test_check_uniqueness_evaluates_each_point_once(monkeypatch):
     centre = eq.solve_equilibrium(sc).prices
     market = Market(sc)
     evaluated = []
-    excess_many = market.excess_many
-    market.excess_many = lambda prices: (
-        evaluated.extend(col.tobytes() for col in prices.T) or excess_many(prices))
+    batch = market._batch
+    market._batch = lambda prices: (
+        evaluated.extend(col.tobytes() for col in prices.T) or batch(prices))
     market.solutions(centre)  # the centre is the memo, so only the batches solve below
     solves = _record_solves(monkeypatch, "solve_qp_many")
     diag = eq.check_uniqueness(sc, prices=centre, n_samples=16, market=market)
@@ -388,6 +390,15 @@ def test_check_uniqueness_takes_one_jacobian_per_player(monkeypatch):
     diag = eq.check_uniqueness(sc, prices=centre, n_samples=4, market=market)
     assert sorted(map(id, taken)) == sorted(map(id, market.problems))
     assert diag.jacobian_eigen_max == float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+
+
+@pytest.mark.parametrize("seed", [-1, -(1 << 40)])
+def test_check_uniqueness_names_a_negative_seed(seed):
+    sc = dict(make_corpus())["two_fuels"]
+    res = eq.solve_equilibrium(sc)
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got seed={seed}"):
+        eq.check_uniqueness(sc, res, n_samples=1, seed=seed)
+    assert eq.check_uniqueness(sc, res, n_samples=1, seed=0).monotonicity_all_negative
 
 
 def test_check_uniqueness_takes_an_equilibrium_or_prices_not_both():
@@ -427,9 +438,12 @@ def test_one_selection_record_serves_the_solve_and_check_uniqueness(monkeypatch)
         jacobians[sol.prices.tobytes(), id(problem)] += 1
         return _inner(problem, sol)
 
-    def bound_states(owner, columns, _inner=equilibrium._fleet_bound_states):
-        reads.append({sols[0].prices.tobytes() for sols in columns})
-        return _inner(owner, columns)
+    def bound_states(record, _inner=players.FleetRecord.bound_states.func):
+        reads.append({row.tobytes() for row in record.prices})
+        return _inner(record)
+
+    bound_states = cached_property(bound_states)
+    bound_states.__set_name__(players.FleetRecord, "bound_states")
 
     def report(*args, _inner=equilibrium.SaturationReport):
         reports.append(args)
@@ -437,7 +451,7 @@ def test_one_selection_record_serves_the_solve_and_check_uniqueness(monkeypatch)
 
     monkeypatch.setattr(equilibrium, "Market", RecordingMarket)
     monkeypatch.setattr(equilibrium, "response_jacobian", jacobian)
-    monkeypatch.setattr(equilibrium, "_fleet_bound_states", bound_states)
+    monkeypatch.setattr(players.FleetRecord, "bound_states", bound_states)
     monkeypatch.setattr(equilibrium, "SaturationReport", report)
     corpus = dict(make_corpus())
     corpus_reads = 0
@@ -445,8 +459,8 @@ def test_one_selection_record_serves_the_solve_and_check_uniqueness(monkeypatch)
         for seen in (markets, jacobians, reads, reports):
             seen.clear()
         result = eq.solve_equilibrium(sc)
-        batches, excess_many = [], markets[0].excess_many
-        markets[0].excess_many = lambda prices: batches.append(prices) or excess_many(prices)
+        batches, batch = [], markets[0]._batch
+        markets[0]._batch = lambda prices: batches.append(prices) or batch(prices)
         eq.check_uniqueness(sc, result)
         final = result.prices.tobytes()
         assert len(markets) == 1, name
@@ -467,7 +481,7 @@ def test_the_record_and_its_market_form_no_reference_cycle():
         result = eq.solve_equilibrium(sc)
         eq.check_uniqueness(sc, result, n_samples=4)
         held = weakref.ref(result.market), weakref.ref(result.selection)
-        assert result.market._last[3] is result.selection
+        assert result.market.selection(result.prices) is result.selection
         del result
         assert [ref() for ref in held] == [None, None]
     finally:
@@ -478,14 +492,14 @@ def test_the_record_and_its_market_form_no_reference_cycle():
 
 
 def _centred_batch(name, spread, m, seed=11):
-    """A market whose memo is its equilibrium and m points around it."""
+    """A market whose memo is its equilibrium, that centre and m points around it."""
     sc = dict(make_corpus())[name]
     market = Market(sc)
     centre = eq.solve_equilibrium(sc, market=market).prices
     market.solutions(centre)
     rng = np.random.default_rng(seed)
     radius = spread * max(1.0, float(np.max(np.abs(centre))))
-    return market, centre[:, None] + radius * rng.standard_normal((centre.size, m))
+    return market, centre, centre[:, None] + radius * rng.standard_normal((centre.size, m))
 
 
 def _engine_runs(monkeypatch):
@@ -513,9 +527,9 @@ def _assert_column_matches_single_solve(prob, warm, prices, sol):
     assert [v.hex() for v in astuple(eq.kkt_residual(prob, sol))] == stored
 
 
-def _assert_batch_matches_single_solves(market, prices):
-    """Each column of the batch is the single-point solve from the memo point."""
-    warm = market.solutions(market._last[1][0].prices)
+def _assert_batch_matches_single_solves(market, centre, prices):
+    """Each column of the batch is the single-point solve from the memo point ``centre``."""
+    warm = market.solutions(centre)
     z, sols = market.excess_many(prices)
     assert z.shape == prices.shape and len(sols) == prices.shape[1]
     for c in range(prices.shape[1]):
@@ -527,27 +541,27 @@ def _assert_batch_matches_single_solves(market, prices):
 
 
 def test_batch_columns_served_by_the_region(monkeypatch):
-    market, prices = _centred_batch("three_by_three", 0.01, 40)
+    market, centre, prices = _centred_batch("three_by_three", 0.01, 40)
     runs = _engine_runs(monkeypatch)
     market.excess_many(prices)
     assert not runs  # no column reached an engine
-    _assert_batch_matches_single_solves(market, prices)
+    _assert_batch_matches_single_solves(market, centre, prices)
 
 
 def test_far_batch_columns_fall_back_to_the_engine(monkeypatch):
-    market, prices = _centred_batch("three_by_three", 0.5, 40)
+    market, centre, prices = _centred_batch("three_by_three", 0.5, 40)
     runs = _engine_runs(monkeypatch)
     market.excess_many(prices)
     producers = sum(p.kind == "producer" for p in market.problems)
     assert 0 < runs["_solve_w_qp"] < producers * prices.shape[1]
-    _assert_batch_matches_single_solves(market, prices)
+    _assert_batch_matches_single_solves(market, centre, prices)
 
 
 def test_batch_with_non_unique_production():
-    market, prices = _centred_batch("twin_plants", 0.05, 12)
+    market, centre, prices = _centred_batch("twin_plants", 0.05, 12)
     assert any(not players._condensation(p).w_unique for p in market.problems
                if p.kind == "producer")
-    _assert_batch_matches_single_solves(market, prices)
+    _assert_batch_matches_single_solves(market, centre, prices)
 
 
 def test_batch_with_a_binding_trading_box(monkeypatch):
@@ -566,7 +580,7 @@ def test_batch_with_a_binding_trading_box(monkeypatch):
 
 
 def test_batch_columns_do_not_depend_on_their_order():
-    market, prices = _centred_batch("four_deliveries", 0.1, 24)
+    market, centre, prices = _centred_batch("four_deliveries", 0.1, 24)
     z, sols = market.excess_many(prices)
     perm = np.random.default_rng(5).permutation(prices.shape[1])
     z_perm, sols_perm = market.excess_many(prices[:, perm])
@@ -577,23 +591,23 @@ def test_batch_columns_do_not_depend_on_their_order():
 
 
 def test_batch_leaves_the_memo_in_place(monkeypatch):
-    market, prices = _centred_batch("three_by_three", 0.05, 8)
-    memo = market._last
+    market, centre, prices = _centred_batch("three_by_three", 0.05, 8)
+    memo = market.selection(centre)
     market.excess_many(prices)
-    assert market._last is memo
     solves = _record_solves(monkeypatch)
-    market.solutions(memo[1][0].prices)
+    assert market.selection(centre) is memo
+    market.solutions(centre)
     assert not solves
 
 
 def test_empty_batch():
-    market, prices = _centred_batch("n1_single", 0.05, 0)
+    market, centre, prices = _centred_batch("n1_single", 0.05, 0)
     z, sols = market.excess_many(prices)
     assert z.shape == (market.n_prices, 0) and sols == ()
 
 
 def test_non_finite_batch_column_is_named():
-    market, prices = _centred_batch("three_by_three", 0.05, 5)
+    market, centre, prices = _centred_batch("three_by_three", 0.05, 5)
     prices[1, 3] = np.nan
     with pytest.raises(ValueError, match="column 3"):
         market.excess_many(prices)
