@@ -159,17 +159,12 @@ def _config_echo(args) -> dict:
     return cfg
 
 
-def _file_sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _envelope(args) -> dict:
+def _envelope(args, data: bytes) -> dict:
     return {
         "report_schema": "equiterm/report/1",
         "command": args.command,
         "scenario_path": args.scenario,
-        "scenario_hash": _file_sha256(args.scenario),
+        "scenario_hash": hashlib.sha256(data).hexdigest(),
         "config": _config_echo(args),
     }
 
@@ -349,7 +344,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        scenario = load_scenario(args.scenario)
+        with open(args.scenario, "rb") as fh:
+            data = fh.read()  # hashed and parsed as read once
+        scenario = load_scenario(args.scenario, data)
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -357,7 +354,7 @@ def main(argv=None) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    report = _envelope(args)
+    report = _envelope(args, data)
     try:
         return _COMMANDS[args.command](scenario, args, report)
     except _INPUT_ERRORS as exc:

@@ -70,7 +70,9 @@ player's walk at once, from its held selection: the price parts of every
 ``rec`` and the held regions' maps are stacked, so a point is one product
 for every W, one for every held eta, one ``rec_w @ W`` per producer and
 one gathered pass over the whole fleet's rows, certified by the same
-``_certificate`` as ``_serve``.
+``_certificate`` as ``_serve``.  A point the held selection serves costs
+no more: one mask compared, no player visited, and its equality gap one
+product once the selection, read at 1 + n price columns, is folded.
 
 The condensation drops the trading boxes.  The full active-set QP (also
 the test oracle) runs instead, from the player's usual start, when a
@@ -664,7 +666,7 @@ def _certificate(tols, gap, slack, eta, floor, w_rows, held):
     step per player and column."""
     eq_tol, ineq_tol = tols
     return (np.concatenate((np.abs(gap) > eq_tol, slack + ineq_tol < 0.0, eta < floor)),
-            (slack[w_rows] <= ineq_tol[w_rows]) != held)
+            (slack.take(w_rows, axis=0) <= ineq_tol.take(w_rows, axis=0)) != held)
 
 
 def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Region, z):
@@ -746,13 +748,13 @@ class _Fleet:
     a zero, then each member's [mu; t; W].  ``coef`` stacks the price
     columns of each ``rec``; a selection writes its regions' maps of W into
     it and stacks their maps of eta (``_stack``), and a point adds one
-    ``rec_w @ W`` per producer.  Inequality rows are read as gathered pairs
-    of v, the zero where an entry is missing; equality rows by each
-    member's own product.
+    ``rec_w @ W`` per producer (``values``).  Inequality rows are read as
+    gathered pairs of v, the zero where an entry is missing; equality rows
+    by each member's own product, or by the selection's fold (``gap``).
     """
 
     def __init__(self, problems):
-        self.problems, self.key = problems, None
+        self.problems, self.key, self.mask = problems, None, None
         self.members = [(k, p, c) for k, p in enumerate(problems) for c in (_condensation(p),)
                         if c.rec is not None and c.w_unique and c.ineq_pairs is not None]
         self.index = {k: i for i, (k, _, _) in enumerate(self.members)}
@@ -796,33 +798,51 @@ class _Fleet:
             self.rec_w.append(np.concatenate((c.rec[t:, width:], c.rec[:t, width:])))
             self.spans.append((slice(x, x + t + w), slice(b, x), slice(b, x + t),
                                slice(x + t, x + t + w), slice(r0, r1)))
-
-    def select(self, key):
-        """The regions that ``key`` holds (one row set per member, None where
-        a strict row is not a W row) and their stack (``_stack``), rebuilt
-        only when some member's held rows change."""
-        if key != self.key:
-            self.key, self.held = key, self._stack(key)
-        return self.held
+        xs = dict(zip(self.index, x_at.tolist()))  # a non-member's volumes are its solutions'
+        self.volumes = np.add.outer([xs.get(k, 0) for k in range(len(problems))], range(width - 1))
+        self.empty = np.zeros(0, dtype=int), np.zeros((0, width)), np.zeros((0, width))
+        self.regions, self.parts = [None] * member.size, [self.empty] * member.size
 
     def _stack(self, key):
-        """The regions of ``key``, ``coef`` with each one's map of W written
-        in place, the held rows (their place among the W rows, their maps of
-        eta and its roundoff) and the mask of them."""
-        regions = [None if rows is None or not c.a_w.shape[1] else _region(p, c, rows)
-                   for (_, p, c), rows in zip(self.members, key)]
-        none = np.zeros((0, self.coef.shape[1]))
-        at, eta, err = [np.zeros(0, dtype=int)], [none], [none]
-        for (*_, w_span, _), region, w_at in zip(self.spans, regions, self.w_at.tolist()):
-            n_w = w_span.stop - w_span.start
+        """Stack ``key``'s regions (per member, None where a strict row is not a W row),
+        rewriting only the members whose rows change; ``mask`` is None if a region is."""
+        for i, (rows, (_, problem, cond)) in enumerate(zip(key, self.members)):
+            if self.key is not None and rows == self.key[i]:
+                continue
+            w_span, n_w = self.spans[i][3], cond.a_w.shape[1]
+            region = self.regions[i] = None if rows is None or not n_w else _region(
+                problem, cond, rows)
             self.coef[w_span] = 0.0 if region is None else region.coef[:n_w]
-            if region is not None:
-                at.append(w_at + region.pos)
-                eta.append(region.coef[n_w:])
-                err.append(region.eta_err)
-        at, held = np.concatenate(at), np.zeros((self.w_rows.size, 1), dtype=bool)
+            self.parts[i] = self.empty if region is None else (
+                self.w_at[i] + region.pos, region.coef[n_w:], region.eta_err)
+        at, eta, err = map(np.concatenate, zip(*self.parts))
+        held = np.zeros((self.w_rows.size, 1), dtype=bool)
         held[at] = True
-        return regions, self.coef, (at, np.concatenate(eta), np.concatenate(err)), held
+        self.key, self.held = key, (at, eta, err, held)
+        self.mask, self.fold = held[:, 0] if None not in key else None, None
+        self.unfolded = self.coef.shape[1]  # columns left to read before folding
+
+    def values(self, p):
+        """v at every column of ``p`` = [1; pi]: ``coef`` p, each ``rec_w @ W`` added."""
+        v = self.coef @ p
+        for (_, _, mu_t, w_span, _), rec_w, region in zip(self.spans, self.rec_w, self.regions):
+            if region is not None:
+                v[mu_t] += rec_w @ v[w_span]
+        return v
+
+    def gap(self, v, p):
+        """Every member's A x - a at v: one product each until the selection has read as
+        many columns as [1; pi] has rows, then one of the fold, the map of [1; pi] to it.
+        Folding costs about what those products did: at most about twice the cheaper way."""
+        if self.fold is not None:
+            return self.fold @ p
+        fresh, self.unfolded = self.unfolded > 0, self.unfolded - p.shape[1]
+        e = p if fresh else np.eye(p.shape[0])  # this point, or the fold's map of [1; pi]
+        x = v if fresh else self.values(e)
+        gap = np.concatenate([problem.eq_matrix @ x[span[0]] for (_, problem, _), span
+                              in zip(self.members, self.spans)]) - self.eq_rhs * e[:1]
+        self.fold = None if fresh else gap
+        return gap if fresh else gap @ p
 
 
 class FleetRecord:
@@ -835,7 +855,7 @@ class FleetRecord:
         if fleet is None or fleet.problems is not problems:
             fleet = cache["fleet_step"] = _Fleet(problems)
         self.fleet, self.prices, self.m, self.v, self.values = fleet, prices, m, None, {}
-        self.sols = sols or [None] * len(problems)
+        self.sols, self.served = sols or [None] * len(problems), False  # served: no member alone
         self.alone = dict.fromkeys(range(len(problems)), range(m))  # all, until the step serves
 
     @cached_property
@@ -875,14 +895,14 @@ class FleetRecord:
 
     @cached_property
     def z(self):
-        """Z at every column (prices x points, read-only), summed in player order."""
-        z = np.zeros((self.m, self.fleet.problems[0].n_prices)).T
+        """Z at every column (prices x points, read-only): the players' volumes, one gather
+        of v, summed in player order (``sum`` may pair terms); + 0.0 signs -0 as zeros would."""
+        vols = self.v.take(self.fleet.volumes, axis=0) if self.v is not None else \
+            np.empty((len(self.sols), self.fleet.problems[0].n_prices, self.m))
         for k, cols in self.alone.items():
-            vol = np.empty(z.shape) if len(cols) == self.m else \
-                self.v[self.fleet.spans[self.fleet.index[k]][0]][: z.shape[0]].copy()
             for c in cols:
-                vol[:, c] = self.sols[k][c].volumes
-            z += vol
+                vols[k, :, c] = self.sols[k][c].volumes
+        z = np.add.accumulate(vols)[-1] + 0.0
         z.flags.writeable = False
         return z
 
@@ -906,38 +926,43 @@ def solve_fleet(problems, price_columns, warm, cache) -> FleetRecord:
     """The record of every player at every column of ``price_columns`` (prices x
     points) by one stacked pass over the whole fleet: the first step of every
     member's walk from its held selection, the strict rows of ``warm`` (the
-    record of the point before), or cold, its cold start's rows at the first
-    column.  A member not served at every column goes on with its own walk from
-    the rows that step named (``_solve_condensed``), a degenerate vertex's tied
-    rows included.  A player the step cannot serve (no map, W not unique, or a
-    strict row that is not a W row), or every player where a value is not finite
-    or there is no column, keeps None in ``sols``: its caller solves it alone."""
+    record of the point before, matched by its mask if it was served whole), or
+    cold, its cold start's rows at the first column.  A member not served at
+    every column goes on with its own walk from the rows that step named
+    (``_solve_condensed``), a degenerate vertex's tied rows included.  A player
+    the step cannot serve (no map, W not unique, or a strict row that is not a
+    W row), or every player where a value is not finite or there is no column,
+    keeps None in ``sols``: its caller solves it alone."""
     prices, p = _query(problems[0], price_columns)
     record = FleetRecord(problems, cache, prices, p.shape[1])
     fleet, m, size = record.fleet, p.shape[1], len(record.fleet.members)
     if not size or not m:  # no column to read cold rows at
         return record
-    regions, coef, (at, eta_map, err), held = fleet.select(tuple(
-        _first_rows(problem, cond, warm and warm.strict(k), p[:, :1])[0]
-        if cond.a_w.shape[1] else () for k, problem, cond in fleet.members))
-    v, eta, floor = coef @ p, np.zeros((held.shape[0], m)), np.zeros((held.shape[0], m))
+    if warm is None or not warm.served or warm.fleet is not fleet or fleet.mask is None \
+            or np.count_nonzero((warm.eta[:, 0] > STRICT_DUAL_TOL) != fleet.mask):
+        key = tuple(_first_rows(problem, cond, warm and warm.strict(k), p[:, :1])[0]
+                    if cond.a_w.shape[1] else () for k, problem, cond in fleet.members)
+        if key != fleet.key:
+            fleet._stack(key)
+    at, eta_map, err, held = fleet.held
+    v, eta, floor = fleet.values(p), np.zeros((held.shape[0], m)), np.zeros((held.shape[0], m))
     eta[at], floor[at] = eta_map @ p, -(err @ np.abs(p))  # zero where not held
-    for (_, _, mu_t, w_span, _), rec_w, region in zip(fleet.spans, fleet.rec_w, regions):
-        if region is not None:
-            v[mu_t] += rec_w @ v[w_span]
     if not (np.isfinite(v).all() and np.isfinite(eta).all()):
         return record
-    gap = np.concatenate([problem.eq_matrix @ v[x_span] for (_, problem, _), (x_span, *_)
-                          in zip(fleet.members, fleet.spans)]) - fleet.eq_rhs
-    slack = fleet.ineq_rhs - (v[fleet.pairs[0]] - v[fleet.pairs[1]])
-    fault, off = _certificate(fleet.tols, gap, slack, eta, floor, fleet.w_rows, held)
+    slack = fleet.ineq_rhs - (v.take(fleet.pairs[0], axis=0) - v.take(fleet.pairs[1], axis=0))
+    fault, off = _certificate(fleet.tols, fleet.gap(v, p), slack, eta, floor, fleet.w_rows, held)
+    record.v, record.eta, record.slack = v, eta, slack
+    if fleet.mask is not None and not (np.count_nonzero(fault) or np.count_nonzero(off)):
+        record.served = True
+        for k in fleet.index:
+            record.alone[k], record.sols[k] = (), [None] * m
+        return record
     failed = np.zeros((2 * size, m), dtype=bool)  # per member and column: certificate, ties
     r, c = np.nonzero(np.concatenate((fault, off)))
     failed[fleet.owner[r], c] = True
     served = (~(failed[:size] | failed[size:])).tolist()
-    record.v, record.eta, record.slack = v, eta, slack
-    for i, (k, problem, cond) in enumerate(fleet.members):
-        if cond.a_w.shape[1] and regions[i] is None:
+    for i, ((k, problem, cond), region) in enumerate(zip(fleet.members, fleet.regions)):
+        if cond.a_w.shape[1] and region is None:
             continue
         walked = record.alone[k] = [c for c, ok in enumerate(served[i]) if not ok]
         points, start = [ok or None for ok in served[i]], walked and warm and warm.solution(k)
@@ -945,7 +970,7 @@ def solve_fleet(problems, price_columns, warm, cache) -> FleetRecord:
             own, w = slice(fleet.w_at[i], fleet.w_at[i + 1]), v[fleet.spans[i][3]]
             eta_w, ties = eta[own], (off[own] | held[own]) & ~failed[i]
             moves = dict(zip(walked, _moves(problem, cond, w, eta_w, walked, ties)))
-            step = (regions[i], np.concatenate((w, eta_w[regions[i].pos])), points,
+            step = (region, np.concatenate((w, eta_w[region.pos])), points,
                     list(map(moves.get, range(m))))
             points = _solve_condensed(problem, cond, p, start, step)
         record.sols[k] = list(_finish(problem, prices, points, start)) if walked else [None] * m

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -407,6 +408,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+def load_scenario(path, data: bytes | None = None) -> Scenario:
+    """The scenario in the UTF-8 JSON file at ``path`` (no byte-order mark), or in its bytes."""
+    try:
+        doc = json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ScenarioError(f"not a UTF-8 JSON document: {exc}") from None
+    return scenario_from_dict(doc)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import json
 import operator
 import os
@@ -550,3 +551,35 @@ def test_phase_one_engine_failure_exits_2_without_traceback(tmp_path, capsys, mo
     assert doc["validation"]["passed"] is False
     joint = next(c for c in doc["validation"]["checks"] if c["name"] == "joint_clearing")
     assert "iteration limit" in joint["message"]
+
+
+@pytest.mark.parametrize("content, where", [
+    (b'{"schema": ', "line 1 column 12"),      # truncated
+    (b"", "line 1 column 1"),                 # empty
+    (b"\xff{}", "byte 0xff in position 0"),   # not UTF-8
+    (b"\xef\xbb\xbf{}", "BOM"),               # UTF-8 with a byte-order mark
+    ("{}".encode("utf-16"), "byte 0xff in position 0"),
+])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_a_malformed_scenario_file_exits_2_naming_where(tmp_path, capsys, content, where, command):
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    code, out, err = run([command, "--scenario", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid scenario: not a UTF-8 JSON document: ") and where in err
+    assert "Traceback" not in err
+
+
+def test_the_scenario_file_is_read_once_and_hashed_as_read(scenario_file, capsys, monkeypatch):
+    opened = []
+
+    def recording(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    for module in (cli, eq.scenario):  # the reader, and the parser it hands the bytes to
+        monkeypatch.setattr(module, "open", recording, raising=False)
+    code, out, _ = run(["validate", "--scenario", str(scenario_file)], capsys)
+    assert code == 0 and opened == [str(scenario_file)]
+    digest = hashlib.sha256(scenario_file.read_bytes()).hexdigest()
+    assert json.loads(out)["scenario_hash"] == digest

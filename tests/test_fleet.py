@@ -102,10 +102,18 @@ def test_a_point_served_by_the_fleet_step_solves_no_player_alone(monkeypatch):
 def test_the_selection_stack_is_rebuilt_once_per_selection_change(monkeypatch):
     market, centre = _centred("mixed_sizes")
     fleet = market.scenario._derived["fleet_step"]
-    stacks = _record(monkeypatch, players._Fleet, "_stack")
+    stacks, regions = [], _record(monkeypatch, players, "_region")
+
+    def stack(self, key, _inner=players._Fleet._stack):
+        before = len(regions)
+        changed = [i for i, rows in enumerate(key) if rows != self.key[i]]
+        _inner(self, key)
+        stacks.append((changed, len(regions) - before))
+
+    monkeypatch.setattr(players._Fleet, "_stack", stack)
     rng = np.random.default_rng(5)
     radius = 0.05 * float(np.max(np.abs(centre)))
-    changes, key, before = 0, fleet.key, centre
+    changes, key, before, folds = 0, fleet.key, centre, []
     for x in centre + radius * rng.standard_normal((40, centre.size)):
         warm = market.solutions(before)
         held = tuple(w._strict[0] if p.kind == "producer" else ()
@@ -114,8 +122,42 @@ def test_the_selection_stack_is_rebuilt_once_per_selection_change(monkeypatch):
         key = held
         market.solutions(x)
         market.solutions(x)  # the memo: no evaluation, no stack
+        folds.append((len(stacks), fleet.fold))
         before = x
     assert len(stacks) == changes > 0
+    # only the members whose held rows changed build and write their region
+    assert all(len(changed) == built for changed, built in stacks)
+    assert [1, 1] in [[len(changed), built] for changed, built in stacks]
+    # a held selection folds its equality gap at most once
+    built = {}
+    for epoch, fold in folds:
+        if fold is not None:
+            assert built.setdefault(epoch, fold) is fold
+    assert built
+
+
+@pytest.mark.parametrize("name", ["mixed_sizes", "tight_ramps", "ladder24"])
+def test_the_folded_equality_gap_is_the_products_it_replaces_to_rounding(name):
+    # the fold reorders the gap's arithmetic, (A E) p for A (E p), E the map of
+    # [1; pi] to v: held to the rounding bound of both, 2 k eps (|A| |E| |p| + |a|)
+    market, centre = _centred(name)
+    fleet = market.scenario._derived["fleet_step"]
+    fleet._stack(fleet.key)  # the held selection again: no fold, no column read
+    points = centre * (1.0 + 1e-7 * np.arange(1.0, centre.size + 3.0))[:, None]
+    for i, x in enumerate(points):  # one selection's points
+        record = market.selection(x).record
+        # folded once its products read as many columns as the fold has, 1 + n
+        assert record.served and (fleet.fold is None) == (i <= centre.size)
+    p = np.concatenate(([1.0], x))[:, None]
+    e, got, start = fleet.values(np.eye(p.shape[0])), fleet.gap(record.v, p), 0
+    for (_, problem, _), (x_span, *_) in zip(fleet.members, fleet.spans):
+        a, rows = problem.eq_matrix, slice(start, start + problem.eq_rhs.size)
+        want = a @ record.v[x_span] - problem.eq_rhs[:, None]
+        bound = np.abs(a) @ np.abs(e[x_span]) @ np.abs(p) + np.abs(problem.eq_rhs)[:, None]
+        k = a.shape[1] + p.shape[0]
+        assert np.all(np.abs(got[rows] - want) <= 2 * k * np.finfo(float).eps * bound)
+        start = rows.stop
+    assert start == got.shape[0]
 
 
 def _tie_points(name, count):
@@ -336,3 +378,183 @@ def test_a_sweep_block_builds_no_solution_for_a_player_the_fleet_step_served(mon
     members = [p for _, p, _ in sc._derived["fleet_step"].members]
     assert members
     assert {p.name: built[id(p)] for p in members if built[id(p)] > alone[id(p)]} == {}
+
+
+# ---- the all-served exit against the general path ----------------------------
+
+def _fresh(name):
+    """A new instance of the market ``name``, sharing no cache with another."""
+    if name == "consumers_only":
+        return _consumers_only()
+    built = MARKETS[name]
+    return built() if callable(built) else dict(make_corpus())[name]
+
+
+def _general_only(monkeypatch):
+    """Every stack reads as missing a region: no mask check, no all-served exit."""
+    def stack(self, key, _inner=players._Fleet._stack):
+        _inner(self, key)
+        self.mask = None
+
+    monkeypatch.setattr(players._Fleet, "_stack", stack)
+
+
+def _assert_same_record(got, want):
+    for name in ("v", "eta", "slack"):
+        a, b = getattr(got, name, None), getattr(want, name, None)
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
+    assert {k: tuple(c) for k, c in got.alone.items()} == {k: tuple(c) for k, c in want.alone.items()}
+    assert [[s is None for s in sols] for sols in got.sols] == \
+        [[s is None for s in sols] for sols in want.sols]
+    assert got.z.tobytes() == want.z.tobytes()
+    assert got.bound_states.tobytes() == want.bound_states.tobytes()
+    for k in range(len(got.sols)):
+        for c in range(got.m):
+            _assert_bitwise(got.solution(k, c), want.solution(k, c))
+
+
+def _sweep(name, seed):
+    """A fresh market at its centre, an 8-column batch and 16 points one after
+    another, at radius 5%: each evaluation's record."""
+    sc = _fresh(name)
+    market = Market(sc)
+    if sc.producers:
+        centre = equilibrium.solve_equilibrium(sc, market=market).prices
+    else:
+        centre = np.zeros(market.n_prices)
+    out = [market.selection(centre).record]
+    rng = np.random.default_rng(seed)
+    spread = 0.05 * max(1.0, float(np.max(np.abs(centre))))
+    out.append(market._batch(centre[:, None] + spread * rng.standard_normal((centre.size, 8))))
+    for x in centre + spread * rng.standard_normal((16, centre.size)):
+        out.append(market.selection(x).record)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MARKETS) + ["consumers_only"])
+def test_the_all_served_exit_is_the_general_path_bit_for_bit(monkeypatch, name):
+    keys = _record(monkeypatch, players.FleetRecord, "strict")
+    fast = _sweep(name, 13)
+    fast_keys = len(keys)
+    _general_only(monkeypatch)
+    general = _sweep(name, 13)
+    for got, want in zip(fast, general):
+        _assert_same_record(got, want)
+    general_keys = len(keys) - fast_keys  # members with a W read warm's strict rows
+    assert fast_keys < general_keys or not general_keys  # the mask check skipped some
+    assert not any(record.served for record in general)
+
+
+def _edge(name, tamper, monkeypatch=None):
+    """Tamper with a fresh market's fleet at a served point y = 1.01 x its
+    centre, then evaluate y again from the memo at the centre."""
+    if monkeypatch is not None:
+        _general_only(monkeypatch)
+    sc = _fresh(name)
+    market = Market(sc)
+    centre = equilibrium.solve_equilibrium(sc, market=market).prices
+    market.selection(centre)
+    points = 1.01 * centre[:, None]
+    probe = market._batch(points)
+    tamper(market.scenario._derived["fleet_step"], probe)
+    return market._batch(points)
+
+
+def _at_tolerance(fleet, probe):
+    """Set the tolerance of a held W row with a nonnegative slack, and of a
+    W row that is not held, to their slack."""
+    held = fleet.held[3][:, 0]
+    slack = probe.slack[fleet.w_rows, 0]
+    rows = [np.flatnonzero(held & (slack >= 0.0))[0], np.flatnonzero(~held)[0]]
+    fleet.tols[1][fleet.w_rows[rows], 0] = slack[rows]
+
+
+def _held_only_at_tolerance(fleet, probe):
+    """Set the tolerance of a held W row with a nonnegative slack to its slack."""
+    held = np.flatnonzero(fleet.held[3][:, 0] & (probe.slack[fleet.w_rows, 0] >= 0.0))[0]
+    fleet.tols[1][fleet.w_rows[held], 0] = probe.slack[fleet.w_rows[held], 0]
+
+
+def _eta_at_floor(fleet, probe):
+    """Make the floor of the first held row its eta."""
+    at, _, err, _ = fleet.held
+    err[0] = 0.0
+    err[0, 0] = -probe.eta[at[0], 0]  # floor = -(err @ |p|) = eta
+
+
+@pytest.mark.parametrize("tamper, served", [
+    (_held_only_at_tolerance, True), (_at_tolerance, False), (_eta_at_floor, True)])
+def test_the_all_served_exit_at_its_edges(monkeypatch, tamper, served):
+    record = _edge("tight_ramps", tamper)  # two rows held at its centre
+    assert record.served is served
+    general = _edge("tight_ramps", tamper, monkeypatch)
+    _assert_same_record(record, general)
+
+
+def test_a_column_that_is_not_finite_takes_no_exit(monkeypatch):
+    results = []
+    for patch in (None, monkeypatch):
+        if patch is not None:
+            _general_only(patch)
+        sc = _fresh("tight_ramps")
+        market = Market(sc)
+        centre = equilibrium.solve_equilibrium(sc, market=market).prices
+        market.selection(centre)
+        points = np.column_stack((1.01 * centre, centre))
+        points[0, 1] = 1e10
+        market._batch(points[:, :1])  # stacks the centre's selection
+        eta_map = market.scenario._derived["fleet_step"].held[1]
+        eta_map[0] = 0.0
+        eta_map[0, 1] = 1e300  # a held eta finite at 1.01 x the centre, not at 1e10
+        with np.errstate(over="ignore"):
+            results.append(market._batch(points))
+    assert results[0].v is None and not results[0].served
+    _assert_same_record(*results)
+
+
+def test_a_warm_point_with_a_member_solved_alone_takes_no_mask_check(monkeypatch):
+    market, centre, problem, row, prices = _tie_points("two_fuels", 1)[0]
+    market.solutions(centre)
+    warm = market.selection(prices).record  # the tie walks: not served whole
+    assert not warm.served and warm.alone[market.problems.index(problem)]
+    keys = _record(monkeypatch, players.FleetRecord, "strict")
+    record = market.selection(prices * (1.0 + 1e-9)).record
+    assert keys  # the held selection was read from warm's strict rows
+    for k, problem in enumerate(market.problems):
+        _assert_same(record.solution(k), players.solve_qp(
+            problem, record.prices[0], warm_start=warm.solution(k)))
+
+
+def test_a_stack_another_market_changed_is_restacked(monkeypatch):
+    # two markets share the scenario's fleet: b's point stacks another
+    # selection, so a's next point must compare its mask and stack its own
+    sc = _fresh("mixed_sizes")
+    a, b = Market(sc), Market(sc)
+    centre = equilibrium.solve_equilibrium(sc, market=a).prices
+    a.selection(centre)
+    fleet = sc._derived["fleet_step"]
+    held = fleet.key
+    b.selection(0.5 * centre)
+    b.selection(0.5 * centre * (1.0 + 1e-7))
+    assert fleet.key != held
+    walks = _record(monkeypatch, players, "_solve_condensed")
+    record = a.selection(centre * (1.0 + 1e-7)).record
+    assert fleet.key == held and record.served and not walks
+
+
+def test_a_member_without_a_region_is_left_to_its_caller(monkeypatch):
+    market, centre = _centred("two_fuels")
+    fleet = market.scenario._derived["fleet_step"]
+    k, problem, cond = next(member for member in fleet.members if member[2].a_w.shape[1])
+    box = next(r for r in range(problem.ineq_rhs.size) if r not in cond.w_pos)
+    warm = market.solutions(centre)
+    strict = players.FleetRecord.strict
+    monkeypatch.setattr(players.FleetRecord, "strict",
+                        lambda self, j: (box,) if j == k else strict(self, j))
+    fleet.mask = None  # the key is read from the strict rows
+    x = centre * (1.0 + 1e-7)
+    record = market.selection(x).record
+    assert fleet.regions[fleet.index[k]] is None and not record.served
+    assert record.alone[k] == range(1)
+    for j, (problem, w) in enumerate(zip(market.problems, warm)):
+        _assert_same(record.solution(j), players.solve_qp(problem, x, warm_start=w))
