@@ -136,8 +136,12 @@ class Selection:
 
     @cached_property
     def jacobians(self) -> tuple[ResponseJacobian, ...]:
-        """Each player's response dV/dpi at its own selection."""
-        return tuple(map(response_jacobian, self.problems, self.sols))
+        """Each player's response dV/dpi at its own selection: read from the record
+        where the fleet served the player (``FleetRecord.jacobian``), building no
+        solution, else from its solution."""
+        record = self.record
+        return tuple(record.jacobian(k) or response_jacobian(problem, record.solution(k))
+                     for k, problem in enumerate(self.problems))
 
     @cached_property
     def jacobian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,114 +4,64 @@
 expected power prices.  Prices enter only the linear term, and every
 player's curvature is lambda * Sigma with one Sigma per scenario, so the
 traded block t = (V, F, O) is eliminated in closed form (condensed).  With
-A = [A_t A_w] the equality rows and S = A_t Sigma^-1 A_t' / lambda, the
-equality multipliers are affine in production W,
+A = [A_t A_w] the equality rows and S = A_t Sigma^-1 A_t' / lambda,
 
     mu(W) = -S^-1 (a + A_t Sigma^-1 g_t / lambda) + S^-1 A_w W,
     t     = -Sigma^-1 (g_t + A_t' mu) / lambda,
 
-with g_t the traded linear term, affine in the prices pi.  So [t; mu] is
-one affine map of [1; pi; W], composed once per problem instance
-(``_Condensed.rec``).  A consumer has no W, so its response is an affine
-map of prices.  A producer is left with a QP over W alone, with Hessian
-A_w' S^-1 A_w, linear term A_w' mu(0) = -[r0 R1] [1; pi] and only the
-ramp and capacity rows, solved by the same active-set engine as the full
-problem.  Sigma^-1 is factored once per scenario and shared by reference
-(``PlayerProblem.cov_inverse``); S is factored once per problem instance,
-from that instance's own rows, and a scenario assembles its problems once
-(``assemble_all``), so that is also once per scenario.  The cold start is
-likewise found once per instance and kept read-only.
+with g_t affine in the prices pi, so [t; mu] is one affine map ``rec`` of
+[1; pi; W], composed once per problem instance (``_Condensed``; Sigma^-1 is
+factored once per scenario).  A producer is left with a QP over W alone,
+Hessian A_w' S^-1 A_w, linear term -[r0 R1] [1; pi], only the ramp and
+capacity rows.  It is a multiparametric QP: on a critical region, where a
+set R of W rows is held active, W(pi) and eta_R(pi) are affine (Nocedal &
+Wright, 16.2), by the range-space build when W is unique, else the
+null-space build's minimum-norm W and eta (Patrinos & Sarimveis, Automatica
+46, 2010).  Each instance keeps one region.
 
-The W-QP is a multiparametric QP in the prices: on a critical region,
-where a fixed set R of strict rows (positive multiplier) is active, its
-solution W(pi), eta_R(pi) is affine (Nocedal & Wright, 16.2).  When W is
-unique (H positive definite) a region is built by the range-space method,
-from one factor of H per instance and one |R| x |R| Cholesky factor.  Any
-other region, where W is not unique or the rows of R are dependent, takes
-the null-space method, cut by the engine's rank rule: the minimum-norm W
-and eta_R of the region (Patrinos & Sarimveis, Automatica 46, 2010).  A
-solve walks these regions, starting from the warm start's strict rows, or,
-cold, from the W rows tied at the feasible start whose multiplier there is
-nonnegative: the primal-dual active-set start, where a running producer is
-unconstrained and an idle one at its lower bounds.  It keeps a region's
-point when that certifies (finite, eta_R >= 0 up to the roundoff of its
-solve, and the full problem's start-point check passes, equalities
-included) and the W rows tied there are exactly R.  Where W is not unique
-eta_R must exceed ``STRICT_DUAL_TOL`` beyond that roundoff, so that R stays
-tight across the optimal face.  Otherwise a unique W moves to R' = {rows
-of R with eta > 0} + {W rows the predicted W violates} + {W rows tied at
-a certified point, a degenerate vertex}: the primal-dual active-set step,
-a semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
-2002).  The walk ends after finitely many row sets, and the engine solves
-the W-QP instead, in two cases: R' was already tried, or W is not unique
-(it does not walk).  The engine starts from the player's usual start,
-seeded with the column's first region's rows whose multiplier it predicts
-stays positive; it accepts any rows active at its start, so the seed
-changes the path, not the answer.  Only W is mapped; t and mu are
-recovered from it by ``rec``, one product per block of columns.
-Each problem instance keeps one region, keyed by its rows, so memory stays
-bounded on a long sweep.
+One walk serves every point (``_walk``): a primal-dual active-set step
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) over stacked
+critical regions, one per player, as in explicit-MPC point location
+(Bemporad, Morari, Dua & Pistikopoulos, Automatica 38, 2002).  A point is
+served where it certifies: finite, eta_R >= 0 up to the roundoff of its
+solve (``STRICT_DUAL_TOL`` beyond it where W is not unique), every row of
+the full problem within the engine's start tolerances, and the W rows tied
+there exactly R (``_certificate``).  Otherwise a unique W moves on to
+R' = {rows of R with eta > 0} + {W rows the point violates} + {W rows tied
+at a certified point, a degenerate vertex}.  ``solve_fleet`` takes the
+first step for every player of a market at once from its held selection
+(the last point's strict rows, or cold, those tied at the feasible start
+with a nonnegative multiplier): one product for every W and price part,
+one for every held eta, one ``rec_w @ W`` per producer and one gathered
+pass over the fleet's +1/-1 rows.  Each later step places only the members
+that moved, by their own maps (``_place``), and certifies all of them in
+one stacked pass (``_step``); a placed member's [t; mu] is the one product
+``rec`` [1; pi; W], which rounds apart from the stack's sum, so each point
+keeps the arithmetic of the step that serves it.  ``solve_qp_many`` is the
+fleet of one.  A
+walk ends when it names no rows (always where W is not unique) or a row set
+it tried; the column is then solved alone, by the engine's W-QP seeded with
+its first region's rows, and by the full QP where that point fails the full
+rows: when a trading box binds, when Sigma or S has no factor (no map), or
+when a warm start's strict row is not a W row.  The solutions of served
+points are built from the record's arrays only when read (``FleetRecord``).
+A served point's duals are the full problem's: t meets its stationarity rows
+by construction, the W-QP's is the full one on the W columns, and the
+trading boxes are slack, so their multipliers are zero.
 
-Every point no region served (the engine's or the full QP's) is finished
-in one place, ``_solution``, which reads its active set from the slack.
-At a degenerate vertex the tied W rows are linearly dependent and their
-multipliers are not unique; it then keeps the minimum-norm nonnegative
-ones (``_canonical_duals``).  A region serves only nonnegative ones, and
-its map gives the minimum-norm ones, so every path picks the same strict
-rows, and so the same ``selection_id``.
+Every point solved alone is finished in ``_solution``: its active set from
+the slack and, at a degenerate vertex, the minimum-norm nonnegative
+multipliers (``_canonical_duals``), so every path picks the same strict
+rows and ``selection_id``.  The traded block of the optimum is unique; W
+can sit on a flat face, so a second stage picks its minimum-norm W (skipped
+where A_w or [A_w; B_s] pins W); the multipliers stay valid there.  The
+objective and the KKT residuals are computed when first read, by
+``kkt_residual`` itself.
 
-``solve_qp_many`` solves one player at a block of price columns, all from
-one warm start, and ``solve_qp`` is its one-column case.  The region, the
-recovery of mu and t, the certificate and the active sets are one matrix
-operation each over all columns on one region; a consumer's affine map
-likewise.  Only a column whose walk ends is solved alone, by the engine
-and then by the full QP.  ``solve_fleet`` takes the first step of every
-player's walk at once, from its held selection: the price parts of every
-``rec`` and the held regions' maps are stacked, so a point is one product
-for every W, one for every held eta, one ``rec_w @ W`` per producer and
-one gathered pass over the whole fleet's rows, certified by the same
-``_certificate`` as ``_serve``.  A point the held selection serves costs
-no more: one mask compared, no player visited, and its equality gap one
-product once the selection, read at 1 + n price columns, is folded.
-
-The condensation drops the trading boxes.  The full active-set QP (also
-the test oracle) runs instead, from the player's usual start, when a
-Cholesky factor of Sigma or S fails (S is singular when equality rows
-repeat, as in the pinned-totals oracle; the instance's record then has no
-map), when a warm start's strict row is not a W row, or when the recovered
-point is not finite or violates any row of the full problem, equalities
-included, beyond the engine's start-point tolerances: whenever a trading
-box binds.
-
-An accepted point's duals are valid for the full problem: t meets its
-stationarity rows by construction, the W-QP's stationarity
-A_w' mu(W) + B_w' eta = 0 is the full one on the W columns, and the boxes
-are slack, so their multipliers are zero.  One pass over the full
-problem's rows (``_rows``: the equality gap, and the slack with Bx read
-from each row's +1 and -1 entries, O(rows) per column) gives the
-start-point check that accepts a condensed point (``_certificate``) and
-the active set.  Only when the second stage below moves W is the slack
-taken again.  What a caller may not read is computed when first read: the
-objective and the KKT residuals, by ``kkt_residual`` itself, so a stored
-residual is its recomputation bit for bit, and each solution the fleet
-step serves, built from its arrays (``FleetRecord``, the point's memo).
-
-The traded block of the optimum is unique; W can sit on a flat face, so a
-second stage picks the minimum-norm W on that face to make results
-deterministic.  W carries no cost and no curvature, so the first stage's
-multipliers stay valid there (a convex QP has the same multipliers at
-every optimum).  The face keeps A_w W and every strict row fixed, so it is
-a single point when A_w has full column rank (decided once per instance)
-or when [A_w; B_s] does for the strict rows B_s of the point (the engine's
-rank rule): the second stage would return its start, and it is skipped.
-
-``response_jacobian`` differentiates the optimal power trades with respect
-to expected prices while holding the strictly active constraints fixed:
-one affine piece of the piecewise-affine response map.  When every
-strict row is a W row it is dV/dpi = J_t - R1' dW/dpi, J_t the sensitivity
-at fixed W, with dW/dpi the price columns of the region's map; otherwise
-it is the null-space projection Z (Z'HZ)^+ Z' of the full problem.  It is
-exact wherever Sigma is positive definite: flat directions move W alone.
+``response_jacobian`` differentiates the optimal power trades at fixed
+strict rows: dV/dpi = J_t - R1' dW/dpi with dW/dpi the region's price
+columns where every strict row is a W row, else the full problem's
+null-space projection Z (Z'HZ)^+ Z'.
 """
 
 from __future__ import annotations
@@ -266,25 +216,25 @@ def solve_qp_many(problem: PlayerProblem, price_columns,
                   warm_start=None) -> tuple[PlayerSolution, ...]:
     """``solve_qp`` at every column of ``price_columns`` (prices x points),
     each column from the same ``warm_start``, so no column depends on
-    another or on their order.
-
-    The condensed arithmetic covers all columns on one region at once; a
-    column whose region walk ends is solved alone, by the W-QP engine from
-    the warm start and then by the full QP, which also solves every column
-    of an instance without a map (``rec`` None).
-    """
+    another or on their order: the walk of a fleet of one from each column's
+    first region (``_first_rows``), or the full QP where there is no map."""
     prices, p = _query(problem, price_columns)
-    cond = _condensation(problem)
-    points = ([None] * p.shape[1] if cond.rec is None
-              else _solve_condensed(problem, cond, p, warm_start))
-    return _finish(problem, prices, points, warm_start)
-
-
-def _finish(problem: PlayerProblem, prices, points, warm_start) -> tuple:
-    """The solution of each point at its row of ``prices``: None where it is
-    True (the fleet step's), the full QP's from the player's usual start where None."""
-    return tuple(None if point is True else _solution(problem, prices[c], *(point or _solve_full(
-        problem, problem.merged_linear(prices[c]), warm_start))) for c, point in enumerate(points))
+    cond, m = _condensation(problem), p.shape[1]
+    if cond.rec is None:  # no map
+        return tuple(_solution(problem, prices[c], *_solve_full(
+            problem, problem.merged_linear(prices[c]), warm_start)) for c in range(m))
+    fleet = problem._derived.get("fleet_step")
+    if fleet is None or fleet.members[0][2] is not cond:
+        fleet = problem._derived["fleet_step"] = _Fleet((problem,))
+    record, walks = FleetRecord(fleet.problems, problem._derived, prices, m), {}
+    record.v, record.eta = np.zeros((fleet.n_v, m)), np.zeros((fleet.w_rows.size, m))
+    state = (np.zeros(record.eta.shape), np.zeros(record.eta.shape, dtype=bool),
+             np.zeros((fleet.eq_rhs.size, m)))
+    for c, rows in enumerate(_first_rows(problem, cond, warm_start and warm_start._strict[0], p)
+                             if cond.a_w.shape[1] else [()] * m):
+        walks.setdefault(rows, []).append(c)  # None: a strict row is not a W row
+    _walk(record, p, state, lambda k: warm_start, {0: walks})
+    return tuple(map(record.solution, [0] * m, range(m)))
 
 
 def _full_solve_qp(problem: PlayerProblem, expected_prices) -> PlayerSolution:
@@ -567,72 +517,23 @@ def _null_space(cond: _Condensed, b_s, bound):
             np.finfo(float).eps * (sum(b_s.shape) + w.shape[1]) * (np.abs(pinv_t) @ terms))
 
 
-def _solve_condensed(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, warm_start,
-                     step=None):
-    """Per column of ``p`` = [1; pi], (x, mu, eta, active) through the W-QP
-    (active None where the engine solved it), or None where the point fails
-    the full rows or a strict row of the warm start is not a W row.
-
-    Each column walks the W-QP's critical regions from its first one
-    (``_first_rows``), and the columns on one region take their step
-    together (``_serve``): a column is served where it certifies with
-    exactly the region's W rows tied, else it moves to the rows ``_serve``
-    names.  ``step``, when given, is the first region's step already taken
-    by the fleet step for every column: (region, its prediction, served,
-    moves).  Where the walk ends (no rows named, as always where W is not
-    unique, or a row set it tried before) the engine solves the column alone
-    from the player's usual start, seeded with the column's first region's
-    rows that it predicts stay active there.
-    """
-    m, n_w = p.shape[1], cond.a_w.shape[1]
-    if not n_w:
-        empty = np.zeros((0, m))
-        x, mu, slack, keep, _ = _recover(problem, cond, p, empty, empty, 0.0, False)
-        return _points(cond, x, mu, slack, keep, empty)  # V is affine in pi
-    firsts = [step[0].rows] * m if step else _first_rows(
-        problem, cond, warm_start and warm_start._strict[0], p)
-    points, engine, walks = [None] * m, [], {}
-    tried, seeds = {}, {}  # per column walked: its row sets, the engine's seed
-    for c, rows in enumerate(firsts):
-        if rows is not None:
-            walks.setdefault(rows, []).append(c)
-    every = list(range(m))
-    while walks:
-        rows, cols = walks.popitem()
-        if step is None:
-            region = _region(problem, cond, rows)
-            p_cols = p if cols == every else p[:, cols]  # a subset, or another order
-            z = region.coef @ p_cols
-            served, moves = _serve(problem, cond, p_cols, region, z)
-        else:
-            (region, z, served, moves), step = step, None
-        for k, (c, point, move) in enumerate(zip(cols, served, moves)):
-            points[c] = point
-            if point is None:
-                if c not in tried:  # its first region
-                    tried[c], seeds[c] = {rows}, region.pos[z[n_w:, k] > 0.0].tolist()
-                if move is None or move in tried[c]:
-                    engine.append(c)
-                else:
-                    tried[c].add(move)
-                    walks.setdefault(move, []).append(c)
-    x0 = _start(problem, warm_start)[0]
-    for c in sorted(engine):
-        points[c] = _solve_w_qp(problem, cond, p[:, c : c + 1], x0, seeds[c])
-    return points
-
-
 def _solve_w_qp(problem: PlayerProblem, cond: _Condensed, p, x0, seed):
     """(x, mu, eta, active=None) of the point ``p`` = [1; pi] (one column)
     through the engine's W-QP from the full-problem point ``x0`` with the
-    W-QP rows ``seed`` as its working set, or None when it fails the full rows."""
+    W-QP rows ``seed`` as its working set, [t; mu] = ``rec`` [1; pi; W], or
+    None when it is not finite or fails the full rows (``_certificate``)."""
     res = solve_qp_active_set(
         cond.hessian, -cond.w_lin @ p[:, 0], np.zeros((0, cond.a_w.shape[1])), np.zeros(0),
         cond.b_w, problem.ineq_rhs[cond.w_rows], x0[cond.n_t:], working_set=seed,
     )
-    x, mu, slack, keep, _ = _recover(problem, cond, p, res.x[:, None], p[:0], 0.0, False)
-    point = _points(cond, x, mu, slack, keep, res.ineq_duals[:, None])[0]
-    return None if point is None else (*point[:3], None)
+    t_mu = cond.rec @ np.concatenate((p, res.x[:, None]))
+    x = np.concatenate((t_mu[: cond.n_t, 0], res.x))
+    if not np.isfinite(x).all() or _certificate(
+            cond.tols, *_rows(problem, cond, x[:, None]), p[:0], 0.0, cond.w_rows, False)[0].any():
+        return None
+    eta = np.zeros(problem.ineq_rhs.size)
+    eta[cond.w_rows] = res.ineq_duals
+    return x, t_mu[cond.n_t :, 0], eta, None
 
 
 def _first_rows(problem: PlayerProblem, cond: _Condensed, strict, p):
@@ -662,102 +563,33 @@ def _certificate(tols, gap, slack, eta, floor, w_rows, held):
     the inequalities' column) or an eta of the held rows below ``floor``
     (-eta_err, or ``STRICT_DUAL_TOL`` + eta_err where W is not unique); and
     where the W rows ``w_rows`` tied there differ from ``held``.  A point is
-    served where neither holds: ``_serve`` reads it per column, the fleet
-    step per player and column."""
+    served where neither holds: a walk step reads it per member and column."""
     eq_tol, ineq_tol = tols
     return (np.concatenate((np.abs(gap) > eq_tol, slack + ineq_tol < 0.0, eta < floor)),
             (slack.take(w_rows, axis=0) <= ineq_tol.take(w_rows, axis=0)) != held)
 
 
-def _serve(problem: PlayerProblem, cond: _Condensed, p: np.ndarray, region: _Region, z):
-    """One step of the walk at the prediction ``z`` = (W, eta of its rows) of
-    ``region``, one column per column of ``p`` = [1; pi].
-
-    Returns, per column, (x, mu, eta, active) where the point is finite and
-    served (``_certificate``), else None; and the rows of the next region
-    (``_moves``), or None where the walk ends (W not unique, or a point that
-    is not finite).  A point that certifies with a tied W row outside the
-    region (a degenerate vertex) moves to the region holding those rows too.
-    """
-    m, n_w = p.shape[1], cond.a_w.shape[1]
-    finite = np.isfinite(z).all(axis=0)
-    if not finite.all():
-        z = np.where(finite, z, 0.0)  # refused; keeps the products below finite
-    w, eta_r = z[:n_w], z[n_w:]
-    err = region.eta_err @ np.abs(p)  # zero where within the roundoff of its own solve
-    floor = -err if cond.w_unique else STRICT_DUAL_TOL + err  # a weak row need not stay tight
-    eta_w = np.zeros((cond.w_rows.size, m))
-    eta_w[region.pos] = np.maximum(eta_r, 0.0)
-    served, keep = [None] * m, finite & (eta_r >= floor).all(axis=0)
-    ties = np.zeros(eta_w.shape, dtype=bool)
-    if keep.any():  # else no column can certify, and none is recovered
-        x, mu, slack, ok, off = _recover(problem, cond, p, w, eta_r, floor, region.held)
-        keep &= ok
-        tied_off = keep & off.any(axis=0)
-        served = _points(cond, x, mu, slack, keep & ~tied_off, eta_w)
-        ties = (off | region.held) & tied_off
-    moves = [None] * m
-    if cond.w_unique and None in served:
-        moved = [c for c in range(m) if finite[c] and served[c] is None]
-        for c, move in zip(moved, _moves(problem, cond, w, eta_w, moved, ties)):
-            moves[c] = move
-    return served, moves
-
-
-def _moves(problem: PlayerProblem, cond: _Condensed, w, eta_w, moved, ties):
-    """For each column in ``moved``, the rows of the next region of its
-    walk: the held rows whose multiplier in ``eta_w`` is positive, the W
-    rows that the predicted W violates beyond tolerance and the W rows
-    ``ties`` (rows x columns) holds."""
-    over = cond.b_w @ w[:, moved] - problem.ineq_rhs[cond.w_rows, None] > cond.w_tols
-    ahead = over | (eta_w[:, moved] > 0.0) | ties[:, moved]
-    return [tuple(cond.w_rows[ahead[:, k]].tolist()) for k in range(len(moved))]
-
-
-def _recover(problem: PlayerProblem, cond: _Condensed, p, w, eta, floor, held):
-    """Per column of ``p`` = [1; pi] and ``w``: x and mu, [t; mu] one product
-    ``rec`` [1; pi; W], the full problem's slack, whether x is finite and
-    certifies with the held rows' ``eta`` and ``floor`` (``_certificate``),
-    and where the W rows tied there differ from those ``held``."""
-    t_mu = cond.rec @ (np.concatenate((p, w)) if w.shape[0] else p)
-    x, mu = np.concatenate((t_mu[: cond.n_t], w)), t_mu[cond.n_t :]
-    finite = np.isfinite(x).all(axis=0)
-    if not finite.all():
-        x = np.where(finite, x, 0.0)  # refused; keeps the row products finite
-    gap, slack = _rows(problem, cond, x)
-    fault, off = _certificate(cond.tols, gap, slack, eta, floor, cond.w_rows, held)
-    return x, mu, slack, finite & ~fault.any(axis=0), off
-
-
-def _points(cond: _Condensed, x, mu, slack, keep, eta_w):
-    """Per column, (x, mu, eta, active) where ``keep``, else None, eta ``eta_w`` on the W rows."""
-    etas = np.zeros((x.shape[1], slack.shape[0]))
-    etas[:, cond.w_rows] = eta_w.T
-    xs, mus = x.T.copy(), mu.T.copy()  # one contiguous row per point
-    active = _active_sets(cond, slack)
-    return [(xs[c], mus[c], etas[c], active[c]) if keep[c] else None for c in range(x.shape[1])]
-
-
 class _Fleet:
-    """The fleet step's stacked rows, built once per scenario from its
-    assembled problems, and the stack of its held regions, once per selection.
+    """The stacked rows of a fleet, built once per scenario (once per problem for
+    a fleet of one), and the stack of its held regions, once per selection.
 
-    Its members are the players it can serve: each one with a map whose W,
-    if it has one, is unique, and whose inequality rows are +1/-1 pairs
-    (``_entry_pairs``).  A point is one vector per column, v = coef [1; pi]:
-    a zero, then each member's [mu; t; W].  ``coef`` stacks the price
-    columns of each ``rec``; a selection writes its regions' maps of W into
-    it and stacks their maps of eta (``_stack``), and a point adds one
-    ``rec_w @ W`` per producer (``values``).  Inequality rows are read as
-    gathered pairs of v, the zero where an entry is missing; equality rows
-    by each member's own product, or by the selection's fold (``gap``).
-    """
+    Members are the players with a map whose inequality rows are +1/-1 pairs
+    (``_entry_pairs``), or a fleet of one's player, read by its dense rows.  A
+    point is one vector per column, v: a zero, then each member's [mu; t; W],
+    ``coef`` [1; pi] with each ``rec_w @ W`` added (``values``); inequality rows
+    are gathered pairs of v, equality rows each member's product or the fold
+    (``gap``).  A member whose W is not unique is held in the stack but placed
+    by its own maps (``own``, stacked last), like a walk's later steps."""
 
     def __init__(self, problems):
         self.problems, self.key, self.mask = problems, None, None
-        self.members = [(k, p, c) for k, p in enumerate(problems) for c in (_condensation(p),)
-                        if c.rec is not None and c.w_unique and c.ineq_pairs is not None]
+        one, conds = len(problems) == 1, map(_condensation, problems)
+        self.members = sorted(((k, p, c) for k, (p, c) in enumerate(zip(problems, conds))
+                               if c.rec is not None and (c.ineq_pairs is not None or one)),
+                              key=lambda member: not member[2].w_unique)  # own members last
         self.index = {k: i for i, (k, _, _) in enumerate(self.members)}
+        self.n_stacked = sum(c.w_unique for _, _, c in self.members)
+        self.own = set(range(self.n_stacked, len(self.members)))
         # each producer's capacity rows in a row of flags per point: members' as stacked
         order = [*self.index, *(k for k in range(len(problems)) if k not in self.index)]
         ends = np.cumsum([0] + [problems[k].ineq_rhs.size for k in order]).tolist()
@@ -775,27 +607,31 @@ class _Fleet:
         at = np.zeros((sizes.shape[0], sizes.shape[1] + 1), dtype=int)
         np.cumsum(sizes, axis=1, out=at[:, 1:])  # where each member's block of each size starts
         block = 1 + at[0] + at[1] + at[2]  # each member's [mu; t; W] in v
-        x_at, self.in_at, self.w_at = block[:-1] + n_eq, at[3], at[4]
-        pairs = np.concatenate([c.ineq_pairs for c in conds], axis=1)  # local columns
-        self.pairs = np.where(pairs == np.repeat(n_t + n_w, n_in), 0, pairs + np.repeat(x_at, n_in))
+        x_at, self.eq_at, self.in_at, self.w_at = block[:-1] + n_eq, at[0], at[3], at[4]
+        self.pairs, self.dense = None, probs[0].ineq_matrix
+        if conds[0].ineq_pairs is not None:  # local columns, then v's rows
+            pairs = np.concatenate([c.ineq_pairs for c in conds], axis=1)
+            self.pairs = np.where(pairs == np.repeat(n_t + n_w, n_in), 0,
+                                  pairs + np.repeat(x_at, n_in))
         self.eq_rhs, self.ineq_rhs = (np.concatenate([getattr(p, name) for p in probs])[:, None]
                                       for name in ("eq_rhs", "ineq_rhs"))
         self.tols = (np.repeat([c.tols[0] for c in conds], n_eq)[:, None],
                      np.concatenate([c.tols[1] for c in conds]))
         self.w_rows = np.concatenate([c.w_rows for c in conds]) + np.repeat(self.in_at[:-1], n_wr)
         member = np.arange(len(conds))
-        in_owner, w_owner = np.repeat(member, n_in), np.repeat(member, n_wr)
+        in_owner, self.w_owner = np.repeat(member, n_in), np.repeat(member, n_wr)
         # the member of each certificate row (equalities, inequalities, W rows'
         # eta), then, after the members, of each W row's tie
-        self.owner = np.concatenate((np.repeat(member, n_eq), in_owner, w_owner,
-                                     member.size + w_owner))
-        width = 1 + problems[0].n_prices
-        self.coef = np.zeros((block[-1], width))
+        self.owner = np.concatenate((np.repeat(member, n_eq), in_owner, self.w_owner,
+                                     member.size + self.w_owner))
+        width, self.n_v = 1 + problems[0].n_prices, block[-1]
+        self.coef = np.zeros((block[self.n_stacked], width))  # v's rows up to the own members'
         self.spans, self.rec_w = [], []  # per member: v's rows of x, mu, [mu; t], W; its ineq rows
         rows = np.stack((block[:-1], x_at, n_t, n_w, self.in_at[:-1], self.in_at[1:]), 1).tolist()
         for (b, x, t, w, r0, r1), c in zip(rows, conds):
-            self.coef[b : x + t] = np.concatenate((c.rec[t:, :width], c.rec[:t, :width]))
-            self.rec_w.append(np.concatenate((c.rec[t:, width:], c.rec[:t, width:])))
+            if c.w_unique:
+                self.coef[b : x + t] = np.concatenate((c.rec[t:, :width], c.rec[:t, :width]))
+                self.rec_w.append(np.concatenate((c.rec[t:, width:], c.rec[:t, width:])))
             self.spans.append((slice(x, x + t + w), slice(b, x), slice(b, x + t),
                                slice(x + t, x + t + w), slice(r0, r1)))
         xs = dict(zip(self.index, x_at.tolist()))  # a non-member's volumes are its solutions'
@@ -812,23 +648,25 @@ class _Fleet:
             w_span, n_w = self.spans[i][3], cond.a_w.shape[1]
             region = self.regions[i] = None if rows is None or not n_w else _region(
                 problem, cond, rows)
-            self.coef[w_span] = 0.0 if region is None else region.coef[:n_w]
+            if i < self.n_stacked:
+                self.coef[w_span] = 0.0 if region is None else region.coef[:n_w]
             self.parts[i] = self.empty if region is None else (
                 self.w_at[i] + region.pos, region.coef[n_w:], region.eta_err)
-        at, eta, err = map(np.concatenate, zip(*self.parts))
+        at, eta, err = map(np.concatenate, zip(*self.parts[: self.n_stacked]))
         held = np.zeros((self.w_rows.size, 1), dtype=bool)
-        held[at] = True
+        held[np.concatenate([part[0] for part in self.parts])] = True
         self.key, self.held = key, (at, eta, err, held)
         self.mask, self.fold = held[:, 0] if None not in key else None, None
         self.unfolded = self.coef.shape[1]  # columns left to read before folding
 
     def values(self, p):
-        """v at every column of ``p`` = [1; pi]: ``coef`` p, each ``rec_w @ W`` added."""
+        """v at every column of ``p`` = [1; pi]: ``coef`` p, each ``rec_w @ W`` added,
+        and zeros where the own members are placed."""
         v = self.coef @ p
         for (_, _, mu_t, w_span, _), rec_w, region in zip(self.spans, self.rec_w, self.regions):
             if region is not None:
                 v[mu_t] += rec_w @ v[w_span]
-        return v
+        return np.concatenate((v, np.zeros((self.n_v - v.shape[0], p.shape[1])))) if self.own else v
 
     def gap(self, v, p):
         """Every member's A x - a at v: one product each until the selection has read as
@@ -844,19 +682,28 @@ class _Fleet:
         self.fold = None if fresh else gap
         return gap if fresh else gap @ p
 
+    def slack(self, v):
+        """b - Bx at v for every member's inequality rows, from the gathered pairs of v,
+        or for a fleet of one without them, the dense product."""
+        if self.pairs is None:
+            return self.ineq_rhs - self.dense @ v[self.spans[0][0]]
+        return self.ineq_rhs - (v.take(self.pairs[0], axis=0) - v.take(self.pairs[1], axis=0))
+
 
 class FleetRecord:
-    """The fleet step at every column of its prices, the memo of a point or batch: its
+    """A fleet's walk at every column of its prices, the memo of a point or batch: its
     stacked arrays (``v``, held rows' ``eta``, members' ``slack``) and, per player, the
-    columns ``alone`` it was solved at, in ``sols``; other solutions are built when read."""
+    columns ``alone`` it was solved at outside the stack (the engine, the full QP, or a
+    player the fleet does not serve), in ``sols``; other solutions are built when read."""
 
     def __init__(self, problems, cache, prices, m, sols=None):
         fleet = cache.get("fleet_step")
         if fleet is None or fleet.problems is not problems:
             fleet = cache["fleet_step"] = _Fleet(problems)
         self.fleet, self.prices, self.m, self.v, self.values = fleet, prices, m, None, {}
-        self.sols, self.served = sols or [None] * len(problems), False  # served: no member alone
-        self.alone = dict.fromkeys(range(len(problems)), range(m))  # all, until the step serves
+        self.cols = list(range(m))
+        self.sols, self.served = sols or [None] * len(problems), False  # served: at held rows
+        self.alone = dict.fromkeys(range(len(problems)), range(m))  # all, until the fleet serves
 
     @cached_property
     def _rows(self):
@@ -893,15 +740,26 @@ class FleetRecord:
         strong = self.eta[self.fleet.w_at[i] : self.fleet.w_at[i + 1], 0] > STRICT_DUAL_TOL
         return tuple(self.fleet.members[i][2].w_rows[strong].tolist())
 
+    def jacobian(self, k) -> ResponseJacobian | None:
+        """Player k's ``response_jacobian`` at the first column from the arrays, where
+        the fleet served it (None where it was solved alone): its strict rows
+        (``strict``), on a boundary where another row is tight."""
+        if 0 in self.alone[k]:
+            return None
+        strict, rows = self.strict(k), self.fleet.spans[self.fleet.index[k]][4]
+        tight = np.count_nonzero(self.slack[rows, 0] <= self.fleet.tols[1][rows, 0])
+        return _jacobian(self.fleet.problems[k], strict, tight > len(strict))
+
     @cached_property
     def z(self):
         """Z at every column (prices x points, read-only): the players' volumes, one gather
         of v, summed in player order (``sum`` may pair terms); + 0.0 signs -0 as zeros would."""
         vols = self.v.take(self.fleet.volumes, axis=0) if self.v is not None else \
             np.empty((len(self.sols), self.fleet.problems[0].n_prices, self.m))
-        for k, cols in self.alone.items():
-            for c in cols:
-                vols[k, :, c] = self.sols[k][c].volumes
+        if any(self.alone.values()):
+            for k, cols in self.alone.items():
+                for c in cols:
+                    vols[k, :, c] = self.sols[k][c].volumes
         z = np.add.accumulate(vols)[-1] + 0.0
         z.flags.writeable = False
         return z
@@ -911,7 +769,10 @@ class FleetRecord:
         """(columns, 2, deliveries, plants): is each plant of the fleet, producers
         in order, at its upper bound, at its lower: an active capacity row pins, a
         tight ramp row does not.  Solved columns read their active sets (slack alike)."""
-        fleet, flags = self.fleet, np.zeros((self.m, self.fleet.n_flags), dtype=bool)
+        fleet, outside = self.fleet, any(self.alone.values())
+        if self.v is not None and not outside:  # every player a member, served at every column
+            return (self.slack <= fleet.tols[1]).T[:, fleet.table]
+        flags = np.zeros((self.m, fleet.n_flags), dtype=bool)
         if self.v is not None:
             flags[:, : self.slack.shape[0]] = (self.slack <= fleet.tols[1]).T
         for k, cols in self.alone.items():
@@ -924,19 +785,16 @@ class FleetRecord:
 
 def solve_fleet(problems, price_columns, warm, cache) -> FleetRecord:
     """The record of every player at every column of ``price_columns`` (prices x
-    points) by one stacked pass over the whole fleet: the first step of every
-    member's walk from its held selection, the strict rows of ``warm`` (the
-    record of the point before, matched by its mask if it was served whole), or
-    cold, its cold start's rows at the first column.  A member not served at
-    every column goes on with its own walk from the rows that step named
-    (``_solve_condensed``), a degenerate vertex's tied rows included.  A player
-    the step cannot serve (no map, W not unique, or a strict row that is not a
-    W row), or every player where a value is not finite or there is no column,
-    keeps None in ``sols``: its caller solves it alone."""
+    points): every member's first step in one stacked pass from its held rows, the
+    strict rows of ``warm`` (the point before, matched by its mask if it was served
+    whole) or, cold, its cold start's at the first column, then the walk.  A player
+    the fleet cannot serve (no map, rows other than +1/-1 pairs, a strict row that
+    is not a W row), or every one where a value is not finite, keeps None in
+    ``sols``: its caller solves it alone."""
     prices, p = _query(problems[0], price_columns)
     record = FleetRecord(problems, cache, prices, p.shape[1])
-    fleet, m, size = record.fleet, p.shape[1], len(record.fleet.members)
-    if not size or not m:  # no column to read cold rows at
+    fleet, m = record.fleet, p.shape[1]
+    if not fleet.members or not m:  # no column to read cold rows at
         return record
     if warm is None or not warm.served or warm.fleet is not fleet or fleet.mask is None \
             or np.count_nonzero((warm.eta[:, 0] > STRICT_DUAL_TOL) != fleet.mask):
@@ -949,32 +807,145 @@ def solve_fleet(problems, price_columns, warm, cache) -> FleetRecord:
     eta[at], floor[at] = eta_map @ p, -(err @ np.abs(p))  # zero where not held
     if not (np.isfinite(v).all() and np.isfinite(eta).all()):
         return record
-    slack = fleet.ineq_rhs - (v.take(fleet.pairs[0], axis=0) - v.take(fleet.pairs[1], axis=0))
-    fault, off = _certificate(fleet.tols, fleet.gap(v, p), slack, eta, floor, fleet.w_rows, held)
-    record.v, record.eta, record.slack = v, eta, slack
-    if fleet.mask is not None and not (np.count_nonzero(fault) or np.count_nonzero(off)):
-        record.served = True
-        for k in fleet.index:
-            record.alone[k], record.sols[k] = (), [None] * m
+    record.v, record.eta = v, eta
+    state = (floor, np.repeat(held, m, axis=1) if fleet.own else held, fleet.gap(v, p))
+    oks = {i: _place(record, p, state, i, fleet.regions[i], record.cols) for i in fleet.own
+           if fleet.regions[i] is not None}
+    fault, off = _certified(record, state)
+    if fleet.mask is None or np.count_nonzero(fault) or np.count_nonzero(off) \
+            or any(ok is not None for ok in oks.values()):
+        groups = [(i, region, record.cols) for i, ((_, _, cond), region) in enumerate(
+            zip(fleet.members, fleet.regions)) if region is not None or not cond.a_w.shape[1]]
+        results = _judge(record, groups, fault, off, held, oks)
+        state = state if fleet.own else (floor, np.repeat(held, m, axis=1), state[2])
+        _walk(record, p, state, lambda k: warm and warm.solution(k), {}, zip(groups, results))
         return record
-    failed = np.zeros((2 * size, m), dtype=bool)  # per member and column: certificate, ties
+    record.served = True
+    for k in fleet.index:
+        record.alone[k], record.sols[k] = (), [None] * m
+    return record
+
+
+def _walk(record, p, state, start, pending, taken=()):
+    """Walk on every column the steps ``taken`` ((member, region, columns),
+    (served, moves)) did not serve and every row set ``pending`` (per member,
+    rows -> columns): each step pops one row set per member, the last named
+    first, and steps them together (``_place``, ``_step``).  Where a walk ends
+    (no rows named, as where W is not unique, a row set tried, or None) the
+    column is solved alone: by the engine's W-QP from ``start`` of the player,
+    seeded with its first region's rows predicted active, then the full QP."""
+    fleet, eta, m = record.fleet, record.eta, record.m
+    exits, tried, seeds = {}, {}, {}
+    taken = list(taken)
+    for i in {*pending, *(group[0] for group, _ in taken)}:
+        record.alone[fleet.members[i][0]], record.sols[fleet.members[i][0]] = (), [None] * m
+    while True:
+        for (i, region, cols), (served, moves) in taken:
+            for c, ok, move in zip(cols, served, moves):
+                if ok:
+                    continue
+                if (i, c) not in tried and region is not None:  # its first region
+                    tried[i, c] = {region.rows}
+                    seeds[i, c] = region.pos[eta[fleet.w_at[i] + region.pos, c] > 0.0].tolist()
+                if move is None or move in tried[i, c]:
+                    exits.setdefault(i, []).append(c)
+                else:
+                    tried[i, c].add(move)
+                    pending.setdefault(i, {}).setdefault(move, []).append(c)
+        groups = []
+        for i, walks in pending.items():
+            while walks:
+                (rows, cols), (_, problem, cond) = walks.popitem(), fleet.members[i]
+                if rows is not None:
+                    region = _region(problem, cond, rows) if cond.a_w.shape[1] else None
+                    groups.append((i, region, cols))
+                    break
+                exits.setdefault(i, []).extend(cols)
+        if not groups:
+            break
+        oks = {group[0]: _place(record, p, state, *group) for group in groups}
+        taken = zip(groups, _step(record, groups, state, oks))
+    for i, cols in exits.items():
+        k, problem, cond = fleet.members[i]
+        warm_start, sols, record.alone[k] = start(k), record.sols[k], sorted(cols)
+        x0 = _start(problem, warm_start)[0] if cond.a_w.shape[1] else None
+        for c in record.alone[k]:
+            point = (i, c) in seeds and _solve_w_qp(problem, cond, p[:, c : c + 1], x0, seeds[i, c])
+            sols[c] = _solution(problem, record.prices[c], *(point or _solve_full(
+                problem, problem.merged_linear(record.prices[c]), warm_start)))
+
+
+def _place(record, p, state, i, region, cols):
+    """Place member i at its columns ``cols`` of ``p`` = [1; pi] on ``region``
+    (None: no W) by its own maps, (W, eta) = coef [1; pi], [t; mu] = ``rec`` [1;
+    pi; W], and its held rows, floor and equality gap into ``state``.  Returns
+    where the point is finite (None: everywhere); elsewhere its walk ends."""
+    fleet, (floor, held, gap) = record.fleet, state
+    (_, problem, cond), (x_span, mu_span, _, w_span, _) = fleet.members[i], fleet.spans[i]
+    n_t, n_w, every = cond.n_t, cond.a_w.shape[1], cols == record.cols
+    p_cols, at = (p, slice(None)) if every else (p[:, cols], cols)
+    z = region.coef @ p_cols if n_w else p_cols[:0]
+    t_mu = cond.rec @ (np.concatenate((p_cols, z[:n_w])) if n_w else p_cols)
+    ok = None
+    if not (np.isfinite(z).all() and np.isfinite(t_mu).all()):  # refused, and kept finite
+        ok = np.isfinite(z).all(axis=0) & np.isfinite(t_mu).all(axis=0)
+        z, t_mu = np.where(ok, z, 0.0), np.where(ok, t_mu, 0.0)
+    v = record.v
+    v[mu_span, at], v[w_span, at] = t_mu[n_t:], z[:n_w]
+    v[x_span.start : w_span.start, at] = t_mu[:n_t]
+    gap[fleet.eq_at[i] : fleet.eq_at[i + 1], at] = problem.eq_matrix @ (
+        v[x_span] if every else v[x_span][:, cols]) - problem.eq_rhs[:, None]
+    if n_w:
+        err = region.eta_err @ np.abs(p_cols)  # zero where within the roundoff of its own solve
+        block = np.zeros((2, cond.w_rows.size, z.shape[1]))  # eta, floor
+        block[0, region.pos] = z[n_w:]
+        block[1, region.pos] = -err if cond.w_unique else STRICT_DUAL_TOL + err
+        own = slice(fleet.w_at[i], fleet.w_at[i + 1])
+        record.eta[own, at], floor[own, at], held[own, at] = block[0], block[1], region.held
+    return ok
+
+
+def _certified(record, state):
+    """Where the record's points fail (``_certificate``), its slack taken at v."""
+    fleet, (floor, held, gap) = record.fleet, state
+    record.slack = fleet.slack(record.v)
+    return _certificate(fleet.tols, gap, record.slack, record.eta, floor, fleet.w_rows, held)
+
+
+def _step(record, groups, state, oks):
+    """A walk step of the groups (member, region, columns) placed, whose finite
+    columns are ``oks`` (``_place``), in one stacked pass: per group, served and moves."""
+    return _judge(record, groups, *_certified(record, state), state[1], oks)
+
+
+def _judge(record, groups, fault, off, held, oks):
+    """Per group (member, region, columns) of a step, whether each column is
+    served (finite, certified, exactly the region's W rows tied), else its next
+    rows: held rows with eta > 0, W rows violated and, at a degenerate vertex (a
+    W row tied outside the region), the held and tied rows; None where the walk
+    ends (no W, W not unique, a W or eta not finite)."""
+    fleet, size = record.fleet, len(record.fleet.members)
+    failed = np.zeros((2 * size, record.m), dtype=bool)  # per member and column: certificate, ties
     r, c = np.nonzero(np.concatenate((fault, off)))
     failed[fleet.owner[r], c] = True
-    served = (~(failed[:size] | failed[size:])).tolist()
-    for i, ((k, problem, cond), region) in enumerate(zip(fleet.members, fleet.regions)):
-        if cond.a_w.shape[1] and region is None:
-            continue
-        walked = record.alone[k] = [c for c, ok in enumerate(served[i]) if not ok]
-        points, start = [ok or None for ok in served[i]], walked and warm and warm.solution(k)
-        if walked and cond.a_w.shape[1]:  # resume the walk from this step
-            own, w = slice(fleet.w_at[i], fleet.w_at[i + 1]), v[fleet.spans[i][3]]
-            eta_w, ties = eta[own], (off[own] | held[own]) & ~failed[i]
-            moves = dict(zip(walked, _moves(problem, cond, w, eta_w, walked, ties)))
-            step = (region, np.concatenate((w, eta_w[region.pos])), points,
-                    list(map(moves.get, range(m))))
-            points = _solve_condensed(problem, cond, p, start, step)
-        record.sols[k] = list(_finish(problem, prices, points, start)) if walked else [None] * m
-    return record
+    for i, _, cols in groups:
+        if oks.get(i) is not None:
+            failed[i, cols] |= ~oks[i]
+    served, ahead, out = (~(failed[:size] | failed[size:])).tolist(), None, []
+    for i, _, cols in groups:
+        cond, ok = fleet.members[i][2], served[i]
+        ok, moves = ok if cols == record.cols else [ok[c] for c in cols], [None] * len(cols)
+        if cond.w_unique and cond.a_w.shape[1] and not all(ok):
+            if ahead is None:
+                ahead = ((record.slack.take(fleet.w_rows, axis=0)
+                          + fleet.tols[1].take(fleet.w_rows, axis=0) < 0.0)
+                         | (record.eta > 0.0) | ((off | held) & ~failed[fleet.w_owner]))
+            own, finite = ahead[fleet.w_at[i] : fleet.w_at[i + 1]], oks.get(i)
+            for j, c in enumerate(cols):
+                if not ok[j] and (finite is None or finite[j]):
+                    moves[j] = tuple(cond.w_rows[own[:, c]].tolist())
+        out.append((ok, moves))
+    return out
 
 
 def _rows(problem: PlayerProblem, cond: _Condensed, x):
@@ -1030,7 +1001,11 @@ def response_jacobian(problem: PlayerProblem, solution: PlayerSolution | None = 
         if expected_prices is None:
             raise ValueError("need a solution or expected prices")
         solution = solve_qp(problem, expected_prices)
-    strict, weak = solution._strict
+    return _jacobian(problem, *solution._strict)
+
+
+def _jacobian(problem: PlayerProblem, strict, weak) -> ResponseJacobian:
+    """dV/dpi with the ``strict`` rows held, on a boundary where ``weak`` ones are tight."""
     cond = _condensation(problem)
     if cond.rec is not None and all(i in cond.w_pos for i in strict):
         matrix = _condensed_jacobian(problem, cond, strict)

@@ -239,9 +239,9 @@ class Scenario:
     exogenous: ExogenousModel
     bounds: Bounds
     # what depends on the scenario alone, computed on first use: the
-    # covariance and the assembled player problems (assembly.assemble_all);
-    # a dataclasses.replace copy starts empty instead of sharing the
-    # original's (possibly stale) entries
+    # covariance, the marginal costs and the assembled player problems
+    # (assembly.assemble_all); a dataclasses.replace copy starts empty
+    # instead of sharing the original's (possibly stale) entries
     _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -315,16 +315,22 @@ class Scenario:
         """(deliveries, plants) expected marginal cost, plants in producer
         order: efficiency times the mean fuel forward plus intensity times
         the mean emission forward of the delivery, each mean one row sum over
-        the delivery's block of quotes (``np.mean``'s value bit for bit)."""
-        grid, exo, fuels = self.grid, self.exogenous, self.fuel_names
-        quotes = np.vstack((exo.flat_fuel_forwards(grid, fuels).reshape(grid.n_contracts, -1).T,
-                            exo.flat_emission_forwards(grid)))
-        means = np.array([quotes[:, b].sum(axis=1) / n for b, n in zip(grid.slices, grid.sizes)])
-        plants = [pl for p in self.producers for pl in p.plants]
-        efficiency = np.array([pl.efficiency for pl in plants])
-        intensity = np.array([self.fuels.intensity(pl.fuel) for pl in plants])
-        return (efficiency * means[:, [fuels.index(pl.fuel) for pl in plants]]
-                + intensity * means[:, -1:])
+        the delivery's block of quotes (``np.mean``'s value bit for bit).
+        Built once per scenario and kept read-only."""
+        if "marginal_costs" not in self._derived:
+            grid, exo, fuels = self.grid, self.exogenous, self.fuel_names
+            quotes = np.vstack((exo.flat_fuel_forwards(grid, fuels).reshape(grid.n_contracts, -1).T,
+                                exo.flat_emission_forwards(grid)))
+            means = np.array([quotes[:, b].sum(axis=1) / n
+                              for b, n in zip(grid.slices, grid.sizes)])
+            plants = [pl for p in self.producers for pl in p.plants]
+            efficiency = np.array([pl.efficiency for pl in plants])
+            intensity = np.array([self.fuels.intensity(pl.fuel) for pl in plants])
+            costs = (efficiency * means[:, [fuels.index(pl.fuel) for pl in plants]]
+                     + intensity * means[:, -1:])
+            costs.flags.writeable = False
+            self._derived["marginal_costs"] = costs
+        return self._derived["marginal_costs"]
 
 
 # ---------------------------------------------------------------------------

@@ -383,12 +383,9 @@ def test_check_uniqueness_takes_one_jacobian_per_player(monkeypatch):
     centre = eq.solve_equilibrium(sc, market=market).prices
     sols = market.solutions(centre)
     J = sum(equilibrium.response_jacobian(p, s).matrix for p, s in zip(market.problems, sols))
-    taken = []
-    inner = equilibrium.response_jacobian
-    monkeypatch.setattr(equilibrium, "response_jacobian",
-                        lambda problem, sol: taken.append(problem) or inner(problem, sol))
+    taken = _jacobians_taken(monkeypatch)
     diag = eq.check_uniqueness(sc, prices=centre, n_samples=4, market=market)
-    assert sorted(map(id, taken)) == sorted(map(id, market.problems))
+    assert sorted(id(problem) for _, problem in taken) == sorted(map(id, market.problems))
     assert diag.jacobian_eigen_max == float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
 
 
@@ -423,20 +420,38 @@ def test_detect_saturation_takes_prices_or_solutions_not_both():
             eq.detect_saturation(sc, **kwargs)
 
 
+def _jacobians_taken(monkeypatch):
+    """Record (prices, problem) of every player sensitivity a selection takes:
+    from its record where the fleet served the player (``FleetRecord.jacobian``),
+    else from its solution (``response_jacobian``)."""
+    taken = []
+    from_record, from_solution = players.FleetRecord.jacobian, equilibrium.response_jacobian
+
+    def record_jacobian(record, k):
+        out = from_record(record, k)
+        if out is not None:
+            taken.append((record.prices[0].tobytes(), record.fleet.problems[k]))
+        return out
+
+    def solution_jacobian(problem, sol):
+        taken.append((sol.prices.tobytes(), problem))
+        return from_solution(problem, sol)
+
+    monkeypatch.setattr(players.FleetRecord, "jacobian", record_jacobian)
+    monkeypatch.setattr(equilibrium, "response_jacobian", solution_jacobian)
+    return taken
+
+
 def test_one_selection_record_serves_the_solve_and_check_uniqueness(monkeypatch):
     """Over a solve and ``check_uniqueness(sc, result)``: one Market, each
     player's sensitivity taken at most once per evaluated point, and at the
     answer the fleet's bound states read once and classified once."""
-    markets, jacobians, reads, reports = [], Counter(), [], []
+    markets, taken, reads, reports = [], _jacobians_taken(monkeypatch), [], []
 
     class RecordingMarket(equilibrium.Market):
         def __init__(self, scenario):
             super().__init__(scenario)
             markets.append(self)
-
-    def jacobian(problem, sol, _inner=equilibrium.response_jacobian):
-        jacobians[sol.prices.tobytes(), id(problem)] += 1
-        return _inner(problem, sol)
 
     def bound_states(record, _inner=players.FleetRecord.bound_states.func):
         reads.append({row.tobytes() for row in record.prices})
@@ -450,19 +465,19 @@ def test_one_selection_record_serves_the_solve_and_check_uniqueness(monkeypatch)
         return _inner(*args)
 
     monkeypatch.setattr(equilibrium, "Market", RecordingMarket)
-    monkeypatch.setattr(equilibrium, "response_jacobian", jacobian)
     monkeypatch.setattr(players.FleetRecord, "bound_states", bound_states)
     monkeypatch.setattr(equilibrium, "SaturationReport", report)
     corpus = dict(make_corpus())
     corpus_reads = 0
     for name, sc in [*corpus.items(), ("ladder12", ladder(12)), ("ladder24", ladder(24))]:
-        for seen in (markets, jacobians, reads, reports):
+        for seen in (markets, taken, reads, reports):
             seen.clear()
         result = eq.solve_equilibrium(sc)
         batches, batch = [], markets[0]._batch
         markets[0]._batch = lambda prices: batches.append(prices) or batch(prices)
         eq.check_uniqueness(sc, result)
         final = result.prices.tobytes()
+        jacobians = Counter((key, id(problem)) for key, problem in taken)
         assert len(markets) == 1, name
         assert max(jacobians.values()) == 1, name
         assert sorted(i for key, i in jacobians if key == final) == \
@@ -683,3 +698,15 @@ def test_marginal_costs_match_the_per_plant_loop(name):
     ref = _marginal_costs_loop(sc)
     assert costs.shape == ref.shape and costs.dtype == ref.dtype
     assert costs.tobytes() == ref.tobytes()
+
+
+def test_marginal_costs_are_computed_once_per_scenario():
+    # validation's pi_max check and the merit-order start read one read-only array
+    sc = replace(dict(make_corpus())["three_producers"])  # a copy with nothing derived
+    assert "marginal_costs" not in sc._derived
+    eq.validate_scenario(sc)
+    costs = sc._derived["marginal_costs"]
+    start = merit_order_prices(sc)
+    assert sc.marginal_costs() is costs and not costs.flags.writeable
+    assert costs.tobytes() == _marginal_costs_loop(sc).tobytes()
+    assert start.tobytes() == merit_order_prices(replace(sc)).tobytes()

@@ -51,9 +51,9 @@ def _assert_optimal(problem, sol):
 def test_fleet_step_is_each_players_own_solve(name):
     market, centre = _centred(name)
     rng = np.random.default_rng(41)
-    if name == "portfolio12":  # its producer's W is not unique: it is solved alone
+    if name == "portfolio12":  # its producer's W is not unique: a member placed last
         fleet = market.scenario._derived["fleet_step"]
-        assert [k for k, _, _ in fleet.members] == [1, 2]
+        assert [k for k, _, _ in fleet.members] == [1, 2, 0] and fleet.own == {2}
     for radius in (1e-3, 5e-2):
         spread = radius * max(1.0, float(np.max(np.abs(centre))))
         points = centre[:, None] + spread * rng.standard_normal((centre.size, 6))
@@ -88,9 +88,22 @@ def _record(monkeypatch, owner, name):
     return calls
 
 
+def _walked(monkeypatch):
+    """Replace ``players._step`` by a wrapper that records the problem of every
+    member a walk step after the fleet step steps."""
+    walked, inner = [], players._step
+
+    def recording(record, groups, *args):
+        walked.extend(record.fleet.members[i][1] for i, _, _ in groups)
+        return inner(record, groups, *args)
+
+    monkeypatch.setattr(players, "_step", recording)
+    return walked
+
+
 def test_a_point_served_by_the_fleet_step_solves_no_player_alone(monkeypatch):
     market, centre = _centred("three_by_three")
-    walks = _record(monkeypatch, players, "_solve_condensed")
+    walks = _walked(monkeypatch)
     alone = _record(monkeypatch, equilibrium, "solve_qp")
     stacks = _record(monkeypatch, players._Fleet, "_stack")
     sols = market.solutions(centre * (1.0 + 1e-6))
@@ -201,10 +214,10 @@ def test_a_point_that_ties_another_w_row_is_not_served_by_the_fleet_step(monkeyp
     assert found
     market, centre, problem, row, prices = found[0]
     warm = market.solutions(centre)  # the memo
-    walks = _record(monkeypatch, players, "_solve_condensed")
+    walks = _walked(monkeypatch)
     sols = market.solutions(prices)
-    # the region certifies there, but a degenerate vertex ends the walk:
-    # the player is finished by the engine, as its own solve would be
+    # the region certifies there, but a degenerate vertex moves the walk on
+    # to the rows tied there: the player is finished as its own solve would be
     assert problem.name in [p.name for p in walks]
     k = market.problems.index(problem)
     assert row in sols[k].active_set
@@ -356,17 +369,15 @@ def test_a_sweep_block_builds_no_solution_for_a_player_the_fleet_step_served(mon
                 built[id(args[-1])] += 1
             super().__init__(prices, *args)
 
-    def walk(problem, cond, p, warm_start, step=None, _inner=players._solve_condensed):
-        alone[id(problem)] += p.shape[1] if step is None else step[2].count(None)
-        return _inner(problem, cond, p, warm_start, step)
-
-    def full(problem, *args, _inner=players._solve_full):
-        alone[id(problem)] += 1
-        return _inner(problem, *args)
+    def outside(name):  # a column solved outside the stack: its solution and its warm start's
+        def solve(problem, *args, _inner=getattr(players, name)):
+            alone[id(problem)] += 2
+            return _inner(problem, *args)
+        monkeypatch.setattr(players, name, solve)
 
     monkeypatch.setattr(players, "PlayerSolution", Counting)
-    monkeypatch.setattr(players, "_solve_condensed", walk)
-    monkeypatch.setattr(players, "_solve_full", full)
+    outside("_solve_w_qp")
+    outside("_solve_full")
     rng = np.random.default_rng(9)
     equilibrium.check_uniqueness(sc, prices=centre, n_samples=16, seed=int(rng.integers(1 << 31)))
     market = Market(sc)
@@ -374,7 +385,7 @@ def test_a_sweep_block_builds_no_solution_for_a_player_the_fleet_step_served(mon
     for x in centre + radius * rng.standard_normal((16, centre.size)):
         if not equilibrium.detect_saturation(sc, prices=x, market=market).saturated:
             market.excess(x)
-    # a member is built only where it was solved alone: walked on, or by the full QP
+    # a member is built only where it was solved alone: by the engine or the full QP
     members = [p for _, p, _ in sc._derived["fleet_step"].members]
     assert members
     assert {p.name: built[id(p)] for p in members if built[id(p)] > alone[id(p)]} == {}
@@ -537,7 +548,7 @@ def test_a_stack_another_market_changed_is_restacked(monkeypatch):
     b.selection(0.5 * centre)
     b.selection(0.5 * centre * (1.0 + 1e-7))
     assert fleet.key != held
-    walks = _record(monkeypatch, players, "_solve_condensed")
+    walks = _walked(monkeypatch)
     record = a.selection(centre * (1.0 + 1e-7)).record
     assert fleet.key == held and record.served and not walks
 
@@ -558,3 +569,116 @@ def test_a_member_without_a_region_is_left_to_its_caller(monkeypatch):
     assert record.alone[k] == range(1)
     for j, (problem, w) in enumerate(zip(market.problems, warm)):
         _assert_same(record.solution(j), players.solve_qp(problem, x, warm_start=w))
+
+
+# ---- one serving path: the walk on the fleet's stack ---------------------------
+
+def _walked_points(monkeypatch, sc):
+    """Solve ``sc`` cold and return, per market evaluation, (prices, the warm
+    record, the record, member -> walk steps placed after the fleet step) and
+    the stacked walk steps (``_step`` calls) of the whole solve."""
+    calls, steps, stacked = [], Counter(), []
+    inner_fleet, inner_place, inner_step = players.solve_fleet, players._place, players._step
+
+    def place(record, p, state, i, *rest):
+        steps[i] += 1
+        return inner_place(record, p, state, i, *rest)
+
+    def step(*args):
+        stacked.append(1)
+        return inner_step(*args)
+
+    def fleet(problems, prices, warm, cache):
+        steps.clear()
+        record = inner_fleet(problems, prices, warm, cache)
+        calls.append((prices, warm, record, dict(steps)))
+        return record
+
+    with monkeypatch.context() as mp:
+        mp.setattr(players, "_place", place)
+        mp.setattr(players, "_step", step)
+        mp.setattr(equilibrium, "solve_fleet", fleet)
+        equilibrium.solve_equilibrium(sc)
+    return calls, len(stacked)
+
+
+def test_walking_members_are_their_fleet_of_one_bit_for_bit(monkeypatch):
+    # ladder24's cold solve has a point where producer1 walks 4 steps after the
+    # fleet step and producer3 2: both step together on the stack, and each is
+    # the player's own walk (solve_qp_many, a fleet of one) from the same start
+    sc = _scenario("ladder24")
+    calls, _ = _walked_points(monkeypatch, sc)
+    lengths = [{record.fleet.members[i][1].name: n for i, n in walked.items()}
+               for _, _, record, walked in calls]
+    assert {"producer1": 4, "producer3": 2} in lengths
+    nd, compared = sc.grid.n_deliveries, 0
+    for prices, warm, record, walked in calls:
+        sols = [record.solution(k) for k in range(len(record.fleet.problems))]
+        for i in walked:
+            k, problem, _ = record.fleet.members[i]
+            own = players.solve_qp_many(problem, prices, warm_start=warm and warm.solution(k))[0]
+            _assert_bitwise(sols[k], own)
+            assert sols[k]._strict == own._strict and record.strict(k) == own._strict[0]
+            sols[k], compared = own, compared + 1
+        total = np.zeros(sc.n_contracts)
+        for sol in sols:
+            total += sol.volumes
+        assert record.z[:, 0].tobytes() == total.tobytes()
+        states = np.concatenate([np.zeros((2, nd, 0), dtype=bool)] + [
+            np.isin(problem.capacity_rows().reshape(2, nd, -1), sol.active_set)
+            for problem, sol in zip(record.fleet.problems, sols) if problem.kind == "producer"],
+            axis=2)
+        assert record.bound_states[0].tobytes() == states.tobytes()
+    assert compared >= 9
+
+
+def test_cold_ladder_walks_step_every_member_together(monkeypatch):
+    # the same member steps as one walk per player took (8 / 13 / 14), in at
+    # most 4 / 8 / 7 stacked steps after the fleet step
+    stacked, placed = [], []
+    for n in (12, 24, 48):
+        calls, steps = _walked_points(monkeypatch, _scenario(f"ladder{n}"))
+        stacked.append(steps)
+        placed.append(sum(n for *_, walked in calls for n in walked.values()))
+    assert placed == [8, 13, 14]
+    assert all(s <= cap for s, cap in zip(stacked, (4, 8, 7))), stacked
+
+
+@pytest.mark.parametrize("name", ["twin_plants", "portfolio12"])
+def test_a_non_unique_w_is_served_on_the_stack(monkeypatch, name):
+    # its producer is a member placed by its own maps: no player of the market
+    # is solved outside the fleet but by the engine or the full QP
+    sc = _scenario(name)
+    alone = _record(monkeypatch, equilibrium, "solve_qp")
+    alone += _record(monkeypatch, equilibrium, "solve_qp_many")
+    exits = _record(monkeypatch, players, "_solve_w_qp")
+    result = equilibrium.solve_equilibrium(sc)
+    equilibrium.check_uniqueness(sc, result, n_samples=16)
+    fleet = sc._derived["fleet_step"]
+    assert len(fleet.members) == len(fleet.problems) and fleet.own
+    assert not alone and exits  # its engine runs stay
+    k = fleet.members[min(fleet.own)][0]
+    assert not players._condensation(fleet.problems[k]).w_unique
+
+
+@pytest.mark.parametrize("name", ["ladder12", "ladder24", "three_by_three", "twin_plants"])
+def test_newton_iterates_build_no_solution_the_fleet_served(monkeypatch, name):
+    # each accepted iterate's sensitivities read the record: only the answer's
+    # solutions, and those solved outside the stack, are built
+    sc, built = _scenario(name), []
+
+    class Counting(players.PlayerSolution):
+        def __init__(self, prices, *args):
+            built.append(prices.tobytes())
+            super().__init__(prices, *args)
+
+    monkeypatch.setattr(players, "PlayerSolution", Counting)
+    outside = _record(monkeypatch, players, "_solve_w_qp")
+    outside_full = _record(monkeypatch, players, "_solve_full")
+    result = equilibrium.solve_equilibrium(sc)
+    answer = result.prices.tobytes()
+    assert result.iterations > 1
+    # each column solved alone builds its solution, and at most its warm start's
+    assert sum(key != answer for key in built) <= 2 * (len(outside) + len(outside_full))
+    if name.startswith("ladder"):
+        assert not outside and not outside_full and set(built) == {answer}

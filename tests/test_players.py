@@ -318,15 +318,16 @@ def _recorder(monkeypatch, name):
     return calls
 
 
-def _served(calls):
-    """Whether any recorded ``_serve`` step served a point."""
-    return any(p is not None for _, (points, _moves) in calls for p in points)
+def _served(steps):
+    """Whether any recorded walk step (``_walk_steps``) served a point."""
+    return any(any(served) for _, _, served, _ in steps)
 
 
 def _bypass_walk(mp):
     """Make every walk step serve nothing and name no next region, so every
     W-QP column goes to the engine, seeded from the first region as before."""
-    mp.setattr(players, "_serve", lambda problem, cond, g, *rest: ([None] * g.shape[1],) * 2)
+    mp.setattr(players, "_step", lambda record, groups, *rest: [
+        ([False] * len(cols), [None] * len(cols)) for _, _, cols in groups])
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_MARKETS))
@@ -338,20 +339,22 @@ def test_condensed_path_agrees_with_full_qp(name, monkeypatch):
     spread = 0.05 * max(1.0, float(np.max(np.abs(res.prices))))
     points = [res.prices] + [res.prices + spread * rng.standard_normal(res.prices.size)
                              for _ in range(10)]
-    steps = _recorder(monkeypatch, "_serve")
+    steps = _walk_steps(monkeypatch)
+    full = _recorder(monkeypatch, "_solve_full")
     for prices in points:
         for prob in market.problems:
             cond = players._condensation(prob)
             assert cond.rec is not None
             # the condensed point itself is accepted, so solve_qp serves it
-            p = players._query(prob, prices[:, None])[1]
-            assert players._solve_condensed(prob, cond, p, None)[0] is not None
-            _assert_agrees_with_full_qp(prob, prices, eq.solve_qp(prob, prices))
+            full.clear()
+            sol = eq.solve_qp(prob, prices)
+            assert not full
+            _assert_agrees_with_full_qp(prob, prices, sol)
     cold = _served(steps)
-    cold_names = {prob.name for prob, (points, _) in steps if any(q is not None for q in points)}
+    cold_names = {prob.name for prob, _, served, _ in steps if any(served)}
     # warm pass: each point from the previous point's solution, so the
     # walk starts from the region of that solution's strict rows
-    served = _recorder(monkeypatch, "_serve")
+    served = _walk_steps(monkeypatch)
     for prob in market.problems:
         warm = eq.solve_qp(prob, points[0])
         for prices in points[1:]:
@@ -378,10 +381,10 @@ def test_walk_through_dependent_rows_is_served_by_a_region(rich_producer, monkey
     # and fails to certify; the walk passes the dependent rows (0, 3, 4, 6, 8),
     # 5 rows on 4 W variables, whose null-space map names the next region,
     # and the last region serves without the engine
-    walked = [rows for rows, _, _ in steps]
+    walked = [rows for _, rows, _, _ in steps]
     assert walked[0] == strict and (0, 3, 4, 6, 8) in walked
-    assert all(served == [None] for _, served, _ in steps[:-1])
-    assert steps[-1][1][0] is not None and not engine
+    assert all(served == [False] for _, _, served, _ in steps[:-1])
+    assert steps[-1][2][0] and not engine
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
     assert sol.active_set != low.active_set
 
@@ -392,20 +395,21 @@ def test_non_unique_production_is_served_at_the_min_norm_point(monkeypatch):
     cond = players._condensation(prob)
     assert not cond.w_unique
     res = eq.solve_equilibrium(market.scenario, market=market)
-    min_norm = players._min_norm_production
-    served = _recorder(monkeypatch, "_serve")
+    min_norm, k = players._min_norm_production, market.problems.index(prob)
+    placed = _recorder(monkeypatch, "_place")
     stages = _recorder(monkeypatch, "_min_norm_production")
     rng = np.random.default_rng(3)
+    alone = []
     for _ in range(20):
         prices = res.prices * (1.0 + 0.05 * rng.standard_normal(res.prices.size))
-        sol = market.solutions(prices)[market.problems.index(prob)]
+        sol = market.solutions(prices)[k]
+        alone.append(market.selection(prices).record.alone[k])
         again = min_norm(prob, cond, sol.primal)
         scale = max(1.0, float(np.max(np.abs(sol.primal))))
         np.testing.assert_allclose(again, sol.primal, rtol=0, atol=1e-9 * scale)
     # the warm start's region serves every point in one step (a non-unique W
-    # does not walk), and no second stage runs
-    steps = [points for p, (points, _moves) in served if p is prob]
-    assert len(steps) == 20 and all(points[0] is not None for points in steps)
+    # does not walk, and is placed by its own maps), and no second stage runs
+    assert len(placed) == 20 and all(not cols for cols in alone)
     assert not stages
 
 
@@ -478,7 +482,7 @@ def test_min_norm_stage_is_the_identity_for_unique_production(name):
             assert out.tobytes() == x.tobytes()
 
 
-def test_binding_trading_box_falls_back_to_full_qp():
+def test_binding_trading_box_falls_back_to_full_qp(monkeypatch):
     # validation would reject a v_trade this small; the QP does not care
     sc = build_scenario(seed=5, sizes=(2, 2), fuels={"gas": 0.5},
                         producers=[(1.0, [("gas", 10.0, 10.0, -10.0, 2.0)])],
@@ -487,9 +491,9 @@ def test_binding_trading_box_falls_back_to_full_qp():
     prices = np.full(4, 50.0)
     cond = players._condensation(prob)
     assert cond.rec is not None
-    assert players._solve_condensed(prob, cond, players._query(prob, prices[:, None])[1],
-                                    None) == [None]
+    full_runs = _recorder(monkeypatch, "_solve_full")
     sol = eq.solve_qp(prob, prices)
+    assert len(full_runs) == 1  # the condensed path serves no point: the full QP does
     boxes = {"v_upper", "v_lower", "f_upper", "f_lower", "o_upper", "o_lower"}
     assert any(prob.ineq_labels[i][0] in boxes for i in sol.active_set)
     full = players._full_solve_qp(prob, prices)
@@ -748,7 +752,7 @@ def test_walked_points_agree_on_generated_markets():
         sc, (first, second) = market
         problems = [eq.assemble_producer(p, sc) for p in sc.producers]
         with pytest.MonkeyPatch.context() as mp:
-            steps = _recorder(mp, "_serve")
+            steps = _walk_steps(mp)
             warms = [eq.solve_qp(p, first) for p in problems]
             _solve_cold_and_warm(problems, warms, [second], [None])
         served.append(_served(steps))
@@ -803,7 +807,7 @@ def test_plants_of_one_fuel_match_the_full_qp_and_the_min_norm_stage():
         scale = max(1.0, float(np.max(np.abs(full.primal))))
         selection = eq.response_jacobian(prob, full).selection_id
         with pytest.MonkeyPatch.context() as mp:
-            steps = _recorder(mp, "_serve")
+            steps = _walk_steps(mp)
             warm = eq.solve_qp(prob, first)
             for start in (None, warm):
                 sol = eq.solve_qp(prob, second, warm_start=start)
@@ -819,37 +823,38 @@ def test_plants_of_one_fuel_match_the_full_qp_and_the_min_norm_stage():
 # ---- the region walk ---------------------------------------------------------
 
 def _walk_steps(monkeypatch):
-    """Replace players._serve by a wrapper that records (region rows, served,
-    next rows) of every walk step, and return that list."""
+    """Replace players._step by a wrapper that records (problem, region rows,
+    served, next rows) of every group of every walk step, and return that list."""
     steps = []
-    inner = players._serve
+    inner = players._step
 
-    def recording(problem, cond, p, region, z):
-        served, moves = inner(problem, cond, p, region, z)
-        steps.append((region.rows, served, moves))
-        return served, moves
+    def recording(record, groups, *args):
+        out = inner(record, groups, *args)
+        for (i, region, _), (served, moves) in zip(groups, out):
+            steps.append((record.fleet.members[i][1], region and region.rows, served, moves))
+        return out
 
-    monkeypatch.setattr(players, "_serve", recording)
+    monkeypatch.setattr(players, "_step", recording)
     return steps
 
 
 def test_repeated_row_set_hands_the_column_to_the_engine(rich_producer, monkeypatch):
     low = eq.solve_qp(rich_producer, np.full(3, 2.0))
     first, _ = players._strict_active(low)
-    inner = players._serve
+    inner = players._step
 
-    def cycling(problem, cond, p, region, z):
+    def cycling(record, groups, *args):
         # the walk from the first region to no rows and back
-        served, _ = inner(problem, cond, p, region, z)
-        return served, [() if region.rows == first else first] * p.shape[1]
+        return [(served, [() if region.rows == first else first] * len(cols))
+                for (_, region, cols), (served, _) in zip(groups, inner(record, groups, *args))]
 
-    monkeypatch.setattr(players, "_serve", cycling)
+    monkeypatch.setattr(players, "_step", cycling)
     steps = _walk_steps(monkeypatch)
     engine = _recorder(monkeypatch, "_solve_w_qp")
     prices = np.full(3, 60.0)
     sol = eq.solve_qp(rich_producer, prices, warm_start=low)
-    assert [rows for rows, _, _ in steps] == [first, ()]
-    assert all(served == [None] for _, served, _ in steps)
+    assert [rows for _, rows, _, _ in steps] == [first, ()]
+    assert all(served == [False] for _, _, served, _ in steps)
     assert len(engine) == 1
     _assert_agrees_with_full_qp(rich_producer, prices, sol)
 
@@ -866,23 +871,21 @@ def test_walked_columns_keep_their_own_prices(rich_producer, monkeypatch):
     target = players._strict_active(alone[0])[0]
     assert all(players._strict_active(sol)[0] == target for sol in alone)
     assert len({first, detour, target}) == 3
-    p_all = players._query(rich_producer, columns)[1]
-    inner = players._serve
+    inner = players._step
 
-    def steering(problem, cond, p, region, z):
+    def steering(record, groups, *args):
+        (_, region, cols), = groups
         if region.rows == target:
-            return inner(problem, cond, p, region, z)
-        ids = [next(c for c in range(3) if np.array_equal(p[:, k], p_all[:, c]))
-               for k in range(p.shape[1])]
+            return inner(record, groups, *args)
         moves = {first: {0: target, 1: detour, 2: target}, detour: {1: target}}[region.rows]
-        return [None] * len(ids), [moves[c] for c in ids]
+        return [([False] * len(cols), [moves[c] for c in cols])]
 
-    monkeypatch.setattr(players, "_serve", steering)
+    monkeypatch.setattr(players, "_step", steering)
     steps = _walk_steps(monkeypatch)
     engine = _recorder(monkeypatch, "_solve_w_qp")
     sols = players.solve_qp_many(rich_producer, columns, warm_start=warm)
-    assert [rows for rows, _, _ in steps] == [first, detour, target]
-    assert all(point is not None for point in steps[-1][1]) and not engine
+    assert [rows for _, rows, _, _ in steps] == [first, detour, target]
+    assert all(steps[-1][2]) and not engine
     for sol, ref in zip(sols, alone):
         assert sol.active_set == ref.active_set
         np.testing.assert_allclose(sol.primal, ref.primal, rtol=0, atol=1e-9)
@@ -916,9 +919,9 @@ def test_tie_step_into_dependent_rows_that_repeats_hands_the_column_to_the_engin
         # vertex row 5 tied outside it, so the walk steps to the region that
         # holds all three; those rows are dependent, and its minimum-norm eta
         # names (1, 2) again, a row set already tried
-        assert [rows for rows, _, _ in steps[-2:]] == [vertex[:2], vertex]
-        assert [moves for _, _, moves in steps[-2:]] == [[vertex], [vertex[:2]]]
-        assert all(served == [None] for _, served, _ in steps)
+        assert [rows for _, rows, _, _ in steps[-2:]] == [vertex[:2], vertex]
+        assert [moves for _, _, _, moves in steps[-2:]] == [[vertex], [vertex[:2]]]
+        assert all(served == [False] for _, _, served, _ in steps)
         assert len(engine) == 1
         assert sol.active_set == vertex
         _assert_agrees_with_full_qp(prob, prices, sol)
@@ -1138,8 +1141,8 @@ def test_degenerate_cold_start_is_served_by_its_region(monkeypatch):
     assert abs(eta) <= err  # a degenerate vertex, up to roundoff
     assert players._first_rows(prob, cond, None, p[:, None]) == [()]
     sol = eq.solve_qp(prob, prices)
-    assert [rows for rows, _, _ in steps] == [(), (1,)]
-    assert steps[0][1:] == ([None], [(1,)]) and steps[1][1][0] is not None
+    assert [rows for _, rows, _, _ in steps] == [(), (1,)]
+    assert steps[0][2:] == ([False], [(1,)]) and steps[1][2][0]
     assert not engine and sol.ineq_duals[1] == 0.0
     _assert_agrees_with_full_qp(prob, prices, sol)
 
@@ -1156,7 +1159,7 @@ def test_cold_batch_groups_columns_by_their_first_rows(monkeypatch):
     assert players._first_rows(prob, cond, None, p) == [(3, 5), (), (3, 5), ()]
     steps = _walk_steps(monkeypatch)
     sols = players.solve_qp_many(prob, columns)
-    walked = [(rows, len(served)) for rows, served, _ in steps]
+    walked = [(rows, len(served)) for _, rows, served, _ in steps]
     assert walked[0] == ((), 2) and ((3, 5), 2) in walked
     for c, sol in enumerate(sols):
         ref = eq.solve_qp(prob, columns[:, c])
@@ -1200,7 +1203,7 @@ def _dispatch_work(monkeypatch):
 
     counting(players, "_range_space", 0, lambda cond, pos, *rest: pos.size > 0)
     counting(players, "_null_space", 0)
-    counting(players, "_serve", 1)
+    counting(players, "_place", 1)
     counting(players._Fleet, "_stack", 2)
     counting(players, "solve_qp_active_set", 3)
     return counts
@@ -1209,7 +1212,8 @@ def _dispatch_work(monkeypatch):
 def test_cold_walks_start_from_their_dual_feasible_rows(monkeypatch):
     # on fresh corpus scenarios: each cold solve, then the uniqueness check at
     # its answer on a new Market; holding every row tied at the cold start
-    # took 72 / 72 / 71 / 4 and 48 / 42 / 44 / 3
+    # took 72 / 72 / 71 / 4 and 48 / 42 / 44 / 3; twin_plants' producer, whose
+    # W is not unique, is stacked with the fleet and restacks twice
     counts = _dispatch_work(monkeypatch)
     solves, checks = np.zeros(4, dtype=int), np.zeros(4, dtype=int)
     for _, sc in make_corpus():
@@ -1219,7 +1223,7 @@ def test_cold_walks_start_from_their_dual_feasible_rows(monkeypatch):
         counts[:] = [0] * 4
         eq.check_uniqueness(sc, prices=prices, n_samples=16, market=eq.Market(sc))
         checks += counts
-    assert solves.tolist() == [51, 53, 53, 4]
+    assert solves.tolist() == [51, 53, 55, 4]
     assert checks.tolist() == [9, 6, 2, 1]
 
 

@@ -67,7 +67,8 @@ def _w_qp_calls(scenario):
         return engine(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(players, "_serve", lambda problem, cond, g, *rest: ([None] * g.shape[1],) * 2)
+        mp.setattr(players, "_step", lambda record, groups, *rest: [
+            ([False] * len(cols), [None] * len(cols)) for _, _, cols in groups])
         mp.setattr(players, "solve_qp_active_set", recording)
         market = eq.Market(scenario)
         eq.solve_equilibrium(scenario, market=market)
